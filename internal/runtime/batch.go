@@ -63,9 +63,13 @@ func nextBatch(it Iter, buf []xdm.Item) (int, error) {
 // drainBatched materializes an iterator into a sequence with batched pulls.
 // Batches are pulled directly into the spare capacity of the output slice —
 // a staging buffer would double every pointer write (and its GC barrier),
-// which costs more than the dispatch the batching saves.
+// which costs more than the dispatch the batching saves. The output starts
+// small: most drains are predicate operands and step results of a handful of
+// items, run once per tuple or per streaming window, and a full batch-sized
+// slice for each of them was most of what such a query allocated; a large
+// drain pays four extra doublings on its way up.
 func drainBatched(dyn *Dynamic, it Iter) (xdm.Sequence, error) {
-	out := make(xdm.Sequence, 0, batchSize)
+	out := make(xdm.Sequence, 0, drainStart)
 	for {
 		if len(out) == cap(out) {
 			// Budget the doubling once a single drain grows past the floor:
@@ -101,6 +105,9 @@ func drainBatched(dyn *Dynamic, it Iter) (xdm.Sequence, error) {
 // to amortize the per-call costs, small enough that prefetching a batch
 // ahead of the consumer stays cheap.
 const batchSize = 128
+
+// drainStart is the initial capacity of a drained sequence.
+const drainStart = 8
 
 // maxBatch caps the window handed to a single NextBatch when draining into
 // a large sequence, so interrupt polls stay reasonably frequent.

@@ -209,7 +209,7 @@ func (c *compiler) compile(e expr.Expr) (seqFn, error) {
 func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 	switch n := e.(type) {
 	case *expr.Literal:
-		v := n.Val
+		var v xdm.Item = n.Val // boxed once, not per evaluation
 		return func(fr *Frame) Iter { return singleIter(v) }, nil
 
 	case *expr.VarRef:

@@ -802,7 +802,17 @@ func (f *forClauseState) bindTuple(it xdm.Item) (*Frame, error) {
 	if f.cl.typ != nil && !f.cl.typ.Item.MatchesItem(it) {
 		return nil, xdm.ErrType("for-variable item does not match %s", *f.cl.typ)
 	}
-	fr := f.outer.bind(f.cl.varID, MaterializedSeq(xdm.Sequence{it}))
+	// The tuple's frame, its one-item sequence and that item's slot are one
+	// allocation: a for clause binds a tuple per input item.
+	t := &struct {
+		fr   Frame
+		seq  LazySeq
+		item [1]xdm.Item
+	}{}
+	t.item[0] = it
+	t.seq.items = t.item[:]
+	t.fr = Frame{parent: f.outer, dyn: f.outer.dyn, id: f.cl.varID, val: &t.seq}
+	fr := &t.fr
 	if f.cl.posID >= 0 {
 		fr = fr.bind(f.cl.posID, MaterializedSeq(xdm.Sequence{xdm.NewInteger(f.pos)}))
 	}

@@ -72,12 +72,12 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	noReorder := n.NoReorder && !c.opts.Eager
 
 	raw := func(fr *Frame) Iter {
-		lseq := NewLazySeq(lf(fr))
-		lastFn := func() (int64, error) {
-			n, err := lseq.Len()
-			return int64(n), err
-		}
-		return &pathIter{fr: fr, rf: rf, li: lseq.Iterator(), lastFn: lastFn}
+		p := &pathIter{fr: fr, rf: rf}
+		p.lseq.src = lf(fr)
+		p.lcur.seq = &p.lseq
+		p.li = &p.lcur
+		p.lastFn = p.last
+		return p
 	}
 
 	if noReorder {
@@ -126,6 +126,11 @@ type pathIter struct {
 	cur    Iter
 	pos    int64
 
+	// The memoized left input and the cursor li reads it through live inside
+	// the iterator: one allocation per path instantiation instead of three.
+	lseq LazySeq
+	lcur lazyCursor
+
 	// Batch-mode left prefetch. Like flworIter, a left-input error found
 	// while prefetching is stashed until the outputs of the nodes fetched
 	// before it have all been delivered, so errors surface in the same
@@ -134,6 +139,12 @@ type pathIter struct {
 	pi, pn  int
 	stash   error
 	ldone   bool
+}
+
+// last is fn:last() for the right side's focus: the left input's length.
+func (p *pathIter) last() (int64, error) {
+	n, err := p.lseq.Len()
+	return int64(n), err
 }
 
 // nextLeft yields the next left-hand node. In batched mode it prefetches a

@@ -341,10 +341,13 @@ func rootFrame(dyn *Dynamic) *Frame {
 		f.hasFocus = true
 		f.ctxItem = dyn.ContextItem
 		f.ctxPos = 1
-		f.ctxLast = func() (int64, error) { return 1, nil }
+		f.ctxLast = lastOfOne
 	}
 	return f
 }
+
+// lastOfOne is fn:last() in the initial focus: the context item is alone.
+func lastOfOne() (int64, error) { return 1, nil }
 
 // bind creates a child frame binding variable id to val.
 func (f *Frame) bind(id int, val *LazySeq) *Frame {

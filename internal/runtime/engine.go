@@ -24,7 +24,14 @@ func (p *Prepared) newRootFrame(dyn *Dynamic) (*Frame, error) {
 		// but only proceeds as far as the query pulls.
 		dyn.ContextItem = dyn.Stream.docFor(dyn).RootNode()
 	}
-	fr := rootFrame(dyn)
+	return p.bindGlobals(rootFrame(dyn))
+}
+
+// bindGlobals chains the prolog variables onto fr: externals from the
+// dynamic context (checked against their declared types here, once), the
+// rest as lazy initializers.
+func (p *Prepared) bindGlobals(fr *Frame) (*Frame, error) {
+	dyn := fr.dyn
 	for _, g := range p.globals {
 		var val *LazySeq
 		switch {
@@ -50,6 +57,46 @@ func (p *Prepared) newRootFrame(dyn *Dynamic) (*Frame, error) {
 		fr = fr.bind(g.id, val)
 	}
 	return fr, nil
+}
+
+// Exec is a reusable execution of one plan under one Dynamic: the root
+// frame and the variable bindings are set up once, and each Run only swaps
+// the context item and instantiates the plan's iterators. It serves callers
+// that evaluate the same plan over many context items in turn (the streaming
+// evaluator: one residual plan, one window after another).
+//
+// A Run ends the previous one: the frame is shared, so the iterator of an
+// earlier Run must be fully consumed or dropped first. Not safe for
+// concurrent use.
+type Exec struct {
+	p     *Prepared
+	focus *Frame // the root frame, whose context item Run replaces
+	top   *Frame // focus plus the bound variables
+}
+
+// NewExec binds the plan to dyn. Prolog variables are bound here, once, so
+// the plan must not declare initialized ones (an initializer may read the
+// context item, which changes per Run); externals are fine.
+func (p *Prepared) NewExec(dyn *Dynamic) (*Exec, error) {
+	for _, g := range p.globals {
+		if !g.external {
+			return nil, fmt.Errorf("runtime: reusable execution of a plan with an initialized variable $%s", g.name)
+		}
+	}
+	dyn.proj.Store(p.opts.Projection)
+	focus := &Frame{dyn: dyn, id: -1, hasFocus: true, ctxPos: 1, ctxLast: lastOfOne}
+	top, err := p.bindGlobals(focus)
+	if err != nil {
+		return nil, err
+	}
+	return &Exec{p: p, focus: focus, top: top}, nil
+}
+
+// Run evaluates the plan with item as the context item.
+func (e *Exec) Run(item xdm.Item) Iter {
+	e.focus.dyn.ContextItem = item
+	e.focus.ctxItem = item
+	return e.p.body(e.top)
 }
 
 // recoverXQ converts panics back into errors at the engine boundary:

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xqgo/internal/ctxio"
 	"xqgo/internal/store"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xmlparse"
@@ -47,53 +48,10 @@ func (s *StreamState) BindContext(ctx context.Context) {
 	if s.doc != nil {
 		return
 	}
-	if _, ok := s.r.(*ctxReader); ok {
+	if _, ok := s.r.(*ctxio.Reader); ok {
 		return
 	}
-	s.r = &ctxReader{ctx: ctx, r: s.r}
-}
-
-// ctxReader runs each Read on a helper goroutine so a canceled context
-// unblocks the caller immediately; the abandoned read hands its (late)
-// result to the next call through res, keeping reads sequential.
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-	res chan ctxRead
-}
-
-type ctxRead struct {
-	n   int
-	err error
-	buf []byte
-}
-
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	if c.res == nil {
-		c.res = make(chan ctxRead, 1)
-	} else {
-		// A previous Read abandoned its in-flight call; collect the
-		// leftover result first so underlying reads never interleave.
-		select {
-		case r := <-c.res:
-			return copy(p, r.buf[:r.n]), r.err
-		default:
-		}
-	}
-	buf := make([]byte, len(p))
-	go func() {
-		n, err := c.r.Read(buf)
-		c.res <- ctxRead{n: n, err: err, buf: buf}
-	}()
-	select {
-	case r := <-c.res:
-		return copy(p, r.buf[:r.n]), r.err
-	case <-c.ctx.Done():
-		return 0, c.ctx.Err()
-	}
+	s.r = ctxio.NewReader(ctx, s.r)
 }
 
 // Reader returns the stream's input reader — context-wrapped when

@@ -34,15 +34,19 @@ func errIter(err error) Iter {
 }
 
 // singleIter yields one item.
-func singleIter(it xdm.Item) Iter {
-	done := false
-	return iterFunc(func() (xdm.Item, bool, error) {
-		if done {
-			return nil, false, nil
-		}
-		done = true
-		return it, true, nil
-	})
+func singleIter(it xdm.Item) Iter { return &oneIter{it: it} }
+
+type oneIter struct {
+	it   xdm.Item
+	done bool
+}
+
+func (s *oneIter) Next() (xdm.Item, bool, error) {
+	if s.done {
+		return nil, false, nil
+	}
+	s.done = true
+	return s.it, true, nil
 }
 
 // sliceIter iterates a materialized sequence.

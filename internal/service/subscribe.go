@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"xqgo"
+	"xqgo/internal/ctxio"
 	"xqgo/internal/faultinject"
 	"xqgo/internal/limits"
 )
@@ -339,7 +340,9 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		started: feedStart, remote: r.RemoteAddr, traceID: traceID,
 		queries: queries, handles: handles,
 	})
-	runErr := sub.Run(ctx, &cancelReader{ctx: ctx, r: r.Body}, StreamBodyURI)
+	// A blocking feed read must abort when ctx is cancelled, so that
+	// Service.Shutdown ends an idle feed whose client is sending nothing.
+	runErr := sub.Run(ctx, ctxio.NewReader(ctx, r.Body), StreamBodyURI)
 	s.subs.unregister(feedID)
 	s.stats.observeFeed(time.Since(feedStart))
 	if budget != nil && budget.Trips() > 0 {
@@ -376,58 +379,4 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		data, _ := json.Marshal(ends)
 		_ = sseEvent(w, flusher, "end", data)
 	}
-}
-
-// cancelReader makes a blocking feed read abort when ctx is cancelled:
-// reads run on a helper goroutine, so Service.Shutdown ends an idle feed
-// whose client is sending nothing. After cancellation the pending read's
-// result is discarded — the server tears the connection down right after.
-type cancelReader struct {
-	ctx     context.Context
-	r       io.Reader
-	ch      chan readChunk
-	rem     []byte
-	err     error
-	started bool
-}
-
-type readChunk struct {
-	data []byte
-	err  error
-}
-
-func (c *cancelReader) Read(p []byte) (int, error) {
-	for len(c.rem) == 0 {
-		if c.err != nil {
-			return 0, c.err
-		}
-		if !c.started {
-			c.started = true
-			c.ch = make(chan readChunk)
-			go func() {
-				for {
-					buf := make([]byte, 32<<10)
-					n, err := c.r.Read(buf)
-					select {
-					case c.ch <- readChunk{data: buf[:n], err: err}:
-						if err != nil {
-							return
-						}
-					case <-c.ctx.Done():
-						return
-					}
-				}
-			}()
-		}
-		select {
-		case chunk := <-c.ch:
-			c.rem, c.err = chunk.data, chunk.err
-		case <-c.ctx.Done():
-			c.err = c.ctx.Err()
-			return 0, c.err
-		}
-	}
-	n := copy(p, c.rem)
-	c.rem = c.rem[n:]
-	return n, nil
 }

@@ -33,7 +33,11 @@ type Builder struct {
 	lastAttr int32
 	// content seen for innermost open element (attributes no longer allowed)
 	contentSeen bool
-	// pending text accumulates adjacent text so the tree has merged text nodes
+	// Pending text accumulates adjacent text so the tree has merged text
+	// nodes. A lone run (the common case) is kept as the caller's string in
+	// pendingOne and becomes the node value without a copy; only a second
+	// adjacent run moves both into pendingText.
+	pendingOne  string
 	pendingText []byte
 	havePending bool
 	done        bool
@@ -162,16 +166,28 @@ func (b *Builder) Text(s string) {
 		return
 	}
 	b.contentSeen = true
-	b.pendingText = append(b.pendingText, s...)
-	b.havePending = true
+	switch {
+	case !b.havePending:
+		b.pendingOne = s
+		b.havePending = true
+	case b.pendingOne != "":
+		b.pendingText = append(append(b.pendingText, b.pendingOne...), s...)
+		b.pendingOne = ""
+	default:
+		b.pendingText = append(b.pendingText, s...)
+	}
 }
 
 func (b *Builder) flushText() {
 	if !b.havePending {
 		return
 	}
-	s := string(b.pendingText)
-	b.pendingText = b.pendingText[:0]
+	s := b.pendingOne
+	if s == "" {
+		s = string(b.pendingText)
+		b.pendingText = b.pendingText[:0]
+	}
+	b.pendingOne = ""
 	b.havePending = false
 	id := b.appendNode(xdm.TextNode, -1, b.texts.Intern(s))
 	b.linkChild(id)
@@ -205,7 +221,8 @@ func (b *Builder) EndElement() {
 	b.contentSeen = true // parent has now seen content
 }
 
-// Done finalizes and returns the document. The builder must not be reused.
+// Done finalizes and returns the document. The builder must not be used
+// again, except through Reset.
 func (b *Builder) Done() (*Document, error) {
 	b.flushText()
 	if b.done {
@@ -229,6 +246,52 @@ func (b *Builder) Done() (*Document, error) {
 	}
 	b.done = true
 	return b.doc, nil
+}
+
+// Reset re-arms the builder for another document that reuses the storage of
+// the one it built last: the streaming evaluator's window arena, where one
+// builder and one set of columns serve every window of a feed instead of a
+// fresh builder and eight freshly grown slices per window.
+//
+// The next document is a new *Document with a fresh sequence number and the
+// same name pool and URI; it takes over the previous document's columns
+// truncated to length zero, capacity kept. Node identity, document order and
+// every cache keyed on a document (DocStats, join indexes, per-execution
+// strategy decisions) are therefore distinct per window by construction.
+//
+// Lifetime rule: Reset ends the life of the document the builder produced
+// before. That document's columns are emptied, so a node of it that is used
+// afterwards fails loudly (index out of range, surfaced as an internal error
+// at the engine's recover boundaries) rather than reading the next window's
+// data. Callers must have consumed, serialized or copied whatever they need
+// from a window before resetting the arena for the next one.
+func (b *Builder) Reset() {
+	old := b.doc
+	b.doc = &Document{
+		Seq:   docSeq.Add(1),
+		URI:   old.URI,
+		Names: old.Names,
+
+		kind:       old.kind[:0],
+		name:       old.name[:0],
+		parent:     old.parent[:0],
+		endID:      old.endID[:0],
+		nextSib:    old.nextSib[:0],
+		firstChild: old.firstChild[:0],
+		value:      old.value[:0],
+		level:      old.level[:0],
+		NS:         old.NS[:0],
+	}
+	old.kind, old.name, old.parent, old.endID = nil, nil, nil, nil
+	old.nextSib, old.firstChild, old.value, old.level, old.NS = nil, nil, nil, nil, nil
+	b.stack = b.stack[:0]
+	b.lastChild = b.lastChild[:0]
+	b.lastAttr = -1
+	b.contentSeen = false
+	b.pendingOne = ""
+	b.pendingText = b.pendingText[:0]
+	b.havePending = false
+	b.done = false
 }
 
 // isOpen reports whether element id is still on the open stack. The stack

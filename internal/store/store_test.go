@@ -424,3 +424,78 @@ func TestEndIDInvariantQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// buildLine builds <line n="…"><id>…</id>tail</line> under a document node.
+func buildLine(t *testing.T, b *Builder, n, id string) *Document {
+	t.Helper()
+	b.StartDocument()
+	b.StartElement(xdm.LocalName("line"))
+	if err := b.Attr(xdm.LocalName("n"), n); err != nil {
+		t.Fatal(err)
+	}
+	b.StartElement(xdm.LocalName("id"))
+	b.Text(id)
+	b.EndElement()
+	b.Text("ta")
+	b.Text("il")
+	b.EndElement()
+	doc, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestBuilderReset pins the window-arena contract: the next document reuses
+// the previous one's storage but is a different document — new sequence
+// number, distinct node identity, later in document order — and the previous
+// document is dead, loudly, rather than aliasing the new one's data.
+func TestBuilderReset(t *testing.T) {
+	b := NewBuilder(BuilderOptions{URI: "feed"})
+	d1 := buildLine(t, b, "1", "SKU-1")
+	n1 := d1.Node(1)
+	if got := n1.StringValue(); got != "SKU-1tail" {
+		t.Fatalf("window 1 = %q", got)
+	}
+
+	b.Reset()
+	d2 := buildLine(t, b, "2", "SKU-2")
+	n2 := d2.Node(1)
+	if got := n2.StringValue(); got != "SKU-2tail" {
+		t.Fatalf("window 2 = %q", got)
+	}
+	if got := n2.AttributesOf()[0].StringValue(); got != "2" {
+		t.Fatalf("window 2 attribute = %q", got)
+	}
+	if d2 == d1 || d2.Seq <= d1.Seq || d2.URI != "feed" || d2.Names != d1.Names {
+		t.Fatalf("reset document: same=%v seq %d -> %d uri %q", d2 == d1, d1.Seq, d2.Seq, d2.URI)
+	}
+	if n1.SameNode(n2) || n2.SameNode(n1) {
+		t.Fatal("the same position in two windows compares equal by node identity")
+	}
+	if xdm.CompareOrder(n1, n2) >= 0 {
+		t.Fatal("a later window must follow an earlier one in document order")
+	}
+	if d2.Stats() == nil || d2.NumNodes() != 6 {
+		t.Fatalf("window 2 has %d nodes, want 6", d2.NumNodes())
+	}
+
+	// A node that outlives its window must fail, not read the next window.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a node of a reset document was still readable")
+			}
+		}()
+		_ = n1.StringValue()
+	}()
+
+	// Steady state: a window costs the new Document and nothing else.
+	perWindow := testing.AllocsPerRun(50, func() {
+		b.Reset()
+		buildLine(t, b, "3", "SKU-3")
+	})
+	if perWindow > 2 { // the Document, and the merged "tail" string
+		t.Fatalf("%.0f allocations per reused window, want at most 2", perWindow)
+	}
+}

@@ -1,105 +1,101 @@
 package streamexec
 
 import (
+	"bytes"
 	"encoding/xml"
-	"sync"
-	"sync/atomic"
 
-	"xqgo/internal/runtime"
+	"xqgo/internal/tokens"
 )
 
-// Dispatcher fans one decoder token stream out to any number of runners
-// (the pub/sub core: N continuous queries share a single parse pass over a
-// live feed). A runner that errors is detached — its error is recorded on
-// its handle and the feed keeps flowing to the others. Token delivery is
-// single-threaded (the parse goroutine); Close is safe from any goroutine.
+// Dispatcher fans one decoder token stream out to the window groups of a
+// feed (the pub/sub core: N continuous queries share a single parse pass
+// and, where their spines agree, a single window build). A member that errors
+// is detached — its error is recorded on its handle and the feed keeps
+// flowing to the others. Token delivery is single-threaded (the parse
+// goroutine); Member.Close is safe from any goroutine.
 type Dispatcher struct {
-	taps []*Tap
+	env     Env
+	runners []*Runner
 }
 
-// Tap is one registered consumer of the dispatched stream.
-type Tap struct {
-	fn     func(xml.Token) error
-	finish func() error
+// NewDispatcher creates a dispatcher whose subscriptions all run under env.
+func NewDispatcher(env Env) *Dispatcher { return &Dispatcher{env: env} }
 
-	closed atomic.Bool
-	mu     sync.Mutex
-	err    error
+// Subscribe registers a streamable program delivering each result item as
+// one serialized XML fragment; deliver owns the byte slice. Programs that
+// evaluate a residual over child-only windows of the same spine share one
+// Runner — the window is built once and evaluated per member, in
+// registration order; every other program gets a runner of its own.
+func (d *Dispatcher) Subscribe(p *Program, deliver func(xml []byte) error) *Member {
+	for _, r := range d.runners {
+		if r.accepts(p) {
+			return r.addResults(p, deliver)
+		}
+	}
+	r := newRunner(p, d.env)
+	d.runners = append(d.runners, r)
+	return r.addResults(p, deliver)
 }
 
-// Close detaches the tap from the feed. Idempotent, safe concurrently with
-// dispatch.
-func (t *Tap) Close() { t.closed.Store(true) }
-
-// Err returns the error that detached the tap, if any.
-func (t *Tap) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-func (t *Tap) fail(err error) {
-	t.mu.Lock()
-	t.err = err
-	t.mu.Unlock()
-	t.closed.Store(true)
-}
-
-// Add registers a consumer: fn receives every token, finish (optional) runs
-// at end of input. For a Runner pass r.Token and r.Finish.
-func (d *Dispatcher) Add(fn func(xml.Token) error, finish func() error) *Tap {
-	t := &Tap{fn: fn, finish: finish}
-	d.taps = append(d.taps, t)
-	return t
-}
-
-// Token delivers one token to every live tap — install this as the parser's
-// Tap. It never returns an error: per-tap failures (errors AND panics —
-// one poisoned handler must never kill the feed's siblings) detach that
-// tap only.
+// Token delivers one token to every group — install this as the parser's
+// Tap. It never returns an error: failures (errors AND panics — one
+// poisoned handler must never kill the feed's siblings) are recorded on the
+// members they detach.
 func (d *Dispatcher) Token(tok xml.Token) error {
-	for _, t := range d.taps {
-		if t.closed.Load() {
-			continue
-		}
-		if err := t.call(tok); err != nil {
-			t.fail(err)
-		}
+	for _, r := range d.runners {
+		_ = r.Token(tok) // already recorded on the members it ended
 	}
 	return nil
 }
 
-// call is the per-tap recover boundary for token delivery.
-func (t *Tap) call(tok xml.Token) (err error) {
-	defer runtime.RecoverXQ(&err)
-	return t.fn(tok)
-}
-
-// Finish signals end of input to every live tap.
+// Finish signals end of input to every group.
 func (d *Dispatcher) Finish() {
-	for _, t := range d.taps {
-		if t.closed.Load() || t.finish == nil {
-			continue
-		}
-		if err := t.callFinish(); err != nil {
-			t.fail(err)
-		}
+	for _, r := range d.runners {
+		_ = r.Finish() // already recorded on the members it ended
 	}
 }
 
-// callFinish is the per-tap recover boundary for end-of-input delivery.
-func (t *Tap) callFinish() (err error) {
-	defer runtime.RecoverXQ(&err)
-	return t.finish()
-}
-
-// Live reports how many taps are still attached.
+// Live reports how many members are still attached.
 func (d *Dispatcher) Live() int {
 	n := 0
-	for _, t := range d.taps {
-		if !t.closed.Load() {
-			n++
+	for _, r := range d.runners {
+		for _, m := range r.members {
+			if !m.closed.Load() {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// ResultFramer frames results for delivery one item at a time: the tokens of
+// an item are serialized into a reused buffer and writer, and EndResult hands
+// deliver a copy it owns. Both subscription paths — streamed windows and the
+// store fallback — frame through it, so an item serializes the same either
+// way.
+type ResultFramer struct {
+	buf     bytes.Buffer
+	sw      *tokens.StreamWriter
+	deliver func([]byte) error
+}
+
+// NewResultFramer creates a framer delivering to deliver.
+func NewResultFramer(deliver func(xml []byte) error) *ResultFramer {
+	f := &ResultFramer{deliver: deliver}
+	f.sw = tokens.NewStreamWriter(&f.buf)
+	return f
+}
+
+// WriteToken adds one token to the current result item.
+func (f *ResultFramer) WriteToken(t tokens.Token) error { return f.sw.WriteToken(t) }
+
+// EndResult completes the current item and delivers it.
+func (f *ResultFramer) EndResult() error {
+	if err := f.sw.Close(); err != nil {
+		return err
+	}
+	out := append([]byte(nil), f.buf.Bytes()...)
+	f.buf.Reset()
+	f.sw.Reset(&f.buf)
+	return f.deliver(out)
 }

@@ -1,23 +1,25 @@
 package streamexec
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"xqgo/internal/faultinject"
+	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
 	"xqgo/internal/store"
 	"xqgo/internal/tokens"
 	"xqgo/internal/trace"
 	"xqgo/internal/xdm"
+	"xqgo/internal/xmlparse"
 )
 
-// Stats are one Runner's lifetime totals.
+// Stats are one Member's lifetime totals.
 type Stats struct {
 	// Windows opened by the spine automaton.
 	Windows int64 `json:"windows"`
@@ -33,8 +35,8 @@ type Stats struct {
 	LastResultUnixNano int64 `json:"lastResultUnixNano,omitempty"`
 }
 
-// maxWindowSpans bounds how many windows of one execution get individual
-// trace spans: a long-lived feed opens unbounded windows, and exhausting the
+// maxWindowSpans bounds how many windows of one runner get individual trace
+// spans: a long-lived feed opens unbounded windows, and exhausting the
 // trace's span budget on them would crowd out the operator and summary spans
 // synthesized at the end. Totals are always exact via the profile counters.
 const maxWindowSpans = 64
@@ -49,24 +51,95 @@ type openWindow struct {
 	span  *trace.Span // nil past maxWindowSpans or without a trace
 }
 
-// Runner drives one streamable Program against a live decoder token stream.
+// Member is one query's seat in a Runner's window group: its residual plan
+// (none for identity programs), its result sink, its totals, and the handle
+// that detaches it. Close, Err and Stats are safe from any goroutine while
+// the feed runs; everything else belongs to the feed goroutine.
+type Member struct {
+	prog      *Program
+	emit      func(tokens.Token) error // counts the token, then writes it to the sink
+	endResult func() error             // result boundary; nil in shared-writer mode
+
+	// dyn is the dynamic context of the residual plan, reused for every
+	// window (stable current-dateTime, same interrupt hook as the enclosing
+	// execution), and exec the plan bound to it at the member's first window.
+	// When the execution is profiled, dyn carries rprof — a profile sized for
+	// the residual plan — never Env.Prof, whose operator slots belong to the
+	// enclosing plan.
+	dyn   *runtime.Dynamic
+	exec  *runtime.Exec
+	rprof *runtime.Profile // residual-plan profile; folded back in Finish
+
+	outPend int64 // output tokens not yet flushed to the profile
+
+	closed atomic.Bool
+	mu     sync.Mutex
+	err    error
+
+	// Lifetime totals, atomic because Stats may be read live from another
+	// goroutine (the /subscriptions introspection endpoint).
+	windows      atomic.Int64
+	results      atomic.Int64
+	peakBuffer   atomic.Int64
+	outputTokens atomic.Int64
+	lastResult   atomic.Int64
+}
+
+// Close detaches the member: it opens no further windows and delivers no
+// further results, while the rest of its group keeps going. Idempotent.
+func (m *Member) Close() { m.closed.Store(true) }
+
+// Err returns the error that detached the member, if any.
+func (m *Member) Err() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
+func (m *Member) fail(err error) {
+	m.mu.Lock()
+	m.err = err
+	m.mu.Unlock()
+	m.closed.Store(true)
+}
+
+// Stats returns the member's totals so far.
+func (m *Member) Stats() Stats {
+	return Stats{
+		Windows:            m.windows.Load(),
+		Results:            m.results.Load(),
+		PeakBufferBytes:    m.peakBuffer.Load(),
+		OutputTokens:       m.outputTokens.Load(),
+		LastResultUnixNano: m.lastResult.Load(),
+	}
+}
+
+// Runner drives one window group against a live decoder token stream: the
+// streamable programs of one feed that share a spine. It owns what the group
+// shares — the spine automaton, the whitespace policy and the window arena —
+// and runs each member's residual plan over every completed window, in
+// registration order. A single query (the Execute path) is a group of one.
+//
+// Two kinds of group exist. A residual group holds any number of child-only
+// programs with a residual plan: the window is built once, in the arena, and
+// evaluated per member when it closes. An identity group holds exactly one
+// program without a residual, whose window tokens are forwarded as they
+// arrive (child-only spines) or buffered per nested window (descendant
+// spines).
+//
 // Feed it as the parser's Tap (Token), then call Finish at end of input. Not
 // safe for concurrent use; one stream owns it.
 type Runner struct {
-	prog *Program
-	env  Env
+	spine     []projection.Step
+	childOnly bool
+	residual  bool
+	env       Env
 
-	emit      func(tokens.Token) error
-	endResult func() error // result boundary; nil in shared-writer mode
-
-	// dyn is the reused per-window dynamic context of the residual plan
-	// (stable current-dateTime across windows, same interrupt hook as the
-	// enclosing execution). When the execution is profiled, dyn carries
-	// rprof — a profile sized for the residual plan — never env.Prof, whose
-	// operator slots belong to the enclosing plan.
-	dyn   *runtime.Dynamic
-	rprof *runtime.Profile // residual-plan profile; folded back in Finish
-	names *store.NamePool  // shared across window mini-stores
+	members []*Member
+	// live are the members attached when the current window opened; dead is
+	// set once a window finds none, or the group failed as a whole.
+	live []*Member
+	dead bool
 
 	// Spine NFA (single path): flat state-set stack, one mark per element
 	// the automaton descended into. States are spine step indices.
@@ -76,7 +149,11 @@ type Runner struct {
 	depth  int // element depth (nested mode)
 	wDepth int // >0: inside a child-only window, nesting counted
 
-	bld *store.Builder // residual mode: the window under construction
+	// arena builds every window of a residual group, one after another, in
+	// the same columns (see store.Builder.Reset): a window's nodes live until
+	// the window closes, by which time every member has serialized its
+	// results.
+	arena *store.Builder
 
 	// pendingWS replicates the ingestion whitespace policy (see
 	// xmlparse.Incremental): with StripWhitespace, whitespace-only character
@@ -86,109 +163,88 @@ type Runner struct {
 
 	open   []openWindow // nested mode: window stack (open[0] streams direct)
 	queued []openWindow // nested mode: closed inner windows awaiting delivery
-	seq    int64
+	seq    int64        // nested mode: start order of the next window
+
+	windows int64 // windows opened by the group, each counted once
 
 	inToks   int64 // input tokens seen, for interrupt pacing
-	outPend  int64 // output tokens not yet flushed to the profile
 	curBytes int64
+	peak     int64 // high-water mark of curBytes
 
 	wSpan      *trace.Span // child-only mode: the current window's span
 	spansTaken int         // window spans created so far (maxWindowSpans cap)
-
-	// Lifetime totals. Atomic because Stats() may be read live from another
-	// goroutine (the /subscriptions introspection endpoint) while the feed
-	// goroutine writes; the runner itself remains single-writer.
-	windows      atomic.Int64
-	results      atomic.Int64
-	peakBuffer   atomic.Int64
-	outputTokens atomic.Int64
-	lastResult   atomic.Int64
 }
 
+// newRunner creates the group p founds; p and every later member join
+// through add.
 func newRunner(p *Program, env Env) *Runner {
 	if !p.Streamable() {
 		panic("streamexec: program is not streamable")
 	}
-	r := &Runner{
-		prog:   p,
-		env:    env,
-		names:  store.NewNamePool(),
-		states: []int32{0},
-		marks:  []int32{0},
-		dyn: &runtime.Dynamic{
-			Vars:      env.Vars,
-			Now:       env.Now,
-			Interrupt: env.Interrupt,
-			Budget:    env.Budget,
-		},
+	return &Runner{
+		spine:     p.spine,
+		childOnly: p.childOnly,
+		residual:  p.residual != nil,
+		env:       env,
+		states:    []int32{0},
+		marks:     []int32{0},
 	}
-	if env.Prof != nil {
-		r.rprof = p.ResidualProfile()
-		r.dyn.Prof = r.rprof
-	}
-	return r
 }
 
-// NewWriterRunner creates a runner serializing all results into one shared
-// token writer (the Execute path: results concatenate exactly like the store
-// engine's ExecuteToWriter, including the adjacent-atomic space rule).
+// accepts reports whether p can share this group's windows: both evaluate a
+// residual over child-only windows of the same spine.
+func (r *Runner) accepts(p *Program) bool {
+	return r.residual && p.residual != nil && slices.Equal(p.spine, r.spine)
+}
+
+func (r *Runner) add(p *Program, sink func(tokens.Token) error, endResult func() error) *Member {
+	m := &Member{prog: p, endResult: endResult}
+	m.emit = func(t tokens.Token) error {
+		m.outputTokens.Add(1)
+		m.outPend++
+		return sink(t)
+	}
+	if p.residual != nil {
+		m.dyn = &runtime.Dynamic{
+			Vars:      r.env.Vars,
+			Now:       r.env.Now,
+			Interrupt: r.env.Interrupt,
+			Budget:    r.env.Budget,
+		}
+		if r.env.Prof != nil {
+			m.rprof = p.ResidualProfile()
+			m.dyn.Prof = m.rprof
+		}
+	}
+	r.members = append(r.members, m)
+	return m
+}
+
+// NewWriterRunner creates a group of one serializing all results into one
+// shared token writer (the Execute path: results concatenate exactly like the
+// store engine's ExecuteToWriter, including the adjacent-atomic space rule).
 func NewWriterRunner(p *Program, env Env, sw *tokens.StreamWriter) *Runner {
 	r := newRunner(p, env)
-	r.emit = sw.WriteToken
+	r.add(p, sw.WriteToken, nil)
 	return r
 }
 
-// NewResultRunner creates a runner delivering each result item as one
-// serialized XML fragment (the subscription path). deliver owns the byte
-// slice.
-func NewResultRunner(p *Program, env Env, deliver func(xml []byte) error) *Runner {
-	r := newRunner(p, env)
-	rs := &resultSink{deliver: deliver}
-	rs.sw = tokens.NewStreamWriter(&rs.buf)
-	r.emit = func(t tokens.Token) error { return rs.sw.WriteToken(t) }
-	r.endResult = rs.finish
-	return r
-}
-
-// resultSink frames results: a fresh writer per result item.
-type resultSink struct {
-	buf     bytes.Buffer
-	sw      *tokens.StreamWriter
-	deliver func([]byte) error
-}
-
-func (rs *resultSink) finish() error {
-	if err := rs.sw.Close(); err != nil {
-		return err
-	}
-	out := append([]byte(nil), rs.buf.Bytes()...)
-	rs.buf.Reset()
-	rs.sw = tokens.NewStreamWriter(&rs.buf)
-	return rs.deliver(out)
-}
-
-// Stats returns the runner's totals so far. Safe to call from any goroutine
-// while the runner is live (the subscription introspection endpoint polls it
-// mid-feed).
-func (r *Runner) Stats() Stats {
-	return Stats{
-		Windows:            r.windows.Load(),
-		Results:            r.results.Load(),
-		PeakBufferBytes:    r.peakBuffer.Load(),
-		OutputTokens:       r.outputTokens.Load(),
-		LastResultUnixNano: r.lastResult.Load(),
-	}
+// addResults adds a member delivering each result item as one serialized XML
+// fragment (the subscription path).
+func (r *Runner) addResults(p *Program, deliver func(xml []byte) error) *Member {
+	f := NewResultFramer(deliver)
+	return r.add(p, f.WriteToken, f.EndResult)
 }
 
 // windowSpan opens a live trace span for one window, if the execution is
-// traced and the per-execution span budget allows.
+// traced and the runner's span budget allows.
 func (r *Runner) windowSpan() *trace.Span {
 	if r.env.Trace == nil || r.spansTaken >= maxWindowSpans {
 		return nil
 	}
 	r.spansTaken++
 	return r.env.Trace.StartSpan("window", r.env.TraceSpan).
-		SetAttr("seq", r.windows.Load())
+		SetAttr("seq", r.windows)
 }
 
 // interruptStride matches the store engine's polling granularity.
@@ -196,7 +252,29 @@ const interruptStride = 256
 
 // Token consumes one decoder token — this is the method to install as the
 // parser's Tap. Payload bytes are copied before the call returns.
+//
+// A member whose evaluation or delivery fails (or panics) is detached with
+// its error and its siblings carry on; Token reports an error only when it
+// ends the whole group — the last live member failed, or something the group
+// shares did (the interrupt hook, the memory budget, the window build), which
+// fails every live member alike. A group without live members ignores the
+// rest of the feed.
 func (r *Runner) Token(tok xml.Token) error {
+	if r.dead {
+		return nil
+	}
+	err := r.token(tok)
+	if err != nil {
+		r.failLive(err)
+	}
+	return err
+}
+
+// token is the group's recover boundary: a panic outside a member's own
+// evaluation (a poisoned identity sink, a broken invariant) ends the group,
+// never the feed.
+func (r *Runner) token(tok xml.Token) (err error) {
+	defer runtime.RecoverXQ(&err)
 	r.inToks++
 	if r.env.Interrupt != nil && r.inToks%interruptStride == 0 {
 		if err := r.env.Interrupt(); err != nil {
@@ -209,7 +287,10 @@ func (r *Runner) Token(tok xml.Token) error {
 	case xml.EndElement:
 		return r.endElement()
 	case xml.CharData:
-		return r.charData(string(t))
+		if !r.inWindow() {
+			return nil
+		}
+		return r.charData(t)
 	case xml.Comment:
 		return r.content(tokens.Token{Kind: tokens.KindComment, Value: string(t)})
 	case xml.ProcInst:
@@ -222,27 +303,49 @@ func (r *Runner) Token(tok xml.Token) error {
 	return nil
 }
 
-// Finish validates balance at end of input and flushes counters.
-func (r *Runner) Finish() error {
-	if r.wDepth != 0 || len(r.open) != 0 {
-		return fmt.Errorf("streamexec: input ended inside a window")
+// failLive detaches every member still attached with err and retires the
+// group.
+func (r *Runner) failLive(err error) {
+	for _, m := range r.members {
+		if !m.closed.Load() {
+			m.fail(err)
+		}
 	}
-	r.flushCounters()
-	r.finishProfile()
+	r.dead = true
+}
+
+// Finish validates balance at end of input and flushes each attached
+// member's counters.
+func (r *Runner) Finish() error {
+	if r.dead {
+		return nil
+	}
+	if r.wDepth != 0 || len(r.open) != 0 {
+		err := fmt.Errorf("streamexec: input ended inside a window")
+		r.failLive(err)
+		return err
+	}
+	for _, m := range r.members {
+		if !m.closed.Load() {
+			r.flushCounters(m)
+			r.finishProfile(m)
+		}
+	}
 	return nil
 }
 
-// finishProfile folds the residual plan's profile back into the enclosing
-// execution's: engine counters merge into env.Prof, and when a trace is
-// attached the residual's operator rows become op: spans under the execute
-// span — the same per-operator cardinality view (observed items/starts vs.
-// the static estimate) a store execution gets from post-run synthesis.
-func (r *Runner) finishProfile() {
-	if r.rprof == nil {
+// finishProfile folds a member's residual-plan profile back into the
+// enclosing execution's: engine counters merge into env.Prof, and when a
+// trace is attached the residual's operator rows become op: spans under the
+// execute span — the same per-operator cardinality view (observed
+// items/starts vs. the static estimate) a store execution gets from post-run
+// synthesis.
+func (r *Runner) finishProfile(m *Member) {
+	if m.rprof == nil {
 		return
 	}
-	rep := r.rprof.Report()
-	r.rprof = nil
+	rep := m.rprof.Report()
+	m.rprof = nil
 	r.env.Prof.Merge(rep.Counters)
 	if r.env.Trace == nil {
 		return
@@ -259,17 +362,17 @@ func (r *Runner) finishProfile() {
 	}
 }
 
-func (r *Runner) flushCounters() {
-	if r.outPend > 0 {
-		r.env.Prof.AddXMLTokens(r.outPend)
-		r.outPend = 0
+func (r *Runner) flushCounters(m *Member) {
+	if m.outPend > 0 {
+		r.env.Prof.AddXMLTokens(m.outPend)
+		m.outPend = 0
 	}
 }
 
 // ---- element events ----
 
 func (r *Runner) startElement(t xml.StartElement) error {
-	if r.prog.childOnly {
+	if r.childOnly {
 		if r.wDepth > 0 {
 			r.wDepth++
 			r.dropWS()
@@ -280,6 +383,9 @@ func (r *Runner) startElement(t xml.StartElement) error {
 			// speculative mark this element pushed: its end event will be
 			// consumed by the window-depth counter, not nfaEnd.
 			r.nfaEnd()
+			if !r.noteWindow() {
+				return nil
+			}
 			r.wDepth = 1
 			return r.openChildWindow(t)
 		}
@@ -290,7 +396,9 @@ func (r *Runner) startElement(t xml.StartElement) error {
 	// windows too — deeper matches open nested windows of their own.
 	r.depth++
 	if r.nfaStart(t.Name.Space, t.Name.Local) {
-		r.noteWindow()
+		if !r.noteWindow() {
+			return nil
+		}
 		r.open = append(r.open, openWindow{seq: r.seq, depth: r.depth, span: r.windowSpan()})
 		r.seq++
 	}
@@ -313,7 +421,7 @@ func (r *Runner) startElement(t xml.StartElement) error {
 }
 
 func (r *Runner) endElement() error {
-	if r.prog.childOnly {
+	if r.childOnly {
 		if r.wDepth > 0 {
 			r.dropWS()
 			r.wDepth--
@@ -344,11 +452,11 @@ func (r *Runner) endElement() error {
 
 // ---- character/comment/PI content ----
 
-func (r *Runner) charData(s string) error {
-	if !r.inWindow() {
-		return nil
-	}
-	if r.env.StripWhitespace && strings.TrimSpace(s) == "" {
+// charData takes character data inside a window; the one string conversion
+// serves every member.
+func (r *Runner) charData(t xml.CharData) error {
+	s := string(t)
+	if r.env.StripWhitespace && xmlparse.IsXMLSpace(s) {
 		r.pendingWS = append(r.pendingWS, s)
 		return nil
 	}
@@ -365,12 +473,12 @@ func (r *Runner) content(t tokens.Token) error {
 	if err := r.flushWS(); err != nil {
 		return err
 	}
-	if r.prog.residual != nil {
+	if r.residual {
 		switch t.Kind {
 		case tokens.KindComment:
-			r.bld.Comment(t.Value)
+			r.arena.Comment(t.Value)
 		case tokens.KindPI:
-			r.bld.PI(t.Name.Local, t.Value)
+			r.arena.PI(t.Name.Local, t.Value)
 		}
 		return r.addBuf(tokBytes(t))
 	}
@@ -378,15 +486,15 @@ func (r *Runner) content(t tokens.Token) error {
 }
 
 func (r *Runner) contentText(s string) error {
-	if r.prog.residual != nil {
-		r.bld.Text(s)
+	if r.residual {
+		r.arena.Text(s)
 		return r.addBuf(int64(len(s)) + 16)
 	}
 	return r.fanOut(tokens.Token{Kind: tokens.KindText, Value: s})
 }
 
 func (r *Runner) inWindow() bool {
-	if r.prog.childOnly {
+	if r.childOnly {
 		return r.wDepth > 0
 	}
 	return len(r.open) > 0
@@ -407,48 +515,48 @@ func (r *Runner) flushWS() error {
 // ---- child-only windows ----
 
 func (r *Runner) openChildWindow(t xml.StartElement) error {
-	r.noteWindow()
 	r.wSpan = r.windowSpan()
-	if r.prog.residual == nil {
-		// Fully streamable: tokens go straight out.
-		return r.interiorStart(t)
+	if r.residual {
+		if r.arena == nil {
+			r.arena = store.NewBuilder(store.BuilderOptions{})
+		}
+		r.arena.StartDocument()
 	}
-	r.bld = store.NewBuilder(store.BuilderOptions{Names: r.names})
-	r.bld.StartDocument()
 	return r.interiorStart(t)
 }
 
 // interiorStart feeds a start-element (with attributes) into the current
-// window: the mini-store builder in residual mode, the output stream in
-// fully-streamable mode.
+// window: the arena in a residual group, the output stream of a
+// fully-streamable member.
 func (r *Runner) interiorStart(t xml.StartElement) error {
-	if r.prog.residual != nil {
-		r.bld.StartElement(convName(t.Name))
+	if r.residual {
+		r.arena.StartElement(convName(t.Name))
 		est := int64(len(t.Name.Local)+len(t.Name.Space)) + 16
 		for _, a := range t.Attr {
 			if a.Name.Space == "xmlns" {
-				r.bld.NSDecl(a.Name.Local, a.Value)
+				r.arena.NSDecl(a.Name.Local, a.Value)
 				continue
 			}
 			if a.Name.Space == "" && a.Name.Local == "xmlns" {
-				r.bld.NSDecl("", a.Value)
+				r.arena.NSDecl("", a.Value)
 				continue
 			}
-			if err := r.bld.Attr(convName(a.Name), a.Value); err != nil {
+			if err := r.arena.Attr(convName(a.Name), a.Value); err != nil {
 				return err
 			}
 			est += int64(len(a.Name.Local)+len(a.Name.Space)+len(a.Value)) + 16
 		}
 		return r.addBuf(est)
 	}
-	if err := r.emitTok(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
+	m := r.members[0]
+	if err := m.emit(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
 		return err
 	}
 	for _, a := range t.Attr {
 		if isXmlns(a.Name) {
 			continue
 		}
-		if err := r.emitTok(tokens.Token{Kind: tokens.KindAttribute,
+		if err := m.emit(tokens.Token{Kind: tokens.KindAttribute,
 			Name: convName(a.Name), Value: a.Value}); err != nil {
 			return err
 		}
@@ -457,48 +565,70 @@ func (r *Runner) interiorStart(t xml.StartElement) error {
 }
 
 func (r *Runner) interiorEnd() error {
-	if r.prog.residual != nil {
-		r.bld.EndElement()
+	if r.residual {
+		r.arena.EndElement()
 		return nil
 	}
-	return r.emitTok(tokens.Token{Kind: tokens.KindEndElement})
+	return r.members[0].emit(tokens.Token{Kind: tokens.KindEndElement})
 }
 
 func (r *Runner) closeChildWindow() error {
-	if r.prog.residual == nil {
-		if err := r.emitTok(tokens.Token{Kind: tokens.KindEndElement}); err != nil {
+	if !r.residual {
+		m := r.members[0]
+		if err := m.emit(tokens.Token{Kind: tokens.KindEndElement}); err != nil {
 			return err
 		}
 		r.wSpan.End()
 		r.wSpan = nil
-		return r.finishResult()
+		return r.finishResult(m)
 	}
-	r.bld.EndElement()
-	doc, err := r.bld.Done()
-	r.bld = nil
+	r.arena.EndElement()
+	doc, err := r.arena.Done()
 	if err != nil {
 		return err
 	}
-	err = r.evalWindow(doc)
+	// Node 0 is the document node, node 1 the window element. Members run
+	// one after another over the same nodes; one that fails is detached
+	// alone.
+	win := doc.Node(1)
+	attached := 0
+	for _, m := range r.live {
+		if m.closed.Load() {
+			continue
+		}
+		if err = r.evalWindow(m, win); err != nil {
+			m.fail(err)
+			continue
+		}
+		r.flushCounters(m)
+		attached++
+	}
 	r.wSpan.SetAttr("bufferBytes", r.curBytes).End()
 	r.wSpan = nil
 	r.dropBuf(r.curBytes)
-	r.flushCounters()
-	return err
+	r.arena.Reset()
+	if attached == 0 {
+		// err is the last member's failure, or nil when they were all closed
+		// by their owners; either way nobody is left to build windows for.
+		r.dead = true
+		return err
+	}
+	return nil
 }
 
-// evalWindow runs the residual plan over one completed window mini-store.
-func (r *Runner) evalWindow(doc *store.Document) (err error) {
+// evalWindow runs one member's residual plan over the completed window.
+func (r *Runner) evalWindow(m *Member, win *store.Node) (err error) {
 	// StreamedNode accessors surface errors by panicking; convert at the
 	// boundary like the store engine does. Non-error panics become XQGO0002
 	// errors so a poisoned window detaches only its own subscription.
 	defer runtime.RecoverXQ(&err)
 	faultinject.FirePanic(faultinject.WindowPanic)
-	r.dyn.ContextItem = doc.RootNode().ChildrenOf()[0]
-	it, err := r.prog.residual.Iterator(r.dyn)
-	if err != nil {
-		return err
+	if m.exec == nil {
+		if m.exec, err = m.prog.residual.NewExec(m.dyn); err != nil {
+			return err
+		}
 	}
+	it := m.exec.Run(win)
 	for {
 		item, ok, err := it.Next()
 		if err != nil {
@@ -507,10 +637,10 @@ func (r *Runner) evalWindow(doc *store.Document) (err error) {
 		if !ok {
 			return nil
 		}
-		if err := runtime.EmitItemTokens(item, r.emitTok); err != nil {
+		if err := runtime.EmitItemTokens(item, m.emit); err != nil {
 			return err
 		}
-		if err := r.finishResult(); err != nil {
+		if err := r.finishResult(m); err != nil {
 			return err
 		}
 	}
@@ -522,7 +652,7 @@ func (r *Runner) evalWindow(doc *store.Document) (err error) {
 // streams directly, inner windows buffer their own copy (each is a separate
 // result whose subtree overlaps the outer one).
 func (r *Runner) fanOut(t tokens.Token) error {
-	if err := r.emitTok(t); err != nil {
+	if err := r.members[0].emit(t); err != nil {
 		return err
 	}
 	for i := 1; i < len(r.open); i++ {
@@ -537,6 +667,7 @@ func (r *Runner) fanOut(t tokens.Token) error {
 }
 
 func (r *Runner) closeNestedWindow() error {
+	m := r.members[0]
 	n := len(r.open) - 1
 	w := r.open[n]
 	r.open = r.open[:n]
@@ -549,60 +680,73 @@ func (r *Runner) closeNestedWindow() error {
 	}
 	// The outermost window's direct stream just ended; release the inner
 	// windows it delayed, in start (document) order.
-	if err := r.finishResult(); err != nil {
+	if err := r.finishResult(m); err != nil {
 		return err
 	}
 	sort.Slice(r.queued, func(i, j int) bool { return r.queued[i].seq < r.queued[j].seq })
 	for _, q := range r.queued {
 		for _, t := range q.buf {
-			if err := r.emitTok(t); err != nil {
+			if err := m.emit(t); err != nil {
 				return err
 			}
 		}
 		r.dropBuf(q.bytes)
-		if err := r.finishResult(); err != nil {
+		if err := r.finishResult(m); err != nil {
 			return err
 		}
 	}
 	r.queued = r.queued[:0]
-	r.flushCounters()
+	r.flushCounters(m)
 	return nil
 }
 
 // ---- accounting ----
 
-func (r *Runner) noteWindow() {
-	r.windows.Add(1)
-	r.env.Prof.AddStreamWindows(1)
+// noteWindow counts a window the automaton just matched for every member
+// still attached — they are the ones it will be evaluated for — and reports
+// whether there is any; if not, the group retires without opening it.
+func (r *Runner) noteWindow() bool {
+	r.live = r.live[:0]
+	for _, m := range r.members {
+		if !m.closed.Load() {
+			m.windows.Add(1)
+			r.live = append(r.live, m)
+		}
+	}
+	if len(r.live) == 0 {
+		r.dead = true
+		return false
+	}
+	r.env.Prof.AddStreamWindows(int64(len(r.live)))
+	r.windows++
+	return true
 }
 
-func (r *Runner) finishResult() error {
-	r.results.Add(1)
-	r.lastResult.Store(time.Now().UnixNano())
+func (r *Runner) finishResult(m *Member) error {
+	m.results.Add(1)
+	m.lastResult.Store(time.Now().UnixNano())
 	r.env.Prof.AddStreamResults(1)
-	if r.endResult != nil {
-		return r.endResult()
+	if m.endResult != nil {
+		return m.endResult()
 	}
 	return nil
 }
 
-func (r *Runner) emitTok(t tokens.Token) error {
-	r.outputTokens.Add(1)
-	r.outPend++
-	return r.emit(t)
-}
-
-// addBuf grows the live buffer estimate and maintains the high-water mark
-// (published to the profile as it rises, so /metrics stays current during
-// long feeds). The runner is the only writer, so Load+Store suffices.
-// Buffered bytes are charged against the execution's memory budget — these
-// are exactly the retained bytes Koch et al.'s buffer bound is about — and
-// discharged by dropBuf as windows deliver.
+// addBuf grows the live buffer estimate and maintains the high-water marks:
+// the group's, each attached member's, and the profile's (published as it
+// rises, so /metrics stays current during long feeds). Buffered bytes are
+// charged against the execution's memory budget — these are exactly the
+// retained bytes Koch et al.'s buffer bound is about — once per window
+// however many members share it, and discharged by dropBuf as windows
+// deliver.
 func (r *Runner) addBuf(n int64) error {
 	r.curBytes += n
-	if r.curBytes > r.peakBuffer.Load() {
-		r.peakBuffer.Store(r.curBytes)
-		r.env.Prof.NoteStreamBufferPeak(r.curBytes)
+	if r.curBytes > r.peak {
+		r.peak = r.curBytes
+		for _, m := range r.live {
+			m.peakBuffer.Store(r.peak)
+		}
+		r.env.Prof.NoteStreamBufferPeak(r.peak)
 	}
 	return r.env.Budget.Charge(n)
 }
@@ -630,12 +774,12 @@ func (r *Runner) nfaStart(space, local string) bool {
 	next := len(r.states)
 	matched := false
 	for _, si := range cur {
-		st := r.prog.spine[si]
+		st := r.spine[si]
 		if st.AnyDepth {
 			r.states = append(r.states, si) // may still match deeper
 		}
 		if st.Match(space, local) {
-			if int(si)+1 == len(r.prog.spine) {
+			if int(si)+1 == len(r.spine) {
 				matched = true
 			} else {
 				r.states = append(r.states, si+1)

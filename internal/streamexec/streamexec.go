@@ -11,6 +11,11 @@
 // buffer bound (one window) or refuses, in which case execution transparently
 // falls back to the regular store engine; results are never wrong, only
 // sometimes less incremental.
+//
+// Execution is organized in window groups (Runner): the programs of one feed
+// that evaluate a residual over windows of the same spine share the automaton
+// and one window build per window, in an arena reused from window to window;
+// a single query is a group of one.
 package streamexec
 
 import (

@@ -2,6 +2,7 @@ package streamexec
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func streamEval(t *testing.T, prog *Program, doc string, strip bool, vars map[st
 	if err := sw.Close(); err != nil {
 		t.Fatalf("writer close: %v", err)
 	}
-	return buf.String(), r.Stats()
+	return buf.String(), r.members[0].Stats()
 }
 
 func TestClassification(t *testing.T) {
@@ -155,6 +156,24 @@ func TestDifferentialAgainstStoreEngine(t *testing.T) {
 	}
 }
 
+// Stream mode classifies whitespace like ingestion does: only XML whitespace
+// is strippable, so a U+00A0 text node survives StripWhitespace on both sides
+// of the differential while the run of real whitespace does not.
+func TestStripKeepsUnicodeSpaceInStreamMode(t *testing.T) {
+	const doc = "<bib><book>\u00a0<title>T</title> \n</book><book> <title>U</title>\u2003</book></bib>"
+	for _, src := range []string{`/bib/book/text()`, `/bib/book`, `//book`} {
+		prog, q, ro := compileStream(t, src)
+		want := storeEval(t, q, ro, doc, true, nil)
+		got, _ := streamEval(t, prog, doc, true, nil)
+		if got != want {
+			t.Errorf("%s:\n stream: %q\n store:  %q", src, got, want)
+		}
+		if !strings.Contains(got, "\u00a0") || !strings.Contains(got, "\u2003") || strings.Contains(got, " ") {
+			t.Errorf("%s: %q must keep U+00A0 and U+2003 and drop the XML whitespace", src, got)
+		}
+	}
+}
+
 func TestNestedWindowsKeepDocumentOrder(t *testing.T) {
 	prog, q, ro := compileStream(t, `//section`)
 	if prog.Class() != BoundedBuffer {
@@ -189,32 +208,21 @@ func TestExternalVariables(t *testing.T) {
 
 func TestResultRunnerFraming(t *testing.T) {
 	prog, _, _ := compileStream(t, `/bib/book/title`)
-	var results []string
-	r := NewResultRunner(prog, Env{StripWhitespace: true}, func(x []byte) error {
-		results = append(results, string(x))
+	var results [][]byte
+	d := NewDispatcher(Env{StripWhitespace: true})
+	d.Subscribe(prog, func(x []byte) error {
+		results = append(results, x) // deliver owns the slice: no copy
 		return nil
 	})
-	p := xmlparse.ParseIncremental(strings.NewReader(bibDoc), xmlparse.Options{
-		StripWhitespace: true, Projection: projection.New(), Tap: r.Token,
-	})
-	for {
-		done, err := p.Advance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	feedTokens(t, d.Token, bibDoc, true)
+	d.Finish()
 	if len(results) != 3 {
 		t.Fatalf("results = %d, want 3 (%q)", len(results), results)
 	}
-	for _, res := range results {
-		if !strings.HasPrefix(res, "<title>") || !strings.HasSuffix(res, "</title>") {
-			t.Fatalf("malformed framed result %q", res)
+	want := []string{"<title>TCP/IP Illustrated</title>", "<title>Data on the Web</title>", "<title>Advanced Unix</title>"}
+	for i, res := range results {
+		if string(res) != want[i] {
+			t.Fatalf("framed result %d = %q after later results reused the framer, want %q", i, res, want[i])
 		}
 	}
 }
@@ -226,8 +234,11 @@ func TestResidualWindowBufferAccounting(t *testing.T) {
 		var buf bytes.Buffer
 		sw := tokens.NewStreamWriter(&buf)
 		r := NewWriterRunner(prog, Env{StripWhitespace: true, Prof: prof}, sw)
-		feedTokens(t, r, bibDoc, true)
-		return buf.String(), r.Stats()
+		feedTokens(t, r.Token, bibDoc, true)
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), r.members[0].Stats()
 	}()
 	if stats.Windows != 3 {
 		t.Fatalf("windows = %d, want 3", stats.Windows)
@@ -264,10 +275,10 @@ func mustProfile(t *testing.T) *runtime.Profile {
 	return prep.NewProfile(false)
 }
 
-func feedTokens(t *testing.T, r *Runner, doc string, strip bool) {
+func feedTokens(t *testing.T, tap func(xml.Token) error, doc string, strip bool) {
 	t.Helper()
 	p := xmlparse.ParseIncremental(strings.NewReader(doc), xmlparse.Options{
-		StripWhitespace: strip, Projection: projection.New(), Tap: r.Token,
+		StripWhitespace: strip, Projection: projection.New(), Tap: tap,
 	})
 	for {
 		done, err := p.Advance()
@@ -278,49 +289,32 @@ func feedTokens(t *testing.T, r *Runner, doc string, strip bool) {
 			break
 		}
 	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestDispatcherIsolatesFailingTap(t *testing.T) {
+func TestDispatcherIsolatesFailingMember(t *testing.T) {
 	progA, _, _ := compileStream(t, `/bib/book/title`)
 	progB, _, _ := compileStream(t, `/bib/book`)
 	var got []string
 	boom := fmt.Errorf("subscriber gone")
-	ra := NewResultRunner(progA, Env{StripWhitespace: true}, func(x []byte) error {
+	d := NewDispatcher(Env{StripWhitespace: true})
+	ma := d.Subscribe(progA, func(x []byte) error {
 		got = append(got, string(x))
 		return nil
 	})
-	rb := NewResultRunner(progB, Env{StripWhitespace: true}, func([]byte) error { return boom })
-	d := &Dispatcher{}
-	ta := d.Add(ra.Token, ra.Finish)
-	tb := d.Add(rb.Token, rb.Finish)
-
-	p := xmlparse.ParseIncremental(strings.NewReader(bibDoc), xmlparse.Options{
-		StripWhitespace: true, Projection: projection.New(), Tap: d.Token,
-	})
-	for {
-		done, err := p.Advance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
+	mb := d.Subscribe(progB, func([]byte) error { return boom })
+	feedTokens(t, d.Token, bibDoc, true)
 	d.Finish()
 
-	if ta.Err() != nil {
-		t.Fatalf("healthy tap errored: %v", ta.Err())
+	if ma.Err() != nil {
+		t.Fatalf("healthy member errored: %v", ma.Err())
 	}
-	if tb.Err() != boom {
-		t.Fatalf("failing tap err = %v, want %v", tb.Err(), boom)
+	if mb.Err() != boom {
+		t.Fatalf("failing member err = %v, want %v", mb.Err(), boom)
 	}
 	if len(got) != 3 {
-		t.Fatalf("healthy tap results = %d, want 3", len(got))
+		t.Fatalf("healthy member results = %d, want 3", len(got))
 	}
 	if d.Live() != 1 {
-		t.Fatalf("live taps = %d, want 1", d.Live())
+		t.Fatalf("live members = %d, want 1", d.Live())
 	}
 }

@@ -19,6 +19,13 @@ type StreamWriter struct {
 // NewStreamWriter creates a StreamWriter.
 func NewStreamWriter(w io.Writer) *StreamWriter { return &StreamWriter{w: w} }
 
+// Reset re-arms the writer for a new token stream into w, keeping the
+// element stack's storage: callers that frame many small results reuse one
+// writer instead of creating one per result.
+func (s *StreamWriter) Reset(w io.Writer) {
+	*s = StreamWriter{w: w, stack: s.stack[:0]}
+}
+
 func (s *StreamWriter) write(t string) {
 	if s.err == nil {
 		_, s.err = io.WriteString(s.w, t)

@@ -34,6 +34,8 @@ func seedCorpus(f *testing.F) {
 		`<a`,              // truncated
 		`<a>&bogus;</a>`,  // undefined entity
 		"<a>\xff\xfe</a>", // invalid UTF-8
+		"<r/>\u00a0",      // a Unicode space is character data, not ignorable whitespace
+		"<r>&#160;<b/></r>",
 	} {
 		f.Add([]byte(s))
 	}

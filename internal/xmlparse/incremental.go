@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"xqgo/internal/faultinject"
 	"xqgo/internal/projection"
@@ -184,13 +183,13 @@ func (p *Incremental) advance() (done bool, err error) {
 
 	case xml.CharData:
 		if p.skipDepth > 0 {
-			if strings.TrimSpace(string(t)) != "" {
+			if !IsXMLSpace(t) {
 				skipped = 1
 			}
 			break
 		}
 		if p.depth == 0 {
-			if strings.TrimSpace(string(t)) != "" {
+			if !IsXMLSpace(t) {
 				p.flushStats(1, 0)
 				return false, fmt.Errorf("xmlparse: character data outside the root element")
 			}
@@ -199,13 +198,13 @@ func (p *Incremental) advance() (done bool, err error) {
 		if p.runner != nil && !p.runner.KeepingContent() {
 			// Traversal/empty-target element: its character content is
 			// statically unobservable, drop it.
-			if strings.TrimSpace(string(t)) != "" {
+			if !IsXMLSpace(t) {
 				skipped = 1
 			}
 			break
 		}
 		s := string(t)
-		if p.opts.StripWhitespace && strings.TrimSpace(s) == "" {
+		if p.opts.StripWhitespace && IsXMLSpace(s) {
 			p.pendingWS = append(p.pendingWS, s)
 			break
 		}

@@ -61,6 +61,22 @@ func ParseString(s string, opts Options) (*store.Document, error) {
 	return Parse(strings.NewReader(s), opts)
 }
 
+// IsXMLSpace reports whether s consists only of XML whitespace (production
+// S: space, tab, carriage return, line feed), the empty string included.
+// Unicode spaces such as U+00A0 or U+2003 are ordinary character data to XML,
+// which is why strings.TrimSpace must not classify text here or in the
+// streaming evaluator.
+func IsXMLSpace[T ~string | ~[]byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // convName converts an encoding/xml name (Space = resolved URI) to a QName.
 // encoding/xml loses the original prefix; the serializer re-derives one from
 // the namespace declarations.

@@ -131,6 +131,27 @@ func TestWhitespaceHandling(t *testing.T) {
 	}
 }
 
+// XML whitespace is space, tab, CR and LF only: Unicode spaces such as U+00A0
+// are character data, neither ignorable outside the root nor strippable.
+func TestUnicodeSpaceIsCharacterData(t *testing.T) {
+	if _, err := ParseString("<r/>\u00a0", Options{}); err == nil ||
+		!strings.Contains(err.Error(), "character data outside the root element") {
+		t.Errorf("U+00A0 after the root element: err = %v, want character data outside the root element", err)
+	}
+	for _, sp := range []string{"&#160;", "\u0085", "\u2003"} {
+		doc, err := ParseString("<r>"+sp+"<b/></r>", Options{StripWhitespace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.NumNodes(); got != 4 { // document, r, text, b
+			t.Errorf("<r>%s<b/></r> stripped to %d nodes, want 4 (the text node is not whitespace)", sp, got)
+		}
+	}
+	if doc, err := ParseString("<r> \t\r\n<b/></r>", Options{StripWhitespace: true}); err != nil || doc.NumNodes() != 3 {
+		t.Errorf("XML whitespace must still be stripped: nodes = %d, err = %v", doc.NumNodes(), err)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		``,                 // no root

@@ -1,7 +1,6 @@
 package xqgo
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"xqgo/internal/runtime"
 	"xqgo/internal/store"
 	"xqgo/internal/streamexec"
-	"xqgo/internal/tokens"
 	"xqgo/internal/xmlparse"
 )
 
@@ -90,13 +88,14 @@ func (s *Subscriber) Run(ctx context.Context, r io.Reader, uri string) error {
 		env.Interrupt = func() error { return ctx.Err() }
 	}
 
-	d := &streamexec.Dispatcher{}
+	// Streamable subscriptions that evaluate over windows of the same spine
+	// share one window group (see streamexec.Dispatcher.Subscribe).
+	d := streamexec.NewDispatcher(env)
 	var fallback []*Subscription
 	proj := projection.New()
 	for _, sub := range s.subs {
 		if sub.prog.Streamable() {
-			sub.runner = streamexec.NewResultRunner(sub.prog, env, sub.safeDeliver)
-			sub.tap = d.Add(sub.runner.Token, sub.runner.Finish)
+			sub.member = d.Subscribe(sub.prog, sub.safeDeliver)
 			continue
 		}
 		s.prof.AddStreamFallback()
@@ -168,9 +167,8 @@ type Subscription struct {
 	prog    *streamexec.Program
 	deliver func([]byte) error
 
-	// Streamable subscriptions.
-	runner *streamexec.Runner
-	tap    *streamexec.Tap
+	// Streamable subscriptions: the seat in the feed's window group.
+	member *streamexec.Member
 
 	// Fallback subscriptions.
 	fellBack     bool
@@ -193,16 +191,16 @@ func (s *Subscription) Reason() string { return s.prog.Reason() }
 // goroutine.
 func (s *Subscription) Close() {
 	s.closed.Store(true)
-	if s.tap != nil {
-		s.tap.Close()
+	if s.member != nil {
+		s.member.Close()
 	}
 }
 
 // Err returns the error that ended this subscription early, if any (a
 // delivery error or a per-window evaluation error).
 func (s *Subscription) Err() error {
-	if s.tap != nil {
-		return s.tap.Err()
+	if s.member != nil {
+		return s.member.Err()
 	}
 	if b := s.storeErr.Load(); b != nil {
 		return b.err
@@ -234,8 +232,8 @@ type SubscriptionStats struct {
 // delivery callbacks, and after Run returns.
 func (s *Subscription) Stats() SubscriptionStats {
 	st := SubscriptionStats{Class: s.prog.Class().String(), FellBack: s.fellBack}
-	if s.runner != nil {
-		rs := s.runner.Stats()
+	if s.member != nil {
+		rs := s.member.Stats()
 		st.Windows, st.Results, st.PeakBufferBytes = rs.Windows, rs.Results, rs.PeakBufferBytes
 		st.LastResultUnixNano = rs.LastResultUnixNano
 		return st
@@ -245,7 +243,7 @@ func (s *Subscription) Stats() SubscriptionStats {
 	return st
 }
 
-// safeDeliver drops results after Close without erroring the runner.
+// safeDeliver drops results after Close without erroring the member.
 func (s *Subscription) safeDeliver(xml []byte) error {
 	if s.closed.Load() {
 		return nil
@@ -280,8 +278,7 @@ func (s *Subscription) evalStore(doc *store.Document, env streamexec.Env) (err e
 		return err
 	}
 	defer it.Close()
-	var buf bytes.Buffer
-	sw := tokens.NewStreamWriter(&buf)
+	f := streamexec.NewResultFramer(s.deliver)
 	for {
 		item, ok, err := it.Next()
 		if err != nil {
@@ -290,19 +287,13 @@ func (s *Subscription) evalStore(doc *store.Document, env streamexec.Env) (err e
 		if !ok || s.closed.Load() {
 			return nil
 		}
-		if err := runtime.EmitItemTokens(item, sw.WriteToken); err != nil {
+		if err := runtime.EmitItemTokens(item, f.WriteToken); err != nil {
 			return err
 		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-		out := append([]byte(nil), buf.Bytes()...)
-		buf.Reset()
-		sw = tokens.NewStreamWriter(&buf)
 		s.storeResults.Add(1)
 		s.lastResult.Store(time.Now().UnixNano())
 		env.Prof.AddStreamResults(1)
-		if err := s.deliver(out); err != nil {
+		if err := f.EndResult(); err != nil {
 			return err
 		}
 	}
