@@ -1,17 +1,19 @@
 package xqgo_test
 
-// Differential test for batched pull execution: every query of the paper
-// suite (plus error-path and laziness edge cases) is evaluated through both
-// pull paths — the vectorized NextBatch fast path (default) and the
-// item-at-a-time baseline (DisableBatching) — asserting identical results
-// and identical error codes. Run under -race in CI: the Parallel engine
-// shares the batch buffer pool across goroutines.
+// Differential test for the two pull granularities of one plan: every query
+// of the paper suite (plus error-path and laziness edge cases) is consumed by
+// batched drains (EvalString, Execute) and by item-granular Iterator/Next
+// pulls, asserting identical results and identical error codes — mixing
+// granularities never skips or repeats an item. Results themselves are
+// pinned against the eager reference engine by differential_test.go.
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"xqgo"
+	"xqgo/internal/serializer"
 	"xqgo/internal/xdm"
 )
 
@@ -100,10 +102,29 @@ var batchDiffQueries = []string{
 	`codepoints-to-string((65, 66, 0))`,
 	`let $dead := 1 idiv 0 return "alive"`,
 	`try { for $x in 1 to 300 return 1 idiv (150 - $x) } catch * { "caught" }`,
+
+	// Comma sequences with heavy, context-free branches — the shape morsel
+	// workers evaluate one branch per chunk: branches sharing a let binding,
+	// a failing branch in the middle, and one-item consumers that must not
+	// reach the failing branch.
+	`let $b := document("bib.xml")//book return
+	   (count($b[@price < 25]/author/firstname) + count($b/title) + count($b/@year),
+	    string-join(for $t in $b/title return concat(string($t), "!"), "|"),
+	    sum(for $a in $b/author return string-length(string($a/lastname))) + count($b/publisher))`,
+	`let $b := document("bib.xml")//book return
+	   (count($b[@price < 25]/author/firstname) + count($b/title) + count($b/@year),
+	    sum(for $a in $b/author return 1 idiv (count($a/firstname) - count($a/firstname))),
+	    string-join(for $t in $b/title return concat(string($t), "!"), "|"))`,
+	`let $b := document("bib.xml")//book return
+	   exists((count($b/author/firstname) + count($b/title) + count($b/@year) + count($b/publisher),
+	           sum(for $a in $b/author return 1 idiv (count($a/firstname) - count($a/firstname)))))`,
+	`let $b := document("bib.xml")//book return
+	   (count($b/author/firstname) + count($b/title) + count($b/@year) + count($b/publisher),
+	    sum(for $a in $b/author return 1 idiv (count($a/firstname) - count($a/firstname))))[1]`,
 }
 
-// batchDiffOptSets exercises the fast path under each engine variant that
-// interacts with it (struct joins feed batches, Parallel shares the pool).
+// batchDiffOptSets exercises the fast path under each join strategy that
+// feeds it (structural and twig joins produce batches of their own).
 var batchDiffOptSets = []struct {
 	name string
 	opts xqgo.Options
@@ -111,7 +132,6 @@ var batchDiffOptSets = []struct {
 	{"default", xqgo.Options{}},
 	{"structjoin", xqgo.Options{Strategy: xqgo.ForceBinaryJoin}},
 	{"twig", xqgo.Options{Strategy: xqgo.ForceTwig}},
-	{"parallel", xqgo.Options{Parallel: true}},
 }
 
 func errCode(err error) string {
@@ -124,64 +144,52 @@ func errCode(err error) string {
 	return "non-xdm:" + err.Error()
 }
 
-func TestBatchedVsItemDifferential(t *testing.T) {
+func TestPullGranularityDifferential(t *testing.T) {
 	for _, os := range batchDiffOptSets {
 		t.Run(os.name, func(t *testing.T) {
 			for _, q := range batchDiffQueries {
-				batchedOpts := os.opts
-				itemOpts := os.opts
-				itemOpts.DisableBatching = true
-
-				qb, err := xqgo.Compile(q, &batchedOpts)
+				compiled, err := xqgo.Compile(q, &os.opts)
 				if err != nil {
-					t.Fatalf("compile (batched) %q: %v", q, err)
-				}
-				qi, err := xqgo.Compile(q, &itemOpts)
-				if err != nil {
-					t.Fatalf("compile (item) %q: %v", q, err)
+					t.Fatalf("compile %q: %v", q, err)
 				}
 
-				// Materializing evaluation.
-				ctxB, _ := paperCtx(t)
-				ctxI, _ := paperCtx(t)
-				outB, errB := qb.EvalString(ctxB)
-				outI, errI := qi.EvalString(ctxI)
-				if errCode(errB) != errCode(errI) {
-					t.Errorf("%q: eval error mismatch: batched %v vs item %v", q, errB, errI)
-					continue
-				}
-				if errB == nil && outB != outI {
-					t.Errorf("%q: eval result mismatch:\n  batched: %q\n  item:    %q", q, outB, outI)
+				// Materializing evaluation: batched drains end to end.
+				ctx, _ := paperCtx(t)
+				want, wantErr := compiled.EvalString(ctx)
+
+				// Serializer sink (Execute drains batches directly). The
+				// token-piped constructor keeps its own xmlns:ns declaration,
+				// which tree materialization drops as unused: that one query
+				// is compared on its error code only.
+				ctx, _ = paperCtx(t)
+				var buf bytes.Buffer
+				err = compiled.Execute(ctx, &buf)
+				if errCode(err) != errCode(wantErr) {
+					t.Errorf("%q: execute error %v, eval error %v", q, err, wantErr)
+				} else if err == nil && buf.String() != want && !strings.Contains(q, `xmlns:ns="uri2"`) {
+					t.Errorf("%q: execute output mismatch:\n  execute: %q\n  eval:    %q", q, buf.String(), want)
 				}
 
-				// Serializer sink (Execute drains batches directly).
-				ctxB, _ = paperCtx(t)
-				ctxI, _ = paperCtx(t)
-				var bufB, bufI bytes.Buffer
-				errB = qb.Execute(ctxB, &bufB)
-				errI = qi.Execute(ctxI, &bufI)
-				if errCode(errB) != errCode(errI) {
-					t.Errorf("%q: execute error mismatch: batched %v vs item %v", q, errB, errI)
-					continue
-				}
-				if errB == nil && bufB.String() != bufI.String() {
-					t.Errorf("%q: execute output mismatch:\n  batched: %q\n  item:    %q",
-						q, bufB.String(), bufI.String())
-				}
-
-				// Item-granularity pulls against the batch-capable plan:
-				// mixing granularities must not skip or repeat items.
-				ctxB, _ = paperCtx(t)
-				it, err := qb.Iterator(ctxB)
-				if err == nil {
-					n := 0
-					for {
-						_, ok, ierr := it.Next()
-						if ierr != nil || !ok {
-							break
-						}
-						n++
+				// Item-granularity pulls against the batch-capable plan.
+				ctx, _ = paperCtx(t)
+				var items xqgo.Sequence
+				it, err := compiled.Iterator(ctx)
+				for err == nil {
+					var item xqgo.Item
+					var ok bool
+					if item, ok, err = it.Next(); !ok {
+						break
 					}
+					items = append(items, item)
+				}
+				got := ""
+				if err == nil {
+					got, err = serializer.SequenceToString(items)
+				}
+				if errCode(err) != errCode(wantErr) {
+					t.Errorf("%q: item-pull error %v, eval error %v", q, err, wantErr)
+				} else if err == nil && got != want {
+					t.Errorf("%q: item-pull result mismatch:\n  items: %q\n  eval:  %q", q, got, want)
 				}
 			}
 		})

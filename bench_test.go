@@ -50,7 +50,7 @@ func BenchmarkE1StreamingVsEager(b *testing.B) {
 	for _, lines := range []int{1000, 10000} {
 		doc := ordersDoc(lines, 50)
 		stream := xqgo.MustCompile(q1, nil)
-		eager := xqgo.MustCompile(q1, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+		eager := eagerOracle(b, q1)
 		b.Run("streaming/"+itoa(lines), func(b *testing.B) { run(b, stream, doc) })
 		b.Run("eager/"+itoa(lines), func(b *testing.B) { run(b, eager, doc) })
 	}
@@ -88,7 +88,7 @@ func BenchmarkE3LazyEarlyExit(b *testing.B) {
 		{"positional", `(/Order/OrderLine)[3]/Item/ID/text()`},
 	} {
 		lazy := xqgo.MustCompile(c.q, nil)
-		eager := xqgo.MustCompile(c.q, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+		eager := eagerOracle(b, c.q)
 		b.Run(c.name+"/lazy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustEvalB(b, lazy, xqgo.NewContext().WithContextNode(doc))
@@ -297,7 +297,7 @@ func BenchmarkE10RewriteAblation(b *testing.B) {
 func BenchmarkE11Memory(b *testing.B) {
 	query := `some $x in /Order/OrderLine satisfies $x/SellersID eq "1"`
 	stream := xqgo.MustCompile(query, nil)
-	eager := xqgo.MustCompile(query, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+	eager := eagerOracle(b, query)
 	for _, lines := range []int{10000, 100000} {
 		doc := ordersDoc(lines, 50)
 		b.Run("streaming/"+itoa(lines), func(b *testing.B) {

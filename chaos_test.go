@@ -134,6 +134,25 @@ func TestChaosMorselWorkerPanic(t *testing.T) {
 	}
 }
 
+// A panic inside one comma branch must cancel its siblings — each of these
+// branches would run for minutes — and surface as a structured XQGO0002.
+func TestChaosCommaBranchPanicCancelsSiblings(t *testing.T) {
+	defer faultinject.Reset()
+	leakcheck.Check(t)
+	const slow = `sum(for $i in 1 to 50000000000 return $i mod 7 + $i mod 11 + $i mod 13)`
+	q := xqgo.MustCompile(`(`+slow+`, `+slow+`, `+slow+`)`, nil)
+
+	// The third branch to be claimed panics; two are running by then.
+	faultinject.Enable(faultinject.MorselPanic, faultinject.Fault{PanicValue: "boom", After: 2})
+	_, err := q.EvalString(xqgo.NewContext().WithWorkers(8).WithWorkerLimiter(grantAll{}))
+	if hits := faultinject.Hits(faultinject.MorselPanic); hits != 3 {
+		t.Fatalf("%d branches claimed, want 3 — the comma round never ran", hits)
+	}
+	if errCode(err) != "XQGO0002" {
+		t.Fatalf("branch panic surfaced as %v, want XQGO0002", err)
+	}
+}
+
 // A panic during a single-flight document load must release every waiter
 // with the error — a stranded waiter here deadlocks all future loads of the
 // URI.

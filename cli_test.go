@@ -59,14 +59,25 @@ func TestCLIXmlgenAndXq(t *testing.T) {
 		t.Errorf("xq count = %q, want 50", strings.TrimSpace(out))
 	}
 
-	// Eager engine agrees.
+	// The unoptimized plan agrees.
 	out2, errOut, err := runTool(t, "run", "./cmd/xq",
-		"-doc", docPath, "-engine", "eager", "-no-opt", `count(/Order/OrderLine)`)
+		"-doc", docPath, "-no-opt", `count(/Order/OrderLine)`)
 	if err != nil {
-		t.Fatalf("xq eager: %v\n%s", err, errOut)
+		t.Fatalf("xq -no-opt: %v\n%s", err, errOut)
 	}
 	if out2 != out {
-		t.Errorf("engines disagree: %q vs %q", out2, out)
+		t.Errorf("optimized and unoptimized disagree: %q vs %q", out2, out)
+	}
+
+	// The removed mode flags are gone, not ignored.
+	for _, args := range [][]string{
+		{"run", "./cmd/xq", "-engine", "eager", `1`},
+		{"run", "./cmd/xqd", "-joins"},
+	} {
+		_, errOut, err := runTool(t, args...)
+		if err == nil || !strings.Contains(errOut, "flag provided but not defined") {
+			t.Errorf("%v: err %v, stderr %q; want an unknown-flag failure", args[1:], err, errOut)
+		}
 	}
 
 	// -plan prints the expression tree.

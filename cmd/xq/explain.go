@@ -17,7 +17,7 @@ func printExplain(w io.Writer, q *xqgo.Query, prof *xqgo.Profile, compileTime, e
 	rep := prof.Report()
 
 	fmt.Fprintln(w, "-- plan --")
-	fmt.Fprintln(w, q.Plan())
+	fmt.Fprintln(w, q.PlanInfo().Text)
 
 	fmt.Fprintln(w, "\n-- rewrites --")
 	fires := q.RuleFires()

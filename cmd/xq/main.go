@@ -6,8 +6,8 @@
 //
 //	xq -doc bib.xml 'for $b in /bib/book return $b/title'
 //	xq -var wlc=config.xml -f transform.xq
-//	xq -engine eager -no-opt 'count(//item)'   # baseline engine
-//	xq -explain -doc bib.xml -f q1.xq          # EXPLAIN ANALYZE report
+//	xq -no-opt 'count(//item)'          # unoptimized expression tree
+//	xq -explain -doc bib.xml -f q1.xq   # EXPLAIN ANALYZE report
 //
 // The document given with -doc becomes the context item; -var name=file
 // binds external variables to parsed documents; -var name:=value binds
@@ -28,7 +28,6 @@ func main() {
 	var (
 		docPath   = flag.String("doc", "", "XML document bound as the context item")
 		queryFile = flag.String("f", "", "read the query from a file")
-		engine    = flag.String("engine", "streaming", "engine: streaming | eager")
 		noOpt     = flag.Bool("no-opt", false, "disable the rewriting optimizer")
 		disable   = flag.String("disable-rules", "", "comma-separated optimizer rules to disable")
 		plan      = flag.Bool("plan", false, "print the optimized expression tree and exit")
@@ -57,13 +56,6 @@ func main() {
 	}
 
 	opts := &xqgo.Options{NoOptimize: *noOpt}
-	switch *engine {
-	case "streaming":
-	case "eager":
-		opts.Engine = xqgo.Eager
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
-	}
 	if *disable != "" {
 		opts.DisableRules = strings.Split(*disable, ",")
 	}
@@ -75,7 +67,7 @@ func main() {
 	}
 	compileTime := time.Since(t0)
 	if *plan {
-		fmt.Println(q.Plan())
+		fmt.Println(q.PlanInfo().Text)
 		return
 	}
 

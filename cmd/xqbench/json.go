@@ -20,15 +20,12 @@ type benchRow struct {
 	NsPerOp int64  `json:"nsPerOp"`
 }
 
-// benchReport is the JSON artifact written by -json (BENCH_PR3.json in CI).
+// benchReport is the JSON artifact written by -json (xqbench-smoke.json in CI).
 type benchReport struct {
 	GoVersion  string     `json:"goVersion"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Reps       int        `json:"reps"`
 	Rows       []benchRow `json:"rows"`
-	// Batch holds the batched-vs-item comparison: the same plan timed with
-	// the vectorized NextBatch path (default) and with DisableBatching.
-	Batch []batchRow `json:"batchVsItem"`
 	// Ingest holds the streaming-ingestion comparison: the same query over
 	// the same serialized document, parsed eagerly up front, lazily without
 	// projection, and lazily with static path projection.
@@ -124,14 +121,6 @@ type twigRow struct {
 	AutoVsBest float64 `json:"autoVsBest"`
 }
 
-// batchRow is one batched-vs-item comparison measurement.
-type batchRow struct {
-	Name      string  `json:"name"`
-	BatchedNs int64   `json:"batchedNsPerOp"`
-	ItemNs    int64   `json:"itemNsPerOp"`
-	Speedup   float64 `json:"speedup"` // itemNs / batchedNs
-}
-
 // runJSON runs the benchmark smoke suite — the paper-query workload at CI-
 // friendly sizes — and writes ns/op rows as JSON to path. Unlike the E1..E13
 // tables it is meant for artifact diffing across commits, so names are
@@ -145,7 +134,7 @@ func (r *runner) runJSON(path string) error {
 	deep := xqgo.FromStore(deepStore)
 
 	stream := mustCompile(paperQ, nil)
-	eager := mustCompile(paperQ, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+	eager := mustCompileEager(paperQ)
 	pathQ := mustCompile(`/Order/OrderLine/Item/ID`, nil)
 	descQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceNavigation})
 	joinQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
@@ -190,78 +179,6 @@ func (r *runner) runJSON(path string) error {
 		d := r.timeIt(b.fn)
 		rep.Rows = append(rep.Rows, benchRow{Name: b.name, NsPerOp: d.Nanoseconds()})
 		fmt.Fprintf(os.Stderr, "xqbench: %-32s %12d ns/op\n", b.name, d.Nanoseconds())
-	}
-
-	// Batched-vs-item comparison: each query compiled twice, once on the
-	// default vectorized pull path and once with DisableBatching (the exact
-	// item-at-a-time engine of PR 2). CI gates on Speedup so a batching
-	// regression fails the build.
-	compare := []struct {
-		name string
-		q    string
-		opts xqgo.Options
-		doc  *xqgo.Document
-	}{
-		{"paper-query/full", paperQ, xqgo.Options{}, orders},
-		{"paper-query/serialize", paperQ, xqgo.Options{}, orders},
-		{"path/child-steps", `/Order/OrderLine/Item/ID`, xqgo.Options{}, orders},
-		{"pipeline/range-filter-count",
-			`count((1 to 200000)[. mod 7 = 0])`, xqgo.Options{}, orders},
-		{"pipeline/sum-range", `sum(1 to 1000000)`, xqgo.Options{}, orders},
-		{"pipeline/count-range", `count(1 to 1000000)`, xqgo.Options{}, orders},
-	}
-	var worst float64 = 1e18
-	for _, c := range compare {
-		bOpts := c.opts
-		iOpts := c.opts
-		iOpts.DisableBatching = true
-		qb := mustCompile(c.q, &bOpts)
-		qi := mustCompile(c.q, &iOpts)
-		run := func(q *xqgo.Query) func() {
-			if c.name == "paper-query/serialize" {
-				return func() {
-					if err := q.Execute(ctxFor(c.doc), io.Discard); err != nil {
-						panic(err)
-					}
-				}
-			}
-			return func() { mustEval(q, ctxFor(c.doc)) }
-		}
-		// Interleave the two engines rep by rep and gate on the median of
-		// per-rep ratios: back-to-back cells see the same machine
-		// conditions, so load drift cancels out of each ratio, where a
-		// ratio of two independently collected minima does not.
-		runB, runI := run(qb), run(qi)
-		bMin, iMin := int64(1<<62-1), int64(1<<62-1)
-		ratios := make([]float64, 0, r.reps)
-		for k := 0; k < r.reps; k++ {
-			t0 := time.Now()
-			runB()
-			db := time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-			runI()
-			di := time.Since(t0).Nanoseconds()
-			if db < bMin {
-				bMin = db
-			}
-			if di < iMin {
-				iMin = di
-			}
-			ratios = append(ratios, float64(di)/float64(max64(db, 1)))
-		}
-		sort.Float64s(ratios)
-		speedup := ratios[len(ratios)/2]
-		if speedup < worst {
-			worst = speedup
-		}
-		rep.Batch = append(rep.Batch, batchRow{
-			Name:      c.name,
-			BatchedNs: bMin,
-			ItemNs:    iMin,
-			Speedup:   speedup,
-		})
-		fmt.Fprintf(os.Stderr, "xqbench: batch-vs-item %-24s batched %10d ns/op  item %10d ns/op  speedup %.2fx\n",
-			c.name, bMin, iMin, speedup)
 	}
 
 	// Streaming-ingestion comparison: one serialized Bib document, one
@@ -770,12 +687,6 @@ func (r *runner) runJSON(path string) error {
 		return err
 	}
 
-	// Regression gate: batching must never make a compared query more than
-	// 15% slower than the item-at-a-time baseline (medians of interleaved
-	// per-rep ratios keep CI noise below that).
-	if worst < 0.85 {
-		return fmt.Errorf("batching regression: worst batched/item speedup %.2fx < 0.85x", worst)
-	}
 	// Ingestion gates: projection must actually reduce materialization, and
 	// lazy full parsing (projection off, everything materialized on demand)
 	// must stay within 2x of the eager parser on the same input — the

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"xqgo"
+	engine "xqgo/internal/runtime"
 	"xqgo/internal/structjoin"
 	"xqgo/internal/tokens"
 	"xqgo/internal/workload"
@@ -109,6 +110,16 @@ func mustCompile(src string, opts *xqgo.Options) *xqgo.Query {
 	return q
 }
 
+// mustCompileEager compiles src, unoptimized, for the eager reference engine
+// — the comparator of E1, E3 and E11.
+func mustCompileEager(src string) *xqgo.Query {
+	q, err := xqgo.CompileReference(src, engine.Options{Eager: true})
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 func mustEval(q *xqgo.Query, ctx *xqgo.Context) xqgo.Sequence {
 	out, err := q.Eval(ctx)
 	if err != nil {
@@ -128,7 +139,7 @@ func (r *runner) e1() {
 	          where $line/SellersID eq "1"
 	          return <lineItem>{string($line/Item/ID)}</lineItem>`
 	stream := mustCompile(query, nil)
-	eager := mustCompile(query, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+	eager := mustCompileEager(query)
 	firstK := func(q *xqgo.Query, doc *xqgo.Document, k int) {
 		it, err := q.Iterator(ctxFor(doc))
 		if err != nil {
@@ -197,7 +208,7 @@ func (r *runner) e3() {
 	var rows [][]string
 	for _, c := range cases {
 		lazy := mustCompile(c.q, nil)
-		eager := mustCompile(c.q, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+		eager := mustCompileEager(c.q)
 		tl := r.timeIt(func() { mustEval(lazy, ctxFor(doc)) })
 		te := r.timeIt(func() { mustEval(eager, ctxFor(doc)) })
 		rows = append(rows, []string{c.name, tl.String(), te.String(),
@@ -449,7 +460,7 @@ func (r *runner) e11() {
 	// size while the eager engine materializes every intermediate.
 	query := `some $x in /Order/OrderLine satisfies $x/SellersID eq "1"`
 	stream := mustCompile(query, nil)
-	eager := mustCompile(query, &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+	eager := mustCompileEager(query)
 	var rows [][]string
 	for _, lines := range []int{10000, 100000} {
 		doc := xqgo.FromStore(workload.Orders(workload.OrdersConfig{Lines: lines, Sellers: 50, Seed: 1}))
@@ -488,21 +499,23 @@ func (r *runner) e12() {
 // ---- E13: parallel execution ----
 
 func (r *runner) e13() {
+	// Three-step chains: a branch must weigh at least parallelMinWeight (12)
+	// expression nodes to count as heavy, and count($d//a//b) weighs 10.
 	query := `declare variable $d external;
-	  (count($d//a//b), count($d//b//c), count($d//c//d), count($d//a//d),
-	   count($d//b//d), count($d//c//a), count($d//d//b), count($d//d//a))`
+	  (count($d//a//b//c), count($d//b//c//d), count($d//c//d//a), count($d//d//a//b),
+	   count($d//a//c//b), count($d//b//d//a), count($d//c//a//d), count($d//d//b//c))`
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 80000, Seed: 2}))
-	seq := mustCompile(query, nil)
-	par := mustCompile(query, &xqgo.Options{Parallel: true})
+	q := mustCompile(query, nil)
 	ctx := func() *xqgo.Context { return xqgo.NewContext().Bind("d", doc) }
-	a := mustEval(seq, ctx())
-	b := mustEval(par, ctx())
+	par := func() *xqgo.Context { return ctx().WithWorkers(8) }
+	a := mustEval(q, ctx())
+	b := mustEval(q, par())
 	if len(a) != len(b) {
 		panic("parallel result mismatch")
 	}
-	ts := r.timeIt(func() { mustEval(seq, ctx()) })
-	tp := r.timeIt(func() { mustEval(par, ctx()) })
-	r.table("branches	sequential	parallel	speedup	GOMAXPROCS", [][]string{{
+	ts := r.timeIt(func() { mustEval(q, ctx()) })
+	tp := r.timeIt(func() { mustEval(q, par()) })
+	r.table("branches	sequential	8 workers	speedup	GOMAXPROCS", [][]string{{
 		"8", ts.String(), tp.String(),
 		fmt.Sprintf("%.1fx", float64(ts)/float64(max64(int64(tp), 1))),
 		fmt.Sprint(runtime.GOMAXPROCS(0)),

@@ -12,8 +12,20 @@ import (
 	"testing"
 
 	"xqgo"
+	"xqgo/internal/runtime"
 	"xqgo/internal/workload"
 )
+
+// eagerOracle compiles src, unoptimized, for the eager reference engine:
+// every sub-expression fully materialized before its consumer runs.
+func eagerOracle(tb testing.TB, src string) *xqgo.Query {
+	tb.Helper()
+	q, err := xqgo.CompileReference(src, runtime.Options{Eager: true})
+	if err != nil {
+		tb.Fatalf("compile (eager) %q: %v", src, err)
+	}
+	return q
+}
 
 // genQuery produces a random query over the deep dataset's element names.
 func genQuery(rng *rand.Rand) string {
@@ -82,12 +94,16 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 400, Seed: 2, MaxDepth: 5, Fanout: 8})),
 	}
 	modes := []struct {
-		name string
-		opts *xqgo.Options
+		name    string
+		compile func(src string) (*xqgo.Query, error)
 	}{
-		{"streaming", nil},
-		{"eager", &xqgo.Options{Engine: xqgo.Eager, NoOptimize: true}},
-		{"unoptimized", &xqgo.Options{NoOptimize: true}},
+		{"streaming", func(src string) (*xqgo.Query, error) { return xqgo.Compile(src, nil) }},
+		{"eager", func(src string) (*xqgo.Query, error) {
+			return xqgo.CompileReference(src, runtime.Options{Eager: true})
+		}},
+		{"unoptimized", func(src string) (*xqgo.Query, error) {
+			return xqgo.Compile(src, &xqgo.Options{NoOptimize: true})
+		}},
 	}
 	const trials = 120
 	for i := 0; i < trials; i++ {
@@ -95,7 +111,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		doc := docs[i%len(docs)]
 		var base string
 		for m, mode := range modes {
-			q, err := xqgo.Compile(src, mode.opts)
+			q, err := mode.compile(src)
 			if err != nil {
 				t.Fatalf("trial %d: compile %q (%s): %v", i, src, mode.name, err)
 			}

@@ -3,8 +3,6 @@
 // trading-partner management): one outer FOR, nested FLWORs per
 // certificate kind, a three-way join of delivery channels, document
 // exchanges and transports, and conditional attribute construction.
-//
-// The example also contrasts the two engines on the same query.
 package main
 
 import (
@@ -23,12 +21,7 @@ func main() {
 	}))
 	fmt.Printf("input: trading-partner configuration, %d nodes\n\n", doc.NumNodes())
 
-	streaming, err := xqgo.Compile(workload.TradingPartnerQuery, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eager, err := xqgo.Compile(workload.TradingPartnerQuery,
-		&xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
+	q, err := xqgo.Compile(workload.TradingPartnerQuery, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,27 +29,18 @@ func main() {
 	ctx := func() *xqgo.Context { return xqgo.NewContext().Bind("wlc", doc) }
 
 	// Print the first transformed partner.
-	out, err := streaming.Eval(ctx())
+	out, err := q.Eval(ctx())
 	if err != nil {
 		log.Fatal(err)
 	}
 	first, _ := xqgo.ItemString(out[0])
 	fmt.Printf("first of %d transformed partners:\n%s\n\n", len(out), first)
 
-	// Compare engines.
+	// Time the streamed serialization of the whole transformation (xqbench
+	// E1/E3/E11 compare it with the eager reference engine).
 	t0 := time.Now()
-	if err := streaming.Execute(ctx(), io.Discard); err != nil {
+	if err := q.Execute(ctx(), io.Discard); err != nil {
 		log.Fatal(err)
 	}
-	tStream := time.Since(t0)
-
-	t0 = time.Now()
-	if err := eager.Execute(ctx(), io.Discard); err != nil {
-		log.Fatal(err)
-	}
-	tEager := time.Since(t0)
-
-	fmt.Printf("streaming engine: %v\n", tStream)
-	fmt.Printf("eager baseline:   %v  (%.1fx slower)\n",
-		tEager, float64(tEager)/float64(tStream))
+	fmt.Printf("streamed to a writer in %v\n", time.Since(t0))
 }

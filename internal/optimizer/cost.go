@@ -16,7 +16,7 @@ type Strategy int
 
 const (
 	// StrategyDefault is the zero value: "not specified". It resolves to
-	// StrategyAuto unless a deprecated knob (UseStructuralJoins) overrides.
+	// StrategyAuto.
 	StrategyDefault Strategy = iota
 	// StrategyAuto picks per branch and per document with this cost model.
 	StrategyAuto

@@ -26,18 +26,6 @@ type Options struct {
 	// MemoizeFunctions caches calls to pure user functions per execution
 	// (the paper's intra-query memoization).
 	MemoizeFunctions bool
-	// Parallel evaluates independent heavy branches of comma sequences
-	// concurrently (the paper's horizontal parallelization).
-	Parallel bool
-	// NoProfileHooks compiles the plan without profiling tag wrappers.
-	// Plans compiled this way cannot be profiled (NewProfile reports no
-	// operators) but carry zero instrumentation code.
-	NoProfileHooks bool
-	// NoBatch disables the vectorized NextBatch fast path (see batch.go):
-	// every materializing consumer in the plan pulls one item per call.
-	// This is the item-at-a-time baseline for the batched-vs-item
-	// benchmark rows and the differential test.
-	NoBatch bool
 	// Projection is the query's static path set (optimizer.ExtractPaths):
 	// lazily ingested documents consult it to skip unreachable subtrees.
 	// Nil keeps everything.
@@ -173,23 +161,13 @@ func (c *compiler) resolve(q xdm.QName) (int, bool) {
 	return 0, false
 }
 
-// drainFor returns the materializing drain for this plan: batched pulls
-// through the buffer pool unless the plan was compiled with NoBatch.
-func (c *compiler) drainFor() func(fr *Frame, it Iter) (xdm.Sequence, error) {
-	if c.opts.NoBatch {
-		return func(_ *Frame, it Iter) (xdm.Sequence, error) { return drain(it) }
-	}
-	return func(fr *Frame, it Iter) (xdm.Sequence, error) { return drainBatched(fr.dyn, it) }
-}
-
 // wrap applies the eager-engine transformation: fully materialize.
 func (c *compiler) wrap(fn seqFn) seqFn {
 	if !c.opts.Eager {
 		return fn
 	}
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
-		seq, err := dr(fr, fn(fr))
+		seq, err := drainBatched(fr.dyn, fn(fr))
 		if err != nil {
 			return errIter(err)
 		}
@@ -255,8 +233,13 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 			}
 			fns[i] = fn
 		}
-		if par, ok := c.compileParallelSeq(n, fns); ok {
-			return par, nil
+		if shared, ok := c.parallelSeqBindings(n); ok {
+			return func(fr *Frame) Iter {
+				if fr.dyn.Workers > 1 {
+					return &parSeqIter{concatIter: concatIter{fr: fr, fns: fns}, shared: shared}
+				}
+				return newConcatIter(fr, fns)
+			}, nil
 		}
 		return func(fr *Frame) Iter { return newConcatIter(fr, fns) }, nil
 
@@ -409,9 +392,8 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 			return nil, err
 		}
 		t := n.T
-		dr := c.drainFor()
 		return func(fr *Frame) Iter {
-			seq, err := dr(fr, xf(fr))
+			seq, err := drainBatched(fr.dyn, xf(fr))
 			if err != nil {
 				return errIter(err)
 			}
@@ -843,9 +825,8 @@ func (c *compiler) compileTypeswitch(n *expr.Typeswitch) (seqFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
-		seq, err := dr(fr, inFn(fr))
+		seq, err := drainBatched(fr.dyn, inFn(fr))
 		if err != nil {
 			return errIter(err)
 		}
@@ -876,13 +857,12 @@ func (c *compiler) compileSetOp(n *expr.SetOp) (seqFn, error) {
 		return nil, err
 	}
 	op := n.Op
-	dr := c.drainFor()
 	fn := func(fr *Frame) Iter {
-		lseq, err := dr(fr, lf(fr))
+		lseq, err := drainBatched(fr.dyn, lf(fr))
 		if err != nil {
 			return errIter(err)
 		}
-		rseq, err := dr(fr, rf(fr))
+		rseq, err := drainBatched(fr.dyn, rf(fr))
 		if err != nil {
 			return errIter(err)
 		}

@@ -100,11 +100,10 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		return nil, fmt.Errorf("%d:%d: unknown function fn:%s",
 			n.Span().Line, n.Span().Col, local)
 	}
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
-			seq, err := dr(fr, afn(fr))
+			seq, err := drainBatched(fr.dyn, afn(fr))
 			if err != nil {
 				return errIter(err)
 			}
@@ -136,22 +135,6 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 	case "count":
 		if len(argFns) != 1 {
 			return nil, true, fmt.Errorf("fn:count expects 1 argument")
-		}
-		if c.opts.NoBatch {
-			return func(fr *Frame) Iter {
-				it := argFns[0](fr)
-				n := int64(0)
-				for {
-					_, ok, err := it.Next()
-					if err != nil {
-						return errIter(err)
-					}
-					if !ok {
-						return singleIter(xdm.NewInteger(n))
-					}
-					n++
-				}
-			}, true, nil
 		}
 		// Batched counting: the input is drained a chunk at a time without
 		// ever materializing it; a source that knows its cardinality
@@ -281,11 +264,10 @@ func (c *compiler) compileUserCall(n *expr.Call, uf *userFunc) (seqFn, error) {
 func (c *compiler) compileMemoizedCall(n *expr.Call, uf *userFunc, argFns []seqFn) seqFn {
 	fkey := funcKey(n.Name, len(n.Args))
 	decl := uf.decl
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
-			seq, err := dr(fr, afn(fr))
+			seq, err := drainBatched(fr.dyn, afn(fr))
 			if err != nil {
 				return errIter(err)
 			}
@@ -310,7 +292,7 @@ func (c *compiler) compileMemoizedCall(n *expr.Call, uf *userFunc, argFns []seqF
 		if uf.body == nil {
 			return errIter(fmt.Errorf("function %s used before its body was compiled", decl.Name))
 		}
-		out, err := dr(fr, uf.body(f2))
+		out, err := drainBatched(fr.dyn, uf.body(f2))
 		if err != nil {
 			return errIter(err)
 		}

@@ -117,7 +117,6 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		return nil, err
 	}
 
-	noBatch := c.opts.NoBatch
 	makeTuples := func(fr *Frame, withWhere bool) tupleSrc {
 		tuples := baseTuple(fr)
 		for i := range clauses {
@@ -129,11 +128,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		if len(groupSpecs) > 0 {
 			// Grouping materializes every tuple anyway, so it may consume
 			// its input in batches.
-			pull := tuples.next
-			if !noBatch {
-				pull = batchedTuplePull(tuples)
-			}
-			tuples = tupleSrcFrom(applyGrouping(pull, fr, groupSpecs, rebindIDs))
+			tuples = tupleSrcFrom(applyGrouping(batchedTuplePull(tuples), fr, groupSpecs, rebindIDs))
 		}
 		return tuples
 	}
@@ -145,8 +140,14 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		// global) can evaluate tuples on the worker pool. Referenced outer
 		// and let bindings are forced on the pulling goroutine first — the
 		// error-timing caveat of parallel.go applies. The where clause moves
-		// out of the tuple source so workers apply it per tuple.
-		parSafe := !noBatch && len(groupSpecs) == 0 &&
+		// out of the tuple source so workers apply it per tuple. A let-only
+		// FLWOR has a single tuple: nothing to split, and a round would pin
+		// its whole return clause to one worker.
+		hasFor := false
+		for _, cc := range clauses {
+			hasFor = hasFor || cc.kind == expr.ForClause
+		}
+		parSafe := hasFor && len(groupSpecs) == 0 &&
 			!expr.UsesContext(n.Ret) && !c.hasUserCall(n.Ret) &&
 			(n.Where == nil || (!expr.UsesContext(n.Where) && !c.hasUserCall(n.Where)))
 		var outerForce, letForce []int
@@ -155,22 +156,17 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 		fn := func(fr *Frame) Iter {
 			if parSafe && fr.dyn.Workers > 1 {
-				return &flworIter{tuples: makeTuples(fr, false), retFn: retFn, noBatch: noBatch,
-					whereFn: whereFn,
-					par:     &flworMorsel{fr: fr, outerForce: outerForce, letForce: letForce}}
+				return &flworIter{tuples: makeTuples(fr, false), retFn: retFn, whereFn: whereFn,
+					par: &flworMorsel{fr: fr, outerForce: outerForce, letForce: letForce}}
 			}
-			return &flworIter{tuples: makeTuples(fr, true), retFn: retFn, noBatch: noBatch}
+			return &flworIter{tuples: makeTuples(fr, true), retFn: retFn}
 		}
 		return c.tag("flwor", n, fn), nil
 	}
 
 	// Order-by path: materialize tuples and their keys.
 	fn := func(fr *Frame) Iter {
-		tuples := makeTuples(fr, true)
-		pull := tuples.next
-		if !noBatch {
-			pull = batchedTuplePull(tuples)
-		}
+		pull := batchedTuplePull(makeTuples(fr, true))
 		type sortable struct {
 			frame *Frame
 			keys  []*xdm.Atomic // nil pointer = empty key
@@ -242,7 +238,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			pos++
 			return t, true, nil
 		}
-		return &flworIter{tuples: tupleSrcFrom(sorted), retFn: retFn, noBatch: noBatch}
+		return &flworIter{tuples: tupleSrcFrom(sorted), retFn: retFn}
 	}
 	return c.tag("flwor", n, fn), nil
 }
@@ -323,9 +319,8 @@ func (c *compiler) flworForceSets(n *expr.Flwor, clauses []compiledClause) (oute
 // return results of the already-prefetched tuples have been delivered, so
 // the error surfaced matches item-at-a-time order.
 type flworIter struct {
-	tuples  tupleSrc
-	retFn   seqFn
-	noBatch bool
+	tuples tupleSrc
+	retFn  seqFn
 
 	// whereFn is set only on a morsel-parallel FLWOR: the filter moves out
 	// of the tuple source so workers can apply it per tuple; item-granular
@@ -380,7 +375,7 @@ func (f *flworIter) rawTuple(batched bool) (*Frame, bool, error) {
 		if f.tdone {
 			return nil, false, nil
 		}
-		if !batched || f.noBatch {
+		if !batched {
 			t, ok, err := f.tuples.next()
 			if err != nil || !ok {
 				f.tdone = true

@@ -22,11 +22,10 @@ func (c *compiler) compileTryCatch(n *expr.TryCatch) (seqFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
 		seq, err := func() (out xdm.Sequence, err error) {
 			defer recoverXQ(&err) // StreamedNode materialization panics too
-			return dr(fr, tryFn(fr))
+			return drainBatched(fr.dyn, tryFn(fr))
 		}()
 		if err != nil {
 			return catchFn(fr)

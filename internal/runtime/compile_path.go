@@ -22,9 +22,7 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	jp := extractJoinPlan(n)
 	if jp == nil {
 		fn, id := c.tagID("path", n, navFn)
-		if id >= 0 {
-			c.ops[id].Strategy = optimizer.StrategyNavigation.String()
-		}
+		c.ops[id].Strategy = optimizer.StrategyNavigation.String()
 		return fn, nil
 	}
 	// Join-eligible: both compilations are kept and one operator dispatches
@@ -33,7 +31,7 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	// operator's profile row, so explain output shows which strategy ran.
 	policy := c.opts.Strategy
 	fb := c.fb
-	opID := -1
+	var opID int // set below, once the operator is tagged
 	fn := func(fr *Frame) Iter {
 		it, haveCtx := fr.ContextItem()
 		if !haveCtx {
@@ -53,9 +51,7 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	}
 	tagged, id := c.tagID("path", n, fn)
 	opID = id
-	if id >= 0 {
-		c.ops[id].Strategy = policy.String()
-	}
+	c.ops[id].Strategy = policy.String()
 	return tagged, nil
 }
 
@@ -85,9 +81,8 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	}
 	// Materializing tail: sort by document order + dedup when the result is
 	// nodes; pass through when it is purely atomic (the $x/f(.) case).
-	dr := c.drainFor()
 	return func(fr *Frame) Iter {
-		seq, err := dr(fr, raw(fr))
+		seq, err := drainBatched(fr.dyn, raw(fr))
 		if err != nil {
 			return errIter(err)
 		}

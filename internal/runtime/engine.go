@@ -133,12 +133,7 @@ func (p *Prepared) Eval(dyn *Dynamic) (seq xdm.Sequence, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var out xdm.Sequence
-	if p.opts.NoBatch {
-		out, err = drain(p.body(fr))
-	} else {
-		out, err = drainBatched(fr.dyn, p.body(fr))
-	}
+	out, err := drainBatched(fr.dyn, p.body(fr))
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +154,7 @@ func (p *Prepared) Eval(dyn *Dynamic) (seq xdm.Sequence, err error) {
 }
 
 // Iterator returns a lazy result iterator: items are produced on demand,
-// the paper's "time to first answer" path. The returned cleanup func is
-// currently a no-op but reserved for resource-holding plans.
+// the paper's "time to first answer" path.
 func (p *Prepared) Iterator(dyn *Dynamic) (Iter, error) {
 	fr, err := p.newRootFrame(dyn)
 	if err != nil {
@@ -218,26 +212,6 @@ func (p *Prepared) ExecuteToWriter(dyn *Dynamic, w io.Writer) (err error) {
 	defer flushTokens()
 
 	prevAtomic := false
-	if p.opts.NoBatch {
-		for {
-			if err := dyn.CheckInterrupt(); err != nil {
-				return err
-			}
-			item, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if prevAtomic, err = emit(item, prevAtomic); err != nil {
-				return err
-			}
-			flushTokens()
-		}
-		return sw.Close()
-	}
-
 	// Batched serializer sink: drain whole result batches per tick.
 	buf := dyn.getBuf()
 	defer dyn.putBuf(buf)

@@ -8,14 +8,16 @@ import (
 	"xqgo/internal/faultinject"
 )
 
-// Morsel-driven intra-query parallelism. The three hottest iteration loops
-// — pre-order path-step range scans (compile_path.go), structural-join
-// postings work (indexpath.go), and FLWOR for/where tuple pipelines
-// (compile_flwor.go) — split their input into small contiguous morsels and
-// schedule them over a worker pool. Each worker owns a forked slice of the
-// dynamic context (Dynamic.fork: private step counter, buffer pool, and
-// profile shard), and results stitch back in morsel-index order, which is
-// input order, which is document order for the loops that promise it.
+// Morsel-driven intra-query parallelism — the engine's one goroutine
+// scheduler. Four work sources — pre-order path-step range scans
+// (compile_path.go), structural-join postings work (indexpath.go), FLWOR
+// for/where tuple pipelines (compile_flwor.go), and the branches of a comma
+// sequence (parallel.go, one morsel per branch) — split their input into
+// morsels and schedule them over a worker pool. Each worker owns a forked
+// slice of the dynamic context (Dynamic.fork: private step counter, buffer
+// pool, and profile shard), and results stitch back in morsel-index order,
+// which is input order, which is document order for the loops that promise
+// it.
 //
 // Activation is demand-driven and opt-in: Dynamic.Workers must be set above
 // one, and a loop only upgrades on NextBatch (drain demand) — Next keeps
@@ -101,9 +103,8 @@ func (d *Dynamic) leaseExtra(max int) (int, func()) {
 
 // groupErr is the shared first-error slot of one parallel group. Workers
 // publish their first failure and every sibling observes it through its
-// forked interrupt hook, so a failed morsel (or parallel-sequence branch)
-// cancels the rest of the group within one interrupt stride instead of
-// letting them run to completion.
+// forked interrupt hook, so a failed morsel cancels the rest of the group
+// within one interrupt stride instead of letting them run to completion.
 type groupErr struct {
 	p atomic.Pointer[groupErrBox]
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xqgo/internal/faultinject"
 	"xqgo/internal/optimizer"
 	"xqgo/internal/serializer"
 	"xqgo/internal/xdm"
@@ -252,7 +253,8 @@ func (grantAll) Release(int)        {}
 
 type recordLimiter struct {
 	granted  int
-	leases   atomic.Int64
+	leases   atomic.Int64 // workers asked for
+	grants   atomic.Int64 // workers granted
 	releases atomic.Int64
 }
 
@@ -261,6 +263,7 @@ func (l *recordLimiter) TryLease(n int) int {
 	if n > l.granted {
 		n = l.granted
 	}
+	l.grants.Add(int64(n))
 	return n
 }
 func (l *recordLimiter) Release(n int) { l.releases.Add(int64(n)) }
@@ -427,17 +430,168 @@ func TestDocRegistryDistinctURIsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// ---- parallel sequence fail-fast (satellite: sibling cancellation) ----
+// ---- comma branches as a morsel work source ----
+
+// evalLeased evaluates src on the standard test document with 8 workers and
+// a recording limiter granting up to grant extras per lease.
+func evalLeased(t *testing.T, src string, grant int) (string, error, *recordLimiter) {
+	t.Helper()
+	lim := &recordLimiter{granted: grant}
+	d := testDynamic(t)
+	d.Workers = 8
+	d.Limiter = lim
+	out, err := evalQueryOn(t, src, Options{}, d)
+	return out, err, lim
+}
+
+// commaBranches is a comma sequence the static test accepts: three heavy,
+// context-free branches over one shared let binding.
+const commaBranches = `let $b := //book return
+	(count($b[price > 10]/author/last) + count($b/title) + count($b/@year),
+	 sum(for $p in $b/price return xs:decimal($p)) + count($b/author/first),
+	 string-join(for $t in $b/title return concat(string($t), "!"), "|"))`
+
+func TestCommaBranchesOnWorkers(t *testing.T) {
+	seq, err := evalQuery(t, commaBranches, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err, lim := evalLeased(t, commaBranches, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != par {
+		t.Errorf("worker disagreement:\n seq %q\n par %q", seq, par)
+	}
+	// One round, one chunk per branch: branches-1 extras asked for.
+	if lim.leases.Load() != 2 || lim.releases.Load() != lim.grants.Load() {
+		t.Errorf("asked for %d extras, granted %d, released %d; want 2, then all returned",
+			lim.leases.Load(), lim.grants.Load(), lim.releases.Load())
+	}
+
+	// Errors propagate from a branch in the middle, with the code the
+	// sequential engine reports.
+	failing := `let $b := //book return
+		(count($b[price > 10]/author/last) + count($b/title) + count($b/@year),
+		 1 idiv 0,
+		 sum(for $p in $b/price return xs:decimal($p)) + count($b/author/first))`
+	_, serr := evalQuery(t, failing, Options{})
+	_, perr, lim := evalLeased(t, failing, 8)
+	if serr == nil || perr == nil || serr.Error() != perr.Error() {
+		t.Errorf("branch error: sequential %v, workers %v", serr, perr)
+	}
+	if lim.grants.Load() == 0 || lim.releases.Load() != lim.grants.Load() {
+		t.Errorf("failing round granted %d, released %d", lim.grants.Load(), lim.releases.Load())
+	}
+
+	// Context-dependent sequences stay sequential but still work.
+	ctxQ := `string-join(for $b in /bib/book return (string($b/title), string($b/@year)), ",")`
+	a, _ := evalQuery(t, ctxQ, Options{})
+	b, err := evalWorkers(t, ctxQ, 8, Options{})
+	if err != nil || a != b {
+		t.Errorf("context-dependent fallback: %q vs %q (%v)", a, b, err)
+	}
+}
+
+// Branches constructing nodes on different workers must still produce
+// distinct identities and correct output.
+func TestCommaBranchesConstructionIdentity(t *testing.T) {
+	got, err, lim := evalLeased(t, `
+	  count(distinct-nodes((
+	    <a>{string-join(for $i in (1 to 200) return string($i + 0), "")}</a>,
+	    <a>{string-join(for $i in (1 to 200) return string($i + 0), "")}</a>)))`, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != "2" {
+		t.Errorf("construction identity = %s", got)
+	}
+	if lim.grants.Load() == 0 {
+		t.Error("the branches never ran on workers")
+	}
+}
+
+// A limiter that grants nothing leaves the sequence fully lazy: the shared
+// binding is not forced, so an error in it that no branch pulls stays unseen.
+func TestCommaBranchesZeroLeaseForcesNothing(t *testing.T) {
+	q := `let $dead := 1 idiv 0 return
+	  (if (count((1 to 40)[. mod 3 = 0]) + count((1 to 40)[. mod 5 = 0]) > 0) then 1 else $dead,
+	   if (count((1 to 40)[. mod 7 = 0]) + count((1 to 40)[. mod 9 = 0]) > 0) then 2 else $dead)`
+	got, err, lim := evalLeased(t, q, 0)
+	if err != nil || got != "1 2" {
+		t.Fatalf("zero lease = %q, %v; want the lazy result", got, err)
+	}
+	if lim.leases.Load() == 0 || lim.grants.Load() != 0 || lim.releases.Load() != 0 {
+		t.Errorf("asked %d, granted %d, released %d; want a refused lease and no release",
+			lim.leases.Load(), lim.grants.Load(), lim.releases.Load())
+	}
+	// With workers granted the binding is forced first (the documented
+	// error-timing caveat).
+	if _, err, _ := evalLeased(t, q, 8); err == nil || !strings.Contains(err.Error(), "FOAR0001") {
+		t.Errorf("leased round: err = %v, want the forced binding's FOAR0001", err)
+	}
+}
+
+// A panic inside a branch surfaces as an error and the lease still returns.
+func TestCommaBranchesPanicReleasesLease(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Enable(faultinject.MorselPanic, faultinject.Fault{PanicValue: "boom", Count: 1})
+	_, err, lim := evalLeased(t, commaBranches, 8)
+	if err == nil || !strings.Contains(err.Error(), "XQGO0002") {
+		t.Fatalf("err = %v, want the recovered panic (XQGO0002)", err)
+	}
+	if lim.grants.Load() == 0 || lim.releases.Load() != lim.grants.Load() {
+		t.Errorf("granted %d, released %d", lim.grants.Load(), lim.releases.Load())
+	}
+}
+
+// Item pulls keep the lazy concat: a one-item consumer evaluates only the
+// first branch, and a drain that starts after item pulls finishes
+// sequentially without skipping or repeating an item.
+func TestCommaBranchesMixedGranularity(t *testing.T) {
+	q, err := xqparse.Parse(`((1 to 6)[. mod 2 = 0][. > 0][. < 100][. != 50],
+	                          (7 to 12)[. mod 2 = 0][. > 0][. < 100][. != 50])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := &recordLimiter{granted: 8}
+	it, err := p.Iterator(&Dynamic{Workers: 8, Limiter: lim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*parSeqIter); !ok {
+		t.Fatalf("plan root is %T, want the comma-branch iterator", it)
+	}
+	first, ok, err := it.Next()
+	if err != nil || !ok {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	rest, err := drainBatched(&Dynamic{}, it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := serializer.SequenceToString(append(xdm.Sequence{first}, rest...))
+	if got != "2 4 6 8 10 12" {
+		t.Errorf("mixed pulls = %q", got)
+	}
+	if lim.leases.Load() != 0 {
+		t.Errorf("a drain after item pulls asked for %d workers", lim.leases.Load())
+	}
+}
 
 // A branch that fails immediately must cancel a slow sibling through the
 // group hook instead of waiting for it to finish. The slow branch here
 // would run for minutes sequentially; the whole evaluation must return the
 // failing branch's error in seconds.
-func TestParallelSeqFailFastCancelsSlowBranch(t *testing.T) {
+func TestCommaBranchesFailFastCancelsSlowBranch(t *testing.T) {
 	q := `(sum(for $i in 1 to 50000000000 return 0 + 0 + 0 + 0 + 0),
 	      (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 idiv 0))`
 	start := time.Now()
-	_, err := evalQuery(t, q, Options{Parallel: true})
+	_, err := evalWorkers(t, q, 8, Options{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("failing branch's error did not propagate")

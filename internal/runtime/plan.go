@@ -16,8 +16,7 @@ type PlanNode struct {
 }
 
 // PlanTree returns the operator tree of the compiled plan: global-variable
-// initializers, then function bodies, then the query body. Empty when the
-// plan was compiled with NoProfileHooks.
+// initializers, then function bodies, then the query body.
 func (p *Prepared) PlanTree() []*PlanNode {
 	if len(p.ops) == 0 || p.query == nil {
 		return nil

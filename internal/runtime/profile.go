@@ -12,18 +12,13 @@ import (
 
 // Execution profiling. Operators are tagged at compile time with stable ids
 // and source positions; a Profile attached to a Dynamic collects per-operator
-// counters plus engine-wide totals for one execution. The design is
-// zero-cost-when-off at two levels:
+// counters plus engine-wide totals for one execution. Every plan has the
+// hooks compiled in; with Dynamic.Prof == nil (the default) each operator
+// instantiation pays one closure call plus one nil pointer check — nothing
+// per pulled item.
 //
-//   - Options.NoProfileHooks elides the tag wrappers entirely at compile
-//     time, so a plan compiled for pure throughput carries no profiling code
-//     at all (the benchmark-guard baseline).
-//   - With hooks compiled in but Dynamic.Prof == nil (the default), each
-//     operator instantiation pays one closure call plus one nil pointer
-//     check — nothing per pulled item.
-//
-// All counters are atomic: the Parallel engine shares one Dynamic (and hence
-// one Profile) across branch goroutines.
+// All counters are atomic: a shared Context may back concurrent executions
+// of one plan, and morsel workers fold their shards into the parent.
 
 // OpInfo identifies one tagged operator of a compiled plan. EstItems is the
 // static per-instantiation cardinality estimate (see estimate.go) that trace
@@ -462,25 +457,20 @@ func (p *Profile) Report() Report {
 	return rep
 }
 
-// Operators returns the plan's tagged operator inventory (empty when the
-// plan was compiled with NoProfileHooks).
+// Operators returns the plan's tagged operator inventory.
 func (p *Prepared) Operators() []OpInfo { return p.ops }
 
 // tag registers an operator under a stable id and wraps its compiled form
-// with the profiling hook. With NoProfileHooks the function is returned
-// untouched and no id is allocated.
+// with the profiling hook.
 func (c *compiler) tag(kind string, e expr.Expr, fn seqFn) seqFn {
 	fn, _ = c.tagID(kind, e, fn)
 	return fn
 }
 
-// tagID is tag, additionally returning the allocated operator id (-1 when
-// NoProfileHooks elides the wrapper). Path compilation uses the id to key
-// the cardinality-feedback cache and to attribute plan choices to the row.
+// tagID is tag, additionally returning the allocated operator id. Path
+// compilation uses the id to key the cardinality-feedback cache and to
+// attribute plan choices to the row.
 func (c *compiler) tagID(kind string, e expr.Expr, fn seqFn) (seqFn, int) {
-	if c.opts.NoProfileHooks {
-		return fn, -1
-	}
 	id := len(c.ops)
 	pos := e.Span()
 	c.ops = append(c.ops, OpInfo{

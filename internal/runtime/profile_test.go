@@ -1,13 +1,9 @@
 package runtime
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"xqgo/internal/xmlparse"
 	"xqgo/internal/xqparse"
 )
 
@@ -75,22 +71,6 @@ func TestProfileUntouchedWhenOff(t *testing.T) {
 	}
 }
 
-func TestProfileNoHooksElidesOperators(t *testing.T) {
-	p := compileProf(t, `for $b in /bib/book return $b/title`, Options{NoProfileHooks: true})
-	if got := len(p.Operators()); got != 0 {
-		t.Errorf("NoProfileHooks compile registered %d operators", got)
-	}
-	dyn := testDynamic(t)
-	prof := p.NewProfile(true)
-	dyn.Prof = prof
-	if _, err := p.Eval(dyn); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(prof.Report().Operators); got != 0 {
-		t.Errorf("NoProfileHooks run still profiled %d operators", got)
-	}
-}
-
 // TestProfileConcurrentQueries shares one Profile across parallel executions;
 // under -race this proves the per-operator and engine counters are safe, and
 // the totals prove no update is lost.
@@ -128,59 +108,4 @@ func TestProfileConcurrentQueries(t *testing.T) {
 	if want := int64(3 * workers); flworItems != want {
 		t.Errorf("flwor items = %d, want %d", flworItems, want)
 	}
-}
-
-// TestProfilingOffOverheadGuard asserts the tentpole's zero-cost-when-off
-// claim: with hooks compiled in but no profile attached, the hot path may
-// cost at most 3% over a NoProfileHooks build of the same query.
-func TestProfilingOffOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive benchmark guard; skipped in -short")
-	}
-	var sb strings.Builder
-	sb.WriteString("<bib>")
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&sb, "<book year=\"%d\"><title>t%d</title><price>%d</price></book>",
-			1990+i%30, i, i%150)
-	}
-	sb.WriteString("</bib>")
-	doc, err := xmlparse.ParseString(sb.String(), xmlparse.Options{URI: "guard.xml"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const src = `for $b in /bib/book where $b/price > 75 return $b/title`
-	bare := compileProf(t, src, Options{NoProfileHooks: true})
-	hooked := compileProf(t, src, Options{})
-
-	run := func(p *Prepared) {
-		if _, err := p.Eval(&Dynamic{ContextItem: doc.RootNode()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measure := func(p *Prepared) time.Duration {
-		const iters = 40
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 7; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				run(p)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	measure(bare) // warm-up
-	measure(hooked)
-	var tb, th time.Duration
-	for attempt := 0; attempt < 5; attempt++ {
-		tb = measure(bare)
-		th = measure(hooked)
-		if float64(th) <= float64(tb)*1.03 {
-			return
-		}
-		t.Logf("attempt %d: hooks-on %v vs hooks-off %v", attempt, th, tb)
-	}
-	t.Errorf("profiling-off overhead above 3%%: hooks-on %v vs hooks-off %v", th, tb)
 }

@@ -421,64 +421,3 @@ func TestMemoizationIsFaster(t *testing.T) {
 }
 
 func nowNanos() int64 { return time.Now().UnixNano() }
-
-// ---- parallel execution ----
-
-func TestParallelSeq(t *testing.T) {
-	q := `(count(//book[price > 10]),
-	      count(//author),
-	      sum(for $p in //price return xs:decimal($p)),
-	      string-join(for $t in //title return string($t), "|"))`
-	seq, err := evalQuery(t, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := evalQuery(t, q, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par {
-		t.Errorf("parallel disagreement:\n seq %q\n par %q", seq, par)
-	}
-
-	// Errors propagate from any branch.
-	if _, err := evalQuery(t, `(count(//book), 1 idiv 0, count(//author))`,
-		Options{Parallel: true}); err == nil {
-		t.Error("branch error must propagate")
-	}
-
-	// Shared variables are visible (forced before spawning).
-	q2 := `let $all := //book return (count($all), count($all/author), count($all/title))`
-	a, err := evalQuery(t, q2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := evalQuery(t, q2, Options{Parallel: true})
-	if err != nil || a != b {
-		t.Errorf("shared-var parallel: %q vs %q (%v)", a, b, err)
-	}
-
-	// Context-dependent sequences stay sequential but still work.
-	q3 := `string-join(for $b in /bib/book return (string($b/title), string($b/@year)), ",")`
-	a, _ = evalQuery(t, q3, Options{})
-	b, err = evalQuery(t, q3, Options{Parallel: true})
-	if err != nil || a != b {
-		t.Errorf("context parallel fallback: %q vs %q (%v)", a, b, err)
-	}
-}
-
-func TestParallelConstructionIdentity(t *testing.T) {
-	// Parallel branches constructing nodes must still produce distinct
-	// identities and correct output.
-	got, err := evalQuery(t, `
-	  count(distinct-nodes((
-	    <a>{string-join(for $i in (1 to 200) return string($i), "")}</a>,
-	    <a>{string-join(for $i in (1 to 200) return string($i), "")}</a>)))`,
-		Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "2" {
-		t.Errorf("parallel construction identity = %s", got)
-	}
-}

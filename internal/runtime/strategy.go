@@ -50,12 +50,15 @@ func (f *feedback) record(id int, n int64) {
 }
 
 // planKey identifies one strategy decision: a join-eligible path operator
-// (by its compiled joinPlan identity, which survives NoProfileHooks) over
-// one document.
+// (by its compiled joinPlan identity) over one document.
 type planKey struct {
 	jp  *joinPlan
 	doc *store.Document
 }
+
+// Strategy returns the plan-level join-strategy policy, resolved (never
+// StrategyDefault).
+func (p *Prepared) Strategy() optimizer.Strategy { return p.opts.Strategy }
 
 // resolvePathStrategy resolves the strategy policy for one instantiation:
 // a per-execution plan hint wins, then the compiled-in option. The result

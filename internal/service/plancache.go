@@ -51,7 +51,9 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Fingerprint canonicalizes the compile options and joins them with the
-// query text into the cache key. DisableRules is order-insensitive.
+// query text into the cache key: every field of xqgo.Options is a term
+// (TestFingerprintKeysEveryOption walks the struct). DisableRules is
+// order-insensitive.
 func Fingerprint(src string, opts *xqgo.Options) string {
 	var o xqgo.Options
 	if opts != nil {
@@ -59,9 +61,9 @@ func Fingerprint(src string, opts *xqgo.Options) string {
 	}
 	rules := append([]string(nil), o.DisableRules...)
 	sort.Strings(rules)
-	return fmt.Sprintf("e%d|no%t|r%s|st%d|mm%t|pp%t\x00%s",
-		o.Engine, o.NoOptimize, strings.Join(rules, ","),
-		o.EffectiveStrategy(), o.MemoizeFunctions, o.Parallel, src)
+	return fmt.Sprintf("no%t|r%s|st%d|mm%t|dp%t\x00%s",
+		o.NoOptimize, strings.Join(rules, ","),
+		o.Strategy, o.MemoizeFunctions, o.DisableProjection, src)
 }
 
 // Get returns the compiled plan for (src, opts), compiling on a miss.

@@ -309,7 +309,7 @@ func explainProfile(q *xqgo.Query, rep xqgo.ProfileReport) *ExplainProfile {
 		Counters:  rep.Counters,
 		Rewrites:  q.RewriteTrace(),
 		RuleFires: q.RuleFires(),
-		Plan:      q.Plan(),
+		Plan:      q.PlanInfo().Text,
 	}
 	for _, op := range rep.Operators {
 		if op.Strategy == "" {
@@ -569,10 +569,10 @@ func classify(err error) outcome {
 // call (ExecuteContext), not here.
 func (s *Service) buildContext(req Request) (*xqgo.Context, error) {
 	qctx := xqgo.NewContext()
-	// Index seeding follows the effective join strategy: anything but
-	// ForceNavigation can use the shared catalog indexes (under Auto the
-	// cost model prices a seeded index as free).
-	seedIndexes := s.cfg.Options.EffectiveStrategy() != xqgo.ForceNavigation
+	// Index seeding follows the join strategy: anything but ForceNavigation
+	// can use the shared catalog indexes (under Auto the cost model prices a
+	// seeded index as free).
+	seedIndexes := s.cfg.Options.Strategy != xqgo.ForceNavigation
 	entries := s.Catalog.snapshot()
 	for _, e := range entries {
 		qctx.RegisterDocument(e.Name, e.Doc)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,6 +119,42 @@ func TestPlanCacheLRUAndCounters(t *testing.T) {
 	}
 	if s := p.Stats(); s.Size != 2 {
 		t.Errorf("failed compilations entered the cache: size=%d", s.Size)
+	}
+}
+
+// Every field of xqgo.Options changes the compiled plan, so every field must
+// change the cache key: flip each in turn. A field added to Options without a
+// Fingerprint term fails here.
+func TestFingerprintKeysEveryOption(t *testing.T) {
+	const src = "/bib/book/title"
+	base := Fingerprint(src, nil)
+	typ := reflect.TypeOf(xqgo.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o xqgo.Options
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(int64(xqgo.ForceTwig))
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]string{xqgo.RuleCSE}))
+		default:
+			t.Fatalf("Options.%s: kind %s — teach this test to flip it", typ.Field(i).Name, f.Kind())
+		}
+		if Fingerprint(src, &o) == base {
+			t.Errorf("Options.%s is not part of the plan-cache key", typ.Field(i).Name)
+		}
+	}
+
+	// The consequence the key guards: a plan compiled without projection
+	// must not be served to a request that asked for it.
+	p := NewPlanCache(4)
+	if _, _, err := p.Get(src, &xqgo.Options{DisableProjection: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := p.Get(src, nil); err != nil || cached {
+		t.Errorf("default-options lookup after a DisableProjection compile: cached=%v, err=%v", cached, err)
 	}
 }
 

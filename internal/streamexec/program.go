@@ -92,10 +92,7 @@ func Compile(q *expr.Query, ro runtime.Options) *Program {
 	// check per operator instantiation, while profiled stream runs get real
 	// per-operator rows (counted under a residual-sized profile — see
 	// Runner.finishProfile — because operator ids are plan-specific).
-	res, err := runtime.Compile(rq, runtime.Options{
-		Eager:   ro.Eager,
-		NoBatch: ro.NoBatch,
-	})
+	res, err := runtime.Compile(rq, runtime.Options{Eager: ro.Eager})
 	if err != nil {
 		return &Program{class: StoreRequired, reason: "residual compile: " + err.Error()}
 	}

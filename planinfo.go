@@ -36,8 +36,7 @@ type PlanOperator struct {
 
 // PlanInfo is the structured form of a compiled plan.
 type PlanInfo struct {
-	// Text is the rendered optimized expression tree (what the deprecated
-	// Plan() returns).
+	// Text is the rendered optimized expression tree.
 	Text string `json:"text"`
 	// Strategy is the plan-level join-strategy policy ("auto" unless the
 	// compile options forced one).
@@ -51,7 +50,7 @@ type PlanInfo struct {
 func (q *Query) PlanInfo() PlanInfo {
 	return PlanInfo{
 		Text:      expr.String(q.plan.Body),
-		Strategy:  q.ro.Strategy.String(),
+		Strategy:  q.prepared.Strategy().String(),
 		Operators: planOperators(q.prepared.PlanTree()),
 	}
 }

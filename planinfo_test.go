@@ -38,10 +38,6 @@ func TestPlanInfoGolden(t *testing.T) {
 	if info.Strategy != "auto" {
 		t.Errorf("plan strategy = %q, want auto", info.Strategy)
 	}
-	if info.Text != q.Plan() {
-		t.Errorf("PlanInfo().Text diverges from deprecated Plan():\n%q\nvs\n%q",
-			info.Text, q.Plan())
-	}
 	// Join-eligible chains (//a//b and //a//b//c) are policy "auto"; their
 	// nested per-step sub-paths and the non-eligible $x/c are "navigation".
 	got := planShape(q)

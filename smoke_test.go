@@ -38,7 +38,7 @@ func TestSmoke(t *testing.T) {
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("query %q:\n got  %q\n want %q\n plan %s", tc.q, got, tc.want, q.Plan())
+			t.Errorf("query %q:\n got  %q\n want %q\n plan %s", tc.q, got, tc.want, q.PlanInfo().Text)
 		}
 	}
 	fmt.Println("smoke done")

@@ -18,11 +18,7 @@ func TestTradingPartnerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile (streaming): %v", err)
 	}
-	eager, err := xqgo.Compile(workload.TradingPartnerQuery,
-		&xqgo.Options{Engine: xqgo.Eager, NoOptimize: true})
-	if err != nil {
-		t.Fatalf("compile (eager): %v", err)
-	}
+	eager := eagerOracle(t, workload.TradingPartnerQuery)
 
 	ctx := func() *xqgo.Context { return xqgo.NewContext().Bind("wlc", doc) }
 	got1, err := stream.EvalString(ctx())

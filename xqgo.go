@@ -46,27 +46,9 @@ type (
 	Atomic = xdm.Atomic
 )
 
-// EngineKind selects the evaluation engine.
-//
-// Deprecated: raw engine toggling is a mechanism knob. Callers tuning how
-// queries execute should express intent through Options.Strategy (or a
-// per-execution Context.WithPlanHints) and leave the engine alone; Eager
-// remains available as the differential-testing comparator.
-type EngineKind int
-
-const (
-	// Streaming is the lazy pull-based iterator engine (the paper's
-	// processor). Default.
-	Streaming EngineKind = iota
-	// Eager is the fully-materializing baseline engine used as the
-	// comparator in the experiments.
-	Eager
-)
-
 // Strategy is the join-strategy policy for join-eligible path chains
 // (//a//b/c …): how the engine evaluates rooted descendant-axis chains over
-// plain name tests. The zero value defers to the deprecated
-// UseStructuralJoins knob and otherwise means StrategyAuto.
+// plain name tests. The zero value means StrategyAuto.
 type Strategy = optimizer.Strategy
 
 const (
@@ -85,10 +67,6 @@ const (
 
 // Options configure compilation.
 type Options struct {
-	// Engine selects streaming (default) or the eager baseline.
-	//
-	// Deprecated: see EngineKind. Use Strategy to steer execution.
-	Engine EngineKind
 	// NoOptimize disables the rewriting optimizer entirely.
 	NoOptimize bool
 	// DisableRules turns off individual optimizer rules by name (see
@@ -99,27 +77,9 @@ type Options struct {
 	// testing and measurement. A per-execution Context.WithPlanHints
 	// overrides it.
 	Strategy Strategy
-	// UseStructuralJoins evaluates descendant-axis path chains (//a//b)
-	// with stack-tree structural joins over a lazily built per-document
-	// name index instead of navigation — the index-based processing mode.
-	//
-	// Deprecated: set Strategy to ForceBinaryJoin instead (this knob maps
-	// to exactly that, and is ignored when Strategy is set). The default
-	// behavior is now StrategyAuto, which uses structural and twig joins
-	// whenever the cost model prices them below navigation.
-	UseStructuralJoins bool
 	// MemoizeFunctions caches calls to pure user functions within one
 	// execution (intra-query memoization).
 	MemoizeFunctions bool
-	// Parallel evaluates independent heavy branches of comma sequences
-	// concurrently (horizontal parallelization). Opt-in: error timing may
-	// change (XQuery's non-determinism permits this).
-	Parallel bool
-	// DisableBatching turns off the vectorized batch pull fast path: every
-	// materializing consumer in the plan moves one item per virtual call.
-	// This is the item-at-a-time baseline used by the batched-vs-item
-	// benchmark rows and differential tests; leave it off for production.
-	DisableBatching bool
 	// DisableProjection turns off static path projection for streaming
 	// inputs (Context.WithStreamingInput): the whole input document is
 	// materialized instead of only the subtrees the query's path set can
@@ -183,17 +143,31 @@ func Compile(src string, opts *Options) (*Query, error) {
 		q = optimizer.Optimize(q, oo)
 	}
 	ro := runtime.Options{
-		Eager:            opts.Engine == Eager,
-		Strategy:         opts.EffectiveStrategy(),
+		Strategy:         opts.Strategy,
 		MemoizeFunctions: opts.MemoizeFunctions,
-		Parallel:         opts.Parallel,
-		NoBatch:          opts.DisableBatching,
 	}
 	if !opts.DisableProjection {
 		// Static path projection: the set of root-reachable paths the query
 		// can touch, used to skip unreachable subtrees while stream-parsing.
 		ro.Projection = optimizer.ExtractPaths(q)
 	}
+	return compilePlan(q, trace, ro)
+}
+
+// CompileReference compiles src, unoptimized, for the engine variant ro
+// selects: runtime.Options{Eager: true} is the fully materializing reference
+// engine that the differential tests and experiments E1/E3/E11 compare the
+// lazy engine against. The parameter type lives under internal/, so only
+// code inside this module can call it.
+func CompileReference(src string, ro runtime.Options) (*Query, error) {
+	q, err := xqparse.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return compilePlan(q, nil, ro)
+}
+
+func compilePlan(q *expr.Query, trace *optimizer.Trace, ro runtime.Options) (*Query, error) {
 	prepared, err := runtime.Compile(q, ro)
 	if err != nil {
 		return nil, err
@@ -209,26 +183,6 @@ func MustCompile(src string, opts *Options) *Query {
 	}
 	return q
 }
-
-// EffectiveStrategy resolves the configured strategy policy: an explicit
-// Strategy wins, the deprecated UseStructuralJoins knob maps to
-// ForceBinaryJoin, and everything else defaults to StrategyAuto.
-func (o Options) EffectiveStrategy() Strategy {
-	if o.Strategy != optimizer.StrategyDefault {
-		return o.Strategy
-	}
-	if o.UseStructuralJoins {
-		return ForceBinaryJoin
-	}
-	return StrategyAuto
-}
-
-// Plan renders the optimized expression tree (diagnostics).
-//
-// Deprecated: Plan is the string form only; use PlanInfo for the
-// structured operator tree (stable operator ids, per-branch join strategy,
-// cardinality estimates). Plan returns PlanInfo().Text.
-func (q *Query) Plan() string { return q.PlanInfo().Text }
 
 // Profiling and explain support. A Profile is attached to a Context before
 // execution and read afterwards; the rewrite trace is recorded at Compile
@@ -517,15 +471,16 @@ type WorkerLimiter = runtime.WorkerLimiter
 
 // WithWorkers sets the morsel-parallelism target for executions under this
 // context: up to n workers — including the pulling goroutine — cooperate on
-// large path-step scans, structural joins, and FLWOR for/where tuple
-// pipelines, with results stitched back in document order. n <= 1 (the
-// default) keeps execution fully sequential. Workers beyond the first are
-// leased round by round from the limiter (WithWorkerLimiter; a process-wide
-// GOMAXPROCS pool by default) and are best-effort: a query always makes
-// progress on its own goroutine — the guaranteed minimum of one — and
-// simply runs sequentially when no slots are idle. Results and their order
-// are identical to sequential execution; like Options.Parallel, errors may
-// surface from bindings a fully lazy evaluation would have skipped.
+// large path-step scans, structural joins, FLWOR for/where tuple pipelines,
+// and the independent heavy branches of comma sequences, with results
+// stitched back in document order. n <= 1 (the default) keeps execution
+// fully sequential. Workers beyond the first are leased round by round from
+// the limiter (WithWorkerLimiter; a process-wide GOMAXPROCS pool by default)
+// and are best-effort: a query always makes progress on its own goroutine —
+// the guaranteed minimum of one — and simply runs sequentially when no slots
+// are idle. Results and their order are identical to sequential execution;
+// errors may surface from bindings a fully lazy evaluation would have
+// skipped.
 func (c *Context) WithWorkers(n int) *Context {
 	c.dyn.Workers = n
 	return c
