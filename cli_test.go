@@ -69,6 +69,31 @@ func TestCLIXmlgenAndXq(t *testing.T) {
 		t.Errorf("optimized and unoptimized disagree: %q vs %q", out2, out)
 	}
 
+	// xq -stream=false prints through EvalString and xq -stream (the
+	// default) through Execute: one writer, so a namespaced document comes
+	// out as the same bytes, with the prefixes its declarations carry.
+	nsDoc := filepath.Join("testdata", "seed_ns.xml")
+	nsQuery := `<w xmlns:z="urn:z">{/*/*[1], /*}</w>`
+	out, errOut, err = runTool(t, "run", "./cmd/xq", "-stream=false", "-doc", nsDoc, nsQuery)
+	if err != nil {
+		t.Fatalf("xq -stream=false over %s: %v\n%s", nsDoc, err, errOut)
+	}
+	out2, errOut, err = runTool(t, "run", "./cmd/xq", "-stream", "-doc", nsDoc, nsQuery)
+	if err != nil {
+		t.Fatalf("xq -stream over %s: %v\n%s", nsDoc, err, errOut)
+	}
+	if out2 != out {
+		t.Errorf("xq -stream=false and xq -stream disagree:\n  false: %q\n  true:  %q", out, out2)
+	}
+	for _, want := range []string{
+		`<w xmlns:z="urn:z"><a xmlns="urn:p" xmlns:ns1="urn:p" ns1:k="v" plain="w">`,
+		`<r xmlns="urn:default" xmlns:p="urn:p">`, `<p:a p:k="v" plain="w">`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("xq output lacks %s:\n%s", want, out)
+		}
+	}
+
 	// The removed mode flags are gone, not ignored.
 	for _, args := range [][]string{
 		{"run", "./cmd/xq", "-engine", "eager", `1`},

@@ -66,6 +66,19 @@ func TestFandOConformance(t *testing.T) {
 		{"duration/ym-empty", `count(xs:yearMonthDuration(()))`, "0", ""},
 		{"duration/ym-invalid-lexical", `xs:yearMonthDuration("P1D")`, "", "FORG0001"},
 		{"duration/dt-invalid-lexical", `xs:dayTimeDuration("P1Y")`, "", "FORG0001"},
+
+		// A direct constructor's xmlns="..." is the default element
+		// namespace of its own name, of nested constructors and of name
+		// tests in enclosed expressions, ahead of the prolog's.
+		{"default-ns/own-name", `namespace-uri(<a xmlns="urn:k"/>)`, "urn:k", ""},
+		{"default-ns/nested-and-name-test",
+			`<a xmlns="urn:k">{namespace-uri(<b/>), count(<c><d/></c>/d)}</a>`,
+			`<a xmlns="urn:k">urn:k 1</a>`, ""},
+		{"default-ns/innermost-wins",
+			`declare default element namespace "urn:p";
+			 (namespace-uri(<a xmlns="urn:k"><b xmlns=""/></a>/*), namespace-uri(<a/>))`,
+			" urn:p", ""},
+		{"default-ns/attribute-unaffected", `namespace-uri(<a xmlns="urn:k" x="1"/>/@x)`, "", ""},
 	}
 
 	for _, tc := range cases {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"xqgo/internal/serializer"
-	"xqgo/internal/tokens"
 	"xqgo/internal/xdm"
 )
 
@@ -166,7 +165,7 @@ func (p *Prepared) Iterator(dyn *Dynamic) (Iter, error) {
 // ExecuteToWriter evaluates the query and serializes the result directly to
 // w. Streamed constructor results are token-piped into the writer without
 // node-id assignment or tree materialization (experiment E7); stored nodes
-// are serialized conventionally.
+// are scanned into the same writer.
 func (p *Prepared) ExecuteToWriter(dyn *Dynamic, w io.Writer) (err error) {
 	defer recoverXQ(&err)
 	if dyn == nil {
@@ -176,51 +175,26 @@ func (p *Prepared) ExecuteToWriter(dyn *Dynamic, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	sw := tokens.NewStreamWriter(w)
-	// Token accounting is batched: the wrapper counts locally and the sink
-	// flushes the count into the profile once per result batch.
-	var batchTokens int64
-	write := sw.WriteToken
-	if dyn.Prof != nil {
-		write = func(t tokens.Token) error {
-			batchTokens++
-			return sw.WriteToken(t)
-		}
-	}
-	emit := func(item xdm.Item, prevAtomic bool) (bool, error) {
-		switch n := item.(type) {
-		case *StreamedNode:
-			return false, n.EmitTokens(write)
-		case xdm.Node:
-			return false, emitStoredNode(n, write)
-		default:
-			a := item.(xdm.Atomic)
-			if prevAtomic {
-				if err := write(tokens.Token{Kind: tokens.KindText, Value: " "}); err != nil {
-					return false, err
-				}
-			}
-			return true, write(tokens.Token{Kind: tokens.KindAtomic, Atom: a})
-		}
-	}
+	sw := serializer.New(w, serializer.Options{OmitXMLDecl: true})
+	// Token accounting is batched: the writer counts, and the sink flushes
+	// the count into the profile once per result batch.
+	var counted int64
 	flushTokens := func() {
-		if batchTokens > 0 {
-			dyn.Prof.addXMLTokens(batchTokens)
-			batchTokens = 0
+		if n := sw.Tokens(); n > counted {
+			dyn.Prof.addXMLTokens(n - counted)
+			counted = n
 		}
 	}
 	defer flushTokens()
 
-	prevAtomic := false
 	// Batched serializer sink: drain whole result batches per tick.
 	buf := dyn.getBuf()
 	defer dyn.putBuf(buf)
 	for {
 		n, err := nextBatch(it, buf)
 		for i := 0; i < n; i++ {
-			var eerr error
-			if prevAtomic, eerr = emit(buf[i], prevAtomic); eerr != nil {
-				return eerr
+			if werr := sw.WriteItem(buf[i]); werr != nil {
+				return werr
 			}
 		}
 		flushTokens()
@@ -235,12 +209,6 @@ func (p *Prepared) ExecuteToWriter(dyn *Dynamic, w io.Writer) (err error) {
 		}
 	}
 	return sw.Close()
-}
-
-// SerializeResult renders a materialized result with the tree serializer
-// (used by the CLI and tests).
-func SerializeResult(seq xdm.Sequence) (string, error) {
-	return serializer.SequenceToString(seq)
 }
 
 // String renders a short description of the prepared query.

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"xqgo/internal/store"
 	"xqgo/internal/tokens"
 	"xqgo/internal/xdm"
 )
@@ -155,7 +154,7 @@ func emitConstructor(cc *compiledConstructor, fr *Frame, emit func(tokens.Token)
 	if err != nil {
 		return err
 	}
-	return emitStoredNode(n, emit)
+	return tokens.EmitItem(n, emit)
 }
 
 // emitContentSeq streams an evaluated content sequence as tokens, applying
@@ -172,13 +171,7 @@ func emitContentSeq(it Iter, emit func(tokens.Token) error) error {
 		}
 		if n, isNode := x.(xdm.Node); isNode {
 			prevAtomic = false
-			if sn, isStream := n.(*StreamedNode); isStream {
-				if err := sn.EmitTokens(emit); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := emitStoredNode(n, emit); err != nil {
+			if err := tokens.EmitItem(n, emit); err != nil {
 				return err
 			}
 			continue
@@ -192,62 +185,4 @@ func emitContentSeq(it Iter, emit func(tokens.Token) error) error {
 			return err
 		}
 	}
-}
-
-// emitStoredNode copies an existing node into the output token stream.
-func emitStoredNode(n xdm.Node, emit func(tokens.Token) error) error {
-	if sn, ok := n.(*store.Node); ok {
-		sc := tokens.NewDocScanner(sn.D, sn.ID)
-		if err := sc.Open(); err != nil {
-			return err
-		}
-		defer sc.Close()
-		for {
-			t, ok, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-	}
-	// Generic fallback.
-	switch n.Kind() {
-	case xdm.DocumentNode:
-		for _, c := range n.ChildrenOf() {
-			if err := emitStoredNode(c, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	case xdm.ElementNode:
-		if err := emit(tokens.Token{Kind: tokens.KindStartElement, Name: n.NodeName()}); err != nil {
-			return err
-		}
-		for _, a := range n.AttributesOf() {
-			if err := emit(tokens.Token{Kind: tokens.KindAttribute,
-				Name: a.NodeName(), Value: a.StringValue()}); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.ChildrenOf() {
-			if err := emitStoredNode(c, emit); err != nil {
-				return err
-			}
-		}
-		return emit(tokens.Token{Kind: tokens.KindEndElement, Name: n.NodeName()})
-	case xdm.AttributeNode:
-		return emit(tokens.Token{Kind: tokens.KindAttribute, Name: n.NodeName(), Value: n.StringValue()})
-	case xdm.TextNode:
-		return emit(tokens.Token{Kind: tokens.KindText, Value: n.StringValue()})
-	case xdm.CommentNode:
-		return emit(tokens.Token{Kind: tokens.KindComment, Value: n.StringValue()})
-	case xdm.PINode:
-		return emit(tokens.Token{Kind: tokens.KindPI, Name: n.NodeName(), Value: n.StringValue()})
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"sort"
 	"sync/atomic"
 
 	"xqgo/internal/labeling"
@@ -226,18 +227,24 @@ func (d *Document) AttrRange(elem int32) (from, to int32) {
 	return from, to
 }
 
-// NSDecls returns the namespace declarations recorded on elem (usually
-// zero or one small slice; allocated per call for in-progress documents).
+// NSDecls returns the namespace declarations recorded on elem, as a slice
+// of d.NS (not to be modified). The builder appends d.NS in pre-order, so the
+// run is found by binary search; a document that declares no namespaces pays
+// one length check. An element's declarations land in the same parse
+// increment as the element, so the run is final once the element exists.
 func (d *Document) NSDecls(elem int32) []NSDecl {
 	f := d.rlock()
-	var out []NSDecl
-	for _, ns := range d.NS {
-		if ns.Elem == elem {
-			out = append(out, ns)
-		}
-	}
+	ns := d.NS
 	d.runlock(f)
-	return out
+	if len(ns) == 0 {
+		return nil
+	}
+	lo := sort.Search(len(ns), func(i int) bool { return ns[i].Elem >= elem })
+	hi := lo
+	for hi < len(ns) && ns[hi].Elem == elem {
+		hi++
+	}
+	return ns[lo:hi]
 }
 
 // textContent concatenates the descendant text of an element or document

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/xml"
 
+	"xqgo/internal/serializer"
 	"xqgo/internal/tokens"
+	"xqgo/internal/xdm"
 )
 
 // Dispatcher fans one decoder token stream out to the window groups of a
@@ -75,19 +77,22 @@ func (d *Dispatcher) Live() int {
 // way.
 type ResultFramer struct {
 	buf     bytes.Buffer
-	sw      *tokens.StreamWriter
+	sw      *serializer.Writer
 	deliver func([]byte) error
 }
 
 // NewResultFramer creates a framer delivering to deliver.
 func NewResultFramer(deliver func(xml []byte) error) *ResultFramer {
 	f := &ResultFramer{deliver: deliver}
-	f.sw = tokens.NewStreamWriter(&f.buf)
+	f.sw = serializer.New(&f.buf, serializer.Options{OmitXMLDecl: true})
 	return f
 }
 
 // WriteToken adds one token to the current result item.
 func (f *ResultFramer) WriteToken(t tokens.Token) error { return f.sw.WriteToken(t) }
+
+// WriteItem adds the tokens of one whole item to the current result item.
+func (f *ResultFramer) WriteItem(item xdm.Item) error { return f.sw.WriteItem(item) }
 
 // EndResult completes the current item and delivers it.
 func (f *ResultFramer) EndResult() error {

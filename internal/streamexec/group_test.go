@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"xqgo/internal/tokens"
+	"xqgo/internal/serializer"
 	"xqgo/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func TestWindowAllocGuard(t *testing.T) {
 	}
 	var windows int64
 	perRun := testing.AllocsPerRun(5, func() {
-		r := NewWriterRunner(prog, Env{}, tokens.NewStreamWriter(io.Discard))
+		r := NewWriterRunner(prog, Env{}, serializer.New(io.Discard, serializer.Options{OmitXMLDecl: true}))
 		for _, tok := range toks {
 			if err := r.Token(tok); err != nil {
 				t.Fatal(err)

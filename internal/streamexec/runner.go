@@ -12,6 +12,7 @@ import (
 	"xqgo/internal/faultinject"
 	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
+	"xqgo/internal/serializer"
 	"xqgo/internal/store"
 	"xqgo/internal/tokens"
 	"xqgo/internal/trace"
@@ -223,7 +224,7 @@ func (r *Runner) add(p *Program, sink func(tokens.Token) error, endResult func()
 // NewWriterRunner creates a group of one serializing all results into one
 // shared token writer (the Execute path: results concatenate exactly like the
 // store engine's ExecuteToWriter, including the adjacent-atomic space rule).
-func NewWriterRunner(p *Program, env Env, sw *tokens.StreamWriter) *Runner {
+func NewWriterRunner(p *Program, env Env, sw *serializer.Writer) *Runner {
 	r := newRunner(p, env)
 	r.add(p, sw.WriteToken, nil)
 	return r
@@ -404,18 +405,7 @@ func (r *Runner) startElement(t xml.StartElement) error {
 	}
 	if len(r.open) > 0 {
 		r.dropWS()
-		if err := r.fanOut(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
-			return err
-		}
-		for _, a := range t.Attr {
-			if isXmlns(a.Name) {
-				continue
-			}
-			if err := r.fanOut(tokens.Token{Kind: tokens.KindAttribute,
-				Name: convName(a.Name), Value: a.Value}); err != nil {
-				return err
-			}
-		}
+		return startTokens(t, r.fanOut)
 	}
 	return nil
 }
@@ -548,15 +538,33 @@ func (r *Runner) interiorStart(t xml.StartElement) error {
 		}
 		return r.addBuf(est)
 	}
-	m := r.members[0]
-	if err := m.emit(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
+	return startTokens(t, r.members[0].emit)
+}
+
+// startTokens emits a start-element the way a scan of the stored element
+// would: the name, its namespace declarations, then its attributes.
+func startTokens(t xml.StartElement, emit func(tokens.Token) error) error {
+	if err := emit(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
 		return err
+	}
+	for _, a := range t.Attr {
+		if !isXmlns(a.Name) {
+			continue
+		}
+		prefix := a.Name.Local
+		if a.Name.Space == "" {
+			prefix = ""
+		}
+		if err := emit(tokens.Token{Kind: tokens.KindNamespace,
+			Name: xdm.LocalName(prefix), Value: a.Value}); err != nil {
+			return err
+		}
 	}
 	for _, a := range t.Attr {
 		if isXmlns(a.Name) {
 			continue
 		}
-		if err := m.emit(tokens.Token{Kind: tokens.KindAttribute,
+		if err := emit(tokens.Token{Kind: tokens.KindAttribute,
 			Name: convName(a.Name), Value: a.Value}); err != nil {
 			return err
 		}
@@ -637,7 +645,7 @@ func (r *Runner) evalWindow(m *Member, win *store.Node) (err error) {
 		if !ok {
 			return nil
 		}
-		if err := runtime.EmitItemTokens(item, m.emit); err != nil {
+		if err := tokens.EmitItem(item, m.emit); err != nil {
 			return err
 		}
 		if err := r.finishResult(m); err != nil {

@@ -11,7 +11,7 @@ import (
 	"xqgo/internal/optimizer"
 	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
-	"xqgo/internal/tokens"
+	"xqgo/internal/serializer"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xmlparse"
 	"xqgo/internal/xqparse"
@@ -62,7 +62,7 @@ func storeEval(t *testing.T, q *expr.Query, ro runtime.Options, doc string, stri
 func streamEval(t *testing.T, prog *Program, doc string, strip bool, vars map[string]xdm.Sequence) (string, Stats) {
 	t.Helper()
 	var buf bytes.Buffer
-	sw := tokens.NewStreamWriter(&buf)
+	sw := serializer.New(&buf, serializer.Options{OmitXMLDecl: true})
 	r := NewWriterRunner(prog, Env{StripWhitespace: strip, Vars: vars}, sw)
 	p := xmlparse.ParseIncremental(strings.NewReader(doc), xmlparse.Options{
 		StripWhitespace: strip,
@@ -232,7 +232,7 @@ func TestResidualWindowBufferAccounting(t *testing.T) {
 	prof := mustProfile(t)
 	_, stats := func() (string, Stats) {
 		var buf bytes.Buffer
-		sw := tokens.NewStreamWriter(&buf)
+		sw := serializer.New(&buf, serializer.Options{OmitXMLDecl: true})
 		r := NewWriterRunner(prog, Env{StripWhitespace: true, Prof: prof}, sw)
 		feedTokens(t, r.Token, bibDoc, true)
 		if err := r.Finish(); err != nil {

@@ -18,7 +18,8 @@ type DocScanner struct {
 	// cursor state
 	next    int32 // next node id to open
 	opened  bool
-	pending []frame // open nodes awaiting End tokens
+	pending []frame        // open nodes awaiting End tokens
+	ns      []store.NSDecl // declarations of the element just opened, not yet returned
 	// subtreeEnd of the token most recently returned by Next, for Skip.
 	lastStart  int32
 	lastIsOpen bool
@@ -40,6 +41,7 @@ func (s *DocScanner) Open() error {
 	s.next = s.root
 	s.opened = true
 	s.pending = s.pending[:0]
+	s.ns = nil
 	s.lastIsOpen = false
 	return nil
 }
@@ -50,6 +52,13 @@ func (s *DocScanner) Next() (Token, bool, error) {
 		return Token{}, false, fmt.Errorf("tokens: Next before Open")
 	}
 	d := s.doc
+	if len(s.ns) > 0 {
+		// Declarations come right after their StartElement, before the
+		// attributes; lastIsOpen stays set, so Skip still skips the element.
+		ns := s.ns[0]
+		s.ns = s.ns[1:]
+		return Token{Kind: KindNamespace, Name: xdm.LocalName(ns.Prefix), Value: ns.URI}, true, nil
+	}
 	end := d.EndID(s.root)
 	// Emit pending End tokens for nodes whose subtree we have left.
 	if len(s.pending) > 0 {
@@ -76,6 +85,7 @@ func (s *DocScanner) Next() (Token, bool, error) {
 	case xdm.ElementNode:
 		s.pending = append(s.pending, frame{id: id, end: d.EndID(id)})
 		s.lastStart, s.lastIsOpen = id, true
+		s.ns = d.NSDecls(id)
 		return Token{Kind: KindStartElement, Name: d.NameOf(id)}, true, nil
 	case xdm.AttributeNode:
 		s.lastIsOpen = false
@@ -104,6 +114,7 @@ func (s *DocScanner) Skip() error {
 		return nil // nothing open: Skip is a no-op
 	}
 	s.next = s.doc.EndID(s.lastStart) + 1
+	s.ns = nil
 	// The subtree's End token will not be emitted either.
 	if len(s.pending) > 0 && s.pending[len(s.pending)-1].id == s.lastStart {
 		s.pending = s.pending[:len(s.pending)-1]
@@ -114,6 +125,39 @@ func (s *DocScanner) Skip() error {
 
 // Close releases resources (none held).
 func (s *DocScanner) Close() { s.opened = false }
+
+// Source is an item that generates its own tokens: the runtime's id-free
+// constructed nodes.
+type Source interface {
+	EmitTokens(emit func(Token) error) error
+}
+
+// EmitItem sends the tokens of one item to emit, from the token source the
+// item already has: a stored node is scanned, a Source generates its own, an
+// atomic value travels as one KindAtomic token.
+func EmitItem(item xdm.Item, emit func(Token) error) error {
+	switch n := item.(type) {
+	case *store.Node:
+		sc := NewDocScanner(n.D, n.ID)
+		if err := sc.Open(); err != nil {
+			return err
+		}
+		for {
+			t, ok, err := sc.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := emit(t); err != nil {
+				return err
+			}
+		}
+	case Source:
+		return n.EmitTokens(emit)
+	case xdm.Atomic:
+		return emit(Token{Kind: KindAtomic, Atom: n})
+	}
+	return fmt.Errorf("tokens: no token source for %T", item)
+}
 
 // SliceIterator replays a materialized token slice; it is the product of the
 // buffer-iterator factory.

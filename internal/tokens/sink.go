@@ -2,11 +2,8 @@ package tokens
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"xqgo/internal/store"
-	"xqgo/internal/xdm"
 )
 
 // BuildDocument drains an iterator into a new store document, assigning node
@@ -54,148 +51,3 @@ func BuildDocument(it Iterator, opts store.BuilderOptions) (*store.Document, err
 	}
 	return b.Done()
 }
-
-// SerializeStream writes a token stream directly as XML text without
-// materializing a document — the "node identifiers only if really needed"
-// path: when a constructed result is immediately serialized, no ids, no
-// store, no tree are ever created.
-func SerializeStream(it Iterator, w io.Writer) error {
-	if err := it.Open(); err != nil {
-		return err
-	}
-	defer it.Close()
-	var openTag bool // inside a start tag, attributes still allowed
-	var stack []string
-	prevAtomic := false
-
-	write := func(s string) error {
-		_, err := io.WriteString(w, s)
-		return err
-	}
-	closeOpenTag := func() error {
-		if openTag {
-			openTag = false
-			return write(">")
-		}
-		return nil
-	}
-
-	for {
-		t, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if t.Kind != KindAtomic {
-			prevAtomic = false
-		}
-		switch t.Kind {
-		case KindStartDocument, KindEndDocument:
-			// transparent in text output
-		case KindStartElement:
-			if err := closeOpenTag(); err != nil {
-				return err
-			}
-			tag := lexicalName(t.Name)
-			if err := write("<" + tag); err != nil {
-				return err
-			}
-			if t.Name.Space != "" && t.Name.Prefix == "" {
-				if err := write(` xmlns="` + escapeAttr(t.Name.Space) + `"`); err != nil {
-					return err
-				}
-			}
-			stack = append(stack, tag)
-			openTag = true
-		case KindEndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("tokens: unbalanced end element")
-			}
-			tag := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if openTag {
-				openTag = false
-				if err := write("/>"); err != nil {
-					return err
-				}
-			} else if err := write("</" + tag + ">"); err != nil {
-				return err
-			}
-		case KindAttribute:
-			if !openTag {
-				return fmt.Errorf("tokens: attribute %s after element content", t.Name)
-			}
-			if err := write(" " + lexicalName(t.Name) + `="` + escapeAttr(t.Value) + `"`); err != nil {
-				return err
-			}
-		case KindNamespace:
-			if !openTag {
-				return fmt.Errorf("tokens: namespace token after element content")
-			}
-			name := "xmlns"
-			if t.Name.Local != "" {
-				name += ":" + t.Name.Local
-			}
-			if err := write(" " + name + `="` + escapeAttr(t.Value) + `"`); err != nil {
-				return err
-			}
-		case KindText:
-			if err := closeOpenTag(); err != nil {
-				return err
-			}
-			if err := write(escapeText(t.Value)); err != nil {
-				return err
-			}
-		case KindComment:
-			if err := closeOpenTag(); err != nil {
-				return err
-			}
-			if err := write("<!--" + t.Value + "-->"); err != nil {
-				return err
-			}
-		case KindPI:
-			if err := closeOpenTag(); err != nil {
-				return err
-			}
-			if err := write("<?" + t.Name.Local + " " + t.Value + "?>"); err != nil {
-				return err
-			}
-		case KindAtomic:
-			if err := closeOpenTag(); err != nil {
-				return err
-			}
-			if prevAtomic {
-				if err := write(" "); err != nil {
-					return err
-				}
-			}
-			if err := write(escapeText(t.Atom.Lexical())); err != nil {
-				return err
-			}
-			prevAtomic = true
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("tokens: %d unclosed element(s)", len(stack))
-	}
-	return nil
-}
-
-func lexicalName(q xdm.QName) string {
-	if q.Prefix != "" {
-		return q.Prefix + ":" + q.Local
-	}
-	return q.Local
-}
-
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-
-var attrEscaper = strings.NewReplacer(
-	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-)
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }

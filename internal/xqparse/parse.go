@@ -157,13 +157,17 @@ func (p *parser) lookupNS(prefix string) (string, bool) {
 }
 
 // resolveQName resolves a lexical QName. kind selects the default namespace
-// rule: "elem" uses the default element namespace, "func" the default
-// function namespace, "" none (variables, attributes).
+// rule: "elem" uses the default element namespace (the xmlns="..." of the
+// innermost enclosing direct constructor that has one, else the prolog's),
+// "func" the default function namespace, "" none (variables, attributes).
 func (p *parser) resolveQName(lexical string, kind string) (xdm.QName, error) {
 	prefix, local := xdm.SplitLexical(lexical)
 	if prefix == "" {
 		switch kind {
 		case "elem":
+			if uri, ok := p.lookupNS(""); ok {
+				return xdm.QName{Space: uri, Local: local}, nil
+			}
 			return xdm.QName{Space: p.defaultElemNS, Local: local}, nil
 		case "func":
 			q := xdm.QName{Space: p.defaultFuncNS, Local: local}

@@ -27,13 +27,24 @@ const paperBib = `<bib>
  </book>
 </bib>`
 
+// paperNS is the namespaced companion of paperBib: prefixed and default
+// declarations, a namespaced attribute, xml:lang, and an attribute value
+// with a newline and a tab.
+const paperNS = `<p:a xmlns:p="urn:p"><p:b q:x="1" xmlns:q="urn:q">t</p:b>` +
+	`<d xmlns="urn:d"><e><f/></e></d><g x="l1&#10;l2&#9;t" xml:lang="en"/></p:a>`
+
 func paperCtx(t *testing.T) (*xqgo.Context, *xqgo.Document) {
 	t.Helper()
 	doc, err := xqgo.ParseString(paperBib, "bib.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return xqgo.NewContext().WithContextNode(doc).RegisterDocument("bib.xml", doc), doc
+	ns, err := xqgo.ParseString(paperNS, "ns.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xqgo.NewContext().WithContextNode(doc).
+		RegisterDocument("bib.xml", doc).RegisterDocument("ns.xml", ns), doc
 }
 
 func evalP(t *testing.T, q string) string {

@@ -5,8 +5,8 @@ import (
 
 	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
+	"xqgo/internal/serializer"
 	"xqgo/internal/streamexec"
-	"xqgo/internal/tokens"
 	"xqgo/internal/xmlparse"
 )
 
@@ -62,7 +62,7 @@ func (q *Query) tryExecuteStream(c *Context, w io.Writer) (bool, error) {
 		c.dyn.Prof.AddStreamFallback()
 		return false, nil
 	}
-	sw := tokens.NewStreamWriter(w)
+	sw := serializer.New(w, serializer.Options{OmitXMLDecl: true})
 	r := streamexec.NewWriterRunner(prog, streamexec.Env{
 		Vars:      c.dyn.Vars,
 		Interrupt: c.dyn.Interrupt,

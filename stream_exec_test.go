@@ -36,18 +36,26 @@ func storedExecute(t *testing.T, src, doc string) string {
 }
 
 func TestStreamModeMatchesStoreEngine(t *testing.T) {
-	doc := ordersXML(200)
+	orders := ordersXML(200)
 	queries := []struct {
 		src  string
 		want xqgo.StreamClass
+		doc  string
 	}{
-		{`/Order/OrderLine`, xqgo.StreamFullyStreamable},
-		{`/Order/OrderLine/Item/ID`, xqgo.StreamFullyStreamable},
-		{`/Order/OrderLine[SellersID = "1"]`, xqgo.StreamBoundedBuffer},
-		{paperQuery, xqgo.StreamBoundedBuffer},
-		{`count(/Order/OrderLine)`, xqgo.StreamStoreRequired}, // exercises fallback
+		{`/Order/OrderLine`, xqgo.StreamFullyStreamable, orders},
+		{`/Order/OrderLine/Item/ID`, xqgo.StreamFullyStreamable, orders},
+		{`/Order/OrderLine[SellersID = "1"]`, xqgo.StreamBoundedBuffer, orders},
+		{paperQuery, xqgo.StreamBoundedBuffer, orders},
+		{`count(/Order/OrderLine)`, xqgo.StreamStoreRequired, orders}, // exercises fallback
+		// A prefixed feed: forwarded window tokens, nested windows and arena
+		// windows carry the declarations a scan of the stored subtree sends.
+		{`declare namespace p="urn:p"; /p:a/p:b`, xqgo.StreamFullyStreamable, paperNS},
+		{`declare namespace d="urn:d"; //d:e`, xqgo.StreamBoundedBuffer, paperNS},
+		{`declare namespace p="urn:p"; for $b in /p:a/* return <hit xmlns:z="urn:z">{$b/@*, $b/*}</hit>`,
+			xqgo.StreamBoundedBuffer, paperNS},
 	}
 	for _, c := range queries {
+		doc := c.doc
 		q := xqgo.MustCompile(c.src, nil)
 		if class, reason := q.Streamability(); class != c.want {
 			t.Errorf("%s: class %v (%s), want %v", c.src, class, reason, c.want)

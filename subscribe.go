@@ -287,7 +287,7 @@ func (s *Subscription) evalStore(doc *store.Document, env streamexec.Env) (err e
 		if !ok || s.closed.Load() {
 			return nil
 		}
-		if err := runtime.EmitItemTokens(item, f.WriteToken); err != nil {
+		if err := f.WriteItem(item); err != nil {
 			return err
 		}
 		s.storeResults.Add(1)

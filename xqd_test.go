@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -229,6 +230,92 @@ func TestXqdEndToEnd(t *testing.T) {
 	rq, body := postJSON(t, base+"/query", q)
 	if rq.StatusCode != http.StatusNotFound {
 		t.Errorf("query after evict status = %d: %s", rq.StatusCode, body)
+	}
+}
+
+// TestXqdNamespacedResults: what xqd sends for a prefixed document re-parses
+// to the nodes the query selected — a /query response over a registered
+// document, and every /subscribe event of an identity and a residual
+// subscription over the same bytes as a feed. A top-level attribute is a
+// coded serialization error, mapped like any dynamic error.
+func TestXqdNamespacedResults(t *testing.T) {
+	leakcheck.Check(t)
+	svc := service.New(service.Config{Workers: 2, QueueDepth: 8})
+	base := startServer(t, svc)
+	const feed = `<p:feed xmlns:p="urn:p" xmlns:q="urn:q">` +
+		`<p:item q:id="1" xml:lang="en"><p:name>a &amp; b</p:name></p:item>` +
+		`<p:item q:id="2" note="l1&#10;l2"><n xmlns="urn:d"><m/></n></p:item></p:feed>`
+	const items = `declare namespace p="urn:p"; /p:feed/p:item`
+	const names = `declare namespace p="urn:p"; for $i in /p:feed/p:item return <hit xmlns:z="urn:z">{$i/@*, $i/*}</hit>`
+	doc, err := xqgo.ParseString(feed, "feed.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := func(query string) xqgo.Sequence {
+		q, err := xqgo.Compile(query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := q.Eval(xqgo.NewContext().WithContextNode(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+
+	req, err := http.NewRequest(http.MethodPut, base+"/documents/feed", strings.NewReader(feed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, query := range []string{items, names} {
+		r, body := postJSON(t, base+"/query", map[string]any{"query": query, "doc": "feed"})
+		var qr queryResp
+		if err := json.Unmarshal(body, &qr); err != nil || r.StatusCode != http.StatusOK {
+			t.Fatalf("/query %q: status %d, %v: %s", query, r.StatusCode, err, body)
+		}
+		checkReparses(t, selected(query), qr.Result)
+		if !strings.Contains(qr.Result, ` xml:lang="en"`) {
+			t.Errorf("xml:lang must keep the xml prefix: %s", qr.Result)
+		}
+	}
+
+	r, body := postJSON(t, base+"/query", map[string]any{"query": `/*/*[1]/@*[1]`, "doc": "feed"})
+	if r.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "err:SENR0001") {
+		t.Errorf("top-level attribute: status %d body %s, want 422 with err:SENR0001", r.StatusCode, body)
+	}
+
+	resp, err = http.Post(base+"/subscribe?query="+url.QueryEscape(items)+"&query="+url.QueryEscape(names),
+		"application/xml", strings.NewReader(feed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := make([]string, 2) // per subscription, its result events concatenated
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok || !strings.Contains(data, `"xml"`) {
+			continue
+		}
+		var ev struct {
+			Sub int    `json:"sub"`
+			XML string `json:"xml"`
+		}
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event %q: %v", data, err)
+		}
+		events[ev.Sub] += ev.XML
+	}
+	for i, query := range []string{items, names} {
+		if events[i] == "" {
+			t.Errorf("subscription %d delivered no result", i)
+		}
+		checkReparses(t, selected(query), events[i])
 	}
 }
 
