@@ -127,7 +127,8 @@ var batchDiffQueries = []string{
 	// declares in the output; the same on a computed attribute; an inherited
 	// default namespace; newline and tab in an attribute value; xml:lang; a
 	// constructor's unused declaration around a copied tree; a top-level
-	// attribute (err:SENR0001 either way).
+	// attribute (err:SENR0001 either way); an attribute after content
+	// (err:XQTY0024); a duplicate attribute (err:XQDY0025).
 	`document("ns.xml")/*/*[1]`,
 	`declare namespace p="urn:p"; <p:w>{1,2}</p:w>`,
 	`declare namespace p="urn:p"; <r>{attribute p:x {1}}</r>`,
@@ -139,6 +140,7 @@ var batchDiffQueries = []string{
 	`document("ns.xml")/*/*[3]/@x`,
 	`<a xmlns="urn:k"><b>{document("ns.xml")/*/*[3]}</b></a>`,
 	`<a>text{attribute x {1}}</a>`,
+	`<a x="1">{attribute x {2}}</a>`,
 }
 
 // batchDiffOptSets exercises the fast path under each join strategy that

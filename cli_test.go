@@ -98,6 +98,7 @@ func TestCLIXmlgenAndXq(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "./cmd/xq", "-engine", "eager", `1`},
 		{"run", "./cmd/xqd", "-joins"},
+		{"run", "./cmd/xqbench", "-json", "x"},
 	} {
 		_, errOut, err := runTool(t, args...)
 		if err == nil || !strings.Contains(errOut, "flag provided but not defined") {

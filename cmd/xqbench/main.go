@@ -1,5 +1,5 @@
 // Command xqbench regenerates the experiment tables of EXPERIMENTS.md: one
-// sub-table per claim of the paper (E1..E12), printed as aligned text. Run
+// sub-table per claim of the paper (E1..E13), printed as aligned text. Run
 // a single experiment with -only e5, everything with no flags.
 //
 // Absolute numbers are hardware-dependent; the shapes (who wins, how the
@@ -26,19 +26,11 @@ import (
 
 func main() {
 	var (
-		only     = flag.String("only", "", "run one experiment: e1..e13")
-		reps     = flag.Int("reps", 3, "timing repetitions (median reported)")
-		jsonPath = flag.String("json", "", "run the benchmark smoke suite and write ns/op rows as JSON to this file (skips the experiment tables)")
+		only = flag.String("only", "", "run one experiment: e1..e13")
+		reps = flag.Int("reps", 3, "timing repetitions (median reported)")
 	)
 	flag.Parse()
 	r := &runner{reps: *reps, w: os.Stdout}
-	if *jsonPath != "" {
-		if err := r.runJSON(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "xqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	experiments := []struct {
 		id   string
@@ -537,13 +529,6 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += len(p); return len(p
 
 func max64(a, b int64) int64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
 		return a
 	}
 	return b

@@ -21,7 +21,6 @@ type Options struct {
 	// (//a//b …): StrategyAuto (the resolved default) picks per branch and
 	// per document with the cost model in internal/optimizer; the Force*
 	// values pin one execution strategy. StrategyDefault resolves to Auto.
-	// A per-execution Dynamic.PlanHint overrides this at run time.
 	Strategy optimizer.Strategy
 	// MemoizeFunctions caches calls to pure user functions per execution
 	// (the paper's intra-query memoization).

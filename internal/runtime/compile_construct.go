@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"strings"
 
 	"xqgo/internal/expr"
@@ -241,7 +242,7 @@ func buildInto(b *store.Builder, cc *compiledConstructor, fr *Frame) error {
 				return err
 			}
 			if err := b.Attr(cc.attrs[i].name, v); err != nil {
-				return xdm.Errf("XQDY0025", "%v", err)
+				return attrError(err)
 			}
 		}
 		if err := buildContent(b, cc.content, fr); err != nil {
@@ -322,7 +323,7 @@ func copyContentSeq(b *store.Builder, seq xdm.Sequence) error {
 				n = m
 			}
 			if err := b.CopyNode(n); err != nil {
-				return xdm.Errf("XQTY0024", "%v", err)
+				return attrError(err)
 			}
 			continue
 		}
@@ -335,6 +336,15 @@ func copyContentSeq(b *store.Builder, seq xdm.Sequence) error {
 		prevAtomic = true
 	}
 	return nil
+}
+
+// attrError gives a builder's attribute error its XQuery code: a duplicate
+// name is err:XQDY0025, an attribute after content err:XQTY0024.
+func attrError(err error) error {
+	if errors.Is(err, store.ErrDuplicateAttribute) {
+		return xdm.Errf("XQDY0025", "%v", err)
+	}
+	return xdm.Errf("XQTY0024", "%v", err)
 }
 
 // contentString computes the joined string value for text/comment/PI

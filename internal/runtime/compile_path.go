@@ -26,9 +26,9 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 		return fn, nil
 	}
 	// Join-eligible: both compilations are kept and one operator dispatches
-	// at run time — policy (hint > compiled option) first, then the cost
-	// model when the policy is Auto. The resolved choice lands on the
-	// operator's profile row, so explain output shows which strategy ran.
+	// at run time — the compiled policy first, then the cost model when the
+	// policy is Auto. The resolved choice lands on the operator's profile
+	// row, so explain output shows which strategy ran.
 	policy := c.opts.Strategy
 	fb := c.fb
 	var opID int // set below, once the operator is tagged
@@ -41,7 +41,7 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 		if !isStore {
 			return navFn(fr) // non-store contexts always navigate
 		}
-		strat := fr.dyn.pathDecision(jp, sn.D, resolvePathStrategy(fr.dyn, policy), opID, fb)
+		strat := fr.dyn.pathDecision(jp, sn.D, policy, opID, fb)
 		switch strat {
 		case optimizer.StrategyBinaryJoin, optimizer.StrategyTwigJoin:
 			return jp.run(fr, sn, strat, opID, fb)

@@ -67,11 +67,6 @@ type Dynamic struct {
 	// worker forks — Budget is internally atomic.
 	Budget *limits.Budget
 
-	// PlanHint, when not StrategyDefault, overrides the compiled-in join
-	// strategy for this execution (Context.WithPlanHints): the per-request
-	// escape hatch over the plan-level Options.Strategy policy.
-	PlanHint optimizer.Strategy
-
 	// Workers is the morsel-parallelism target for this execution: the
 	// total number of workers (including the pulling goroutine) the
 	// morsel-split loops may use per round (see morsel.go). Zero or one
@@ -145,7 +140,6 @@ func (d *Dynamic) fork() *Dynamic {
 		Trace:       d.Trace,
 		TraceSpan:   d.TraceSpan,
 		Budget:      d.Budget,
-		PlanHint:    d.PlanHint,
 		Workers:     1, // workers never nest their own morsel rounds
 		root:        b,
 	}

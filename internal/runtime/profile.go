@@ -404,6 +404,30 @@ type CounterReport struct {
 	StreamFallbacks       int64 `json:"streamFallbacks"`
 }
 
+// Add folds o into c: every counter is summed, the buffer peak is kept as
+// the larger of the two.
+func (c *CounterReport) Add(o CounterReport) {
+	c.XMLTokens += o.XMLTokens
+	c.NodesMaterialized += o.NodesMaterialized
+	c.MemoHits += o.MemoHits
+	c.MemoMisses += o.MemoMisses
+	c.IndexHits += o.IndexHits
+	c.IndexBuilds += o.IndexBuilds
+	c.StructJoins += o.StructJoins
+	c.TwigJoins += o.TwigJoins
+	c.InterruptPolls += o.InterruptPolls
+	c.PlanNavigation += o.PlanNavigation
+	c.PlanBinaryJoin += o.PlanBinaryJoin
+	c.PlanTwigJoin += o.PlanTwigJoin
+	c.DocNodesBuilt += o.DocNodesBuilt
+	c.NodesSkipped += o.NodesSkipped
+	c.BytesParsedOnDemand += o.BytesParsedOnDemand
+	c.StreamWindows += o.StreamWindows
+	c.StreamResults += o.StreamResults
+	c.StreamBufferPeakBytes = max(c.StreamBufferPeakBytes, o.StreamBufferPeakBytes)
+	c.StreamFallbacks += o.StreamFallbacks
+}
+
 // Report is a point-in-time snapshot of a Profile.
 type Report struct {
 	Timed     bool          `json:"timed"`

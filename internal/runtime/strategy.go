@@ -60,19 +60,6 @@ type planKey struct {
 // StrategyDefault).
 func (p *Prepared) Strategy() optimizer.Strategy { return p.opts.Strategy }
 
-// resolvePathStrategy resolves the strategy policy for one instantiation:
-// a per-execution plan hint wins, then the compiled-in option. The result
-// may still be StrategyAuto, which pathDecision prices per document.
-func resolvePathStrategy(dyn *Dynamic, compiled optimizer.Strategy) optimizer.Strategy {
-	if dyn != nil && dyn.PlanHint != optimizer.StrategyDefault {
-		return dyn.PlanHint
-	}
-	if compiled != optimizer.StrategyDefault {
-		return compiled
-	}
-	return optimizer.StrategyAuto
-}
-
 // pathDecision returns the concrete execution strategy for one join-eligible
 // path operator over one document, resolving StrategyAuto through the cost
 // model. The decision is cached per execution; the first resolution is

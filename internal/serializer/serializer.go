@@ -50,8 +50,9 @@ const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
 //     character references; text escapes & < > and carriage return.
 //
 // An attribute token with no open start tag is err:SENR0001 at top level and
-// err:XQTY0024 inside an element. Unbalanced tokens are internal errors: only
-// a broken token source produces them.
+// err:XQTY0024 inside an element; a second attribute with the same expanded
+// name on one element is err:XQDY0025. Unbalanced tokens are internal errors:
+// only a broken token source produces them.
 type Writer struct {
 	w    io.Writer
 	opts Options
@@ -62,7 +63,8 @@ type Writer struct {
 	buf []byte
 
 	stack []element
-	ns    []binding // in-scope declarations, outermost first
+	ns    []binding   // in-scope declarations, outermost first
+	attrs []xdm.QName // attributes of the start tag still open, for the duplicate check
 
 	pending    xdm.QName // name of the held start tag
 	held       bool      // "<name" of the innermost element is not written yet
@@ -145,6 +147,7 @@ func (s *Writer) WriteToken(t tokens.Token) error {
 		s.closeStartTag()
 		s.stack = append(s.stack, element{ns: len(s.ns)})
 		s.pending, s.held, s.openTag = t.Name, true, true
+		s.attrs = s.attrs[:0]
 	case tokens.KindEndElement:
 		if len(s.stack) == 0 {
 			return s.fail(fmt.Errorf("serializer: unbalanced end element"))
@@ -179,6 +182,12 @@ func (s *Writer) WriteToken(t tokens.Token) error {
 			}
 			return s.fail(xdm.Errf("XQTY0024", "attribute %s after element content", t.Name))
 		}
+		for _, a := range s.attrs {
+			if a.Equal(t.Name) {
+				return s.fail(xdm.Errf("XQDY0025", "duplicate attribute %s", t.Name))
+			}
+		}
+		s.attrs = append(s.attrs, t.Name)
 		s.startTag()
 		prefix := s.attrPrefix(t.Name) // may write a declaration first
 		s.str(" ")

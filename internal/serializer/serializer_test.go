@@ -308,6 +308,14 @@ func TestWriterErrors(t *testing.T) {
 	if _, err := writeTokens(start("", "a", ""), text("t"), attr("", "x", "", "1")); !xdm.IsCode(err, "XQTY0024") {
 		t.Errorf("attribute after content: %v, want XQTY0024", err)
 	}
+	// The expanded name decides, not the prefix; a child element starts over.
+	if _, err := writeTokens(start("", "a", ""), attr("urn:p", "x", "p", "1"), attr("urn:p", "x", "q", "2")); !xdm.IsCode(err, "XQDY0025") {
+		t.Errorf("duplicate attribute: %v, want XQDY0025", err)
+	}
+	if out, err := writeTokens(start("", "a", ""), attr("", "x", "", "1"), attr("urn:p", "x", "p", "2"),
+		start("", "b", ""), attr("", "x", "", "3"), end, end); err != nil || out != `<a x="1" xmlns:p="urn:p" p:x="2"><b x="3"/></a>` {
+		t.Errorf("same local name, different element or namespace: %q, %v", out, err)
+	}
 	// A broken token source is an internal error, not an XQuery one.
 	for name, toks := range map[string][]tokens.Token{
 		"unbalanced end":    {end},

@@ -21,35 +21,6 @@ var latBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// engineTotals aggregates the per-request engine profile counters across the
-// service lifetime (mu-guarded; written once per request, not per item).
-type engineTotals struct {
-	XMLTokens         int64 `json:"xmlTokens"`
-	NodesMaterialized int64 `json:"nodesMaterialized"`
-	MemoHits          int64 `json:"memoHits"`
-	MemoMisses        int64 `json:"memoMisses"`
-	IndexHits         int64 `json:"indexHits"`
-	IndexBuilds       int64 `json:"indexBuilds"`
-	StructJoins       int64 `json:"structJoins"`
-	TwigJoins         int64 `json:"twigJoins"`
-	InterruptPolls    int64 `json:"interruptPolls"`
-	// Plan choices resolved by join-eligible path operators, by winner.
-	PlanNavigation int64 `json:"planNavigation"`
-	PlanBinaryJoin int64 `json:"planBinaryJoin"`
-	PlanTwigJoin   int64 `json:"planTwigJoin"`
-	// Streaming-ingestion totals (lazy parse with path projection).
-	DocNodesBuilt       int64 `json:"docNodesBuilt"`
-	NodesSkipped        int64 `json:"nodesSkipped"`
-	BytesParsedOnDemand int64 `json:"bytesParsedOnDemand"`
-	// Event-driven streaming-evaluator totals (streamexec windows).
-	StreamWindows   int64 `json:"streamWindows"`
-	StreamResults   int64 `json:"streamResults"`
-	StreamFallbacks int64 `json:"streamFallbacks"`
-	// StreamBufferPeakBytes is max-merged across requests, not summed: it is
-	// the largest window buffer any execution ever held.
-	StreamBufferPeakBytes int64 `json:"streamBufferPeakBytes"`
-}
-
 // latSeries is one sliding latency window: the global one plus one per
 // route (query vs. subscribe). Guarded by the owning statsCore's mutex.
 type latSeries struct {
@@ -93,8 +64,8 @@ type statsCore struct {
 	exes     []exemplar // most recent traced observation per bucket
 	histSum  time.Duration
 	histCnt  uint64
-	engine   engineTotals
-	profiled uint64 // requests that carried a profile
+	engine   xqgo.EngineCounters // lifetime totals of the per-request profile counters; peak max-merged
+	profiled uint64              // requests that carried a profile
 
 	// budgetTrips counts executions whose memory budget tripped, per route
 	// class ("query", "subscribe").
@@ -230,27 +201,7 @@ func (s *statsCore) addEngine(c xqgo.EngineCounters) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.profiled++
-	s.engine.XMLTokens += c.XMLTokens
-	s.engine.NodesMaterialized += c.NodesMaterialized
-	s.engine.MemoHits += c.MemoHits
-	s.engine.MemoMisses += c.MemoMisses
-	s.engine.IndexHits += c.IndexHits
-	s.engine.IndexBuilds += c.IndexBuilds
-	s.engine.StructJoins += c.StructJoins
-	s.engine.TwigJoins += c.TwigJoins
-	s.engine.InterruptPolls += c.InterruptPolls
-	s.engine.PlanNavigation += c.PlanNavigation
-	s.engine.PlanBinaryJoin += c.PlanBinaryJoin
-	s.engine.PlanTwigJoin += c.PlanTwigJoin
-	s.engine.DocNodesBuilt += c.DocNodesBuilt
-	s.engine.NodesSkipped += c.NodesSkipped
-	s.engine.BytesParsedOnDemand += c.BytesParsedOnDemand
-	s.engine.StreamWindows += c.StreamWindows
-	s.engine.StreamResults += c.StreamResults
-	s.engine.StreamFallbacks += c.StreamFallbacks
-	if c.StreamBufferPeakBytes > s.engine.StreamBufferPeakBytes {
-		s.engine.StreamBufferPeakBytes = c.StreamBufferPeakBytes
-	}
+	s.engine.Add(c)
 }
 
 // histogram snapshots the bucket counts (non-cumulative), sum and count.
@@ -333,10 +284,10 @@ type Snapshot struct {
 	// LeasedWorkers is the number of worker slots currently on loan to
 	// morsel workers of running queries; QueryWorkers is the configured
 	// per-query parallelism target (0 = intra-query parallelism off).
-	LeasedWorkers int64        `json:"leasedWorkers"`
-	QueryWorkers  int          `json:"queryWorkers"`
-	Engine        engineTotals `json:"engine"`
-	SlowQueries   uint64       `json:"slowQueries"`
+	LeasedWorkers int64               `json:"leasedWorkers"`
+	QueryWorkers  int                 `json:"queryWorkers"`
+	Engine        xqgo.EngineCounters `json:"engine"`
+	SlowQueries   uint64              `json:"slowQueries"`
 	// Subscriptions aggregates the pub/sub layer (POST /subscribe).
 	Subscriptions SubscriptionTotals `json:"subscriptions"`
 	// Governance reports the resource governor: process soft cap, live

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 
 	"xqgo/internal/xdm"
@@ -117,6 +118,11 @@ func (b *Builder) StartElement(q xdm.QName) {
 	b.contentSeen = false
 }
 
+// ErrDuplicateAttribute is wrapped by the error Attr and CopyNode return for
+// a second attribute with the same expanded name on one element, so callers
+// can tell it from an attribute that arrives after content.
+var ErrDuplicateAttribute = errors.New("duplicate attribute")
+
 // Attr adds an attribute to the innermost open element. It is an error to
 // add attributes after content, or with no open element (except when
 // building a standalone attribute fragment at the root).
@@ -140,7 +146,7 @@ func (b *Builder) Attr(q xdm.QName, value string) error {
 	from, to := owner+1, int32(len(b.doc.kind))
 	for i := from; i < to; i++ {
 		if b.doc.kind[i] == xdm.AttributeNode && b.doc.name[i] == nameIdx {
-			return fmt.Errorf("store: duplicate attribute %s", q)
+			return fmt.Errorf("store: %w %s", ErrDuplicateAttribute, q)
 		}
 	}
 	id := b.appendNode(xdm.AttributeNode, nameIdx, b.texts.Intern(value))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xqgo"
+	"xqgo/internal/structjoin"
 	"xqgo/internal/workload"
 )
 
@@ -108,6 +109,43 @@ func TestPlanInfoStrategyAnnotation(t *testing.T) {
 		}
 		if carriers == 0 {
 			t.Errorf("%v: no path op carries policy %q", c.strategy, c.want)
+		}
+	}
+}
+
+// Auto's choice, both sides of it, read off the profile's operator row with
+// no timing involved. The index is seeded, as xqd does for catalog documents:
+// a deep chain runs the holistic twig join, a top-heavy chain (many a, few b:
+// the path stack would push every a) runs the binary join, and a 20-node
+// document navigates because the fixed cost of an index plan outweighs it.
+func TestAutoStrategyChoice(t *testing.T) {
+	// 10 000 a, every hundredth with a b child.
+	topHeavy := "<r>" + strings.Repeat("<a><b/></a>"+strings.Repeat("<a/>", 99), 100) + "</r>"
+	for _, c := range []struct {
+		name, query string
+		doc         *xqgo.Document
+		want        string
+	}{
+		{"deep chain", `count(//a//b//c)`,
+			xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, MaxDepth: 40, Fanout: 2, Seed: 3})), "twig-join"},
+		{"top-heavy chain", `count(//a//b)`, xqgo.MustParseString(topHeavy, "mem:top-heavy"), "binary-join"},
+		{"20-node document", `count(//a//b)`, xqgo.MustParseString("<r>"+strings.Repeat("<a><b/></a>", 9)+"</r>", "mem:small"), "navigation"},
+	} {
+		q := xqgo.MustCompile(c.query, nil)
+		prof := q.NewCountersProfile()
+		ctx := xqgo.NewContext().WithContextNode(c.doc).WithProfile(prof).
+			SeedIndex(c.doc, structjoin.BuildIndex(c.doc.Store()))
+		if _, err := q.EvalString(ctx); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got []string
+		for _, row := range prof.Report().Operators {
+			if row.Kind == "path" && row.Strategy != "" {
+				got = append(got, row.Strategy)
+			}
+		}
+		if len(got) != 1 || got[0] != c.want {
+			t.Errorf("%s: Auto resolved %s to %v, want %s", c.name, c.query, got, c.want)
 		}
 	}
 }

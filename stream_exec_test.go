@@ -36,7 +36,7 @@ func storedExecute(t *testing.T, src, doc string) string {
 }
 
 func TestStreamModeMatchesStoreEngine(t *testing.T) {
-	orders := ordersXML(200)
+	orders, feed := ordersXML(200), ordersXML(5000)
 	queries := []struct {
 		src  string
 		want xqgo.StreamClass
@@ -46,6 +46,7 @@ func TestStreamModeMatchesStoreEngine(t *testing.T) {
 		{`/Order/OrderLine/Item/ID`, xqgo.StreamFullyStreamable, orders},
 		{`/Order/OrderLine[SellersID = "1"]`, xqgo.StreamBoundedBuffer, orders},
 		{paperQuery, xqgo.StreamBoundedBuffer, orders},
+		{paperQuery, xqgo.StreamBoundedBuffer, feed},
 		{`count(/Order/OrderLine)`, xqgo.StreamStoreRequired, orders}, // exercises fallback
 		// A prefixed feed: forwarded window tokens, nested windows and arena
 		// windows carry the declarations a scan of the stored subtree sends.
@@ -88,6 +89,10 @@ func TestStreamModeMatchesStoreEngine(t *testing.T) {
 			if rep.Counters.StreamFallbacks != 0 {
 				t.Errorf("%s: unexpected fallback (%d)", c.src, rep.Counters.StreamFallbacks)
 			}
+			// A window holds one OrderLine however long the feed is.
+			if peak := rep.Counters.StreamBufferPeakBytes; doc == feed && (peak <= 0 || peak > int64(len(feed)/100)) {
+				t.Errorf("%s: peak window buffer %d B, want > 0 and <= 1%% of the %d B feed", c.src, peak, len(feed))
+			}
 		}
 	}
 }
@@ -122,7 +127,8 @@ func (fw *firstWriteWriter) Write(p []byte) (int, error) {
 // TestStreamModeIsIncremental proves results are emitted before the input
 // is fully consumed: the first output byte must appear while most of the
 // feed is still unread. This is the deterministic form of the
-// time-to-first-byte acceptance criterion (the timed form lives in xqbench).
+// time-to-first-byte acceptance criterion (the timed form is `ttfb_p50_ms` on
+// `stream-feed`).
 func TestStreamModeIsIncremental(t *testing.T) {
 	doc := ordersXML(5000)
 	q := xqgo.MustCompile(`/Order/OrderLine[SellersID = "1"]/Item/ID`, nil)

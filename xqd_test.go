@@ -284,9 +284,14 @@ func TestXqdNamespacedResults(t *testing.T) {
 		}
 	}
 
-	r, body := postJSON(t, base+"/query", map[string]any{"query": `/*/*[1]/@*[1]`, "doc": "feed"})
-	if r.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "err:SENR0001") {
-		t.Errorf("top-level attribute: status %d body %s, want 422 with err:SENR0001", r.StatusCode, body)
+	for query, code := range map[string]string{
+		`/*/*[1]/@*[1]`:                  "err:SENR0001", // top-level attribute
+		`<a x="1">{attribute x {2}}</a>`: "err:XQDY0025", // duplicate attribute
+	} {
+		r, body := postJSON(t, base+"/query", map[string]any{"query": query, "doc": "feed"})
+		if r.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), code) {
+			t.Errorf("%s: status %d body %s, want 422 with %s", query, r.StatusCode, body, code)
+		}
 	}
 
 	resp, err = http.Post(base+"/subscribe?query="+url.QueryEscape(items)+"&query="+url.QueryEscape(names),

@@ -74,8 +74,7 @@ type Options struct {
 	DisableRules []string
 	// Strategy selects how join-eligible path chains execute: StrategyAuto
 	// (cost-based, the default) or one of the Force* escape hatches for
-	// testing and measurement. A per-execution Context.WithPlanHints
-	// overrides it.
+	// testing and measurement.
 	Strategy Strategy
 	// MemoizeFunctions caches calls to pure user functions within one
 	// execution (intra-query memoization).
@@ -492,23 +491,6 @@ func (c *Context) WithWorkers(n int) *Context {
 // request slots without ever starving the service queue.
 func (c *Context) WithWorkerLimiter(l WorkerLimiter) *Context {
 	c.dyn.Limiter = l
-	return c
-}
-
-// PlanHints are per-execution overrides of compiled plan policy; see
-// Context.WithPlanHints.
-type PlanHints struct {
-	// Strategy, when not zero, overrides the plan's Options.Strategy for
-	// executions under this context: StrategyAuto re-enables cost-based
-	// selection, the Force* values pin one execution strategy.
-	Strategy Strategy
-}
-
-// WithPlanHints overrides plan policy for executions under this context —
-// the request-scoped escape hatch over the compile-time Options.Strategy.
-// The zero PlanHints removes any previous hint.
-func (c *Context) WithPlanHints(h PlanHints) *Context {
-	c.dyn.PlanHint = h.Strategy
 	return c
 }
 
