@@ -54,7 +54,7 @@ func main() {
 		maxProc   = flag.Int64("max-process-bytes", 0, "process memory soft cap in bytes: sets the Go runtime soft limit and sheds new work with 503 when tracked bytes near it (0 = unlimited)")
 		strategy  = flag.String("strategy", "auto", "join strategy for //a//b chains: auto (cost-based), navigation, binary-join, twig-join")
 		memo      = flag.Bool("memo", false, "memoize pure user-function calls within each execution")
-		stripWS   = flag.Bool("strip-ws", false, "drop whitespace-only text nodes when parsing documents")
+		stripWS   = flag.Bool("strip-ws", false, "drop whitespace-only text nodes of registered documents; request bodies and feeds are never stripped")
 		poolText  = flag.Bool("pool-text", false, "dictionary-pool repeated text values when parsing documents")
 		slowAfter = flag.Duration("slow-threshold", 250*time.Millisecond, "log queries slower than this to GET /slow (0 = default, negative = disabled)")
 		slowSize  = flag.Int("slow-log", 64, "slow-query log ring capacity")

@@ -29,18 +29,45 @@ const (
 	RuleNoNodeIDs   = "no-node-ids"  // on-demand node identifiers for constructors (E7)
 )
 
-// AllRules lists every rule, in application order.
-var AllRules = []string{
-	RuleConstFold, RuleLetFold, RuleFnInline, RuleFlworUnnest, RuleForMin,
-	RuleCSE, RuleParentElim, RulePathOrder, RuleTypeRewrite, RuleNoNodeIDs,
+// localRules is the rule table of the bottom-up sweep: at each node pass
+// tries them in this order and takes the first that rewrites it. A rule
+// returns nil when it does not apply.
+var localRules = []struct {
+	name  string
+	apply func(*optimizer, expr.Expr) expr.Expr
+}{
+	{RuleConstFold, stateless(constFold)},
+	{RuleFnInline, (*optimizer).inlineCall},
+	{RuleFlworUnnest, stateless(unnestFlwor)},
+	{RuleForMin, stateless(minimizeFor)},
+	{RuleLetFold, (*optimizer).foldLets},
+	{RuleCSE, (*optimizer).factorCSE},
+	{RuleParentElim, stateless(elimParent)},
+	{RuleTypeRewrite, stateless(typeRewrite)},
 }
+
+// stateless adapts a rule that needs nothing from the run to the table.
+func stateless(rule func(expr.Expr) expr.Expr) func(*optimizer, expr.Expr) expr.Expr {
+	return func(_ *optimizer, x expr.Expr) expr.Expr { return rule(x) }
+}
+
+// AllRules lists every rule in application order: the sweep's table, then
+// the two whole-tree annotation passes that run once after the fixpoint.
+var AllRules = func() []string {
+	var names []string
+	for _, r := range localRules {
+		names = append(names, r.name)
+	}
+	return append(names, RulePathOrder, RuleNoNodeIDs)
+}()
+
+// maxPasses bounds the fixpoint iteration.
+const maxPasses = 4
 
 // Options configure an optimization run.
 type Options struct {
 	// Disabled rules (by name). Nil enables everything.
 	Disabled map[string]bool
-	// MaxPasses bounds the fixpoint iteration (default 4).
-	MaxPasses int
 	// Trace, when non-nil, records every rule application (fire counts and
 	// bounded before/after summaries) for explain output.
 	Trace *Trace
@@ -81,9 +108,6 @@ type optimizer struct {
 // Optimize rewrites a query in place (the Body and function bodies are
 // replaced by optimized trees) and returns it.
 func Optimize(q *expr.Query, opts Options) *expr.Query {
-	if opts.MaxPasses == 0 {
-		opts.MaxPasses = 4
-	}
 	o := &optimizer{opts: opts, query: q}
 	o.findInlinable()
 
@@ -112,7 +136,7 @@ func Optimize(q *expr.Query, opts Options) *expr.Query {
 func (o *optimizer) on(rule string) bool { return !o.opts.Disabled[rule] }
 
 func (o *optimizer) optimizeExpr(e expr.Expr) expr.Expr {
-	for pass := 0; pass < o.opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		before := expr.String(e)
 		e = o.pass(e)
 		if expr.String(e) == before {
@@ -125,51 +149,12 @@ func (o *optimizer) optimizeExpr(e expr.Expr) expr.Expr {
 // pass applies one bottom-up sweep of the local rules.
 func (o *optimizer) pass(e expr.Expr) expr.Expr {
 	return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
-		if o.on(RuleConstFold) {
-			if r := constFold(x); r != nil {
-				o.opts.Trace.record(RuleConstFold, x, r)
-				return r
+		for _, rule := range localRules {
+			if !o.on(rule.name) {
+				continue
 			}
-		}
-		if o.on(RuleFnInline) {
-			if r := o.inlineCall(x); r != nil {
-				o.opts.Trace.record(RuleFnInline, x, r)
-				return r
-			}
-		}
-		if o.on(RuleFlworUnnest) {
-			if r := unnestFlwor(x); r != nil {
-				o.opts.Trace.record(RuleFlworUnnest, x, r)
-				return r
-			}
-		}
-		if o.on(RuleForMin) {
-			if r := minimizeFor(x); r != nil {
-				o.opts.Trace.record(RuleForMin, x, r)
-				return r
-			}
-		}
-		if o.on(RuleLetFold) {
-			if r := o.foldLets(x); r != nil {
-				o.opts.Trace.record(RuleLetFold, x, r)
-				return r
-			}
-		}
-		if o.on(RuleCSE) {
-			if r := o.factorCSE(x); r != nil {
-				o.opts.Trace.record(RuleCSE, x, r)
-				return r
-			}
-		}
-		if o.on(RuleParentElim) {
-			if r := elimParent(x); r != nil {
-				o.opts.Trace.record(RuleParentElim, x, r)
-				return r
-			}
-		}
-		if o.on(RuleTypeRewrite) {
-			if r := typeRewrite(x); r != nil {
-				o.opts.Trace.record(RuleTypeRewrite, x, r)
+			if r := rule.apply(o, x); r != nil {
+				o.opts.Trace.record(rule.name, x, r)
 				return r
 			}
 		}

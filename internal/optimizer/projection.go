@@ -347,7 +347,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 		return v // a (possibly narrowing) filter on the same nodes
 
 	case expr.AxisChild:
-		if s, ok := stepFromTest(test, false); ok {
+		if s, ok := StepFromTest(test, false); ok {
 			return x.extend(v, s)
 		}
 		if test.Kind == xtypes.TestDoc {
@@ -364,7 +364,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 		return atomicVal()
 
 	case expr.AxisDescendant:
-		if s, ok := stepFromTest(test, true); ok {
+		if s, ok := StepFromTest(test, true); ok {
 			return x.extend(v, s)
 		}
 		x.consumeSubtrees(v)
@@ -380,7 +380,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 			}
 			return out
 		}
-		if s, ok := stepFromTest(test, true); ok {
+		if s, ok := StepFromTest(test, true); ok {
 			// self (name-filtered, over-approximated) plus descendants.
 			return union(v, x.extend(v, s))
 		}
@@ -417,9 +417,11 @@ func appendStep(steps []projection.Step, s projection.Step) []projection.Step {
 	return out
 }
 
-// stepFromTest converts an element name test into a projection step;
-// ok=false for tests that select non-element kinds.
-func stepFromTest(t xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
+// StepFromTest converts an element name test into a projection step;
+// ok=false for tests that select non-element kinds, which no automaton over
+// element names can match. The streamability analysis builds its spine with
+// it too.
+func StepFromTest(t xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
 	switch t.Kind {
 	case xtypes.TestName, xtypes.TestElement:
 	default:

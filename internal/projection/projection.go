@@ -36,11 +36,6 @@ func (s Step) match(space, local string) bool {
 	}
 }
 
-// Match is the exported form of the name test, used by the streamexec spine
-// automaton (which matches the same step vocabulary against a live element
-// stream).
-func (s Step) Match(space, local string) bool { return s.match(space, local) }
-
 func (s Step) String() string {
 	var b strings.Builder
 	if s.AnyDepth {
@@ -171,6 +166,11 @@ const (
 	// the matching end tag without materializing anything, and must NOT
 	// call EndElement on the runner for this element.
 	Skip
+	// Target is Keep for an element that completes a path whose subtree is
+	// not kept: a parser materializes it like any Keep, a consumer that acts
+	// on matches (the streaming evaluator's nested windows) tells it from an
+	// element that is merely on the way to one.
+	Target
 )
 
 // state is one NFA state: step s of path p is the next step to match.
@@ -249,6 +249,9 @@ func (r *Runner) StartElement(space, local string) Action {
 		return Skip
 	}
 	r.marks = append(r.marks, int32(next))
+	if matched {
+		return Target
+	}
 	return Keep
 }
 

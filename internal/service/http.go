@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -334,8 +335,16 @@ func (s *Service) handleStreamQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &BadRequestError{Err: errors.New("missing \"query\" parameter")})
 		return
 	}
-	timeoutMs, _ := strconv.ParseInt(qs.Get("timeoutMs"), 10, 64)
-	maxBytes, _ := strconv.ParseInt(qs.Get("maxResultBytes"), 10, 64)
+	timeoutMs, err := limitParam(qs, "timeoutMs")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	maxBytes, err := limitParam(qs, "maxResultBytes")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	tr := requestTrace(r, s.cfg.DisableTracing)
 	req := Request{
 		Query:          query,
@@ -354,6 +363,20 @@ func (s *Service) handleStreamQuery(w http.ResponseWriter, r *http.Request) {
 	if _, _, err := s.Execute(r.Context(), req, w); err != nil {
 		writeError(w, err) // no-op on the status line if already streaming
 	}
+}
+
+// limitParam reads an integer limit from the URL: absent means 0 (the
+// configured default applies), present and unparsable is the 400 the JSON
+// form of the request answers when the same field fails to decode.
+func limitParam(qs url.Values, name string) (int64, error) {
+	if !qs.Has(name) {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(qs.Get(name), 10, 64)
+	if err != nil {
+		return 0, &BadRequestError{Err: fmt.Errorf("invalid %q parameter: %v", name, err)}
+	}
+	return n, nil
 }
 
 // normalizeVars converts JSON-decoded variable values into the Go kinds

@@ -39,7 +39,8 @@ type Config struct {
 	// Options.Strategy to pin one engine (ForceNavigation disables index
 	// seeding entirely).
 	Options xqgo.Options
-	// ParseOptions apply when registering documents.
+	// ParseOptions apply to registered documents; request bodies and feeds
+	// are never stripped (or pooled), on either engine.
 	ParseOptions xqgo.ParseOptions
 	// SlowQueryThreshold: completed requests slower than this are recorded
 	// in the slow-query log with their full profile (default 250ms;

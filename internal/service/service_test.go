@@ -515,7 +515,7 @@ func TestStatsPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		st.observe(outcomeOK, time.Duration(i)*time.Millisecond)
 	}
-	p50, p90, p99, p999 := st.percentiles()
+	p50, p90, p99, p999, _ := st.routePercentiles("query")
 	// Nearest-rank over 1..100ms is exact: ceil(p*100) milliseconds.
 	if p50 != 50*time.Millisecond {
 		t.Errorf("p50 = %v, want 50ms", p50)

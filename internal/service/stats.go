@@ -21,8 +21,8 @@ var latBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// latSeries is one sliding latency window: the global one plus one per
-// route (query vs. subscribe). Guarded by the owning statsCore's mutex.
+// latSeries is one sliding latency window, one per route (query vs.
+// subscribe). Guarded by the owning statsCore's mutex.
 type latSeries struct {
 	lat []time.Duration
 	pos int
@@ -52,11 +52,10 @@ type exemplar struct {
 // time) so /metrics scrapes never sort.
 type statsCore struct {
 	mu       sync.Mutex
-	served   uint64 // successful queries
-	errors   uint64 // compile/eval/binding failures
-	rejected uint64 // admission-control rejections
-	timeouts uint64 // deadline exceeded / canceled
-	lat      latSeries
+	served   uint64                // successful queries
+	errors   uint64                // compile/eval/binding failures
+	rejected uint64                // admission-control rejections
+	timeouts uint64                // deadline exceeded / canceled
 	routes   map[string]*latSeries // per-route windows ("query", "subscribe")
 	start    time.Time
 
@@ -158,7 +157,6 @@ func (s *statsCore) observeTraced(o outcome, d time.Duration, traceID string) {
 	case outcomeTimeout:
 		s.timeouts++
 	}
-	s.lat.add(d)
 	s.routeSeries("query").add(d)
 	b := histBucket(d)
 	s.hist[b]++
@@ -211,18 +209,6 @@ func (s *statsCore) histogram() (buckets []uint64, sum time.Duration, count uint
 	return append([]uint64(nil), s.hist...), s.histSum, s.histCnt
 }
 
-// percentiles returns p50, p90, p99 and p99.9 over the global window (0 when
-// empty), using the nearest-rank definition: the smallest value with at least
-// ceil(p*n) observations at or below it. (The previous int(p*(n-1))
-// truncation biased every percentile toward p0 — e.g. p99 over 100 samples
-// picked the 98th-smallest instead of the 99th.)
-func (s *statsCore) percentiles() (p50, p90, p99, p999 time.Duration) {
-	s.mu.Lock()
-	buf := append([]time.Duration(nil), s.lat.lat...)
-	s.mu.Unlock()
-	return rankPercentiles(buf)
-}
-
 // routePercentiles snapshots one route window's percentiles plus its sample
 // count (count 0 means the route has seen no traffic).
 func (s *statsCore) routePercentiles(route string) (p50, p90, p99, p999 time.Duration, count int) {
@@ -236,6 +222,9 @@ func (s *statsCore) routePercentiles(route string) (p50, p90, p99, p999 time.Dur
 	return p50, p90, p99, p999, len(buf)
 }
 
+// rankPercentiles returns p50, p90, p99 and p99.9 of buf (0 when empty) by
+// the nearest-rank definition: the smallest value with at least ceil(p*n)
+// observations at or below it.
 func rankPercentiles(buf []time.Duration) (p50, p90, p99, p999 time.Duration) {
 	if len(buf) == 0 {
 		return 0, 0, 0, 0
@@ -344,7 +333,6 @@ func (s *Service) Stats() Snapshot {
 	start := st.start
 	engine := st.engine
 	st.mu.Unlock()
-	p50, p90, p99, p999 := st.percentiles()
 	routes := make(map[string]RouteLatency, 2)
 	for _, route := range []string{"query", "subscribe"} {
 		r50, r90, r99, r999, n := st.routePercentiles(route)
@@ -356,6 +344,7 @@ func (s *Service) Stats() Snapshot {
 			P999Micros: r999.Microseconds(),
 		}
 	}
+	query := routes["query"] // the top-level percentiles are the query route's
 	docs, bytes, nodes := s.Catalog.Totals()
 	_, slowTotal := s.slow.snapshot()
 	return Snapshot{
@@ -365,10 +354,10 @@ func (s *Service) Stats() Snapshot {
 		Timeouts:      to,
 		InFlight:      s.exec.InFlight(),
 		Queued:        s.exec.Queued(),
-		P50Micros:     p50.Microseconds(),
-		P90Micros:     p90.Microseconds(),
-		P99Micros:     p99.Microseconds(),
-		P999Micros:    p999.Microseconds(),
+		P50Micros:     query.P50Micros,
+		P90Micros:     query.P90Micros,
+		P99Micros:     query.P99Micros,
+		P999Micros:    query.P999Micros,
 		Routes:        routes,
 		PlanCache:     s.plans.Stats(),
 		Documents:     DocTotals{Count: docs, Bytes: bytes, Nodes: nodes},

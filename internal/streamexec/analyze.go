@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xqgo/internal/expr"
+	"xqgo/internal/optimizer"
 	"xqgo/internal/projection"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xtypes"
@@ -121,7 +122,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 	case *expr.Step:
 		switch t.Axis {
 		case expr.AxisChild:
-			if s, ok := spineStepFromTest(t.Test, false); ok {
+			if s, ok := optimizer.StepFromTest(t.Test, false); ok {
 				if d.pendingDesc {
 					s.AnyDepth = true
 					d.pendingDesc = false
@@ -130,7 +131,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 				return
 			}
 		case expr.AxisDescendant:
-			if s, ok := spineStepFromTest(t.Test, true); ok {
+			if s, ok := optimizer.StepFromTest(t.Test, true); ok {
 				d.pendingDesc = false
 				d.spine = append(d.spine, s)
 				return
@@ -152,7 +153,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 		// whole filtered step evaluates inside it (this keeps positional
 		// predicates correct: their sibling group is window-internal).
 		if st, isStep := t.In.(*expr.Step); isStep && !d.pendingDesc && st.Axis == expr.AxisChild {
-			if s, ok := spineStepFromTest(st.Test, false); ok && baseSafePreds(t.Preds) {
+			if s, ok := optimizer.StepFromTest(st.Test, false); ok && baseSafePreds(t.Preds) {
 				d.spine = append(d.spine, s)
 				d.residual = &expr.Filter{
 					Base:  base(r),
@@ -197,28 +198,6 @@ func (d *decomp) finishPending(at expr.Expr) {
 }
 
 func base(e expr.Expr) expr.Base { return expr.Base{P: e.Span()} }
-
-// spineStepFromTest converts an element name test into a spine step
-// (ok=false for kind tests the token automaton cannot match by name).
-func spineStepFromTest(t xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
-	switch t.Kind {
-	case xtypes.TestName, xtypes.TestElement:
-	default:
-		return projection.Step{}, false
-	}
-	s := projection.Step{AnyDepth: anyDepth}
-	switch {
-	case t.AnyName || (t.Kind == xtypes.TestElement && t.Name.IsZero()):
-		s.Any = true
-	case t.WildSpace:
-		s.WildSpace, s.Local = true, t.Name.Local
-	case t.WildLocal:
-		s.WildLocal, s.Space = true, t.Name.Space
-	default:
-		s.Space, s.Local = t.Name.Space, t.Name.Local
-	}
-	return s, true
-}
 
 // baseSafePreds reports whether every predicate is statically boolean —
 // never a number, so never positional. Window-base predicates see a

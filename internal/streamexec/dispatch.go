@@ -3,10 +3,14 @@ package streamexec
 import (
 	"bytes"
 	"encoding/xml"
+	"io"
 
+	"xqgo/internal/projection"
 	"xqgo/internal/serializer"
+	"xqgo/internal/store"
 	"xqgo/internal/tokens"
 	"xqgo/internal/xdm"
+	"xqgo/internal/xmlparse"
 )
 
 // Dispatcher fans one decoder token stream out to the window groups of a
@@ -18,6 +22,10 @@ import (
 type Dispatcher struct {
 	env     Env
 	runners []*Runner
+	// solo marks the Execute form (see Execute): the one group's failure is
+	// the feed's.
+	solo   bool
+	inToks int64 // input tokens seen, for interrupt pacing
 }
 
 // NewDispatcher creates a dispatcher whose subscriptions all run under env.
@@ -29,32 +37,89 @@ func NewDispatcher(env Env) *Dispatcher { return &Dispatcher{env: env} }
 // Runner — the window is built once and evaluated per member, in
 // registration order; every other program gets a runner of its own.
 func (d *Dispatcher) Subscribe(p *Program, deliver func(xml []byte) error) *Member {
+	f := NewResultFramer(deliver)
 	for _, r := range d.runners {
 		if r.accepts(p) {
-			return r.addResults(p, deliver)
+			return r.add(p, f.WriteToken, f.EndResult)
 		}
 	}
-	r := newRunner(p, d.env)
-	d.runners = append(d.runners, r)
-	return r.addResults(p, deliver)
+	return d.group(p).add(p, f.WriteToken, f.EndResult)
 }
 
-// Token delivers one token to every group — install this as the parser's
-// Tap. It never returns an error: failures (errors AND panics — one
-// poisoned handler must never kill the feed's siblings) are recorded on the
-// members they detach.
+func (d *Dispatcher) group(p *Program) *Runner {
+	r := newRunner(p, d.env)
+	d.runners = append(d.runners, r)
+	return r
+}
+
+// Execute evaluates p over the document read from r: a feed of one group of
+// one, whose results all go to one shared token writer (they concatenate
+// exactly like the store engine's ExecuteToWriter, including the
+// adjacent-atomic space rule) and whose first failure stops the read. The
+// parse builds nothing; stats receives its counters.
+func Execute(p *Program, env Env, r io.Reader, stats xmlparse.Stats, sw *serializer.Writer) error {
+	d := NewDispatcher(env)
+	d.write(p, sw)
+	_, err := d.Feed(r, xmlparse.Options{Projection: projection.New(), Stats: stats})
+	return err
+}
+
+func (d *Dispatcher) write(p *Program, sw *serializer.Writer) *Member {
+	d.solo = true
+	return d.group(p).add(p, sw.WriteToken, nil)
+}
+
+// Feed is the one feed loop: it parses r in a single pass with Token as the
+// parse's Tap and finishes the groups at end of input. opts says what the
+// parse builds beside them — the union of the store-required subscriptions'
+// projections, or nothing under an empty one — and Feed returns that
+// document.
+func (d *Dispatcher) Feed(r io.Reader, opts xmlparse.Options) (*store.Document, error) {
+	opts.Tap = d.Token
+	p := xmlparse.ParseIncremental(r, opts)
+	for {
+		done, err := p.Advance()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return p.Document(), d.Finish()
+		}
+	}
+}
+
+// interruptStride matches the store engine's polling granularity.
+const interruptStride = 256
+
+// Token delivers one token to every group. The errors it returns end the
+// feed: the interrupt hook's, polled at the first token and every
+// interruptStride after it, and in the Execute form the group's own. A
+// subscription's failure (error or panic — one poisoned handler must never
+// kill the feed's siblings) is recorded on the members it detaches instead.
 func (d *Dispatcher) Token(tok xml.Token) error {
+	if d.env.Interrupt != nil && d.inToks%interruptStride == 0 {
+		if err := d.env.Interrupt(); err != nil {
+			return err
+		}
+	}
+	d.inToks++
 	for _, r := range d.runners {
-		_ = r.Token(tok) // already recorded on the members it ended
+		if err := r.Token(tok); err != nil && d.solo {
+			return err
+		}
 	}
 	return nil
 }
 
-// Finish signals end of input to every group.
-func (d *Dispatcher) Finish() {
+// Finish signals end of input to every group; like Token it reports a
+// group's error in the Execute form only.
+func (d *Dispatcher) Finish() error {
 	for _, r := range d.runners {
-		_ = r.Finish() // already recorded on the members it ended
+		if err := r.Finish(); err != nil && d.solo {
+			return err
+		}
 	}
+	return nil
 }
 
 // Live reports how many members are still attached.

@@ -46,16 +46,17 @@ func TestWindowAllocGuard(t *testing.T) {
 	}
 	var windows int64
 	perRun := testing.AllocsPerRun(5, func() {
-		r := NewWriterRunner(prog, Env{}, serializer.New(io.Discard, serializer.Options{OmitXMLDecl: true}))
+		d := NewDispatcher(Env{})
+		m := d.write(prog, serializer.New(io.Discard, serializer.Options{OmitXMLDecl: true}))
 		for _, tok := range toks {
-			if err := r.Token(tok); err != nil {
+			if err := d.Token(tok); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := r.Finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		windows = r.members[0].Stats().Windows
+		windows = m.Stats().Windows
 	})
 	if windows != lines {
 		t.Fatalf("windows = %d, want %d", windows, lines)
@@ -77,9 +78,9 @@ type memberOutcome struct {
 // dispatch runs progs as the subscriptions of one Dispatcher over doc.
 // Delivered slices are kept as they are and read only after the feed ended,
 // when every later window has reused the arena and the framing buffer.
-func dispatch(t *testing.T, progs []*Program, doc string, strip bool) []memberOutcome {
+func dispatch(t *testing.T, progs []*Program, doc string) []memberOutcome {
 	t.Helper()
-	d := NewDispatcher(Env{StripWhitespace: strip})
+	d := NewDispatcher(Env{})
 	members := make([]*Member, len(progs))
 	kept := make([][][]byte, len(progs))
 	for i, p := range progs {
@@ -89,8 +90,7 @@ func dispatch(t *testing.T, progs []*Program, doc string, strip bool) []memberOu
 			return nil
 		})
 	}
-	feedTokens(t, d.Token, doc, strip)
-	d.Finish()
+	feed(t, d, doc)
 	out := make([]memberOutcome, len(progs))
 	for i, m := range members {
 		out[i] = memberOutcome{stats: m.Stats(), err: m.Err()}
@@ -103,7 +103,7 @@ func dispatch(t *testing.T, progs []*Program, doc string, strip bool) []memberOu
 }
 
 // TestSharedWindowsMatchSoloAndStore: members of a shared window group, in
-// either whitespace mode and any registration order, get what they get alone
+// any registration order, get what they get alone
 // on the feed, and what the store engine computes over the materialized
 // document — the oracle that never saw a reused arena.
 func TestSharedWindowsMatchSoloAndStore(t *testing.T) {
@@ -125,28 +125,25 @@ func TestSharedWindowsMatchSoloAndStore(t *testing.T) {
 		`//author`,        // nested identity: a group of its own
 	}
 	progs := make([]*Program, len(queries))
-	for strip := 0; strip < 2; strip++ {
-		strip := strip == 1
-		solo := make([]memberOutcome, len(queries))
-		for i, src := range queries {
-			prog, q, ro := compileStream(t, src)
-			progs[i] = prog
-			solo[i] = dispatch(t, []*Program{prog}, spaced, strip)[0]
-			if got, want := strings.Join(solo[i].results, ""), storeEval(t, q, ro, spaced, strip, nil); got != want {
-				t.Errorf("%s (strip=%v):\n stream: %q\n store:  %q", src, strip, got, want)
-			}
+	solo := make([]memberOutcome, len(queries))
+	for i, src := range queries {
+		prog, q, ro := compileStream(t, src)
+		progs[i] = prog
+		solo[i] = dispatch(t, []*Program{prog}, spaced)[0]
+		if got, want := strings.Join(solo[i].results, ""), storeEval(t, q, ro, spaced, nil); got != want {
+			t.Errorf("%s:\n stream: %q\n store:  %q", src, got, want)
 		}
-		for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {7, 5, 3, 1, 6, 4, 2, 0}, {2, 0}, {4, 6, 1}} {
-			picked := make([]*Program, len(order))
-			for i, qi := range order {
-				picked[i] = progs[qi]
-			}
-			shared := dispatch(t, picked, spaced, strip)
-			for i, qi := range order {
-				if !reflect.DeepEqual(shared[i], solo[qi]) {
-					t.Errorf("%s (strip=%v, registration %v):\n shared: %+v\n solo:   %+v",
-						queries[qi], strip, order, shared[i], solo[qi])
-				}
+	}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {7, 5, 3, 1, 6, 4, 2, 0}, {2, 0}, {4, 6, 1}} {
+		picked := make([]*Program, len(order))
+		for i, qi := range order {
+			picked[i] = progs[qi]
+		}
+		shared := dispatch(t, picked, spaced)
+		for i, qi := range order {
+			if !reflect.DeepEqual(shared[i], solo[qi]) {
+				t.Errorf("%s (registration %v):\n shared: %+v\n solo:   %+v",
+					queries[qi], order, shared[i], solo[qi])
 			}
 		}
 	}

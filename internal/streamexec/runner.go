@@ -12,7 +12,6 @@ import (
 	"xqgo/internal/faultinject"
 	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
-	"xqgo/internal/serializer"
 	"xqgo/internal/store"
 	"xqgo/internal/tokens"
 	"xqgo/internal/trace"
@@ -115,11 +114,11 @@ func (m *Member) Stats() Stats {
 	}
 }
 
-// Runner drives one window group against a live decoder token stream: the
+// Runner evaluates one window group over a decoder token stream: the
 // streamable programs of one feed that share a spine. It owns what the group
-// shares — the spine automaton, the whitespace policy and the window arena —
-// and runs each member's residual plan over every completed window, in
-// registration order. A single query (the Execute path) is a group of one.
+// shares — the spine's automaton state and the window arena — and runs each
+// member's residual plan over every completed window, in registration order.
+// A single query (the Execute path) is a group of one.
 //
 // Two kinds of group exist. A residual group holds any number of child-only
 // programs with a residual plan: the window is built once, in the arena, and
@@ -128,10 +127,9 @@ func (m *Member) Stats() Stats {
 // arrive (child-only spines) or buffered per nested window (descendant
 // spines).
 //
-// Feed it as the parser's Tap (Token), then call Finish at end of input. Not
-// safe for concurrent use; one stream owns it.
+// A Dispatcher feeds it (Token, then Finish at end of input). Not safe for
+// concurrent use; one stream owns it.
 type Runner struct {
-	spine     []projection.Step
 	childOnly bool
 	residual  bool
 	env       Env
@@ -142,25 +140,22 @@ type Runner struct {
 	live []*Member
 	dead bool
 
-	// Spine NFA (single path): flat state-set stack, one mark per element
-	// the automaton descended into. States are spine step indices.
-	states []int32
-	marks  []int32
+	// auto is the automaton ingestion projects with, over one path: the
+	// spine. A child-only spine keeps the subtree of its matches, so inside a
+	// window the automaton only counts depth and KeepingContent says whether
+	// one is open; a descendant spine does not, so the automaton keeps
+	// matching inside windows and reports each nested match as Target.
+	auto *projection.Runner
+	skip int // >0: inside a subtree the spine cannot reach, nesting counted
 
-	depth  int // element depth (nested mode)
-	wDepth int // >0: inside a child-only window, nesting counted
+	depth int // element depth outside skipped subtrees (nested mode)
 
 	// arena builds every window of a residual group, one after another, in
 	// the same columns (see store.Builder.Reset): a window's nodes live until
 	// the window closes, by which time every member has serialized its
 	// results.
 	arena *store.Builder
-
-	// pendingWS replicates the ingestion whitespace policy (see
-	// xmlparse.Incremental): with StripWhitespace, whitespace-only character
-	// data is held back, dropped at element boundaries and flushed when
-	// non-whitespace content follows in the same run.
-	pendingWS []string
+	fwd   forwarder // identity groups: start tags into fanOut
 
 	open   []openWindow // nested mode: window stack (open[0] streams direct)
 	queued []openWindow // nested mode: closed inner windows awaiting delivery
@@ -168,12 +163,39 @@ type Runner struct {
 
 	windows int64 // windows opened by the group, each counted once
 
-	inToks   int64 // input tokens seen, for interrupt pacing
 	curBytes int64
 	peak     int64 // high-water mark of curBytes
 
 	wSpan      *trace.Span // child-only mode: the current window's span
 	spansTaken int         // window spans created so far (maxWindowSpans cap)
+}
+
+// forwarder is the xmlparse.StartSink of an identity group: a start tag
+// becomes the tokens a scan of the stored element would yield. The sink's
+// first two methods cannot fail, so the first emit error is held in err and
+// the rest of the tag dropped.
+type forwarder struct {
+	emit func(tokens.Token) error
+	err  error
+}
+
+func (f *forwarder) put(t tokens.Token) {
+	if f.err == nil {
+		f.err = f.emit(t)
+	}
+}
+
+func (f *forwarder) StartElement(name xdm.QName) {
+	f.put(tokens.Token{Kind: tokens.KindStartElement, Name: name})
+}
+
+func (f *forwarder) NSDecl(prefix, uri string) {
+	f.put(tokens.Token{Kind: tokens.KindNamespace, Name: xdm.LocalName(prefix), Value: uri})
+}
+
+func (f *forwarder) Attr(name xdm.QName, value string) error {
+	f.put(tokens.Token{Kind: tokens.KindAttribute, Name: name, Value: value})
+	return f.err
 }
 
 // newRunner creates the group p founds; p and every later member join
@@ -182,20 +204,22 @@ func newRunner(p *Program, env Env) *Runner {
 	if !p.Streamable() {
 		panic("streamexec: program is not streamable")
 	}
-	return &Runner{
-		spine:     p.spine,
+	r := &Runner{
 		childOnly: p.childOnly,
 		residual:  p.residual != nil,
 		env:       env,
-		states:    []int32{0},
-		marks:     []int32{0},
+		auto: projection.NewRunner(&projection.Paths{List: []projection.Path{
+			{Steps: p.spine, KeepSubtree: p.childOnly},
+		}}),
 	}
+	r.fwd.emit = r.fanOut
+	return r
 }
 
 // accepts reports whether p can share this group's windows: both evaluate a
-// residual over child-only windows of the same spine.
+// residual over child-only windows of the same spine (the founder's).
 func (r *Runner) accepts(p *Program) bool {
-	return r.residual && p.residual != nil && slices.Equal(p.spine, r.spine)
+	return r.residual && p.residual != nil && slices.Equal(p.spine, r.members[0].prog.spine)
 }
 
 func (r *Runner) add(p *Program, sink func(tokens.Token) error, endResult func() error) *Member {
@@ -221,22 +245,6 @@ func (r *Runner) add(p *Program, sink func(tokens.Token) error, endResult func()
 	return m
 }
 
-// NewWriterRunner creates a group of one serializing all results into one
-// shared token writer (the Execute path: results concatenate exactly like the
-// store engine's ExecuteToWriter, including the adjacent-atomic space rule).
-func NewWriterRunner(p *Program, env Env, sw *serializer.Writer) *Runner {
-	r := newRunner(p, env)
-	r.add(p, sw.WriteToken, nil)
-	return r
-}
-
-// addResults adds a member delivering each result item as one serialized XML
-// fragment (the subscription path).
-func (r *Runner) addResults(p *Program, deliver func(xml []byte) error) *Member {
-	f := NewResultFramer(deliver)
-	return r.add(p, f.WriteToken, f.EndResult)
-}
-
 // windowSpan opens a live trace span for one window, if the execution is
 // traced and the runner's span budget allows.
 func (r *Runner) windowSpan() *trace.Span {
@@ -248,18 +256,14 @@ func (r *Runner) windowSpan() *trace.Span {
 		SetAttr("seq", r.windows)
 }
 
-// interruptStride matches the store engine's polling granularity.
-const interruptStride = 256
-
-// Token consumes one decoder token — this is the method to install as the
-// parser's Tap. Payload bytes are copied before the call returns.
+// Token consumes one decoder token. Payload bytes are copied before the call
+// returns.
 //
 // A member whose evaluation or delivery fails (or panics) is detached with
 // its error and its siblings carry on; Token reports an error only when it
 // ends the whole group — the last live member failed, or something the group
-// shares did (the interrupt hook, the memory budget, the window build), which
-// fails every live member alike. A group without live members ignores the
-// rest of the feed.
+// shares did (the memory budget, the window build), which fails every live
+// member alike. A group without live members ignores the rest of the feed.
 func (r *Runner) Token(tok xml.Token) error {
 	if r.dead {
 		return nil
@@ -276,30 +280,25 @@ func (r *Runner) Token(tok xml.Token) error {
 // never the feed.
 func (r *Runner) token(tok xml.Token) (err error) {
 	defer runtime.RecoverXQ(&err)
-	r.inToks++
-	if r.env.Interrupt != nil && r.inToks%interruptStride == 0 {
-		if err := r.env.Interrupt(); err != nil {
-			return err
-		}
-	}
 	switch t := tok.(type) {
 	case xml.StartElement:
 		return r.startElement(t)
 	case xml.EndElement:
 		return r.endElement()
+	}
+	if !r.inWindow() {
+		return nil
+	}
+	switch t := tok.(type) {
 	case xml.CharData:
-		if !r.inWindow() {
-			return nil
-		}
-		return r.charData(t)
+		return r.content(tokens.Token{Kind: tokens.KindText, Value: string(t)})
 	case xml.Comment:
 		return r.content(tokens.Token{Kind: tokens.KindComment, Value: string(t)})
 	case xml.ProcInst:
-		if t.Target == "xml" {
-			return nil // XML declaration
+		if t.Target != "xml" { // not the XML declaration
+			return r.content(tokens.Token{Kind: tokens.KindPI,
+				Name: xdm.LocalName(t.Target), Value: string(t.Inst)})
 		}
-		return r.content(tokens.Token{Kind: tokens.KindPI,
-			Name: xdm.LocalName(t.Target), Value: string(t.Inst)})
 	}
 	return nil
 }
@@ -321,7 +320,7 @@ func (r *Runner) Finish() error {
 	if r.dead {
 		return nil
 	}
-	if r.wDepth != 0 || len(r.open) != 0 {
+	if r.inWindow() {
 		err := fmt.Errorf("streamexec: input ended inside a window")
 		r.failLive(err)
 		return err
@@ -373,224 +372,119 @@ func (r *Runner) flushCounters(m *Member) {
 // ---- element events ----
 
 func (r *Runner) startElement(t xml.StartElement) error {
-	if r.childOnly {
-		if r.wDepth > 0 {
-			r.wDepth++
-			r.dropWS()
-			return r.interiorStart(t)
-		}
-		if r.nfaStart(t.Name.Space, t.Name.Local) {
-			// Window interiors bypass the automaton entirely, so pop the
-			// speculative mark this element pushed: its end event will be
-			// consumed by the window-depth counter, not nfaEnd.
-			r.nfaEnd()
+	if r.skip > 0 {
+		r.skip++
+		return nil
+	}
+	inside := r.inWindow()
+	act := r.auto.StartElement(t.Name.Space, t.Name.Local)
+	if act == projection.Skip {
+		// Never inside a window: a child-only window is a kept subtree, and
+		// below a match of a descendant spine its // step stays live.
+		r.skip = 1
+		return nil
+	}
+	r.depth++
+	switch act {
+	case projection.KeepSubtree:
+		// Child-only spine: the root of a window or, further in, its interior.
+		if !inside {
 			if !r.noteWindow() {
 				return nil
 			}
-			r.wDepth = 1
-			return r.openChildWindow(t)
+			r.wSpan = r.windowSpan()
+			if r.residual {
+				if r.arena == nil {
+					r.arena = store.NewBuilder(store.BuilderOptions{})
+				}
+				r.arena.StartDocument()
+			}
 		}
-		return nil
-	}
-
-	// Nested (descendant-spine) identity mode: the automaton runs inside
-	// windows too — deeper matches open nested windows of their own.
-	r.depth++
-	if r.nfaStart(t.Name.Space, t.Name.Local) {
+	case projection.Target:
+		// Descendant spine: a window of its own, inside any already open.
 		if !r.noteWindow() {
 			return nil
 		}
 		r.open = append(r.open, openWindow{seq: r.seq, depth: r.depth, span: r.windowSpan()})
 		r.seq++
 	}
-	if len(r.open) > 0 {
-		r.dropWS()
-		return startTokens(t, r.fanOut)
-	}
-	return nil
-}
-
-func (r *Runner) endElement() error {
-	if r.childOnly {
-		if r.wDepth > 0 {
-			r.dropWS()
-			r.wDepth--
-			if r.wDepth == 0 {
-				return r.closeChildWindow()
-			}
-			return r.interiorEnd()
-		}
-		r.nfaEnd()
-		return nil
-	}
-
-	if len(r.open) > 0 {
-		r.dropWS()
-		if err := r.fanOut(tokens.Token{Kind: tokens.KindEndElement}); err != nil {
-			return err
-		}
-		if r.open[len(r.open)-1].depth == r.depth {
-			if err := r.closeNestedWindow(); err != nil {
-				return err
-			}
-		}
-	}
-	r.depth--
-	r.nfaEnd()
-	return nil
-}
-
-// ---- character/comment/PI content ----
-
-// charData takes character data inside a window; the one string conversion
-// serves every member.
-func (r *Runner) charData(t xml.CharData) error {
-	s := string(t)
-	if r.env.StripWhitespace && xmlparse.IsXMLSpace(s) {
-		r.pendingWS = append(r.pendingWS, s)
-		return nil
-	}
-	if err := r.flushWS(); err != nil {
-		return err
-	}
-	return r.contentText(s)
-}
-
-func (r *Runner) content(t tokens.Token) error {
 	if !r.inWindow() {
 		return nil
 	}
-	if err := r.flushWS(); err != nil {
+	if !r.residual {
+		_ = xmlparse.StartTag(t, &r.fwd) // the same error as r.fwd.err, or none
+		return r.fwd.err
+	}
+	if err := xmlparse.StartTag(t, r.arena); err != nil {
 		return err
 	}
-	if r.residual {
-		switch t.Kind {
-		case tokens.KindComment:
-			r.arena.Comment(t.Value)
-		case tokens.KindPI:
-			r.arena.PI(t.Name.Local, t.Value)
-		}
-		return r.addBuf(tokBytes(t))
+	est := int64(len(t.Name.Local)+len(t.Name.Space)) + 16
+	for _, a := range t.Attr {
+		est += int64(len(a.Name.Local)+len(a.Name.Space)+len(a.Value)) + 16
 	}
-	return r.fanOut(t)
+	return r.addBuf(est)
 }
 
-func (r *Runner) contentText(s string) error {
-	if r.residual {
-		r.arena.Text(s)
-		return r.addBuf(int64(len(s)) + 16)
+func (r *Runner) endElement() error {
+	if r.skip > 0 {
+		r.skip--
+		return nil
 	}
-	return r.fanOut(tokens.Token{Kind: tokens.KindText, Value: s})
+	inside := r.inWindow()
+	r.auto.EndElement()
+	r.depth--
+	if !inside {
+		return nil
+	}
+	if r.residual {
+		r.arena.EndElement()
+	} else if err := r.fanOut(tokens.Token{Kind: tokens.KindEndElement}); err != nil {
+		return err
+	}
+	switch {
+	case !r.childOnly:
+		if r.open[len(r.open)-1].depth == r.depth+1 {
+			return r.closeNestedWindow()
+		}
+	case !r.auto.KeepingContent():
+		return r.closeChildWindow()
+	}
+	return nil
+}
+
+// content takes character data, a comment or a processing instruction inside
+// a window; the one string conversion of its payload serves every member.
+func (r *Runner) content(t tokens.Token) error {
+	if !r.residual {
+		return r.fanOut(t)
+	}
+	switch t.Kind {
+	case tokens.KindText:
+		r.arena.Text(t.Value)
+	case tokens.KindComment:
+		r.arena.Comment(t.Value)
+	case tokens.KindPI:
+		r.arena.PI(t.Name.Local, t.Value)
+	}
+	return r.addBuf(tokBytes(t))
 }
 
 func (r *Runner) inWindow() bool {
 	if r.childOnly {
-		return r.wDepth > 0
+		return r.auto.KeepingContent()
 	}
 	return len(r.open) > 0
 }
 
-func (r *Runner) dropWS() { r.pendingWS = r.pendingWS[:0] }
-
-func (r *Runner) flushWS() error {
-	for _, s := range r.pendingWS {
-		if err := r.contentText(s); err != nil {
-			return err
-		}
-	}
-	r.pendingWS = r.pendingWS[:0]
-	return nil
-}
-
 // ---- child-only windows ----
 
-func (r *Runner) openChildWindow(t xml.StartElement) error {
-	r.wSpan = r.windowSpan()
-	if r.residual {
-		if r.arena == nil {
-			r.arena = store.NewBuilder(store.BuilderOptions{})
-		}
-		r.arena.StartDocument()
-	}
-	return r.interiorStart(t)
-}
-
-// interiorStart feeds a start-element (with attributes) into the current
-// window: the arena in a residual group, the output stream of a
-// fully-streamable member.
-func (r *Runner) interiorStart(t xml.StartElement) error {
-	if r.residual {
-		r.arena.StartElement(convName(t.Name))
-		est := int64(len(t.Name.Local)+len(t.Name.Space)) + 16
-		for _, a := range t.Attr {
-			if a.Name.Space == "xmlns" {
-				r.arena.NSDecl(a.Name.Local, a.Value)
-				continue
-			}
-			if a.Name.Space == "" && a.Name.Local == "xmlns" {
-				r.arena.NSDecl("", a.Value)
-				continue
-			}
-			if err := r.arena.Attr(convName(a.Name), a.Value); err != nil {
-				return err
-			}
-			est += int64(len(a.Name.Local)+len(a.Name.Space)+len(a.Value)) + 16
-		}
-		return r.addBuf(est)
-	}
-	return startTokens(t, r.members[0].emit)
-}
-
-// startTokens emits a start-element the way a scan of the stored element
-// would: the name, its namespace declarations, then its attributes.
-func startTokens(t xml.StartElement, emit func(tokens.Token) error) error {
-	if err := emit(tokens.Token{Kind: tokens.KindStartElement, Name: convName(t.Name)}); err != nil {
-		return err
-	}
-	for _, a := range t.Attr {
-		if !isXmlns(a.Name) {
-			continue
-		}
-		prefix := a.Name.Local
-		if a.Name.Space == "" {
-			prefix = ""
-		}
-		if err := emit(tokens.Token{Kind: tokens.KindNamespace,
-			Name: xdm.LocalName(prefix), Value: a.Value}); err != nil {
-			return err
-		}
-	}
-	for _, a := range t.Attr {
-		if isXmlns(a.Name) {
-			continue
-		}
-		if err := emit(tokens.Token{Kind: tokens.KindAttribute,
-			Name: convName(a.Name), Value: a.Value}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *Runner) interiorEnd() error {
-	if r.residual {
-		r.arena.EndElement()
-		return nil
-	}
-	return r.members[0].emit(tokens.Token{Kind: tokens.KindEndElement})
-}
-
+// closeChildWindow delivers the window whose end tag was just taken.
 func (r *Runner) closeChildWindow() error {
 	if !r.residual {
-		m := r.members[0]
-		if err := m.emit(tokens.Token{Kind: tokens.KindEndElement}); err != nil {
-			return err
-		}
 		r.wSpan.End()
 		r.wSpan = nil
-		return r.finishResult(m)
+		return r.finishResult(r.members[0])
 	}
-	r.arena.EndElement()
 	doc, err := r.arena.Done()
 	if err != nil {
 		return err
@@ -769,45 +663,4 @@ func (r *Runner) dropBuf(n int64) {
 // tokBytes estimates the retained size of one buffered token.
 func tokBytes(t tokens.Token) int64 {
 	return int64(len(t.Name.Space)+len(t.Name.Local)+len(t.Value)) + 16
-}
-
-// ---- spine NFA ----
-
-// nfaStart advances the automaton into an element, reporting whether the
-// element completes the spine. Mirrors projection.Runner's flat state-set
-// stack, specialized to a single path.
-func (r *Runner) nfaStart(space, local string) bool {
-	top := r.marks[len(r.marks)-1]
-	cur := r.states[top:len(r.states):len(r.states)]
-	next := len(r.states)
-	matched := false
-	for _, si := range cur {
-		st := r.spine[si]
-		if st.AnyDepth {
-			r.states = append(r.states, si) // may still match deeper
-		}
-		if st.Match(space, local) {
-			if int(si)+1 == len(r.spine) {
-				matched = true
-			} else {
-				r.states = append(r.states, si+1)
-			}
-		}
-	}
-	r.marks = append(r.marks, int32(next))
-	return matched
-}
-
-func (r *Runner) nfaEnd() {
-	top := r.marks[len(r.marks)-1]
-	r.marks = r.marks[:len(r.marks)-1]
-	r.states = r.states[:top]
-}
-
-// ---- helpers ----
-
-func convName(n xml.Name) xdm.QName { return xdm.QName{Space: n.Space, Local: n.Local} }
-
-func isXmlns(n xml.Name) bool {
-	return n.Space == "xmlns" || (n.Space == "" && n.Local == "xmlns")
 }

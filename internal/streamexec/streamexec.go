@@ -6,7 +6,8 @@
 // The design follows the continuous-query line the paper surveys (XQRL's
 // token-stream evaluation; Koch et al.'s buffer-minimizing FluXQuery): a plan
 // is split into a SPINE of forward element steps — matched against live
-// start/end-element events by a small NFA — and a per-window RESIDUAL
+// start/end-element events by the projection automaton, run over that one
+// path — and a per-window RESIDUAL
 // evaluated over one buffered window subtree at a time. The analysis proves a
 // buffer bound (one window) or refuses, in which case execution transparently
 // falls back to the regular store engine; results are never wrong, only
@@ -16,6 +17,10 @@
 // that evaluate a residual over windows of the same spine share the automaton
 // and one window build per window, in an arena reused from window to window;
 // a single query is a group of one.
+//
+// The package evaluates; it does not ingest. Tokens reach it through the
+// parser's Tap in one feed loop (Dispatcher.Feed), start tags are translated
+// by xmlparse.StartTag, and name tests become steps in optimizer.StepFromTest.
 package streamexec
 
 import (
@@ -70,10 +75,6 @@ type Env struct {
 	// maxWindowSpans) — totals always come from the profile counters.
 	Trace     *trace.Trace
 	TraceSpan *trace.Span
-	// StripWhitespace mirrors the ingestion option of the same name so the
-	// streamed view of the document matches what the store engine would have
-	// materialized (whitespace-only text between elements dropped).
-	StripWhitespace bool
 	// Budget, when non-nil, is charged for window buffer growth (and
 	// discharged as windows close); overage aborts the execution with a
 	// structured budget error (see internal/limits).

@@ -2,7 +2,6 @@ package streamexec
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,9 +39,9 @@ func compileStream(t *testing.T, src string) (*Program, *expr.Query, runtime.Opt
 
 // storeEval runs the plan on the regular store engine (the differential
 // oracle).
-func storeEval(t *testing.T, q *expr.Query, ro runtime.Options, doc string, strip bool, vars map[string]xdm.Sequence) string {
+func storeEval(t *testing.T, q *expr.Query, ro runtime.Options, doc string, vars map[string]xdm.Sequence) string {
 	t.Helper()
-	d, err := xmlparse.ParseString(doc, xmlparse.Options{StripWhitespace: strip, URI: "mem:doc"})
+	d, err := xmlparse.ParseString(doc, xmlparse.Options{URI: "mem:doc"})
 	if err != nil {
 		t.Fatalf("parse doc: %v", err)
 	}
@@ -59,32 +58,25 @@ func storeEval(t *testing.T, q *expr.Query, ro runtime.Options, doc string, stri
 
 // streamEval runs the program over a live token stream in shared-writer
 // mode and returns the serialized output.
-func streamEval(t *testing.T, prog *Program, doc string, strip bool, vars map[string]xdm.Sequence) (string, Stats) {
+func streamEval(t *testing.T, prog *Program, doc string, env Env) (string, Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := serializer.New(&buf, serializer.Options{OmitXMLDecl: true})
-	r := NewWriterRunner(prog, Env{StripWhitespace: strip, Vars: vars}, sw)
-	p := xmlparse.ParseIncremental(strings.NewReader(doc), xmlparse.Options{
-		StripWhitespace: strip,
-		Projection:      projection.New(),
-		Tap:             r.Token,
-	})
-	for {
-		done, err := p.Advance()
-		if err != nil {
-			t.Fatalf("advance: %v", err)
-		}
-		if done {
-			break
-		}
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
+	d := NewDispatcher(env)
+	m := d.write(prog, sw)
+	feed(t, d, doc)
 	if err := sw.Close(); err != nil {
 		t.Fatalf("writer close: %v", err)
 	}
-	return buf.String(), r.members[0].Stats()
+	return buf.String(), m.Stats()
+}
+
+// feed runs doc through d's feed loop, building nothing.
+func feed(t *testing.T, d *Dispatcher, doc string) {
+	t.Helper()
+	if _, err := d.Feed(strings.NewReader(doc), xmlparse.Options{Projection: projection.New()}); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
 }
 
 func TestClassification(t *testing.T) {
@@ -138,38 +130,18 @@ func TestDifferentialAgainstStoreEngine(t *testing.T) {
 		`/bib//author`,
 	}
 	for _, src := range queries {
-		for _, strip := range []bool{false, true} {
-			prog, q, ro := compileStream(t, src)
-			if !prog.Streamable() {
-				t.Errorf("%s: unexpectedly store-required (%s)", src, prog.Reason())
-				continue
-			}
-			want := storeEval(t, q, ro, bibDoc, strip, nil)
-			got, stats := streamEval(t, prog, bibDoc, strip, nil)
-			if got != want {
-				t.Errorf("%s (strip=%v):\n stream: %q\n store:  %q", src, strip, got, want)
-			}
-			if stats.Windows == 0 {
-				t.Errorf("%s: no windows opened", src)
-			}
-		}
-	}
-}
-
-// Stream mode classifies whitespace like ingestion does: only XML whitespace
-// is strippable, so a U+00A0 text node survives StripWhitespace on both sides
-// of the differential while the run of real whitespace does not.
-func TestStripKeepsUnicodeSpaceInStreamMode(t *testing.T) {
-	const doc = "<bib><book>\u00a0<title>T</title> \n</book><book> <title>U</title>\u2003</book></bib>"
-	for _, src := range []string{`/bib/book/text()`, `/bib/book`, `//book`} {
 		prog, q, ro := compileStream(t, src)
-		want := storeEval(t, q, ro, doc, true, nil)
-		got, _ := streamEval(t, prog, doc, true, nil)
+		if !prog.Streamable() {
+			t.Errorf("%s: unexpectedly store-required (%s)", src, prog.Reason())
+			continue
+		}
+		want := storeEval(t, q, ro, bibDoc, nil)
+		got, stats := streamEval(t, prog, bibDoc, Env{})
 		if got != want {
 			t.Errorf("%s:\n stream: %q\n store:  %q", src, got, want)
 		}
-		if !strings.Contains(got, "\u00a0") || !strings.Contains(got, "\u2003") || strings.Contains(got, " ") {
-			t.Errorf("%s: %q must keep U+00A0 and U+2003 and drop the XML whitespace", src, got)
+		if stats.Windows == 0 {
+			t.Errorf("%s: no windows opened", src)
 		}
 	}
 }
@@ -179,8 +151,8 @@ func TestNestedWindowsKeepDocumentOrder(t *testing.T) {
 	if prog.Class() != BoundedBuffer {
 		t.Fatalf("class = %v (%s)", prog.Class(), prog.Reason())
 	}
-	want := storeEval(t, q, ro, sectionsDoc, false, nil)
-	got, stats := streamEval(t, prog, sectionsDoc, false, nil)
+	want := storeEval(t, q, ro, sectionsDoc, nil)
+	got, stats := streamEval(t, prog, sectionsDoc, Env{})
 	if got != want {
 		t.Fatalf("nested windows:\n stream: %q\n store:  %q", got, want)
 	}
@@ -199,8 +171,8 @@ func TestExternalVariables(t *testing.T) {
 		t.Fatalf("store-required: %s", prog.Reason())
 	}
 	vars := map[string]xdm.Sequence{"y": {xdm.NewString("1994")}}
-	want := storeEval(t, q, ro, bibDoc, true, vars)
-	got, _ := streamEval(t, prog, bibDoc, true, vars)
+	want := storeEval(t, q, ro, bibDoc, vars)
+	got, _ := streamEval(t, prog, bibDoc, Env{Vars: vars})
 	if got != want || !strings.Contains(got, "TCP/IP") {
 		t.Fatalf("external var:\n stream: %q\n store:  %q", got, want)
 	}
@@ -209,13 +181,12 @@ func TestExternalVariables(t *testing.T) {
 func TestResultRunnerFraming(t *testing.T) {
 	prog, _, _ := compileStream(t, `/bib/book/title`)
 	var results [][]byte
-	d := NewDispatcher(Env{StripWhitespace: true})
+	d := NewDispatcher(Env{})
 	d.Subscribe(prog, func(x []byte) error {
 		results = append(results, x) // deliver owns the slice: no copy
 		return nil
 	})
-	feedTokens(t, d.Token, bibDoc, true)
-	d.Finish()
+	feed(t, d, bibDoc)
 	if len(results) != 3 {
 		t.Fatalf("results = %d, want 3 (%q)", len(results), results)
 	}
@@ -230,16 +201,7 @@ func TestResultRunnerFraming(t *testing.T) {
 func TestResidualWindowBufferAccounting(t *testing.T) {
 	prog, _, _ := compileStream(t, `/bib/book[@year = "1994"]/title`)
 	prof := mustProfile(t)
-	_, stats := func() (string, Stats) {
-		var buf bytes.Buffer
-		sw := serializer.New(&buf, serializer.Options{OmitXMLDecl: true})
-		r := NewWriterRunner(prog, Env{StripWhitespace: true, Prof: prof}, sw)
-		feedTokens(t, r.Token, bibDoc, true)
-		if err := r.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), r.members[0].Stats()
-	}()
+	_, stats := streamEval(t, prog, bibDoc, Env{Prof: prof})
 	if stats.Windows != 3 {
 		t.Fatalf("windows = %d, want 3", stats.Windows)
 	}
@@ -275,35 +237,18 @@ func mustProfile(t *testing.T) *runtime.Profile {
 	return prep.NewProfile(false)
 }
 
-func feedTokens(t *testing.T, tap func(xml.Token) error, doc string, strip bool) {
-	t.Helper()
-	p := xmlparse.ParseIncremental(strings.NewReader(doc), xmlparse.Options{
-		StripWhitespace: strip, Projection: projection.New(), Tap: tap,
-	})
-	for {
-		done, err := p.Advance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-}
-
 func TestDispatcherIsolatesFailingMember(t *testing.T) {
 	progA, _, _ := compileStream(t, `/bib/book/title`)
 	progB, _, _ := compileStream(t, `/bib/book`)
 	var got []string
 	boom := fmt.Errorf("subscriber gone")
-	d := NewDispatcher(Env{StripWhitespace: true})
+	d := NewDispatcher(Env{})
 	ma := d.Subscribe(progA, func(x []byte) error {
 		got = append(got, string(x))
 		return nil
 	})
 	mb := d.Subscribe(progB, func([]byte) error { return boom })
-	feedTokens(t, d.Token, bibDoc, true)
-	d.Finish()
+	feed(t, d, bibDoc)
 
 	if ma.Err() != nil {
 		t.Fatalf("healthy member errored: %v", ma.Err())

@@ -143,25 +143,10 @@ func (p *Incremental) advance() (done bool, err error) {
 				break
 			}
 		}
-		if !p.opts.StripWhitespace {
-			p.flushWS()
-		} else {
-			p.pendingWS = p.pendingWS[:0]
-		}
-		p.b.StartElement(convName(t.Name))
-		for _, a := range t.Attr {
-			if a.Name.Space == "xmlns" {
-				p.b.NSDecl(a.Name.Local, a.Value)
-				continue
-			}
-			if a.Name.Space == "" && a.Name.Local == "xmlns" {
-				p.b.NSDecl("", a.Value)
-				continue
-			}
-			if err := p.b.Attr(convName(a.Name), a.Value); err != nil {
-				p.flushStats(1, 0)
-				return false, fmt.Errorf("xmlparse: %w", err)
-			}
+		p.pendingWS = p.pendingWS[:0] // held only when stripping: dropped at a tag
+		if err := StartTag(t, p.b); err != nil {
+			p.flushStats(1, 0)
+			return false, fmt.Errorf("xmlparse: %w", err)
 		}
 		p.depth++
 
@@ -170,11 +155,7 @@ func (p *Incremental) advance() (done bool, err error) {
 			p.skipDepth--
 			break
 		}
-		if p.opts.StripWhitespace {
-			p.pendingWS = p.pendingWS[:0]
-		} else {
-			p.flushWS()
-		}
+		p.pendingWS = p.pendingWS[:0]
 		p.b.EndElement()
 		if p.runner != nil {
 			p.runner.EndElement()
@@ -316,10 +297,9 @@ func (p *Incremental) bytesDelta() int64 {
 func countAttrs(attrs []xml.Attr) int {
 	n := 0
 	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-			continue
+		if _, ok := nsDecl(a.Name); !ok {
+			n++
 		}
-		n++
 	}
 	return n
 }

@@ -77,6 +77,48 @@ func IsXMLSpace[T ~string | ~[]byte](s T) bool {
 	return true
 }
 
+// StartSink receives the parts of one start tag, in the order a scan of the
+// stored element yields them: the name, its namespace declarations, then its
+// attributes. *store.Builder is one.
+type StartSink interface {
+	StartElement(name xdm.QName)
+	NSDecl(prefix, uri string)
+	Attr(name xdm.QName, value string) error
+}
+
+// StartTag is the one translation of a decoder start tag: the document build,
+// the streaming evaluator's window arena and its token forwarder all receive
+// their elements through it.
+func StartTag(t xml.StartElement, sink StartSink) error {
+	sink.StartElement(convName(t.Name))
+	for _, a := range t.Attr {
+		if prefix, ok := nsDecl(a.Name); ok {
+			sink.NSDecl(prefix, a.Value)
+		}
+	}
+	for _, a := range t.Attr {
+		if _, ok := nsDecl(a.Name); ok {
+			continue
+		}
+		if err := sink.Attr(convName(a.Name), a.Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nsDecl reports whether an attribute name is a namespace declaration
+// (xmlns:p="…" or xmlns="…"), and the prefix it binds.
+func nsDecl(n xml.Name) (prefix string, ok bool) {
+	switch {
+	case n.Space == "xmlns":
+		return n.Local, true
+	case n.Space == "" && n.Local == "xmlns":
+		return "", true
+	}
+	return "", false
+}
+
 // convName converts an encoding/xml name (Space = resolved URI) to a QName.
 // encoding/xml loses the original prefix; the serializer re-derives one from
 // the namespace declarations.

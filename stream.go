@@ -3,11 +3,9 @@ package xqgo
 import (
 	"io"
 
-	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
 	"xqgo/internal/serializer"
 	"xqgo/internal/streamexec"
-	"xqgo/internal/xmlparse"
 )
 
 // StreamClass classifies a query's streamability (see Query.Streamability):
@@ -62,8 +60,14 @@ func (q *Query) tryExecuteStream(c *Context, w io.Writer) (bool, error) {
 		c.dyn.Prof.AddStreamFallback()
 		return false, nil
 	}
+	in := c.streamR
+	if c.dyn.Stream != nil {
+		// Context-wrapped when bindContext ran, so a canceled execution
+		// unblocks a pending feed read here too.
+		in = c.dyn.Stream.Reader()
+	}
 	sw := serializer.New(w, serializer.Options{OmitXMLDecl: true})
-	r := streamexec.NewWriterRunner(prog, streamexec.Env{
+	err := streamexec.Execute(prog, streamexec.Env{
 		Vars:      c.dyn.Vars,
 		Interrupt: c.dyn.Interrupt,
 		Now:       c.dyn.Now,
@@ -71,29 +75,8 @@ func (q *Query) tryExecuteStream(c *Context, w io.Writer) (bool, error) {
 		Trace:     c.dyn.Trace,
 		TraceSpan: c.dyn.TraceSpan,
 		Budget:    c.dyn.Budget,
-	}, sw)
-	in := c.streamR
-	if c.dyn.Stream != nil {
-		// Context-wrapped when bindContext ran, so a canceled execution
-		// unblocks a pending feed read here too.
-		in = c.dyn.Stream.Reader()
-	}
-	p := xmlparse.ParseIncremental(in, xmlparse.Options{
-		URI:        c.streamURI,
-		Projection: projection.New(), // tokenize everything, build nothing
-		Stats:      runtime.IngestStats(c.dyn),
-		Tap:        r.Token,
-	})
-	for {
-		done, err := p.Advance()
-		if err != nil {
-			return true, err
-		}
-		if done {
-			break
-		}
-	}
-	if err := r.Finish(); err != nil {
+	}, in, runtime.IngestStats(c.dyn), sw)
+	if err != nil {
 		return true, err
 	}
 	return true, sw.Close()

@@ -103,42 +103,24 @@ func (s *Subscriber) Run(ctx context.Context, r io.Reader, uri string) error {
 		fallback = append(fallback, sub)
 		proj = unionProjection(proj, sub.query.ro.Projection)
 	}
-	if len(fallback) == 0 {
-		// No store needed: tokenize the whole feed, materialize nothing.
-		proj = projection.New()
-	}
 
-	popts := xmlparse.Options{
-		URI:        uri,
-		Projection: proj,
-		Tap:        d.Token,
-	}
+	// One parse pass: every token goes to the window groups, and the parse
+	// builds the union projection for the fallbacks (nothing without any).
+	popts := xmlparse.Options{URI: uri, Projection: proj}
 	if s.budget != nil {
 		popts.Charge = s.budget.Charge
 	}
-	p := xmlparse.ParseIncremental(r, popts)
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		done, err := p.Advance()
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
+	doc, err := d.Feed(r, popts)
+	if err != nil {
+		return err
 	}
-	d.Finish()
 
 	// Store-required subscriptions evaluate over the materialized feed.
 	for _, sub := range fallback {
 		if sub.closed.Load() {
 			continue
 		}
-		if err := sub.evalStore(p.Document(), env); err != nil {
+		if err := sub.evalStore(doc, env); err != nil {
 			sub.storeErr.Store(&errBox{err})
 		}
 	}

@@ -423,6 +423,40 @@ func TestXqdDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestXqdErrorMapping: which status each kind of bad request gets, on the
+// JSON form of POST /query and on the XML-body form. A limit that is present
+// but not a number is a 400 on both; an absent one keeps the default.
+func TestXqdErrorMapping(t *testing.T) {
+	leakcheck.Check(t)
+	base := startServer(t, service.New(service.Config{Workers: 2}))
+	const xmlBody = `<a><b>1</b></a>`
+	for _, c := range []struct {
+		name, target, contentType, body string
+		want                            int
+	}{
+		{"malformed JSON", "/query", "application/json", `{"query":`, http.StatusBadRequest},
+		{"bad XQuery", "/query", "application/json", `{"query":"for $x in"}`, http.StatusBadRequest},
+		{"unknown document", "/query", "application/json", `{"query":"/a","doc":"nope"}`, http.StatusNotFound},
+		{"unbound variable", "/query", "application/json", `{"query":"declare variable $v external; $v"}`, http.StatusUnprocessableEntity},
+		{"JSON timeoutMs not a number", "/query", "application/json", `{"query":"1","timeoutMs":"abc"}`, http.StatusBadRequest},
+		{"XML body, no limits", "/query?query=/a/b", "application/xml", xmlBody, http.StatusOK},
+		{"XML body, numeric limits", "/query?query=/a/b&timeoutMs=5000&maxResultBytes=4096", "application/xml", xmlBody, http.StatusOK},
+		{"XML body, timeoutMs not a number", "/query?query=/a/b&timeoutMs=abc", "application/xml", xmlBody, http.StatusBadRequest},
+		{"XML body, maxResultBytes not a number", "/query?query=/a/b&maxResultBytes=1e3", "application/xml", xmlBody, http.StatusBadRequest},
+		{"XML body, empty timeoutMs", "/query?query=/a/b&timeoutMs=", "application/xml", xmlBody, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(base+c.target, c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, body, c.want)
+		}
+	}
+}
+
 // TestXqdDaemonSmoke runs the real cmd/xqd binary on an ephemeral port and
 // drives it over HTTP.
 func TestXqdDaemonSmoke(t *testing.T) {

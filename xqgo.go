@@ -292,7 +292,6 @@ type Context struct {
 	// the parse when the plan is streamable.
 	streamMode bool
 	streamR    io.Reader
-	streamURI  string
 }
 
 // NewContext creates an empty context with an in-memory document registry
@@ -374,7 +373,6 @@ func (c *Context) WithInterrupt(f func() error) *Context {
 func (c *Context) WithStreamingInput(r io.Reader, uri string) *Context {
 	c.dyn.Stream = runtime.NewStreamState(r, xmlparse.Options{URI: uri})
 	c.streamR = r
-	c.streamURI = uri
 	return c
 }
 
