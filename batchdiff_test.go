@@ -144,13 +144,14 @@ var batchDiffQueries = []string{
 }
 
 // batchDiffOptSets exercises the fast path under each join strategy that
-// feeds it (structural and twig joins produce batches of their own).
+// feeds it: Auto (the default), navigation, and the twig join, which
+// produces batches of its own.
 var batchDiffOptSets = []struct {
 	name string
 	opts xqgo.Options
 }{
 	{"default", xqgo.Options{}},
-	{"structjoin", xqgo.Options{Strategy: xqgo.ForceBinaryJoin}},
+	{"navigation", xqgo.Options{Strategy: xqgo.ForceNavigation}},
 	{"twig", xqgo.Options{Strategy: xqgo.ForceTwig}},
 }
 

@@ -168,7 +168,7 @@ func BenchmarkE5StructuralJoin(b *testing.B) {
 			mustEvalB(b, engine, xqgo.NewContext().WithContextNode(wrapped))
 		}
 	})
-	indexed := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+	indexed := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})
 	idxCtx := xqgo.NewContext().WithContextNode(wrapped)
 	mustEvalB(b, indexed, idxCtx) // warm the per-document index cache
 	b.Run("engine-indexed", func(b *testing.B) {

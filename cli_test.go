@@ -105,6 +105,11 @@ func TestCLIXmlgenAndXq(t *testing.T) {
 			t.Errorf("%v: err %v, stderr %q; want an unknown-flag failure", args[1:], err, errOut)
 		}
 	}
+	// The binary-join plan is gone: its strategy name is a usage error.
+	if _, errOut, err := runTool(t, "run", "./cmd/xqd", "-strategy", "binary-join"); err == nil ||
+		!strings.Contains(errOut, `-strategy "binary-join": want auto, navigation or twig-join`) {
+		t.Errorf("xqd -strategy binary-join: err %v, stderr %q; want the usage error", err, errOut)
+	}
 
 	// -plan prints the expression tree.
 	out, _, err = runTool(t, "run", "./cmd/xq", "-plan", `/a/b[1]`)

@@ -69,7 +69,6 @@ func printExplain(w io.Writer, q *xqgo.Query, prof *xqgo.Profile, compileTime, e
 	fmt.Fprintf(tw, "memo-misses\t%d\n", c.MemoMisses)
 	fmt.Fprintf(tw, "index-hits\t%d\n", c.IndexHits)
 	fmt.Fprintf(tw, "index-builds\t%d\n", c.IndexBuilds)
-	fmt.Fprintf(tw, "struct-joins\t%d\n", c.StructJoins)
 	fmt.Fprintf(tw, "interrupt-polls\t%d\n", c.InterruptPolls)
 	tw.Flush()
 

@@ -272,7 +272,7 @@ func (r *runner) e5() {
 		tMerge := r.timeIt(func() { structjoin.TreeMergeDesc(a, b, false) })
 		tNav := r.timeIt(func() { structjoin.NavigationDesc(doc, localName("a"), localName("b"), false) })
 		engineQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceNavigation})
-		indexedQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceBinaryJoin})
+		indexedQ := mustCompile(`count(//a//b)`, &xqgo.Options{Strategy: xqgo.ForceTwig})
 		wrapped := xqgo.FromStore(doc)
 		tEngine := r.timeIt(func() { mustEval(engineQ, ctxFor(wrapped)) })
 		// Warm the per-document index cache so the row measures the join,

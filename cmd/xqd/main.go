@@ -6,7 +6,7 @@
 //
 //	xqd [flags]
 //
-//	xqd -addr :8090 -doc orders=orders.xml -strategy binary-join
+//	xqd -addr :8090 -doc orders=orders.xml -strategy twig-join
 //	curl -X PUT --data-binary @bib.xml localhost:8090/documents/bib
 //	curl -d '{"query":"count(/bib/book)","doc":"bib"}' localhost:8090/query
 //	curl -d '{"query":"count(/bib/book)","doc":"bib"}' 'localhost:8090/query?explain=1'
@@ -52,7 +52,7 @@ func main() {
 		maxResult = flag.Int64("max-result-bytes", 32<<20, "per-request serialized result cap (-1 = unlimited)")
 		maxQuery  = flag.Int64("max-query-bytes", 0, "per-query tracked-memory budget in bytes; overage fails the query with err:XQGO0001 (0 = unlimited)")
 		maxProc   = flag.Int64("max-process-bytes", 0, "process memory soft cap in bytes: sets the Go runtime soft limit and sheds new work with 503 when tracked bytes near it (0 = unlimited)")
-		strategy  = flag.String("strategy", "auto", "join strategy for //a//b chains: auto (cost-based), navigation, binary-join, twig-join")
+		strategy  = flag.String("strategy", "auto", "join strategy for //a//b chains: auto (cost-based), navigation, twig-join")
 		memo      = flag.Bool("memo", false, "memoize pure user-function calls within each execution")
 		stripWS   = flag.Bool("strip-ws", false, "drop whitespace-only text nodes of registered documents; request bodies and feeds are never stripped")
 		poolText  = flag.Bool("pool-text", false, "dictionary-pool repeated text values when parsing documents")
@@ -210,12 +210,10 @@ func parseStrategy(name string) xqgo.Strategy {
 		return xqgo.StrategyAuto
 	case "navigation":
 		return xqgo.ForceNavigation
-	case "binary-join":
-		return xqgo.ForceBinaryJoin
 	case "twig-join":
 		return xqgo.ForceTwig
 	default:
-		fatal(fmt.Errorf("-strategy %q: want auto, navigation, binary-join or twig-join", name))
+		fatal(fmt.Errorf("-strategy %q: want auto, navigation or twig-join", name))
 		return xqgo.StrategyAuto // unreachable
 	}
 }

@@ -25,7 +25,7 @@ func TestQueryConcurrentEvalSharedPlan(t *testing.T) {
 			if ($n < 2) then $n else local:fib($n - 1) + local:fib($n - 2)
 		};
 		<out fib="{local:fib(15)}" ab="{count(//a//b)}" bc="{count(//b//c)}"/>`,
-		&xqgo.Options{Strategy: xqgo.ForceBinaryJoin, MemoizeFunctions: true})
+		&xqgo.Options{Strategy: xqgo.ForceTwig, MemoizeFunctions: true})
 
 	want, err := q.EvalString(xqgo.NewContext().WithContextNode(doc))
 	if err != nil {

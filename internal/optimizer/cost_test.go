@@ -12,8 +12,7 @@ func TestEstimateChainDecisions(t *testing.T) {
 		want Strategy
 	}{
 		{
-			// Deep 60k-node document, three well-populated steps: the binary
-			// plan materializes large intermediate pair lists, navigation
+			// Deep 60k-node document, three well-populated steps: navigation
 			// touches every node per step — the holistic join wins.
 			name: "deep chain picks twig",
 			cs: ChainStats{
@@ -33,15 +32,15 @@ func TestEstimateChainDecisions(t *testing.T) {
 			want: StrategyNavigation,
 		},
 		{
-			// Top-heavy chain: a huge first list joined against a small one
-			// yields few pairs, so the binary plan's cheaper per-posting walk
-			// beats the holistic stack discipline.
-			name: "top-heavy chain picks binary",
+			// Top-heavy chain: a huge first list joined against a small one.
+			// The path join reads each posting once; navigation walks the
+			// document once per step.
+			name: "top-heavy chain picks twig",
 			cs: ChainStats{
 				DocNodes: 20000, AvgDepth: 4, Observed: -1,
 				Steps: []ChainStep{{Postings: 10000}, {Postings: 100}},
 			},
-			want: StrategyBinaryJoin,
+			want: StrategyTwigJoin,
 		},
 		{
 			name: "empty chain guards to navigation",
@@ -52,8 +51,8 @@ func TestEstimateChainDecisions(t *testing.T) {
 	for _, c := range cases {
 		est := EstimateChain(c.cs)
 		if est.Choice != c.want {
-			t.Errorf("%s: chose %v (nav %.0f, binary %.0f, twig %.0f), want %v",
-				c.name, est.Choice, est.Navigation, est.BinaryJoin, est.TwigJoin, c.want)
+			t.Errorf("%s: chose %v (nav %.0f, twig %.0f), want %v",
+				c.name, est.Choice, est.Navigation, est.TwigJoin, c.want)
 		}
 	}
 }
@@ -69,8 +68,8 @@ func TestEstimateChainFeedbackFlip(t *testing.T) {
 	}
 	static := EstimateChain(cs)
 	if static.Choice != StrategyTwigJoin {
-		t.Fatalf("static choice = %v (nav %.0f, binary %.0f, twig %.0f), want twig",
-			static.Choice, static.Navigation, static.BinaryJoin, static.TwigJoin)
+		t.Fatalf("static choice = %v (nav %.0f, twig %.0f), want twig",
+			static.Choice, static.Navigation, static.TwigJoin)
 	}
 	cs.Observed = 0
 	fed := EstimateChain(cs)
@@ -83,8 +82,8 @@ func TestEstimateChainFeedbackFlip(t *testing.T) {
 	}
 }
 
-// A cached index removes exactly the build term from both join strategies
-// and never changes navigation.
+// A cached index removes exactly the build term from the join and never
+// changes navigation.
 func TestEstimateChainIndexReady(t *testing.T) {
 	cs := ChainStats{
 		DocNodes: 5000, AvgDepth: 6, Observed: -1,
@@ -101,18 +100,14 @@ func TestEstimateChainIndexReady(t *testing.T) {
 	if d := cold.TwigJoin - warm.TwigJoin; d != wantDelta {
 		t.Errorf("twig build delta = %.0f, want %.0f", d, wantDelta)
 	}
-	if d := cold.BinaryJoin - warm.BinaryJoin; d != wantDelta {
-		t.Errorf("binary build delta = %.0f, want %.0f", d, wantDelta)
-	}
 }
 
 func TestStrategyString(t *testing.T) {
 	want := map[Strategy]string{
-		StrategyDefault:    "default",
 		StrategyAuto:       "auto",
 		StrategyNavigation: "navigation",
-		StrategyBinaryJoin: "binary-join",
 		StrategyTwigJoin:   "twig-join",
+		Strategy(3):        "unknown",
 	}
 	for s, w := range want {
 		if got := s.String(); got != w {

@@ -18,9 +18,9 @@ type Options struct {
 	// the comparator for the streaming-vs-materialized experiments.
 	Eager bool
 	// Strategy is the join-strategy policy for join-eligible path chains
-	// (//a//b …): StrategyAuto (the resolved default) picks per branch and
-	// per document with the cost model in internal/optimizer; the Force*
-	// values pin one execution strategy. StrategyDefault resolves to Auto.
+	// (//a//b …): StrategyAuto (the zero value) picks per branch and per
+	// document with the cost model in internal/optimizer; the other values
+	// pin one execution strategy.
 	Strategy optimizer.Strategy
 	// MemoizeFunctions caches calls to pure user functions per execution
 	// (the paper's intra-query memoization).
@@ -72,9 +72,6 @@ type compiler struct {
 
 // Compile compiles a parsed query for the given engine options.
 func Compile(q *expr.Query, opts Options) (*Prepared, error) {
-	if opts.Strategy == optimizer.StrategyDefault {
-		opts.Strategy = optimizer.StrategyAuto
-	}
 	c := &compiler{opts: opts, funcs: map[string]*userFunc{}, fb: &feedback{}}
 	c.pushScope()
 

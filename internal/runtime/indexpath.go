@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"xqgo/internal/expr"
-	"xqgo/internal/optimizer"
 	"xqgo/internal/store"
 	"xqgo/internal/structjoin"
 	"xqgo/internal/xdm"
@@ -14,13 +13,11 @@ import (
 // Index-accelerated path evaluation: descendant-axis path chains over
 // plain name tests (//a//b, /doc//a/b …) can be evaluated over a
 // per-document name index instead of navigation — the "navigation- vs
-// index-based processing" trade-off the paper surveys — either with
-// stack-tree binary structural joins (one join per edge, materializing
-// intermediate lists) or with the holistic PathStack twig join (one pass
-// over all posting lists, no intermediates). Which of the three runs is
-// decided per operator and per document by the cost model (strategy.go),
-// unless forced by Options.Strategy or a plan hint. Indexes are built
-// lazily per document and cached on the dynamic context.
+// index-based processing" trade-off the paper surveys — with the holistic
+// PathStack path join (one pass over all posting lists, no intermediates).
+// Whether it or navigation runs is decided per operator and per document by
+// the cost model (strategy.go), unless forced by Options.Strategy. Indexes
+// are built lazily per document and cached on the dynamic context.
 
 // indexCache caches structjoin indexes per store document.
 type indexCache struct {
@@ -149,8 +146,7 @@ func normalizeChain(raw []joinStep) ([]joinStep, bool) {
 }
 
 // joinPlan is the index-join compilation of one join-eligible path: the
-// extracted chain plus the machinery to run it as either a binary
-// stack-tree pipeline or one holistic twig join. Its pointer identity keys
+// extracted chain, run as one holistic path join. Its pointer identity keys
 // the per-execution strategy-decision cache.
 type joinPlan struct {
 	chain []joinStep
@@ -180,25 +176,18 @@ func extractJoinPlan(n *expr.Path) *joinPlan {
 	return &joinPlan{chain: chain}
 }
 
-// run executes the chain over the context node's document with the given
-// concrete strategy (binary or twig), records the output cardinality in
-// the plan's feedback cache, and feeds the result.
-func (jp *joinPlan) run(fr *Frame, sn *store.Node, strat optimizer.Strategy, opID int, fb *feedback) Iter {
+// run executes the chain over the context node's document as one holistic
+// path join, records the output cardinality in the plan's feedback cache,
+// and feeds the result.
+func (jp *joinPlan) run(fr *Frame, sn *store.Node, opID int, fb *feedback) Iter {
 	idx, built := fr.dyn.base().indexes.indexFor(sn.D)
 	if built {
 		fr.dyn.Prof.addIndexBuild()
 	} else {
 		fr.dyn.Prof.addIndexHit()
 	}
-
-	var cur structjoin.List
-	var err error
-	if strat == optimizer.StrategyTwigJoin {
-		fr.dyn.Prof.addTwigJoin()
-		cur, err = jp.runTwig(fr.dyn, idx)
-	} else {
-		cur, err = jp.runBinary(fr.dyn, idx)
-	}
+	fr.dyn.Prof.addTwigJoin()
+	cur, err := jp.match(fr.dyn, idx)
 	if err != nil {
 		return errIter(err)
 	}
@@ -206,48 +195,24 @@ func (jp *joinPlan) run(fr *Frame, sn *store.Node, strat optimizer.Strategy, opI
 	return &postingsIter{d: sn.D, list: cur, dyn: fr.dyn}
 }
 
-// seed returns the postings of the first chain name; its edge from the
-// root is checked only when childOnly (level 1 under the document node).
-func (jp *joinPlan) seed(idx *structjoin.Index) structjoin.List {
-	cur := idx.Elements(jp.chain[0].name)
+// match evaluates the whole chain with one PathStack join: no intermediate
+// pair lists, morsel-parallel over the leaf posting list with
+// UpperBoundStart-pruned upper lists per chunk. The first name's edge from
+// the root is checked only when childOnly (level 1 under the document node).
+func (jp *joinPlan) match(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
+	k := len(jp.chain)
+	lists := make([]structjoin.List, k)
+	childEdge := make([]bool, k)
+	lists[0] = idx.Elements(jp.chain[0].name)
 	if jp.chain[0].childOnly {
 		var filtered structjoin.List
-		for _, p := range cur {
+		for _, p := range lists[0] {
 			if p.Region.Level == 1 {
 				filtered = append(filtered, p)
 			}
 		}
-		cur = filtered
+		lists[0] = filtered
 	}
-	return cur
-}
-
-// runBinary evaluates the chain as a pipeline of stack-tree binary joins,
-// one per edge, each morsel-parallel over the descendant list.
-func (jp *joinPlan) runBinary(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
-	cur := jp.seed(idx)
-	for _, s := range jp.chain[1:] {
-		dyn.Prof.addStructJoin()
-		var err error
-		cur, err = joinDescMorsel(dyn, cur, idx.Elements(s.name), s.childOnly)
-		if err != nil {
-			return nil, err
-		}
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur, nil
-}
-
-// runTwig evaluates the whole chain with one holistic PathStack join: no
-// intermediate pair lists, morsel-parallel over the leaf posting list with
-// UpperBoundStart-pruned upper lists per chunk.
-func (jp *joinPlan) runTwig(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
-	k := len(jp.chain)
-	lists := make([]structjoin.List, k)
-	childEdge := make([]bool, k)
-	lists[0] = jp.seed(idx)
 	for i := 1; i < k; i++ {
 		lists[i] = idx.Elements(jp.chain[i].name)
 		childEdge[i] = jp.chain[i].childOnly
@@ -260,60 +225,14 @@ func (jp *joinPlan) runTwig(dyn *Dynamic, idx *structjoin.Index) (structjoin.Lis
 	return twigMatchMorsel(dyn, lists, childEdge)
 }
 
-// joinDescMorsel runs one structural-join step, splitting a large
-// descendant posting list into morsels joined by the worker pool. Each
-// chunk joins against the prefix of the ancestor list that can pair with it
-// (ancestors are Start-sorted; one starting after the chunk's last
-// descendant cannot contain anything in the chunk — UpperBoundStart), and
-// because the chunks partition a Start-sorted descendant list, the
-// per-chunk DistinctDescendants outputs are disjoint, each internally
-// sorted, and ordered across chunks: concatenating them by chunk index
-// reproduces the global result in document order.
-func joinDescMorsel(d *Dynamic, anc, desc structjoin.List, parentOnly bool) (structjoin.List, error) {
-	chunks := (len(desc) + joinMorselPostings - 1) / joinMorselPostings
-	if d == nil || d.Workers <= 1 || chunks < 2 {
-		return structjoin.DistinctDescendants(structjoin.StackTreeDesc(anc, desc, parentOnly)), nil
-	}
-	extra, release := d.leaseExtra(chunks - 1)
-	if extra == 0 {
-		return structjoin.DistinctDescendants(structjoin.StackTreeDesc(anc, desc, parentOnly)), nil
-	}
-	defer release()
-	parts, err := morselRound(d, extra, chunks, func(w *Dynamic, i int) (structjoin.List, error) {
-		lo := i * joinMorselPostings
-		hi := lo + joinMorselPostings
-		if hi > len(desc) {
-			hi = len(desc)
-		}
-		dchunk := desc[lo:hi]
-		if err := w.CheckInterruptN(len(dchunk)); err != nil {
-			return nil, err
-		}
-		achunk := anc[:structjoin.UpperBoundStart(anc, dchunk[len(dchunk)-1].Region.Start)]
-		return structjoin.DistinctDescendants(structjoin.StackTreeDesc(achunk, dchunk, parentOnly)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(structjoin.List, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
 // twigMatchMorsel runs the holistic path join, splitting a large leaf
 // posting list into morsels matched by the worker pool. Every non-leaf
 // list is pruned per chunk to the prefix that can still contain the
 // chunk's leaves (ancestors start before their descendants —
-// UpperBoundStart, the same pruning the binary join uses), and because
-// the chunks partition a Start-sorted leaf list, per-chunk outputs are
-// disjoint, internally sorted, and ordered across chunks: concatenation
-// by chunk index reproduces the global result in document order.
+// UpperBoundStart), and because the chunks partition a Start-sorted leaf
+// list, per-chunk outputs are disjoint, internally sorted, and ordered
+// across chunks: concatenation by chunk index reproduces the global result
+// in document order.
 func twigMatchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (structjoin.List, error) {
 	leaf := lists[len(lists)-1]
 	chunks := (len(leaf) + joinMorselPostings - 1) / joinMorselPostings

@@ -10,7 +10,7 @@ import (
 
 // Morsel-driven intra-query parallelism — the engine's one goroutine
 // scheduler. Four work sources — pre-order path-step range scans
-// (compile_path.go), structural-join postings work (indexpath.go), FLWOR
+// (compile_path.go), path-join chunks and postings feeds (indexpath.go), FLWOR
 // for/where tuple pipelines (compile_flwor.go), and the branches of a comma
 // sequence (parallel.go, one morsel per branch) — split their input into
 // morsels and schedule them over a worker pool. Each worker owns a forked
@@ -153,7 +153,7 @@ const (
 	descMorselIDs = 8192
 	// descRoundChunks bounds a scan round to this many chunks per worker.
 	descRoundChunks = 4
-	// joinMorselPostings is the descendant-postings span of one join morsel.
+	// joinMorselPostings is the leaf-postings span of one path-join morsel.
 	joinMorselPostings = 8192
 	// feedMorselPostings is the postings span of one feed morsel.
 	feedMorselPostings = 4096

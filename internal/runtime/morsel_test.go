@@ -636,12 +636,12 @@ func TestMorselWorkersAgreeWithSequential(t *testing.T) {
 				t.Errorf("%s: workers=%d result disagreement:\n seq %q\n par %q", q, workers, seq, par)
 			}
 		}
-		// Structural joins with workers.
-		par, perr := evalWorkers(t, q, 8, Options{Strategy: optimizer.StrategyBinaryJoin})
+		// The path join with workers.
+		par, perr := evalWorkers(t, q, 8, Options{Strategy: optimizer.StrategyTwigJoin})
 		if perr != nil && serr == nil {
-			t.Errorf("%s: structjoin workers error: %v", q, perr)
+			t.Errorf("%s: twig-join workers error: %v", q, perr)
 		} else if serr == nil && seq != par {
-			t.Errorf("%s: structjoin workers disagreement:\n seq %q\n par %q", q, seq, par)
+			t.Errorf("%s: twig-join workers disagreement:\n seq %q\n par %q", q, seq, par)
 		}
 	}
 }

@@ -41,7 +41,9 @@ type opCounters struct {
 	starts atomic.Int64 // iterator instantiations
 	items  atomic.Int64 // items produced
 	nanos  atomic.Int64 // cumulative wall time inside Next (timed mode only)
-	strat  atomic.Int32 // join strategy chosen this execution (0 = none)
+	// strat is the join strategy chosen this execution; 0 (StrategyAuto)
+	// means none was resolved, since a resolved strategy is never Auto.
+	strat atomic.Int32
 }
 
 // engineCounters are execution-wide totals maintained by engine internals.
@@ -52,14 +54,12 @@ type engineCounters struct {
 	memoMisses        atomic.Int64
 	indexHits         atomic.Int64
 	indexBuilds       atomic.Int64
-	structJoins       atomic.Int64
 	twigJoins         atomic.Int64
 	interruptPolls    atomic.Int64
 
 	// Plan choices resolved by join-eligible path operators this execution,
 	// by winning strategy (once per operator × document, not per tuple).
 	planNavigation atomic.Int64
-	planBinaryJoin atomic.Int64
 	planTwigJoin   atomic.Int64
 
 	// Ingestion counters (lazy/projected parsing, see internal/xmlparse).
@@ -188,12 +188,6 @@ func (p *Profile) addIndexBuild() {
 	}
 }
 
-func (p *Profile) addStructJoin() {
-	if p != nil {
-		p.c.structJoins.Add(1)
-	}
-}
-
 func (p *Profile) addTwigJoin() {
 	if p != nil {
 		p.c.twigJoins.Add(1)
@@ -213,8 +207,6 @@ func (p *Profile) notePlanChoice(id int, s optimizer.Strategy) {
 	switch s {
 	case optimizer.StrategyNavigation:
 		p.c.planNavigation.Add(1)
-	case optimizer.StrategyBinaryJoin:
-		p.c.planBinaryJoin.Add(1)
 	case optimizer.StrategyTwigJoin:
 		p.c.planTwigJoin.Add(1)
 	}
@@ -341,11 +333,9 @@ func (p *Profile) Merge(c CounterReport) {
 	p.c.memoMisses.Add(c.MemoMisses)
 	p.c.indexHits.Add(c.IndexHits)
 	p.c.indexBuilds.Add(c.IndexBuilds)
-	p.c.structJoins.Add(c.StructJoins)
 	p.c.twigJoins.Add(c.TwigJoins)
 	p.c.interruptPolls.Add(c.InterruptPolls)
 	p.c.planNavigation.Add(c.PlanNavigation)
-	p.c.planBinaryJoin.Add(c.PlanBinaryJoin)
 	p.c.planTwigJoin.Add(c.PlanTwigJoin)
 	p.c.docNodesBuilt.Add(c.DocNodesBuilt)
 	p.c.nodesSkipped.Add(c.NodesSkipped)
@@ -370,7 +360,7 @@ type OpReport struct {
 	Nanos    int64  `json:"nanos,omitempty"`
 	EstItems int64  `json:"estItems"`
 	// Strategy is the join strategy this path operator resolved to during
-	// the execution ("navigation", "binary-join", "twig-join"); empty for
+	// the execution ("navigation", "twig-join"); empty for
 	// operators that made no such choice.
 	Strategy string `json:"strategy,omitempty"`
 }
@@ -383,13 +373,14 @@ type CounterReport struct {
 	MemoMisses        int64 `json:"memoMisses"`
 	IndexHits         int64 `json:"indexHits"`
 	IndexBuilds       int64 `json:"indexBuilds"`
-	StructJoins       int64 `json:"structJoins"`
 	TwigJoins         int64 `json:"twigJoins"`
 	InterruptPolls    int64 `json:"interruptPolls"`
 	// Plan choices resolved by join-eligible path operators, by winner.
 	PlanNavigation int64 `json:"planNavigation"`
-	PlanBinaryJoin int64 `json:"planBinaryJoin"`
 	PlanTwigJoin   int64 `json:"planTwigJoin"`
+	// PlanBinaryJoin is always 0: the engine has no binary-join plan any
+	// more. The field stays because the benchmark harness reads it.
+	PlanBinaryJoin int64 `json:"planBinaryJoin"`
 	// Ingestion: nodes appended to lazily parsed documents, nodes skipped
 	// by projection (tokenized but never built), and input bytes pulled on
 	// demand.
@@ -413,11 +404,9 @@ func (c *CounterReport) Add(o CounterReport) {
 	c.MemoMisses += o.MemoMisses
 	c.IndexHits += o.IndexHits
 	c.IndexBuilds += o.IndexBuilds
-	c.StructJoins += o.StructJoins
 	c.TwigJoins += o.TwigJoins
 	c.InterruptPolls += o.InterruptPolls
 	c.PlanNavigation += o.PlanNavigation
-	c.PlanBinaryJoin += o.PlanBinaryJoin
 	c.PlanTwigJoin += o.PlanTwigJoin
 	c.DocNodesBuilt += o.DocNodesBuilt
 	c.NodesSkipped += o.NodesSkipped
@@ -464,11 +453,9 @@ func (p *Profile) Report() Report {
 		MemoMisses:            p.c.memoMisses.Load(),
 		IndexHits:             p.c.indexHits.Load(),
 		IndexBuilds:           p.c.indexBuilds.Load(),
-		StructJoins:           p.c.structJoins.Load(),
 		TwigJoins:             p.c.twigJoins.Load(),
 		InterruptPolls:        p.c.interruptPolls.Load(),
 		PlanNavigation:        p.c.planNavigation.Load(),
-		PlanBinaryJoin:        p.c.planBinaryJoin.Load(),
 		PlanTwigJoin:          p.c.planTwigJoin.Load(),
 		DocNodesBuilt:         p.c.docNodesBuilt.Load(),
 		NodesSkipped:          p.c.nodesSkipped.Load(),

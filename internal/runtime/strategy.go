@@ -56,8 +56,7 @@ type planKey struct {
 	doc *store.Document
 }
 
-// Strategy returns the plan-level join-strategy policy, resolved (never
-// StrategyDefault).
+// Strategy returns the plan-level join-strategy policy.
 func (p *Prepared) Strategy() optimizer.Strategy { return p.opts.Strategy }
 
 // pathDecision returns the concrete execution strategy for one join-eligible
@@ -110,10 +109,7 @@ func chooseChainStrategy(jp *joinPlan, doc *store.Document, indexReady bool, obs
 		Steps:      make([]optimizer.ChainStep, len(jp.chain)),
 	}
 	for i, s := range jp.chain {
-		cs.Steps[i] = optimizer.ChainStep{
-			Postings:  st.ElementCount(s.name),
-			ChildEdge: s.childOnly,
-		}
+		cs.Steps[i] = optimizer.ChainStep{Postings: st.ElementCount(s.name)}
 	}
 	return optimizer.EstimateChain(cs).Choice
 }

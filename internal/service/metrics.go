@@ -158,7 +158,6 @@ func (s *Service) writeMetrics(w io.Writer, exemplars bool) {
 	engineCounter("memo_misses_total", "Function memoization cache misses.", engine.MemoMisses)
 	engineCounter("index_hits_total", "Structural-join index cache hits.", engine.IndexHits)
 	engineCounter("index_builds_total", "Structural-join index builds.", engine.IndexBuilds)
-	engineCounter("struct_joins_total", "Stack-tree structural joins executed.", engine.StructJoins)
 	engineCounter("twig_joins_total", "Holistic twig (path-stack) joins executed.", engine.TwigJoins)
 	engineCounter("interrupt_polls_total", "Engine interrupt-hook polls.", engine.InterruptPolls)
 	engineCounter("doc_nodes_built_total", "Nodes appended to lazily parsed streaming documents.", engine.DocNodesBuilt)
@@ -201,7 +200,6 @@ func (s *Service) writeMetrics(w io.Writer, exemplars bool) {
 		v        int64
 	}{
 		{"navigation", engine.PlanNavigation},
-		{"binary-join", engine.PlanBinaryJoin},
 		{"twig-join", engine.PlanTwigJoin},
 	} {
 		fmt.Fprintf(w, "xqd_plan_choice_total{strategy=%q} %d\n", pc.strategy, pc.v)

@@ -336,11 +336,13 @@ func TestPlanChoiceObservability(t *testing.T) {
 	for _, want := range []string{
 		`xqd_engine_twig_joins_total`,
 		`xqd_plan_choice_total{strategy="navigation"}`,
-		`xqd_plan_choice_total{strategy="binary-join"} 0`,
 		`xqd_plan_choice_total{strategy="twig-join"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(body, "binary-join") {
+		t.Error("/metrics still reports a binary-join plan choice")
 	}
 }

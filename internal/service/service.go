@@ -292,7 +292,7 @@ type ExplainProfile struct {
 	// Plan is the optimized expression tree rendering.
 	Plan string `json:"plan,omitempty"`
 	// Strategy is the join strategy the path operators resolved to during
-	// this execution ("navigation", "binary-join", "twig-join"; "mixed"
+	// this execution ("navigation", "twig-join"; "mixed"
 	// when different branches chose differently; empty when no
 	// join-eligible path ran).
 	Strategy string `json:"strategy,omitempty"`

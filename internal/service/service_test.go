@@ -158,6 +158,26 @@ func TestFingerprintKeysEveryOption(t *testing.T) {
 	}
 }
 
+// Auto is the zero strategy: a request without options and one that asks
+// for Auto explicitly compile the same plan, so they share one cache entry.
+func TestFingerprintAutoIsDefault(t *testing.T) {
+	const src = "/bib/book/title"
+	auto := &xqgo.Options{Strategy: xqgo.StrategyAuto}
+	if a, b := Fingerprint(src, nil), Fingerprint(src, auto); a != b {
+		t.Errorf("Fingerprint(nil) = %q, Fingerprint(Auto) = %q", a, b)
+	}
+	p := NewPlanCache(4)
+	if _, _, err := p.Get(src, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := p.Get(src, auto); err != nil || !cached {
+		t.Errorf("Auto lookup after a default-options compile: cached=%v, err=%v", cached, err)
+	}
+	if s := p.Stats(); s.Size != 1 {
+		t.Errorf("plan cache holds %d entries for one plan", s.Size)
+	}
+}
+
 func TestPlanCacheSingleFlight(t *testing.T) {
 	p := NewPlanCache(8)
 	const n = 50
@@ -482,7 +502,7 @@ func TestServiceResultSizeLimit(t *testing.T) {
 }
 
 func TestServiceStructuralJoinSharing(t *testing.T) {
-	s := New(Config{Options: xqgo.Options{Strategy: xqgo.ForceBinaryJoin}})
+	s := New(Config{Options: xqgo.Options{Strategy: xqgo.ForceTwig}})
 	if _, err := s.RegisterDocument("bib", strings.NewReader(bibXML)); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +526,7 @@ func TestServiceStructuralJoinSharing(t *testing.T) {
 	}
 	e, _ := s.Catalog.Get("bib")
 	if _, ok := e.builtIndex(); !ok {
-		t.Error("shared index was never built despite ForceBinaryJoin")
+		t.Error("shared index was never built despite ForceTwig")
 	}
 }
 

@@ -55,26 +55,3 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 	}
 	return grand
 }
-
-// PathStack runs the holistic join for a linear path pattern. It is
-// TwigStack restricted to one root-to-leaf chain (the PathStack algorithm);
-// exposed separately so benchmarks can compare the two directly.
-func PathStack(root *TwigNode, idx *Index) TwigStats {
-	// For linear patterns TwigStack degenerates to PathStack: same stacks,
-	// same pushes — no branching getNext work.
-	return TwigStack(root, idx)
-}
-
-// IsLinear reports whether the pattern is a single chain.
-func (n *TwigNode) IsLinear() bool {
-	for q := n; ; {
-		switch len(q.Children) {
-		case 0:
-			return true
-		case 1:
-			q = q.Children[0]
-		default:
-			return false
-		}
-	}
-}

@@ -4,9 +4,14 @@ package structjoin
 // TwigStack family, Bruno/Koudas/Srivastava): one synchronized pass over
 // the k Start-sorted posting lists of a linear chain q1//q2/…//qk, with one
 // stack per non-leaf step holding the currently open (nested) matches.
-// Unlike the binary stack-tree plan, no intermediate pair list is ever
-// materialized — total work is O(Σ|list_i| + |out|) regardless of how
+// Unlike a pipeline of binary stack-tree joins, no intermediate pair list is
+// ever materialized — total work is O(Σ|list_i| + |out|) regardless of how
 // poorly the chain's prefixes select.
+//
+// Stack invariant: every push first pops the entries that closed before the
+// pushed posting starts, so each stack is a chain of nested regions and its
+// depth is bounded by the document depth. A top-heavy input (many closed
+// ancestors between matches) therefore never grows a stack.
 //
 // TwigStack in twig.go is the counting variant over branching patterns;
 // this file is the execution operator the runtime dispatches to, so it
@@ -49,25 +54,17 @@ func PathMatchLeaf(lists []List, childEdge []bool) List {
 		pos[qmin]++
 
 		if qmin == 0 {
-			stacks[0] = append(stacks[0], cur)
+			stacks[0] = append(popClosed(stacks[0], cur.Region.Start), cur)
 			continue
 		}
-		// Pop parent entries whose region closed before cur starts. Only the
-		// top of the stack is examined, so a closed sibling can survive
-		// beneath a still-open entry pushed after it ([b1(10-20), b2(30-40)]
-		// when cur starts at 35) — the containment check below is therefore
-		// mandatory, not an optimization: Start< alone would let that stale
-		// sibling fake a match (visibly so on child edges, where the level
-		// test rejects the open container but accepts the closed twin).
-		ps := stacks[qmin-1]
-		for len(ps) > 0 && ps[len(ps)-1].Region.End < cur.Region.Start {
-			ps = ps[:len(ps)-1]
-		}
+		// The parent stack is a nested chain once its closed entries are
+		// popped, so every entry left contains cur — except the same-Start
+		// twin of a q_{i-1}=q_i self-chain, which Contains (strict on Start)
+		// rejects. The level test picks the parent for a child edge.
+		ps := popClosed(stacks[qmin-1], cur.Region.Start)
 		stacks[qmin-1] = ps
 		matched := false
 		for i := len(ps) - 1; i >= 0; i-- {
-			// Contains is strict on Start, which also rejects the same-Start
-			// twin of a q_{i-1}=q_i self-chain.
 			if !ps[i].Region.Contains(cur.Region) {
 				continue
 			}
@@ -85,8 +82,18 @@ func PathMatchLeaf(lists []List, childEdge []bool) List {
 			// out is distinct and in document order by construction.
 			out = append(out, cur)
 		} else {
-			stacks[qmin] = append(stacks[qmin], cur)
+			stacks[qmin] = append(popClosed(stacks[qmin], cur.Region.Start), cur)
 		}
 	}
 	return out
+}
+
+// popClosed pops the entries of a nested-chain stack whose region ended
+// before start. Only the top needs examining: an entry below an open one
+// contains it, so it is open too.
+func popClosed(s []Posting, start int64) []Posting {
+	for len(s) > 0 && s[len(s)-1].Region.End < start {
+		s = s[:len(s)-1]
+	}
+	return s
 }

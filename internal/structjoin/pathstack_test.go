@@ -2,6 +2,8 @@ package structjoin
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"xqgo/internal/store"
@@ -21,7 +23,7 @@ func mustParse(t *testing.T, xml string) *store.Document {
 
 // binaryChain is the reference semantics for PathMatchLeaf: the chain
 // evaluated edge by edge as binary stack-tree joins, projecting distinct
-// descendants between steps — exactly what the runtime's binary plan does.
+// descendants between steps.
 func binaryChain(lists []List, childEdge []bool) List {
 	cur := lists[0]
 	for i := 1; i < len(lists); i++ {
@@ -112,6 +114,104 @@ func TestPathMatchLeafClosedSibling(t *testing.T) {
 	if got := PathMatchLeaf(lists, []bool{false, false, false}); len(got) != 1 {
 		t.Errorf("a//b//c matched %d leaves, want 1", len(got))
 	}
+}
+
+// TestPathMatchLeafStackBound pins the stack invariant on the top-heavy
+// shape: 10 000 a, every hundredth with a b child. A stack that kept its
+// closed entries would hold every a (about 1.3 MB of pushes); popping them
+// before each push keeps it one entry deep.
+func TestPathMatchLeafStackBound(t *testing.T) {
+	doc := mustParse(t, "<r>"+strings.Repeat("<a><b/></a>"+strings.Repeat("<a/>", 99), 100)+"</r>")
+	idx := BuildIndex(doc)
+	lists := []List{idx.Elements(xdm.LocalName("a")), idx.Elements(xdm.LocalName("b"))}
+	child := []bool{false, false}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got := PathMatchLeaf(lists, child)
+	runtime.ReadMemStats(&after)
+
+	if want := lists[1]; !sameList(got, want) {
+		t.Fatalf("a//b matched %d leaves, want all %d b", len(got), len(want))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("PathMatchLeaf allocated %d bytes on the top-heavy shape, want < 64 KiB", alloc)
+	}
+}
+
+// decodeFuzzChain reads a chain and a document from fuzz bytes over the
+// alphabet {a, b, c}, so self-chains occur. Byte 0 gives the chain length
+// ('2', '3', '4'); the next bytes are its steps, a lower-case name for a
+// descendant edge and an upper-case one for a child edge; the rest is the
+// tree, where ')' closes the open element and any other byte opens one.
+func decodeFuzzChain(data []byte) (names []string, child []bool, xml string, ok bool) {
+	const alphabet = "abc"
+	if len(data) < 1 {
+		return nil, nil, "", false
+	}
+	k := 2 + int(data[0]-'2')%3
+	if len(data) < 1+k {
+		return nil, nil, "", false
+	}
+	for _, b := range data[1 : 1+k] {
+		names = append(names, string(alphabet[int((b|0x20)-'a')%3]))
+		child = append(child, b&0x20 == 0)
+	}
+	var sb strings.Builder
+	var open []byte
+	sb.WriteString("<r>")
+	for i, b := range data[1+k:] {
+		if i == 300 {
+			break
+		}
+		if b == ')' {
+			if len(open) > 0 {
+				sb.WriteString("</" + string(open[len(open)-1]) + ">")
+				open = open[:len(open)-1]
+			}
+			continue
+		}
+		name := alphabet[int((b|0x20)-'a')%3]
+		open = append(open, name)
+		sb.WriteString("<" + string(name) + ">")
+	}
+	for i := len(open) - 1; i >= 0; i-- {
+		sb.WriteString("</" + string(open[i]) + ">")
+	}
+	sb.WriteString("</r>")
+	return names, child, sb.String(), true
+}
+
+// FuzzPathMatchLeaf: on any small tree and any 2–4-step chain with child
+// and descendant edges, the holistic path join returns exactly what the
+// chain evaluated edge by edge with binary stack-tree joins returns.
+func FuzzPathMatchLeaf(f *testing.F) {
+	// The closed-sibling shape of TestPathMatchLeafClosedSibling with x
+	// spelled a, under a//b/c and a//b//c.
+	f.Add([]byte("3abC" + "ab)aabac))))))"))
+	f.Add([]byte("3abc" + "ab)aabac))))))"))
+	// The top-heavy shape of TestPathMatchLeafStackBound, scaled down.
+	f.Add([]byte("2ab" + strings.Repeat("ab))"+strings.Repeat("a)", 9), 10)))
+	// Self-chains over nested and sibling a.
+	f.Add([]byte("3aaA" + "aaa)a)))aa))"))
+	f.Add([]byte("4aBcA" + "abca)b)c)))abc)))"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		names, child, xml, ok := decodeFuzzChain(data)
+		if !ok {
+			return
+		}
+		idx := BuildIndex(mustParse(t, xml))
+		lists := make([]List, len(names))
+		for i, n := range names {
+			lists[i] = idx.Elements(xdm.LocalName(n))
+		}
+		want := binaryChain(lists, child)
+		if got := PathMatchLeaf(lists, child); !sameList(got, want) {
+			t.Errorf("chain %v child %v over %s: twig %d postings != binary %d",
+				names, child, xml, len(got), len(want))
+		}
+	})
 }
 
 func TestPathMatchLeafDegenerate(t *testing.T) {

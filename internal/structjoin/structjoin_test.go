@@ -154,12 +154,6 @@ func TestParseTwig(t *testing.T) {
 			t.Errorf("ParseTwig(%q) should fail", bad)
 		}
 	}
-	if !mustTwig(t, "a//b//c").IsLinear() {
-		t.Error("a//b//c is linear")
-	}
-	if mustTwig(t, "a[b]//c").IsLinear() {
-		t.Error("a[b]//c is not linear")
-	}
 }
 
 func mustTwig(t testing.TB, s string) *TwigNode {
@@ -232,14 +226,5 @@ func TestStackTreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPathStackAlias(t *testing.T) {
-	doc := buildTree(t)
-	idx := BuildIndex(doc)
-	tw := mustTwig(t, "a//b")
-	if PathStack(tw, idx).PathSolutions != TwigStack(mustTwig(t, "a//b"), idx).PathSolutions {
-		t.Error("PathStack must agree with TwigStack on linear patterns")
 	}
 }

@@ -72,7 +72,6 @@ func TestPlanInfoStrategyAnnotation(t *testing.T) {
 	}{
 		{xqgo.StrategyAuto, "auto"},
 		{xqgo.ForceNavigation, "navigation"},
-		{xqgo.ForceBinaryJoin, "binary-join"},
 		{xqgo.ForceTwig, "twig-join"},
 	} {
 		q := xqgo.MustCompile(`count(//a//b)`, &xqgo.Options{Strategy: c.strategy})
@@ -115,9 +114,9 @@ func TestPlanInfoStrategyAnnotation(t *testing.T) {
 
 // Auto's choice, both sides of it, read off the profile's operator row with
 // no timing involved. The index is seeded, as xqd does for catalog documents:
-// a deep chain runs the holistic twig join, a top-heavy chain (many a, few b:
-// the path stack would push every a) runs the binary join, and a 20-node
-// document navigates because the fixed cost of an index plan outweighs it.
+// a deep chain and a top-heavy chain (many a, few b) run the holistic twig
+// join, and a 20-node document navigates because the fixed cost of an index
+// plan outweighs it.
 func TestAutoStrategyChoice(t *testing.T) {
 	// 10 000 a, every hundredth with a b child.
 	topHeavy := "<r>" + strings.Repeat("<a><b/></a>"+strings.Repeat("<a/>", 99), 100) + "</r>"
@@ -128,7 +127,7 @@ func TestAutoStrategyChoice(t *testing.T) {
 	}{
 		{"deep chain", `count(//a//b//c)`,
 			xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, MaxDepth: 40, Fanout: 2, Seed: 3})), "twig-join"},
-		{"top-heavy chain", `count(//a//b)`, xqgo.MustParseString(topHeavy, "mem:top-heavy"), "binary-join"},
+		{"top-heavy chain", `count(//a//b)`, xqgo.MustParseString(topHeavy, "mem:top-heavy"), "twig-join"},
 		{"20-node document", `count(//a//b)`, xqgo.MustParseString("<r>"+strings.Repeat("<a><b/></a>", 9)+"</r>", "mem:small"), "navigation"},
 	} {
 		q := xqgo.MustCompile(c.query, nil)

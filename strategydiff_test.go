@@ -1,13 +1,12 @@
 package xqgo_test
 
-// Differential test for the join-strategy redesign: every query of the
-// paper suite plus join-shaped chains over a 60k-node deep document is
-// evaluated under all three forced strategies (navigation, binary
-// stack-tree join, holistic twig join) and under cost-based Auto,
-// asserting identical results and identical error identity. The deep-doc
-// queries also run with 8 morsel workers; CI runs this under -race at
-// GOMAXPROCS=8, so the per-chunk path-stack runs and the shared plan-choice
-// cache get real scheduler pressure.
+// Differential test for the join strategies: every query of the paper suite
+// plus join-shaped chains over deep documents is evaluated under
+// both forced strategies (navigation, holistic twig join) and under
+// cost-based Auto, asserting identical results and identical error identity.
+// The deep-doc queries also run with 8 morsel workers; CI runs this under
+// -race at GOMAXPROCS=8, so the per-chunk path-stack runs and the shared
+// plan-choice cache get real scheduler pressure.
 
 import (
 	"testing"
@@ -21,7 +20,6 @@ var strategyOptSets = []struct {
 	opts xqgo.Options
 }{
 	{"navigation", xqgo.Options{Strategy: xqgo.ForceNavigation}},
-	{"binary-join", xqgo.Options{Strategy: xqgo.ForceBinaryJoin}},
 	{"twig-join", xqgo.Options{Strategy: xqgo.ForceTwig}},
 	{"auto", xqgo.Options{Strategy: xqgo.StrategyAuto}},
 }
@@ -56,11 +54,11 @@ func TestStrategyDifferential(t *testing.T) {
 }
 
 // TestStrategyDifferentialDeep: join-shaped chains over a document deep
-// enough that all three strategies take genuinely different code paths,
+// enough that the strategies take genuinely different code paths,
 // sequentially and with 8 morsel workers per execution.
 func TestStrategyDifferentialDeep(t *testing.T) {
 	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, Seed: 10}))
-	queries := []string{
+	strategyDiffOnDoc(t, doc, []string{
 		`count(//a//b)`,
 		`count(//a//b//c)`,
 		`count(//a//b/c)`,
@@ -69,7 +67,35 @@ func TestStrategyDifferentialDeep(t *testing.T) {
 		`string-join(for $n in //a//b//c return local-name($n), "")`,
 		`(//a//b)[17]/local-name(.)`,
 		`count(//a//b[1 idiv 0])`, // error identity through every join path
-	}
+	})
+}
+
+// TestIndexedPathEquivalence: join-shaped paths evaluated with the index
+// join must return exactly the navigation engine's results, and paths that
+// are not join-shaped (predicates, wildcards) must fall back to navigation
+// silently. Same legs as TestStrategyDifferentialDeep, over a smaller deep
+// document because these queries serialize whole node sequences.
+func TestIndexedPathEquivalence(t *testing.T) {
+	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 9}))
+	strategyDiffOnDoc(t, doc, []string{
+		`//a//b`,
+		`//a//b//c`,
+		`//a/b`,
+		`/root//a`,
+		`/root//a/b//c`,
+		`count(//a//b)`,
+		`for $n in //a//b return local-name($n)`,
+		// Not join-shaped: must fall back.
+		`//a[b]//c`,
+		`//*`,
+		`//a//b[1]`,
+	})
+}
+
+// strategyDiffOnDoc evaluates each query under every strategy, sequentially
+// and with 8 morsel workers, against sequential navigation as the reference.
+func strategyDiffOnDoc(t *testing.T, doc *xqgo.Document, queries []string) {
+	t.Helper()
 	for _, q := range queries {
 		var wantOut string
 		var wantErr string

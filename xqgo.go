@@ -59,8 +59,6 @@ const (
 	StrategyAuto = optimizer.StrategyAuto
 	// ForceNavigation pins tree navigation (the index-free baseline).
 	ForceNavigation = optimizer.StrategyNavigation
-	// ForceBinaryJoin pins stack-tree binary structural joins.
-	ForceBinaryJoin = optimizer.StrategyBinaryJoin
 	// ForceTwig pins the holistic twig (PathStack) join.
 	ForceTwig = optimizer.StrategyTwigJoin
 )
