@@ -1,6 +1,9 @@
 package expr
 
-import "xqgo/internal/xdm"
+import (
+	"xqgo/internal/functions"
+	"xqgo/internal/xdm"
+)
 
 // This file implements the dataflow analyses of the paper's "Xquery
 // expression analysis" slide: variable usage (how often, inside a loop?),
@@ -195,9 +198,9 @@ func CreatesNodes(e Expr, callCreates func(*Call) bool) bool {
 }
 
 // UsesContext reports whether e references the context item (".", a leading
-// step, or a context-dependent function like fn:position) outside a nested
-// scope that rebinds it. Conservative: any ContextItem/Root/Step below e
-// that is not under a Path RHS or Filter predicate counts.
+// step, or a call that ReadsFocus) outside a nested scope that rebinds it.
+// Conservative: any ContextItem/Root/Step below e that is not under a Path
+// RHS or Filter predicate counts.
 func UsesContext(e Expr) bool { return new(Analysis).Of(e).UsesContext }
 
 // CanRaiseError conservatively reports whether evaluating e can raise a
@@ -214,12 +217,40 @@ var safeCalls = map[string]bool{
 	"namespace-uri": true, "string-length": true, "normalize-space": true,
 }
 
-// Facts are the analyses above for one node, plus its size and whether it
-// touches data: a path, call or set operation anywhere in it.
+// Builtin returns the registry record of the built-in c calls; nil for a
+// user or constructor function, a wrong arity, and the focus accessors.
+func Builtin(c *Call) *functions.Func {
+	if c.Name.Space != functions.Namespace && c.Name.Space != "" {
+		return nil
+	}
+	f, _ := functions.Lookup(c.Name.Local, len(c.Args))
+	return f
+}
+
+// focusAccessor reports whether c is fn:position() or fn:last(), which the
+// runtime compiles itself.
+func focusAccessor(c *Call) bool {
+	return (c.Name.Space == functions.Namespace || c.Name.Space == "") &&
+		(c.Name.Local == "position" || c.Name.Local == "last")
+}
+
+// ReadsFocus reports whether the call itself reads the focus: a focus
+// accessor, or a built-in called without the argument the focus stands for.
+func ReadsFocus(c *Call) bool {
+	if focusAccessor(c) {
+		return true
+	}
+	f := Builtin(c)
+	return f != nil && len(c.Args) == 0 && f.Props.UsesContext
+}
+
+// Facts are the analyses above for one node, plus its size, whether it
+// touches data (a path, call or set operation anywhere in it), and whether
+// it is Positional: it calls fn:position or fn:last on its own focus.
 type Facts struct {
-	Size                                                  int
-	CreatesNodes, UsesContext, CanRaiseError, TouchesData bool
-	hash                                                  uint64 // 0 until Hash sets it
+	Size                                                              int
+	CreatesNodes, UsesContext, CanRaiseError, TouchesData, Positional bool
+	hash                                                              uint64 // 0 until Hash sets it
 }
 
 // Analysis computes Facts once per node object, bottom-up: a node's facts
@@ -257,6 +288,7 @@ func (a *Analysis) Of(e Expr) Facts {
 		f.UsesContext = f.UsesContext || cf.UsesContext
 		f.CanRaiseError = f.CanRaiseError || cf.CanRaiseError
 		f.TouchesData = f.TouchesData || cf.TouchesData
+		f.Positional = f.Positional || cf.Positional
 	}
 	switch n := e.(type) {
 	case *ElemConstructor, *AttrConstructor, *TextConstructor,
@@ -267,14 +299,15 @@ func (a *Analysis) Of(e Expr) Facts {
 	case *Arith, *Cast, *Treat, *Compare:
 		f.CanRaiseError = true
 	case *Path: // the right side's context comes from the left
-		f.UsesContext, f.TouchesData = first.UsesContext, true
+		f.UsesContext, f.Positional, f.TouchesData = first.UsesContext, first.Positional, true
 	case *Filter:
-		f.UsesContext = first.UsesContext
+		f.UsesContext, f.Positional = first.UsesContext, first.Positional
 	case *SetOp:
 		f.TouchesData = true
 	case *Call:
 		f.CreatesNodes = f.CreatesNodes || a.callCreates == nil || a.callCreates(n)
-		f.UsesContext = f.UsesContext || n.Name.Local == "position" || n.Name.Local == "last"
+		f.UsesContext = f.UsesContext || ReadsFocus(n)
+		f.Positional = f.Positional || focusAccessor(n)
 		f.CanRaiseError = f.CanRaiseError || !safeCalls[n.Name.Local]
 		f.TouchesData = true
 	}
@@ -399,8 +432,8 @@ func Props(e Expr, varProps func(xdm.QName) OrderProps) OrderProps {
 		}
 		return OrderProps{}
 	case *Call:
-		if n.Name.Local == "doc" || n.Name.Local == "document" {
-			return OrderProps{Sorted: true, Distinct: true, Disjoint: true}
+		if f := Builtin(n); f != nil && f.Props.Reach == functions.ReachRoot {
+			return OrderProps{Sorted: true, Distinct: true, Disjoint: true} // one node
 		}
 		return OrderProps{}
 	case *Path:

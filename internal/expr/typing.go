@@ -99,10 +99,18 @@ func Infer(e Expr, env TypeEnv) xtypes.SequenceType {
 		return out
 
 	case *Path:
-		// Node results; a trailing named child/descendant step narrows the
-		// element type.
+		// One right-side result per left item. A trailing step gives its
+		// node type; "." and "/" on the right are nodes; an atomic or
+		// unknown right side makes the whole path so.
 		if s, ok := n.R.(*Step); ok {
 			return stepType(s)
+		}
+		switch n.R.(type) {
+		case *ContextItem, *Root:
+			return xtypes.NodeStar
+		}
+		if rt := Infer(n.R, env); rt.Item.Kind == xtypes.KAtomic || rt.Item.Kind == xtypes.KAnyItem {
+			return xtypes.SequenceType{Occ: relaxToStar(rt.Occ), Item: rt.Item}
 		}
 		return xtypes.NodeStar
 
@@ -165,9 +173,11 @@ func Infer(e Expr, env TypeEnv) xtypes.SequenceType {
 		return xtypes.SequenceType{Occ: xtypes.OccOne, Item: xtypes.ItemType{Kind: xtypes.KDocument}}
 
 	case *Call:
-		if t, ok := builtinReturnTypes[n.Name.Local]; ok && (n.Name.Space == "" ||
-			n.Name.Space == "http://www.w3.org/2005/xpath-functions") {
-			return t
+		if focusAccessor(n) {
+			return xtypes.AtomicOne(xdm.TInteger)
+		}
+		if f := Builtin(n); f != nil {
+			return f.Props.ReturnType()
 		}
 		return xtypes.AnyItems
 	}
@@ -180,41 +190,6 @@ func (env TypeEnv) clone() TypeEnv {
 		out[k] = v
 	}
 	return out
-}
-
-// builtinReturnTypes covers the built-ins whose return types drive
-// optimizations; everything else infers item()*.
-var builtinReturnTypes = map[string]xtypes.SequenceType{
-	"count":           xtypes.AtomicOne(xdm.TInteger),
-	"string-length":   xtypes.AtomicOne(xdm.TInteger),
-	"position":        xtypes.AtomicOne(xdm.TInteger),
-	"last":            xtypes.AtomicOne(xdm.TInteger),
-	"empty":           xtypes.AtomicOne(xdm.TBoolean),
-	"exists":          xtypes.AtomicOne(xdm.TBoolean),
-	"not":             xtypes.AtomicOne(xdm.TBoolean),
-	"boolean":         xtypes.AtomicOne(xdm.TBoolean),
-	"true":            xtypes.AtomicOne(xdm.TBoolean),
-	"false":           xtypes.AtomicOne(xdm.TBoolean),
-	"contains":        xtypes.AtomicOne(xdm.TBoolean),
-	"starts-with":     xtypes.AtomicOne(xdm.TBoolean),
-	"ends-with":       xtypes.AtomicOne(xdm.TBoolean),
-	"deep-equal":      xtypes.AtomicOne(xdm.TBoolean),
-	"string":          xtypes.AtomicOne(xdm.TString),
-	"concat":          xtypes.AtomicOne(xdm.TString),
-	"string-join":     xtypes.AtomicOne(xdm.TString),
-	"normalize-space": xtypes.AtomicOne(xdm.TString),
-	"upper-case":      xtypes.AtomicOne(xdm.TString),
-	"lower-case":      xtypes.AtomicOne(xdm.TString),
-	"substring":       xtypes.AtomicOne(xdm.TString),
-	"name":            xtypes.AtomicOne(xdm.TString),
-	"local-name":      xtypes.AtomicOne(xdm.TString),
-	"number":          xtypes.AtomicOne(xdm.TDouble),
-	"doc":             xtypes.SequenceType{Occ: xtypes.OccOpt, Item: xtypes.ItemType{Kind: xtypes.KDocument}},
-	"document":        xtypes.SequenceType{Occ: xtypes.OccOpt, Item: xtypes.ItemType{Kind: xtypes.KDocument}},
-	"distinct-values": xtypes.AtomicStar(xdm.TAnyAtomic),
-	"data":            xtypes.AtomicStar(xdm.TAnyAtomic),
-	"reverse":         xtypes.AnyItems,
-	"subsequence":     xtypes.AnyItems,
 }
 
 // stepType maps a step's node test to an item type.
@@ -246,31 +221,27 @@ func stepType(s *Step) xtypes.SequenceType {
 
 // concatTypes types the comma operator.
 func concatTypes(a, b xtypes.SequenceType) xtypes.SequenceType {
-	item := a.Item
-	switch {
-	case a.Occ == xtypes.OccEmpty:
-		item = b.Item
-	case b.Occ == xtypes.OccEmpty:
-		item = a.Item
-	case !sameItemType(a.Item, b.Item):
-		item = xtypes.ItemType{Kind: xtypes.KAnyItem}
-	}
-	return xtypes.SequenceType{Occ: addOcc(a.Occ, b.Occ), Item: item}
+	return xtypes.SequenceType{Occ: addOcc(a.Occ, b.Occ), Item: joinItems(a, b)}
 }
 
-// unionTypes types a branch join (if/typeswitch). An empty-sequence branch
-// contributes no item type, only the possibility of emptiness.
+// unionTypes types a branch join (if/typeswitch).
 func unionTypes(a, b xtypes.SequenceType) xtypes.SequenceType {
-	item := a.Item
+	return xtypes.SequenceType{Occ: maxOcc(a.Occ, b.Occ), Item: joinItems(a, b)}
+}
+
+// joinItems is the item type of a value drawn from a and b. An
+// empty-sequence side contributes no item type, only the possibility of
+// emptiness.
+func joinItems(a, b xtypes.SequenceType) xtypes.ItemType {
 	switch {
 	case a.Occ == xtypes.OccEmpty:
-		item = b.Item
-	case b.Occ == xtypes.OccEmpty:
-		item = a.Item
-	case !sameItemType(a.Item, b.Item):
-		item = xtypes.ItemType{Kind: xtypes.KAnyItem}
+		return b.Item
+	case b.Occ == xtypes.OccEmpty, sameItemType(a.Item, b.Item):
+		return a.Item
+	case a.Item.Kind >= xtypes.KAnyNode && b.Item.Kind >= xtypes.KAnyNode:
+		return xtypes.ItemType{Kind: xtypes.KAnyNode}
 	}
-	return xtypes.SequenceType{Occ: maxOcc(a.Occ, b.Occ), Item: item}
+	return xtypes.ItemType{Kind: xtypes.KAnyItem}
 }
 
 func sameItemType(a, b xtypes.ItemType) bool {
@@ -278,88 +249,60 @@ func sameItemType(a, b xtypes.ItemType) bool {
 }
 
 func mayBeEmpty(o xtypes.Occurrence) bool {
-	return o == xtypes.OccOpt || o == xtypes.OccStar || o == xtypes.OccEmpty
+	lo, _ := occBounds(o)
+	return lo == 0
 }
 
 func relaxToStar(o xtypes.Occurrence) xtypes.Occurrence {
-	switch o {
-	case xtypes.OccEmpty:
+	if o == xtypes.OccEmpty {
 		return xtypes.OccEmpty
-	default:
-		return xtypes.OccStar
 	}
+	return xtypes.OccStar
 }
 
+// addOcc is the occurrence of a sequence of a followed by b.
 func addOcc(a, b xtypes.Occurrence) xtypes.Occurrence {
-	lo := func(o xtypes.Occurrence) int {
-		if o == xtypes.OccOne || o == xtypes.OccPlus {
-			return 1
-		}
-		return 0
-	}
-	hi := func(o xtypes.Occurrence) int {
-		switch o {
-		case xtypes.OccEmpty:
-			return 0
-		case xtypes.OccOne, xtypes.OccOpt:
-			return 1
-		default:
-			return 2 // many
-		}
-	}
-	l, h := lo(a)+lo(b), hi(a)+hi(b)
-	switch {
-	case h == 0:
-		return xtypes.OccEmpty
-	case l == 0 && h == 1:
-		return xtypes.OccOpt
-	case l == 1 && h == 1:
-		return xtypes.OccOne
-	case l >= 1:
-		return xtypes.OccPlus
-	default:
-		return xtypes.OccStar
-	}
+	alo, ahi := occBounds(a)
+	blo, bhi := occBounds(b)
+	return occOf(alo+blo, ahi+bhi)
 }
 
 // maxOcc is the union of two occurrence ranges: the tightest indicator
 // admitting every count either side admits.
 func maxOcc(a, b xtypes.Occurrence) xtypes.Occurrence {
-	bounds := func(o xtypes.Occurrence) (lo, hi int) {
-		switch o {
-		case xtypes.OccEmpty:
-			return 0, 0
-		case xtypes.OccOne:
-			return 1, 1
-		case xtypes.OccOpt:
-			return 0, 1
-		case xtypes.OccPlus:
-			return 1, 2 // 2 = many
-		default:
-			return 0, 2
-		}
+	alo, ahi := occBounds(a)
+	blo, bhi := occBounds(b)
+	return occOf(min(alo, blo), max(ahi, bhi))
+}
+
+// occBounds is the fewest and most items o admits; 2 stands for many.
+func occBounds(o xtypes.Occurrence) (lo, hi int) {
+	switch o {
+	case xtypes.OccEmpty:
+		return 0, 0
+	case xtypes.OccOne:
+		return 1, 1
+	case xtypes.OccOpt:
+		return 0, 1
+	case xtypes.OccPlus:
+		return 1, 2
 	}
-	alo, ahi := bounds(a)
-	blo, bhi := bounds(b)
-	lo, hi := alo, ahi
-	if blo < lo {
-		lo = blo
-	}
-	if bhi > hi {
-		hi = bhi
-	}
+	return 0, 2
+}
+
+// occOf is the tightest occurrence admitting lo to hi items (hi >= 2: many).
+func occOf(lo, hi int) xtypes.Occurrence {
 	switch {
 	case hi == 0:
 		return xtypes.OccEmpty
-	case lo == 1 && hi == 1:
-		return xtypes.OccOne
-	case lo == 0 && hi == 1:
+	case hi == 1 && lo == 0:
 		return xtypes.OccOpt
-	case lo == 1:
+	case hi == 1:
+		return xtypes.OccOne
+	case lo >= 1:
 		return xtypes.OccPlus
-	default:
-		return xtypes.OccStar
 	}
+	return xtypes.OccStar
 }
 
 // numericResult gives the item type of an arithmetic result from its

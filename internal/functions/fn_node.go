@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xqgo/internal/xdm"
+	"xqgo/internal/xtypes"
 )
 
 // Node, boolean, numeric, date and diagnostic functions.
@@ -13,17 +14,22 @@ import (
 func init() {
 	det := Properties{Deterministic: true}
 	detErr := Properties{Deterministic: true, CanRaiseError: true}
+	detBoolean := Properties{Deterministic: true, Returns: xsBoolean}
+	detStructBoolean := Properties{Deterministic: true, Args: structure, Returns: xsBoolean}
+	// The accessors read a node's name or URI, not its content.
+	accessor := Properties{Deterministic: true, UsesContext: true, Args: structure}
+	nameAccessor := Properties{Deterministic: true, UsesContext: true, Args: structure, Returns: xsString}
 
 	// ---- booleans ----
-	register(&Func{Name: "true", MinArgs: 0, MaxArgs: 0, Props: det,
+	register(&Func{Name: "true", MinArgs: 0, MaxArgs: 0, Props: detBoolean,
 		Call: func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.True), nil
 		}})
-	register(&Func{Name: "false", MinArgs: 0, MaxArgs: 0, Props: det,
+	register(&Func{Name: "false", MinArgs: 0, MaxArgs: 0, Props: detBoolean,
 		Call: func(_ Context, _ []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.False), nil
 		}})
-	register(&Func{Name: "not", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "not", MinArgs: 1, MaxArgs: 1, Props: detStructBoolean,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			b, err := xdm.EffectiveBoolean(args[0])
 			if err != nil {
@@ -31,7 +37,7 @@ func init() {
 			}
 			return singleton(xdm.NewBoolean(!b)), nil
 		}})
-	register(&Func{Name: "boolean", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "boolean", MinArgs: 1, MaxArgs: 1, Props: detStructBoolean,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			b, err := xdm.EffectiveBoolean(args[0])
 			if err != nil {
@@ -41,7 +47,8 @@ func init() {
 		}})
 
 	// ---- accessors ----
-	register(&Func{Name: "data", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "data", MinArgs: 1, MaxArgs: 1,
+		Props: Properties{Deterministic: true, Returns: xtypes.AtomicStar(xdm.TAnyAtomic)},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			out := make(xdm.Sequence, len(args[0]))
 			for i, it := range args[0] {
@@ -49,7 +56,8 @@ func init() {
 			}
 			return out, nil
 		}})
-	register(&Func{Name: "node-name", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "node-name", MinArgs: 1, MaxArgs: 1,
+		Props: Properties{Deterministic: true, Args: structure},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := oneNode(args[0])
 			if err != nil || n == nil {
@@ -60,8 +68,7 @@ func init() {
 			}
 			return singleton(xdm.NewQName(n.NodeName())), nil
 		}})
-	register(&Func{Name: "name", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+	register(&Func{Name: "name", MinArgs: 0, MaxArgs: 1, Props: nameAccessor,
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := nodeArgOrContext(ctx, args)
 			if err != nil || n == nil {
@@ -69,8 +76,7 @@ func init() {
 			}
 			return singleton(xdm.NewString(n.NodeName().String())), nil
 		}})
-	register(&Func{Name: "local-name", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+	register(&Func{Name: "local-name", MinArgs: 0, MaxArgs: 1, Props: nameAccessor,
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := nodeArgOrContext(ctx, args)
 			if err != nil || n == nil {
@@ -78,8 +84,7 @@ func init() {
 			}
 			return singleton(xdm.NewString(n.NodeName().Local)), nil
 		}})
-	register(&Func{Name: "namespace-uri", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+	register(&Func{Name: "namespace-uri", MinArgs: 0, MaxArgs: 1, Props: accessor,
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := nodeArgOrContext(ctx, args)
 			if err != nil || n == nil {
@@ -88,7 +93,7 @@ func init() {
 			return singleton(xdm.NewAnyURI(n.NodeName().Space)), nil
 		}})
 	register(&Func{Name: "root", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true, DocOrder: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Args: structure, Reach: ReachRoot},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := nodeArgOrContext(ctx, args)
 			if err != nil || n == nil {
@@ -101,7 +106,7 @@ func init() {
 			return xdm.Sequence{r}, nil
 		}})
 	register(&Func{Name: "base-uri", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Args: structure, Reach: ReachOutside},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := nodeArgOrContext(ctx, args)
 			if err != nil || n == nil {
@@ -112,7 +117,8 @@ func init() {
 			}
 			return singleton(xdm.NewAnyURI(n.BaseURI())), nil
 		}})
-	register(&Func{Name: "document-uri", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "document-uri", MinArgs: 1, MaxArgs: 1,
+		Props: Properties{Deterministic: true, Args: structure, Reach: ReachOutside},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			n, err := oneNode(args[0])
 			if err != nil || n == nil {
@@ -125,7 +131,8 @@ func init() {
 		}})
 
 	// ---- documents ----
-	docProps := Properties{Deterministic: true, DocOrder: true, CanRaiseError: true}
+	docProps := Properties{Deterministic: true, CanRaiseError: true, Reach: ReachRoot,
+		Returns: xtypes.SequenceType{Occ: xtypes.OccOpt, Item: xtypes.ItemType{Kind: xtypes.KDocument}}}
 	docCall := func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args[0]) == 0 {
 			return emptySeq, nil
@@ -143,7 +150,8 @@ func init() {
 	register(&Func{Name: "doc", MinArgs: 1, MaxArgs: 1, Props: docProps, Call: docCall})
 	// The paper (and XQuery 1.0 working drafts) use document(); keep both.
 	register(&Func{Name: "document", MinArgs: 1, MaxArgs: 1, Props: docProps, Call: docCall})
-	register(&Func{Name: "collection", MinArgs: 1, MaxArgs: 1, Props: docProps,
+	register(&Func{Name: "collection", MinArgs: 1, MaxArgs: 1,
+		Props: Properties{Deterministic: true, CanRaiseError: true, Reach: ReachOutside},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			uri, err := oneString(args[0])
 			if err != nil {
@@ -154,7 +162,7 @@ func init() {
 
 	// ---- numerics ----
 	register(&Func{Name: "number", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Returns: xtypes.AtomicOne(xdm.TDouble)},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			var a xdm.Atomic
 			if len(args) == 0 {
@@ -335,8 +343,10 @@ func init() {
 		}})
 
 	// ---- diagnostics ----
+	// Deterministic: a function that calls fn:error stays memoizable, and
+	// CanRaiseError keeps it out of constant folding.
 	register(&Func{Name: "error", MinArgs: 0, MaxArgs: 2,
-		Props: Properties{CanRaiseError: true},
+		Props: Properties{Deterministic: true, CanRaiseError: true},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			code := "FOER0000"
 			msg := "error signalled by fn:error()"
@@ -352,7 +362,7 @@ func init() {
 			return nil, xdm.Errf(code, "%s", msg)
 		}})
 	register(&Func{Name: "trace", MinArgs: 2, MaxArgs: 2,
-		Props: Properties{Deterministic: false},
+		Props: Properties{Args: []ArgUse{PassedThrough}},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			label, _ := oneString(args[1])
 			fmt.Fprintf(os.Stderr, "trace: %s: %d item(s)\n", label, len(args[0]))

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"xqgo/internal/xdm"
+	"xqgo/internal/xtypes"
 )
 
 // Sequence functions: fn:count, empty, exists, distinct-values, index-of,
@@ -12,25 +13,28 @@ import (
 // one-or-more, exactly-one, deep-equal, plus the aggregates.
 
 func init() {
-	det := Properties{Deterministic: true}
+	detStructBoolean := Properties{Deterministic: true, Args: structure, Returns: xsBoolean}
+	passed := Properties{Deterministic: true, Args: []ArgUse{PassedThrough}}
+	checked := Properties{Deterministic: true, CanRaiseError: true, Args: []ArgUse{CheckedThrough}}
 
-	register(&Func{Name: "count", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "count", MinArgs: 1, MaxArgs: 1,
+		Props: Properties{Deterministic: true, Args: structure, Returns: xsInteger},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.NewInteger(int64(len(args[0])))), nil
 		}})
 
-	register(&Func{Name: "empty", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "empty", MinArgs: 1, MaxArgs: 1, Props: detStructBoolean,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.NewBoolean(len(args[0]) == 0)), nil
 		}})
 
-	register(&Func{Name: "exists", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "exists", MinArgs: 1, MaxArgs: 1, Props: detStructBoolean,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.NewBoolean(len(args[0]) != 0)), nil
 		}})
 
 	register(&Func{Name: "distinct-values", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
+		Props: Properties{Deterministic: true, CanRaiseError: true, Returns: xtypes.AtomicStar(xdm.TAnyAtomic)},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return distinctValues(args[0])
 		}})
@@ -38,7 +42,7 @@ func init() {
 	// fn:distinct-nodes from the paper's F&O draft: dedup by node identity,
 	// document order.
 	register(&Func{Name: "distinct-nodes", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, DocOrder: true, CanRaiseError: true},
+		Props: Properties{Deterministic: true, CanRaiseError: true, Args: []ArgUse{PassedThrough}},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return xdm.SortDocOrderDedup(append(xdm.Sequence(nil), args[0]...))
 		}})
@@ -63,7 +67,8 @@ func init() {
 			return out, nil
 		}})
 
-	register(&Func{Name: "insert-before", MinArgs: 3, MaxArgs: 3, Props: det,
+	register(&Func{Name: "insert-before", MinArgs: 3, MaxArgs: 3,
+		Props: Properties{Deterministic: true, Args: []ArgUse{PassedThrough, Atomized, PassedThrough}},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			posA, ok, err := oneAtomic(args[1])
 			if err != nil || !ok {
@@ -83,7 +88,7 @@ func init() {
 			return out, nil
 		}})
 
-	register(&Func{Name: "remove", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "remove", MinArgs: 2, MaxArgs: 2, Props: passed,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			posA, ok, err := oneAtomic(args[1])
 			if err != nil || !ok {
@@ -98,7 +103,7 @@ func init() {
 			return append(out, args[0][pos:]...), nil
 		}})
 
-	register(&Func{Name: "reverse", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "reverse", MinArgs: 1, MaxArgs: 1, Props: passed,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			in := args[0]
 			out := make(xdm.Sequence, len(in))
@@ -108,7 +113,7 @@ func init() {
 			return out, nil
 		}})
 
-	register(&Func{Name: "subsequence", MinArgs: 2, MaxArgs: 3, Props: det,
+	register(&Func{Name: "subsequence", MinArgs: 2, MaxArgs: 3, Props: passed,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			startA, ok, err := numericArg(args[1])
 			if err != nil || !ok {
@@ -133,13 +138,12 @@ func init() {
 			return out, nil
 		}})
 
-	register(&Func{Name: "unordered", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "unordered", MinArgs: 1, MaxArgs: 1, Props: passed,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return args[0], nil
 		}})
 
-	register(&Func{Name: "zero-or-one", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
+	register(&Func{Name: "zero-or-one", MinArgs: 1, MaxArgs: 1, Props: checked,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			if len(args[0]) > 1 {
 				return nil, xdm.Errf("FORG0003", "fn:zero-or-one: %d items", len(args[0]))
@@ -147,8 +151,7 @@ func init() {
 			return args[0], nil
 		}})
 
-	register(&Func{Name: "one-or-more", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
+	register(&Func{Name: "one-or-more", MinArgs: 1, MaxArgs: 1, Props: checked,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			if len(args[0]) == 0 {
 				return nil, xdm.Errf("FORG0004", "fn:one-or-more: empty sequence")
@@ -156,8 +159,7 @@ func init() {
 			return args[0], nil
 		}})
 
-	register(&Func{Name: "exactly-one", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
+	register(&Func{Name: "exactly-one", MinArgs: 1, MaxArgs: 1, Props: checked,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			if len(args[0]) != 1 {
 				return nil, xdm.Errf("FORG0005", "fn:exactly-one: %d items", len(args[0]))
@@ -165,7 +167,8 @@ func init() {
 			return args[0], nil
 		}})
 
-	register(&Func{Name: "deep-equal", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "deep-equal", MinArgs: 2, MaxArgs: 2,
+		Props: Properties{Deterministic: true, Returns: xsBoolean},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.NewBoolean(deepEqualSeq(args[0], args[1]))), nil
 		}})

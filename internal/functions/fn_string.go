@@ -13,9 +13,11 @@ import (
 func init() {
 	det := Properties{Deterministic: true}
 	detErr := Properties{Deterministic: true, CanRaiseError: true}
+	detString := Properties{Deterministic: true, Returns: xsString}
+	detBoolean := Properties{Deterministic: true, Returns: xsBoolean}
 
 	register(&Func{Name: "string", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Returns: xsString},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			if len(args) == 0 {
 				it, ok := ctx.ContextItem()
@@ -34,7 +36,7 @@ func init() {
 			return singleton(xdm.NewString(xdm.StringValue(it))), nil
 		}})
 
-	register(&Func{Name: "concat", MinArgs: 2, MaxArgs: -1, Props: det,
+	register(&Func{Name: "concat", MinArgs: 2, MaxArgs: -1, Props: detString,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			var b strings.Builder
 			for _, arg := range args {
@@ -47,7 +49,7 @@ func init() {
 			return singleton(xdm.NewString(b.String())), nil
 		}})
 
-	register(&Func{Name: "string-join", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "string-join", MinArgs: 2, MaxArgs: 2, Props: detString,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			sep, err := oneString(args[1])
 			if err != nil {
@@ -61,7 +63,7 @@ func init() {
 		}})
 
 	register(&Func{Name: "string-length", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Returns: xsInteger},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			s, err := stringArgOrContext(ctx, args)
 			if err != nil {
@@ -71,7 +73,7 @@ func init() {
 		}})
 
 	register(&Func{Name: "normalize-space", MinArgs: 0, MaxArgs: 1,
-		Props: Properties{Deterministic: true, UsesContext: true},
+		Props: Properties{Deterministic: true, UsesContext: true, Returns: xsString},
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			s, err := stringArgOrContext(ctx, args)
 			if err != nil {
@@ -80,7 +82,7 @@ func init() {
 			return singleton(xdm.NewString(strings.Join(strings.Fields(s), " "))), nil
 		}})
 
-	register(&Func{Name: "upper-case", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "upper-case", MinArgs: 1, MaxArgs: 1, Props: detString,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			s, err := oneString(args[0])
 			if err != nil {
@@ -89,7 +91,7 @@ func init() {
 			return singleton(xdm.NewString(strings.ToUpper(s))), nil
 		}})
 
-	register(&Func{Name: "lower-case", MinArgs: 1, MaxArgs: 1, Props: det,
+	register(&Func{Name: "lower-case", MinArgs: 1, MaxArgs: 1, Props: detString,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			s, err := oneString(args[0])
 			if err != nil {
@@ -98,16 +100,17 @@ func init() {
 			return singleton(xdm.NewString(strings.ToLower(s))), nil
 		}})
 
-	register(&Func{Name: "contains", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "contains", MinArgs: 2, MaxArgs: 2, Props: detBoolean,
 		Call: stringPredicate(strings.Contains)})
 
-	register(&Func{Name: "starts-with", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "starts-with", MinArgs: 2, MaxArgs: 2, Props: detBoolean,
 		Call: stringPredicate(strings.HasPrefix)})
 
-	register(&Func{Name: "ends-with", MinArgs: 2, MaxArgs: 2, Props: det,
+	register(&Func{Name: "ends-with", MinArgs: 2, MaxArgs: 2, Props: detBoolean,
 		Call: stringPredicate(strings.HasSuffix)})
 
-	register(&Func{Name: "substring", MinArgs: 2, MaxArgs: 3, Props: detErr,
+	register(&Func{Name: "substring", MinArgs: 2, MaxArgs: 3,
+		Props: Properties{Deterministic: true, CanRaiseError: true, Returns: xsString},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			s, err := oneString(args[0])
 			if err != nil {

@@ -212,16 +212,16 @@ func TestLookupArity(t *testing.T) {
 	if f, _ := Lookup("nosuch", 0); f != nil {
 		t.Error("unknown function")
 	}
-	if !Known("count") || Known("nosuch") {
-		t.Error("Known")
+	if f, _ := Lookup("count", 1); f == nil {
+		t.Error("fn:count/1 is registered")
 	}
 }
 
 func TestPropertyTable(t *testing.T) {
 	// The declarative property table drives the optimizer: spot-check it.
 	doc, _ := Lookup("doc", 1)
-	if !doc.Props.DocOrder {
-		t.Error("fn:doc returns nodes in document order")
+	if doc.Props.Reach != ReachRoot || doc.Props.ReturnType().String() != "document-node()?" {
+		t.Error("fn:doc returns a document root")
 	}
 	cur, _ := Lookup("current-dateTime", 0)
 	if cur.Props.Deterministic {
@@ -234,6 +234,24 @@ func TestPropertyTable(t *testing.T) {
 	pos, _ := Lookup("string", 0)
 	if !pos.Props.UsesContext {
 		t.Error("fn:string() without arguments uses the context")
+	}
+}
+
+// TestRecordShape checks what every record must satisfy: a focus default
+// needs an argument to omit, and argument uses name existing positions.
+func TestRecordShape(t *testing.T) {
+	n := 0
+	for f := range Each() {
+		n++
+		if f.Props.UsesContext && (f.MinArgs != 0 || f.MaxArgs == 0) {
+			t.Errorf("fn:%s: UsesContext needs an omissible argument, arity %s", f.Name, arityString(f))
+		}
+		if f.MaxArgs >= 0 && len(f.Props.Args) > f.MaxArgs {
+			t.Errorf("fn:%s: %d argument uses for at most %d arguments", f.Name, len(f.Props.Args), f.MaxArgs)
+		}
+	}
+	if n != len(registry) {
+		t.Errorf("Each yielded %d built-ins, the registry has %d", n, len(registry))
 	}
 }
 

@@ -1,15 +1,30 @@
-// Package functions implements the F&O built-in function library. Each
-// function carries a declarative property record (order preservation, node
-// creation, context use, determinism) — per the paper, "this information is
-// given declaratively, not hard coded in the query processor": the optimizer
-// and runtime consult the table instead of switching on names.
+// Package functions implements the F&O built-in function library. Per the
+// paper, "this information is given declaratively, not hard coded in the
+// query processor": each built-in carries one Properties record, which the
+// analyses read instead of lists of names. The record says what a call reads
+// (UsesContext, Args), what it reaches (Reach), what it returns (Returns),
+// and whether it is Deterministic, CreatesNodes or CanRaiseError. Readers:
+// expr.Infer (Returns), expr.Analysis (UsesContext, CreatesNodes),
+// expr.Props (Reach), optimizer.ExtractPaths (UsesContext, Args, Reach),
+// constant folding (Deterministic, UsesContext, CanRaiseError), the
+// streamability check (UsesContext, Reach) and function memoization
+// (Deterministic, CreatesNodes). fn:position and fn:last are not
+// registered: the runtime compiles them itself.
 package functions
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 
 	"xqgo/internal/xdm"
+	"xqgo/internal/xtypes"
 )
+
+// Namespace is the namespace of the built-ins; an unprefixed call names it
+// too.
+const Namespace = "http://www.w3.org/2005/xpath-functions"
 
 // Context is the slice of the dynamic context visible to built-ins. The
 // runtime's evaluation frame implements it.
@@ -29,22 +44,94 @@ type Context interface {
 	CurrentDateTime() xdm.Atomic
 }
 
-// Properties is the declarative semantic record of a first-order operator.
+// Properties is the declarative semantic record of a built-in. Its zero
+// value describes a function that atomizes its arguments, reaches nothing
+// beyond them, returns item()*, and is neither deterministic nor known to
+// be error-free.
 type Properties struct {
-	// DocOrder: result is guaranteed in document order, duplicate-free.
-	DocOrder bool
-	// CreatesNodes: the function can return newly constructed nodes.
+	// CreatesNodes: the result can contain newly constructed nodes. The
+	// optimizer's node-creation test (let folding, CSE) and the runtime's
+	// memoization test read it.
 	CreatesNodes bool
-	// UsesContext / UsesPosition: depends on the focus.
-	UsesContext  bool
-	UsesPosition bool
-	// Deterministic: same args, same result (false for current-dateTime
-	// within different executions, trace, error).
+	// UsesContext: an omitted argument defaults to the focus, so a call
+	// without arguments reads the context item. expr.Analysis,
+	// optimizer.ExtractPaths and the streamability check read it.
+	UsesContext bool
+	// Deterministic: the same arguments give the same result, with no side
+	// effect. Constant folding and function memoization read it.
 	Deterministic bool
-	// TransparentToErrors: can be reordered across error-raising
-	// expressions (used by the optimizer for CSE / reordering).
+	// CanRaiseError: the call can raise a dynamic error on some input, so
+	// constant folding leaves it to run time. (expr.Analysis keeps its own
+	// list of error-free calls.)
 	CanRaiseError bool
+	// Args says how the call observes the nodes of each argument; positions
+	// past its end are Atomized. optimizer.ExtractPaths reads it.
+	Args []ArgUse
+	// Reach says whether the result comes from anything beyond the
+	// arguments' own subtrees. optimizer.ExtractPaths, the streamability
+	// check and expr.Props read it.
+	Reach Reach
+	// Returns is the static result type expr.Infer gives a call. The zero
+	// value means item()* (see ReturnType).
+	Returns xtypes.SequenceType
 }
+
+// ArgUse is how a built-in observes the nodes of one argument.
+type ArgUse uint8
+
+const (
+	// Atomized: the nodes are atomized, so their whole subtree is read.
+	Atomized ArgUse = iota
+	// Structure: only existence, count, identity, kind or name is read.
+	Structure
+	// PassedThrough: the items can reach the result unchanged.
+	PassedThrough
+	// CheckedThrough: as PassedThrough, and the call raises an error on
+	// their number, so it reads them even when its result is dropped.
+	CheckedThrough
+)
+
+// Arg returns how argument i is observed.
+func (p Properties) Arg(i int) ArgUse {
+	if i < len(p.Args) {
+		return p.Args[i]
+	}
+	return Atomized
+}
+
+// Reach is what a built-in's result depends on besides its arguments.
+type Reach uint8
+
+const (
+	// ReachArgs: nothing; the result is made from the arguments.
+	ReachArgs Reach = iota
+	// ReachRoot: the result is a document root: of the argument's own tree
+	// (fn:root) or of a document named by URI (fn:doc).
+	ReachRoot
+	// ReachOutside: the result depends on other documents or on properties
+	// of the document outside the argument (fn:collection, fn:base-uri).
+	ReachOutside
+)
+
+// ReturnType is the static result type of a call: Returns, or item()* when
+// the record leaves it unset.
+func (p Properties) ReturnType() xtypes.SequenceType {
+	if p.Returns == (xtypes.SequenceType{}) {
+		return xtypes.AnyItems
+	}
+	return p.Returns
+}
+
+// Return types of the record.
+var (
+	xsInteger = xtypes.AtomicOne(xdm.TInteger)
+	xsBoolean = xtypes.AtomicOne(xdm.TBoolean)
+	xsString  = xtypes.AtomicOne(xdm.TString)
+)
+
+// structure is the Args of a one-argument built-in that reads only the
+// structure of its argument.
+var structure = []ArgUse{Structure}
 
 // Func is one built-in function (one arity range).
 type Func struct {
@@ -79,10 +166,15 @@ func Lookup(local string, nargs int) (*Func, error) {
 	return f, nil
 }
 
-// Known reports whether a local name is a registered built-in.
-func Known(local string) bool {
-	_, ok := registry[local]
-	return ok
+// Each yields every built-in, in name order.
+func Each() iter.Seq[*Func] {
+	return func(yield func(*Func) bool) {
+		for _, name := range slices.Sorted(maps.Keys(registry)) {
+			if !yield(registry[name]) {
+				return
+			}
+		}
+	}
 }
 
 func arityString(f *Func) string {

@@ -134,7 +134,7 @@ func templateCorpus() []string {
 func goldenCorpus() []string {
 	out := append([]string(nil), equivalenceCorpus...)
 	out = append(out, contractCorpus...)
-	out = append(out, cseTwoCalls)
+	out = append(out, cseTwoCalls, cseFocus)
 	out = append(out, paperCorpus...)
 	return append(out, templateCorpus()...)
 }

@@ -225,6 +225,46 @@ func TestCSEDeterministic(t *testing.T) {
 	}
 }
 
+// cseFocus repeats a call that reads the focus (string() and local-name()
+// without an argument) inside a path step. Factored out of the step, it
+// would read the FLWOR's focus instead of $x's children.
+const cseFocus = `for $x in /r/* return $x/(concat(string(), "-", local-name(), "-", string()), concat(string(), "-", local-name(), "-", string()))`
+
+func TestCSEKeepsFocusReads(t *testing.T) {
+	tr := NewTrace()
+	plan := planOf(t, cseFocus, Options{Trace: tr})
+	if n := tr.Fires()[RuleCSE]; n != 0 {
+		t.Errorf("cse fired %d times: %s", n, plan)
+	}
+	doc, err := xmlparse.ParseString(`<r><a>hello<b>world</b></a><c>tail</c></r>`, xmlparse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []string
+	for _, opt := range []bool{false, true} {
+		q := optimize(t, cseFocus, Disable(AllRules...))
+		if opt {
+			q = optimize(t, cseFocus, Options{})
+		}
+		p, err := runtime.Compile(q, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := p.Eval(&runtime.Dynamic{ContextItem: doc.RootNode()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serializer.SequenceToString(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, s)
+	}
+	if results[1] != results[0] {
+		t.Errorf("optimized %q, unoptimized %q", results[1], results[0])
+	}
+}
+
 // equivalenceCorpus is TestOptimizerEquivalence's corpus; the plan golden
 // and FuzzOptimize start from it too.
 var equivalenceCorpus = []string{
@@ -401,6 +441,11 @@ func TestTypeRewrite(t *testing.T) {
 	if got != "true" {
 		t.Errorf("constructor instance-of not folded: %s", got)
 	}
+	// A path that ends in atomics is not a node sequence.
+	got = planOf(t, `($x/a/string()) instance of node()*`, Only(RuleTypeRewrite))
+	if got == "true" {
+		t.Errorf("atomic path typed as nodes: %s", got)
+	}
 	// Not-guaranteed instance-of stays.
 	got = planOf(t, `$x instance of element(a)`, Only(RuleTypeRewrite))
 	if !strings.Contains(got, "instance of") {
@@ -421,6 +466,10 @@ func TestInferBasics(t *testing.T) {
 		`if (1) then 1 else ()`:    "xs:integer?",
 		`count($x)`:                "xs:integer",
 		`for $i in (1,2) return 3`: "xs:integer*",
+		`$x/a/string()`:            "xs:string*",
+		`$x/a/local:f(.)`:          "item()*",
+		`$x/a/.`:                   "node()*",
+		`$x/(a, b)`:                "node()*",
 	}
 	for src, want := range cases {
 		q, err := xqparse.Parse(src)

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"xqgo/internal/expr"
+	"xqgo/internal/functions"
 	"xqgo/internal/projection"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xtypes"
@@ -33,7 +34,7 @@ func ExtractPaths(q *expr.Query) *projection.Paths {
 		x.funcs[funcSig(f.Name, len(f.Params))] = f
 	}
 	root := rootVal()
-	globals := &env{vars: map[string]aval{}, focus: &root}
+	globals := &env{vars: map[string]aval{}, focus: &focus{v: root}}
 	for i := range q.Vars {
 		vd := &q.Vars[i]
 		v := aval{known: true} // external: cannot reference the projected doc
@@ -92,7 +93,13 @@ func union(a, b aval) aval {
 
 type env struct {
 	vars  map[string]aval
-	focus *aval // nil inside function bodies (no focus)
+	focus *focus // nil inside function bodies (no focus)
+}
+
+// focus is the value of "." in a scope, and whether the scope read it.
+type focus struct {
+	v    aval
+	read bool
 }
 
 func (e *env) child() *env {
@@ -103,7 +110,7 @@ func (e *env) child() *env {
 	return &env{vars: vars, focus: e.focus}
 }
 
-func (e *env) withFocus(f aval) *env { return &env{vars: e.vars, focus: &f} }
+func (e *env) withFocus(f aval) *env { return &env{vars: e.vars, focus: &focus{v: f}} }
 
 type extractor struct {
 	out     *projection.Paths
@@ -160,7 +167,8 @@ func (x *extractor) analyze(e expr.Expr, env *env) aval {
 			x.keepAll()
 			return aval{}
 		}
-		return *env.focus
+		env.focus.read = true
+		return env.focus.v
 
 	case *expr.Root:
 		return rootVal()
@@ -201,11 +209,20 @@ func (x *extractor) analyze(e expr.Expr, env *env) aval {
 			x.keepAll()
 			return aval{}
 		}
-		return x.applyStep(*env.focus, t.Axis, t.Test)
+		env.focus.read = true
+		return x.applyStep(env.focus.v, t.Axis, t.Test)
 
 	case *expr.Path:
 		lv := x.analyze(t.L, env)
-		return x.analyze(t.R, env.withFocus(lv))
+		re := env.withFocus(lv)
+		rv := x.analyze(t.R, re)
+		if !re.focus.read || deferredDesc(lv) && expr.Infer(t.R, nil).Item.Kind < xtypes.KAnyNode {
+			// The right side runs once per left item without reading it
+			// (*/0), or returns values that are not deduplicated like nodes
+			// (//string(a)): every left item counts.
+			x.consume(lv, useNone)
+		}
+		return rv
 
 	case *expr.Filter:
 		in := x.analyze(t.In, env)
@@ -336,6 +353,17 @@ func (x *extractor) analyze(e expr.Expr, env *env) aval {
 	}
 }
 
+// deferredDesc reports whether v holds a deferred depth wildcard: the
+// nodes of every kind below its paths.
+func deferredDesc(v aval) bool {
+	for _, p := range v.paths {
+		if p.pendingDesc {
+			return true
+		}
+	}
+	return false
+}
+
 // applyStep extends a focus value by one axis step.
 func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval {
 	if !v.known {
@@ -355,7 +383,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 		}
 		// text()/comment()/pi()/node(): character-level content of the
 		// focus is selected — keep its whole subtree.
-		x.consumeSubtrees(v)
+		x.consume(v, useContent)
 		return atomicVal()
 
 	case expr.AxisAttribute:
@@ -367,7 +395,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 		if s, ok := StepFromTest(test, true); ok {
 			return x.extend(v, s)
 		}
-		x.consumeSubtrees(v)
+		x.consume(v, useContent)
 		return atomicVal()
 
 	case expr.AxisDescendantOrSelf:
@@ -384,7 +412,7 @@ func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval
 			// self (name-filtered, over-approximated) plus descendants.
 			return union(v, x.extend(v, s))
 		}
-		x.consumeSubtrees(v)
+		x.consume(v, useContent)
 		return atomicVal()
 
 	default:
@@ -406,9 +434,6 @@ func (x *extractor) extend(v aval, s projection.Step) aval {
 	}
 	return out
 }
-
-// consumeSubtrees marks every path of v keep-subtree.
-func (x *extractor) consumeSubtrees(v aval) { x.consume(v, useContent) }
 
 func appendStep(steps []projection.Step, s projection.Step) []projection.Step {
 	out := make([]projection.Step, len(steps)+1)
@@ -444,45 +469,15 @@ func StepFromTest(t xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
 // ---- function calls ----
 
 const (
-	fnSpace  = "http://www.w3.org/2005/xpath-functions"
 	xsSpace  = "http://www.w3.org/2001/XMLSchema"
 	xdtSpace = "http://www.w3.org/2005/xpath-datatypes"
 )
 
-// passthroughArgs: built-ins whose result may contain nodes of the listed
-// argument positions, forwarded untouched; other arguments are atomized.
-var passthroughArgs = map[string][]int{
-	"subsequence":    {0},
-	"reverse":        {0},
-	"remove":         {0},
-	"insert-before":  {0, 2},
-	"unordered":      {0},
-	"trace":          {0},
-	"distinct-nodes": {0},
-}
-
-// cardinalityChecked: passthroughs that additionally observe the argument's
-// cardinality (they can raise on it even when the result is discarded).
-var cardinalityChecked = map[string][]int{
-	"exactly-one": {0},
-	"zero-or-one": {0},
-	"one-or-more": {0},
-}
-
-// structuralFns observe only existence, count, identity or name of their
-// node arguments.
-var structuralFns = map[string]bool{
-	"count": true, "empty": true, "exists": true, "not": true,
-	"boolean": true, "name": true, "local-name": true, "node-name": true,
-	"namespace-uri": true, "base-uri": true, "document-uri": true,
-	"position": true, "last": true, "true": true, "false": true,
-}
-
 func (x *extractor) analyzeCall(c *expr.Call, env *env) aval {
 	// User-declared function: analyze its body with the call's abstract
 	// arguments (globals in scope, no focus).
-	if f, ok := x.funcs[funcSig(c.Name, len(c.Args))]; ok {
-		sig := funcSig(c.Name, len(c.Args))
+	sig := funcSig(c.Name, len(c.Args))
+	if f, ok := x.funcs[sig]; ok {
 		args := make([]aval, len(c.Args))
 		for i, a := range c.Args {
 			args[i] = x.analyze(a, env)
@@ -493,7 +488,8 @@ func (x *extractor) analyzeCall(c *expr.Call, env *env) aval {
 			return aval{}
 		}
 		x.active[sig] = true
-		fe := funcEnv(x.globals)
+		fe := x.globals.child()
+		fe.focus = nil // a function body has no focus
 		for i, p := range f.Params {
 			fe.vars[p.Name.String()] = args[i]
 		}
@@ -507,75 +503,38 @@ func (x *extractor) analyzeCall(c *expr.Call, env *env) aval {
 		x.eat(env, useContent, c.Args...)
 		return atomicVal()
 	}
-	if c.Name.Space != fnSpace && c.Name.Space != "" {
+	if c.Name.Space != functions.Namespace && c.Name.Space != "" {
 		x.keepAll()
 		return aval{}
 	}
 
-	local := c.Name.Local
-	switch {
-	case local == "doc" || local == "document":
-		x.eat(env, useContent, c.Args...)
-		return rootVal()
-
-	case local == "collection":
-		// Collections resolve to eagerly-materialized catalog documents —
-		// never the projected one.
-		x.eat(env, useContent, c.Args...)
-		return atomicVal()
-
-	case local == "root":
-		x.eat(env, useNone, c.Args...)
-		return rootVal()
-
-	case structuralFns[local]:
-		x.eat(env, useNone, c.Args...)
-		return atomicVal()
-
-	default:
-		if idxs, ok := passthroughArgs[local]; ok {
-			return x.passthrough(c, env, idxs, false)
+	// A built-in observes each argument as its record says; anything else in
+	// the fn namespace (fn:position, fn:last) atomizes, the zero record.
+	var p functions.Properties
+	args := c.Args
+	if f := expr.Builtin(c); f != nil {
+		p = f.Props
+		if len(args) == 0 && p.UsesContext {
+			args = []expr.Expr{&expr.ContextItem{Base: expr.Base{P: c.Span()}}} // the omitted argument is "."
 		}
-		if idxs, ok := cardinalityChecked[local]; ok {
-			return x.passthrough(c, env, idxs, true)
-		}
-		// Everything else — string/number/aggregation/comparison functions
-		// and anything unknown — atomizes its arguments.
-		x.eat(env, useContent, c.Args...)
-		return atomicVal()
-	}
-}
-
-func (x *extractor) passthrough(c *expr.Call, env *env, nodeArgs []int, checked bool) aval {
-	isNodeArg := func(i int) bool {
-		for _, j := range nodeArgs {
-			if i == j {
-				return true
-			}
-		}
-		return false
 	}
 	out := atomicVal()
-	for i, a := range c.Args {
+	for i, a := range args {
 		v := x.analyze(a, env)
-		if isNodeArg(i) {
-			if checked {
-				x.consume(v, useNone)
-			}
+		switch p.Arg(i) {
+		case functions.Structure:
+			x.consume(v, useNone)
+		case functions.CheckedThrough:
+			x.consume(v, useNone)
+			fallthrough
+		case functions.PassedThrough:
 			out = union(out, v)
-		} else {
+		default:
 			x.consume(v, useContent)
 		}
 	}
-	return out
-}
-
-// funcEnv builds a function-body environment: globals only, focus
-// undefined.
-func funcEnv(globals *env) *env {
-	vars := make(map[string]aval, len(globals.vars)+4)
-	for k, v := range globals.vars {
-		vars[k] = v
+	if p.Reach == functions.ReachRoot {
+		return rootVal()
 	}
-	return &env{vars: vars, focus: nil}
+	return out
 }

@@ -70,6 +70,21 @@ func TestExtractPaths(t *testing.T) {
 			`/bib/book/title#`},
 		{`declare function local:r($x) { local:r($x) }; local:r(/bib/book)`,
 			`*keep-all*`},
+		// An omitted focus argument is ".": the focus is read as the
+		// built-in's record says (string value, name, or the root).
+		{`/bib/book/title/string()`, `/bib/book/title#`},
+		{`string()`, `/#`},
+		{`count(/bib/book[string-length() gt 40])`, `/bib/book#`},
+		{`/bib/book/title/name()`, `/bib/book/title`},
+		{`for $b in /bib/book return $b/title/string()`, `/bib/book /bib/book/title#`},
+		{`/bib/book[1]/title/root()/bib/book[2]/price/string(.)`, `/bib/book/title /bib/book/price#`},
+		{`/bib/book/price/number()`, `/bib/book/price#`},
+		// A right side that runs once per left item counts every one: the
+		// left elements, or every node below a //.
+		{`/bib/book/0`, `/bib/book`},
+		{`/bib/book/position()`, `/bib/book`},
+		{`//string(a)`, `//a# /#`},
+		{`//(a | b)`, `//a# //b#`},
 	}
 	for _, c := range cases {
 		if got := extract(t, c.src); got != c.want {

@@ -115,12 +115,8 @@ func constFold(x expr.Expr) expr.Expr {
 	case *expr.Call:
 		// Fold deterministic, error-free built-ins over literal arguments
 		// (fn:true, fn:concat of literals, fn:not(fn:true()), ...).
-		if n.Name.Space != "http://www.w3.org/2005/xpath-functions" && n.Name.Space != "" {
-			return nil
-		}
-		f, err := functions.Lookup(n.Name.Local, len(n.Args))
-		if f == nil || err != nil || !f.Props.Deterministic ||
-			f.Props.UsesContext || f.Props.CanRaiseError {
+		f := expr.Builtin(n)
+		if f == nil || !f.Props.Deterministic || f.Props.UsesContext || f.Props.CanRaiseError {
 			return nil
 		}
 		args := make([]xdm.Sequence, len(n.Args))

@@ -41,16 +41,9 @@ func (c *memoCache) put(key string, v xdm.Sequence) {
 	c.m[key] = v
 }
 
-// nondeterministicCalls lists built-ins whose results vary between calls or
-// have side effects; a function body touching one is never memoized.
-var nondeterministicCalls = map[string]bool{
-	"current-dateTime": true, "current-date": true, "current-time": true,
-	"trace": true,
-}
-
 // memoizable reports whether a declared function's results may be cached:
 // the body must not construct nodes (fresh identities every call) and must
-// not call nondeterministic built-ins.
+// not call built-ins the registry marks nondeterministic.
 func (c *compiler) memoizable(uf *userFunc) bool {
 	if expr.CreatesNodes(uf.decl.Body, func(call *expr.Call) bool {
 		return c.funcCreatesNodes(call)
@@ -59,9 +52,11 @@ func (c *compiler) memoizable(uf *userFunc) bool {
 	}
 	impure := false
 	expr.Walk(uf.decl.Body, func(x expr.Expr) bool {
-		if call, ok := x.(*expr.Call); ok && nondeterministicCalls[call.Name.Local] {
-			impure = true
-			return false
+		if call, ok := x.(*expr.Call); ok {
+			if f := expr.Builtin(call); f != nil && !f.Props.Deterministic {
+				impure = true
+				return false
+			}
 		}
 		return true
 	})

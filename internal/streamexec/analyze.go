@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xqgo/internal/expr"
+	"xqgo/internal/functions"
 	"xqgo/internal/optimizer"
 	"xqgo/internal/projection"
 	"xqgo/internal/xdm"
@@ -200,41 +201,23 @@ func (d *decomp) finishPending(at expr.Expr) {
 func base(e expr.Expr) expr.Base { return expr.Base{P: e.Span()} }
 
 // baseSafePreds reports whether every predicate is statically boolean —
-// never a number, so never positional. Window-base predicates see a
-// singleton focus instead of the full sibling group, which is only
-// equivalent for position-independent boolean predicates.
+// never a number, so never positional — and calls neither fn:position nor
+// fn:last on its focus. Window-base predicates see a singleton focus instead
+// of the full sibling group, which is only equivalent for
+// position-independent boolean predicates.
 func baseSafePreds(preds []expr.Expr) bool {
 	for _, p := range preds {
-		if !baseSafePred(p) {
+		if _, ok := p.(*expr.ContextItem); ok {
+			continue // the window element
+		}
+		// Nodes have an effective boolean value, never a numeric one.
+		it := expr.Infer(p, nil).Item
+		if it.Kind == xtypes.KAnyItem || it.Kind == xtypes.KAtomic && it.Type != xdm.TBoolean ||
+			new(expr.Analysis).Of(p).Positional {
 			return false
 		}
 	}
 	return true
-}
-
-// booleanCalls are built-ins that always return xs:boolean.
-var booleanCalls = map[string]bool{
-	"not": true, "exists": true, "empty": true, "boolean": true,
-	"contains": true, "starts-with": true, "ends-with": true,
-	"true": true, "false": true,
-}
-
-func baseSafePred(p expr.Expr) bool {
-	switch t := p.(type) {
-	case *expr.Compare, *expr.Logic, *expr.Quantified, *expr.InstanceOf, *expr.NodeCompare:
-		return true
-	case *expr.Cast:
-		return t.Castable
-	case *expr.Step, *expr.Path, *expr.ContextItem:
-		return true // node sequence: effective boolean value, never numeric
-	case *expr.Filter:
-		return baseSafePred(t.In)
-	case *expr.Call:
-		return (t.Name.Space == fnSpace || t.Name.Space == "") && booleanCalls[t.Name.Local]
-	case *expr.Literal:
-		return t.Val.T == xdm.TBoolean
-	}
-	return false
 }
 
 // ---- residual safety ----
@@ -255,24 +238,6 @@ const (
 	// meaning, so they make the plan store-required.
 	focusOuter
 )
-
-const fnSpace = "http://www.w3.org/2005/xpath-functions"
-
-// escapingCalls are built-ins whose result depends on the document beyond
-// the window subtree (or on registries the mini-store does not carry).
-var escapingCalls = map[string]bool{
-	"doc": true, "document": true, "doc-available": true, "collection": true,
-	"root": true, "base-uri": true, "document-uri": true,
-	"id": true, "idref": true, "lang": true,
-}
-
-// contextCalls are built-ins that consult the focus when called without an
-// explicit argument.
-var contextCalls = map[string]bool{
-	"string": true, "number": true, "data": true, "name": true,
-	"local-name": true, "namespace-uri": true, "normalize-space": true,
-	"string-length": true, "position": true, "last": true,
-}
 
 // checkResidualRoot validates the residual built by the decomposition: the
 // chain positions carry the intended window focus, everything hanging off
@@ -367,30 +332,20 @@ func checkResidual(e expr.Expr, fk focusKind) string {
 		return ""
 
 	case *expr.Call:
-		if t.Name.Space == fnSpace || t.Name.Space == "" {
-			if escapingCalls[t.Name.Local] {
-				return fmt.Sprintf("fn:%s reaches outside the window", t.Name.Local)
-			}
-			if len(t.Args) == 0 && contextCalls[t.Name.Local] && fk == focusOuter {
-				return fmt.Sprintf("fn:%s() consults the outer focus", t.Name.Local)
-			}
+		if f := expr.Builtin(t); f != nil && f.Props.Reach != functions.ReachArgs {
+			return fmt.Sprintf("fn:%s reaches outside the window", t.Name.Local)
 		}
-		for _, a := range t.Args {
-			if why := checkResidual(a, fk); why != "" {
-				return why
-			}
+		if fk == focusOuter && expr.ReadsFocus(t) {
+			return fmt.Sprintf("fn:%s() consults the outer focus", t.Name.Local)
 		}
-		return ""
-
-	default:
-		// Every other form — literals, variables, FLWOR, conditionals,
-		// comparisons, constructors, type operators — passes the focus it
-		// was given through to its children unchanged.
-		for _, c := range e.Children() {
-			if why := checkResidual(c, fk); why != "" {
-				return why
-			}
-		}
-		return ""
 	}
+	// Every other form — literals, variables, FLWOR, conditionals,
+	// comparisons, constructors, type operators, a call's arguments — passes
+	// the focus it was given through to its children unchanged.
+	for _, c := range e.Children() {
+		if why := checkResidual(c, fk); why != "" {
+			return why
+		}
+	}
+	return ""
 }

@@ -128,6 +128,11 @@ func TestDifferentialAgainstStoreEngine(t *testing.T) {
 		`for $b in /bib/book where $b/author = "Stevens" return fn:string($b/title)`,
 		`//title`,
 		`/bib//author`,
+		// Boolean, but positional: the window stops one level up.
+		`/bib/book[position() = 2]`,
+		`/bib/book[last() eq position()]/title`,
+		`/bib/book[title/1]`, // numeric: one per title
+		`for $b in /bib/book return $b/title/string()`,
 	}
 	for _, src := range queries {
 		prog, q, ro := compileStream(t, src)

@@ -1,32 +1,26 @@
 package xqparse
 
-import "testing"
+import (
+	"bufio"
+	"os"
+	"testing"
+)
 
 // FuzzQueryParse feeds arbitrary source text to the query parser. The parser
 // must reject garbage with an error — never a panic — and accepting an input
-// must be deterministic across parses.
+// must be deterministic across parses. Its seeds, one query a line, seed the
+// root package's FuzzDemand too.
 func FuzzQueryParse(f *testing.F) {
-	for _, s := range []string{
-		``,
-		`1+1`,
-		`/bib/book/title`,
-		`//a[@k = "v"]`,
-		`count(/Order/OrderLine)`,
-		`for $b in /bib/book where $b/price > 30 return $b/title`,
-		`let $x := (1, 2, 3) return sum($x)`,
-		`sum(for $l in /Order/OrderLine return count($l/Item))`,
-		`if (empty(/a)) then "none" else string(/a)`,
-		`document("file.xml")/r/v`,
-		`<wrap>{/bib/book/title}</wrap>`,
-		`some $x in (1, 2) satisfies $x > 1`,
-		`/a[`,           // truncated predicate
-		`for $ in x`,    // malformed variable
-		`"unterminated`, // open string literal
-		`1 ++ 2`,
-		`((((((((`,
-	} {
-		f.Add(s)
+	seeds, err := os.Open("testdata/seed_queries.txt")
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(``)
+	sc := bufio.NewScanner(seeds)
+	for sc.Scan() {
+		f.Add(sc.Text())
+	}
+	seeds.Close()
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")

@@ -127,6 +127,15 @@ func TestProjectionDifferential(t *testing.T) {
 		{query: `1 + /bib/book`, mayBeError: true}, // XPTY0004 parity
 		{query: `sum(/bib/book/xs:integer(@year))`},
 		{query: `xs:integer(/bib/book[1]/title)`, mayBeError: true}, // FORG0001 parity
+		// An omitted focus argument reads the focus: the string value, the
+		// name, or the root of the focus's tree.
+		{query: `/bib/book/title/string()`, wantSkips: true},
+		{query: `string()`},
+		{query: `count(/bib/book[string-length() gt 40])`},
+		{query: `/bib/book/title/name()`, wantSkips: true},
+		{query: `for $b in /bib/book return $b/title/string()`, wantSkips: true},
+		{query: `/bib/book[1]/title/root()/bib/book[2]/price/string(.)`, wantSkips: true},
+		{query: `/bib/book/price/number()`, wantSkips: true},
 	}
 	for _, c := range cases {
 		projOut, projErr, projC := streamRun(t, c.query, xml, false)
