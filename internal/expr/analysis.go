@@ -209,6 +209,10 @@ func UsesContext(e Expr) bool { return new(Analysis).Of(e).UsesContext }
 // calls can.
 func CanRaiseError(e Expr) bool { return new(Analysis).Of(e).CanRaiseError }
 
+// Positional reports whether e reads its own focus's position or size
+// (fn:position, fn:last).
+func Positional(e Expr) bool { return new(Analysis).Of(e).Positional }
+
 // safeCalls lists built-ins that never raise dynamic errors on any input.
 var safeCalls = map[string]bool{
 	"true": true, "false": true, "count": true, "empty": true,
@@ -443,15 +447,14 @@ func Props(e Expr, varProps func(xdm.QName) OrderProps) OrderProps {
 		}
 		if f, ok := n.R.(*Filter); ok {
 			if s, ok := f.In.(*Step); ok {
-				p := StepOrderProps(in, s)
-				p.Disjoint = false // filtering keeps order & distinctness
-				return OrderProps{Sorted: p.Sorted, Distinct: p.Distinct}
+				// A filter keeps a subsequence: order, distinctness and
+				// disjointness all survive it.
+				return StepOrderProps(in, s)
 			}
 		}
 		return OrderProps{}
 	case *Filter:
-		p := Props(n.In, varProps)
-		return OrderProps{Sorted: p.Sorted, Distinct: p.Distinct}
+		return Props(n.In, varProps)
 	case *Step:
 		// A bare step applies to one context item.
 		return StepOrderProps(OrderProps{Sorted: true, Distinct: true, Disjoint: true}, n)

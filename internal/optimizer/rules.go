@@ -58,7 +58,7 @@ func constFold(x expr.Expr) expr.Expr {
 	case *expr.Logic:
 		l, okL := literalOf(n.L)
 		if okL {
-			lb, err := xdm.EffectiveBooleanItem(l)
+			lb, err := xdm.EffectiveBooleanItem(l, false)
 			if err != nil {
 				return nil
 			}
@@ -75,8 +75,8 @@ func constFold(x expr.Expr) expr.Expr {
 		}
 		r, okR := literalOf(n.R)
 		if okL && okR {
-			lb, err1 := xdm.EffectiveBooleanItem(l)
-			rb, err2 := xdm.EffectiveBooleanItem(r)
+			lb, err1 := xdm.EffectiveBooleanItem(l, false)
+			rb, err2 := xdm.EffectiveBooleanItem(r, false)
 			if err1 != nil || err2 != nil {
 				return nil
 			}
@@ -91,7 +91,7 @@ func constFold(x expr.Expr) expr.Expr {
 		if !ok {
 			return nil
 		}
-		b, err := xdm.EffectiveBooleanItem(l)
+		b, err := xdm.EffectiveBooleanItem(l, false)
 		if err != nil {
 			return nil
 		}

@@ -323,43 +323,15 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 			return singleIter(r)
 		}, nil
 
-	case *expr.Compare:
-		return c.compileCompare(n)
+	case *expr.Compare, *expr.Logic, *expr.Quantified:
+		_, seq, _, err := c.compileTest(e)
+		return seq, err
 
 	case *expr.NodeCompare:
 		return c.compileNodeCompare(n)
 
-	case *expr.Logic:
-		lf, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		and := n.And
-		return func(fr *Frame) Iter {
-			lb, err := ebvOf(lf(fr))
-			if err != nil {
-				return errIter(err)
-			}
-			// Short-circuit: the paper's "false and error => false".
-			if and && !lb {
-				return singleIter(xdm.False)
-			}
-			if !and && lb {
-				return singleIter(xdm.True)
-			}
-			rb, err := ebvOf(rf(fr))
-			if err != nil {
-				return errIter(err)
-			}
-			return singleIter(xdm.NewBoolean(rb))
-		}, nil
-
 	case *expr.If:
-		cf, err := c.compile(n.Cond)
+		cond, err := c.compileCond(n.Cond)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +344,7 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 			return nil, err
 		}
 		return func(fr *Frame) Iter {
-			b, err := ebvOf(cf(fr))
+			b, err := cond(fr)
 			if err != nil {
 				return errIter(err)
 			}
@@ -423,9 +395,6 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 
 	case *expr.Flwor:
 		return c.compileFlwor(n)
-
-	case *expr.Quantified:
-		return c.compileQuantified(n)
 
 	case *expr.TryCatch:
 		return c.compileTryCatch(n)
@@ -551,25 +520,28 @@ func atomizeSingle(it Iter) (xdm.Atomic, bool, error) {
 	return xdm.Atomize(first), true, nil
 }
 
-// ebvOf computes the effective boolean value of an iterator, pulling at
-// most two items (lazy: a node first item decides immediately).
+// ebvOf is the generic condition: the effective boolean value of any
+// expression's iterator, pulling at most two items.
 func ebvOf(it Iter) (bool, error) {
+	first, more, err := ebvPrefix(it)
+	if err != nil || first == nil {
+		return false, err
+	}
+	return xdm.EffectiveBooleanItem(first, more)
+}
+
+// ebvPrefix pulls what the effective boolean value reads: the first item
+// (nil for the empty sequence) and, only when it is atomic, whether a
+// second follows. A node first item decides without another pull.
+func ebvPrefix(it Iter) (first xdm.Item, more bool, err error) {
 	first, ok, err := it.Next()
-	if err != nil {
-		return false, err
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	if !ok {
-		return false, nil
+	if !first.IsNode() {
+		_, more, err = it.Next()
 	}
-	if first.IsNode() {
-		return true, nil
-	}
-	if _, extra, err := it.Next(); err != nil {
-		return false, err
-	} else if extra {
-		return false, xdm.ErrType("effective boolean value of a multi-item atomic sequence")
-	}
-	return xdm.EffectiveBooleanItem(first)
+	return first, more, err
 }
 
 func requireInteger(a xdm.Atomic, what string) (int64, error) {
@@ -626,73 +598,206 @@ func typeCheckFn(fn seqFn, t xtypes.SequenceType, what string) seqFn {
 	}
 }
 
-func (c *compiler) compileCompare(n *expr.Compare) (seqFn, error) {
-	lf, err := c.compile(n.L)
+// condFn is a compiled condition: the effective boolean value of an
+// expression, computed without an iterator or a result item.
+type condFn func(fr *Frame) (bool, error)
+
+// compileCond compiles e for a consumer of its effective boolean value
+// (where, if, and/or, fn:not, fn:boolean, satisfies, a boolean predicate).
+// Comparisons, and/or, quantifiers, fn:not and fn:boolean are conditions
+// natively; any other expression is read through its iterator.
+func (c *compiler) compileCond(e expr.Expr) (condFn, error) {
+	if cond, _, ok, err := c.compileTest(e); ok {
+		return cond, err
+	}
+	fn, err := c.compile(e)
 	if err != nil {
 		return nil, err
 	}
-	rf, err := c.compile(n.R)
+	return func(fr *Frame) (bool, error) { return ebvOf(fn(fr)) }, nil
+}
+
+// compileTest compiles an expression that is a condition natively into its
+// condition and sequence forms, once; ok=false for any other expression.
+func (c *compiler) compileTest(e expr.Expr) (cond condFn, seq seqFn, ok bool, err error) {
+	switch n := e.(type) {
+	case *expr.Compare:
+		cond, seq, err = c.compileCompare(n)
+	case *expr.Logic:
+		cond, err = c.compileLogic(n)
+		seq = boolSeq(cond)
+	case *expr.Quantified:
+		if cond, err = c.compileQuantified(n); err == nil {
+			cond, seq = c.tagCond("quantified", n, cond)
+		}
+	case *expr.Call:
+		local := n.Name.Local
+		if len(n.Args) != 1 || (local != "not" && local != "boolean") ||
+			(n.Name.Space != fnNS && n.Name.Space != "") || c.funcs[funcKey(n.Name, 1)] != nil {
+			return nil, nil, false, nil
+		}
+		arg, err := c.compileCond(n.Args[0])
+		if err != nil {
+			return nil, nil, true, err
+		}
+		negate := local == "not"
+		cond, seq = c.tagCond("call "+n.Name.String(), n, func(fr *Frame) (bool, error) {
+			b, err := arg(fr)
+			return err == nil && b != negate, err
+		})
+	default:
+		return nil, nil, false, nil
+	}
+	return cond, seq, true, err
+}
+
+// trueItem and falseItem are the two boolean results, boxed once.
+var trueItem, falseItem xdm.Item = xdm.True, xdm.False
+
+func boolItem(b bool) xdm.Item {
+	if b {
+		return trueItem
+	}
+	return falseItem
+}
+
+// boolSeq is the sequence form of a condition: its one boolean.
+func boolSeq(cond condFn) seqFn {
+	return func(fr *Frame) Iter {
+		b, err := cond(fr)
+		if err != nil {
+			return errIter(err)
+		}
+		return singleIter(boolItem(b))
+	}
+}
+
+// compileLogic compiles and/or with the paper's short circuit: "false and
+// error" is false, "true or error" is true.
+func (c *compiler) compileLogic(n *expr.Logic) (condFn, error) {
+	lc, err := c.compileCond(n.L)
 	if err != nil {
 		return nil, err
+	}
+	rc, err := c.compileCond(n.R)
+	if err != nil {
+		return nil, err
+	}
+	and := n.And
+	return func(fr *Frame) (bool, error) {
+		lb, err := lc(fr)
+		if err != nil || lb != and {
+			return lb, err
+		}
+		return rc(fr)
+	}, nil
+}
+
+// compileCompare compiles a comparison once, as a condition; the sequence
+// form wraps it. A literal operand is atomized at compile time and the
+// other operand streams.
+func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
+	lf, litL, err := c.compileOperand(n.L)
+	if err != nil {
+		return nil, nil, err
+	}
+	rf, litR, err := c.compileOperand(n.R)
+	if err != nil {
+		return nil, nil, err
 	}
 	op := n.Op
 	if n.Kind == expr.CompValue {
-		return func(fr *Frame) Iter {
-			a, okA, err := atomizeSingle(lf(fr))
-			if err != nil {
-				return errIter(err)
+		// An empty operand makes the result the empty sequence, which the
+		// condition reads as false.
+		cmp := func(fr *Frame) (r, ok bool, err error) {
+			a, ok, err := operandAtom(fr, lf, litL)
+			if err != nil || !ok {
+				return false, false, err
 			}
-			if !okA {
-				return emptyIter
+			b, ok, err := operandAtom(fr, rf, litR)
+			if err != nil || !ok {
+				return false, false, err
 			}
-			b, okB, err := atomizeSingle(rf(fr))
-			if err != nil {
-				return errIter(err)
-			}
-			if !okB {
-				return emptyIter
-			}
-			r, err := xdm.ValueCompare(op, a, b)
-			if err != nil {
-				return errIter(err)
-			}
-			return singleIter(xdm.NewBoolean(r))
-		}, nil
-	}
-	// General comparison: implicit existential quantification over both
-	// sides. The right side is materialized once (memoized); the left side
-	// streams, so a match can short-circuit without draining the left input.
-	return func(fr *Frame) Iter {
-		li := lf(fr)
-		rseq := NewLazySeq(rf(fr))
-		for {
-			l, ok, err := li.Next()
-			if err != nil {
-				return errIter(err)
-			}
-			if !ok {
-				return singleIter(xdm.False)
-			}
-			la := xdm.Atomize(l)
-			ri := rseq.Iterator()
-			for {
-				r, rok, err := ri.Next()
-				if err != nil {
-					return errIter(err)
-				}
-				if !rok {
-					break
-				}
-				match, err := xdm.GeneralCompareItems(op, la, xdm.Atomize(r))
-				if err != nil {
-					return errIter(err)
-				}
-				if match {
-					return singleIter(xdm.True)
-				}
-			}
+			r, err = xdm.ValueCompare(op, a, b)
+			return r, true, err
 		}
-	}, nil
+		cond := func(fr *Frame) (bool, error) {
+			r, _, err := cmp(fr)
+			return r, err
+		}
+		seq := func(fr *Frame) Iter {
+			r, ok, err := cmp(fr)
+			switch {
+			case err != nil:
+				return errIter(err)
+			case !ok:
+				return emptyIter
+			}
+			return singleIter(boolItem(r))
+		}
+		return cond, seq, nil
+	}
+	// General comparison: existential over both operands, stopping at the
+	// first match. Against a literal the other side streams once; otherwise
+	// the left side streams and the right side is memoized.
+	var cond condFn
+	switch {
+	case litR != nil:
+		b := *litR
+		cond = func(fr *Frame) (bool, error) {
+			return anyAtom(lf(fr), func(a xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+		}
+	case litL != nil:
+		a := *litL
+		cond = func(fr *Frame) (bool, error) {
+			return anyAtom(rf(fr), func(b xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+		}
+	default:
+		cond = func(fr *Frame) (bool, error) {
+			li := lf(fr)
+			rseq := NewLazySeq(rf(fr))
+			return anyAtom(li, func(a xdm.Atomic) (bool, error) {
+				return anyAtom(rseq.Iterator(), func(b xdm.Atomic) (bool, error) {
+					return xdm.GeneralCompareItems(op, a, b)
+				})
+			})
+		}
+	}
+	return cond, boolSeq(cond), nil
+}
+
+// compileOperand compiles a comparison operand; a literal comes back as its
+// value instead, to be compared without evaluating anything.
+func (c *compiler) compileOperand(e expr.Expr) (seqFn, *xdm.Atomic, error) {
+	if lit, ok := e.(*expr.Literal); ok {
+		v := lit.Val
+		return nil, &v, nil
+	}
+	fn, err := c.compile(e)
+	return fn, nil, err
+}
+
+// operandAtom atomizes a value-comparison operand: a literal's value, or
+// at most one item of the compiled operand.
+func operandAtom(fr *Frame, fn seqFn, lit *xdm.Atomic) (xdm.Atomic, bool, error) {
+	if lit != nil {
+		return *lit, true, nil
+	}
+	return atomizeSingle(fn(fr))
+}
+
+// anyAtom reports whether test holds for the atomized value of some item of
+// it, pulling no further than the first that does.
+func anyAtom(it Iter, test func(xdm.Atomic) (bool, error)) (bool, error) {
+	for {
+		x, ok, err := it.Next()
+		if err != nil || !ok {
+			return false, err
+		}
+		if m, err := test(xdm.Atomize(x)); err != nil || m {
+			return m, err
+		}
+	}
 }
 
 func (c *compiler) compileNodeCompare(n *expr.NodeCompare) (seqFn, error) {

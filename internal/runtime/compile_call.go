@@ -20,6 +20,9 @@ const (
 )
 
 func (c *compiler) compileCall(n *expr.Call) (seqFn, error) {
+	if _, seq, ok, err := c.compileTest(n); ok {
+		return seq, err // fn:not and fn:boolean, tagged there
+	}
 	fn, err := c.compileCallRaw(n)
 	if err != nil {
 		return nil, err
@@ -130,7 +133,7 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 			if err != nil {
 				return errIter(err)
 			}
-			return singleIter(xdm.NewBoolean(ok == !wantEmpty))
+			return singleIter(boolItem(ok == !wantEmpty))
 		}, true, nil
 	case "count":
 		if len(argFns) != 1 {
@@ -160,18 +163,6 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 				}
 				n += int64(k)
 			}
-		}, true, nil
-	case "not", "boolean":
-		if len(argFns) != 1 {
-			return nil, true, fmt.Errorf("fn:%s expects 1 argument", local)
-		}
-		negate := local == "not"
-		return func(fr *Frame) Iter {
-			b, err := ebvOf(argFns[0](fr))
-			if err != nil {
-				return errIter(err)
-			}
-			return singleIter(xdm.NewBoolean(b != negate))
 		}, true, nil
 	case "subsequence":
 		if len(argFns) < 2 || len(argFns) > 3 {

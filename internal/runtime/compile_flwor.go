@@ -71,13 +71,13 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 		clauses = append(clauses, cc)
 	}
-	var whereFn seqFn
+	var where condFn
 	if n.Where != nil {
-		fn, err := c.compile(n.Where)
+		cond, err := c.compileCond(n.Where)
 		if err != nil {
 			return nil, err
 		}
-		whereFn = fn
+		where = cond
 	}
 	// Group-by: keys see the clause variables; the group variables come
 	// into scope for order-by and return. All clause-bound variables
@@ -122,8 +122,8 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		for i := range clauses {
 			tuples = applyClause(tuples, &clauses[i])
 		}
-		if whereFn != nil && withWhere {
-			tuples = filterTuples(tuples, whereFn)
+		if where != nil && withWhere {
+			tuples = filterTuples(tuples, where)
 		}
 		if len(groupSpecs) > 0 {
 			// Grouping materializes every tuple anyway, so it may consume
@@ -156,7 +156,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 		fn := func(fr *Frame) Iter {
 			if parSafe && fr.dyn.Workers > 1 {
-				return &flworIter{tuples: makeTuples(fr, false), retFn: retFn, whereFn: whereFn,
+				return &flworIter{tuples: makeTuples(fr, false), retFn: retFn, where: where,
 					par: &flworMorsel{fr: fr, outerForce: outerForce, letForce: letForce}}
 			}
 			return &flworIter{tuples: makeTuples(fr, true), retFn: retFn}
@@ -322,12 +322,12 @@ type flworIter struct {
 	tuples tupleSrc
 	retFn  seqFn
 
-	// whereFn is set only on a morsel-parallel FLWOR: the filter moves out
+	// where is set only on a morsel-parallel FLWOR: the filter moves out
 	// of the tuple source so workers can apply it per tuple; item-granular
 	// pulls apply it in nextTuple. par holds the parallel round state; nil
-	// means fully sequential (whereFn is then inside tuples already).
-	whereFn seqFn
-	par     *flworMorsel
+	// means fully sequential (where is then inside tuples already).
+	where condFn
+	par   *flworMorsel
 
 	cur     Iter
 	pending []*Frame
@@ -344,8 +344,8 @@ func (f *flworIter) nextTuple(batched bool) (*Frame, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if f.whereFn != nil {
-			keep, kerr := ebvOf(f.whereFn(t))
+		if f.where != nil {
+			keep, kerr := f.where(t)
 			if kerr != nil {
 				return nil, false, kerr
 			}
@@ -621,8 +621,8 @@ gather:
 // one tuple under a specific worker context.
 func evalFlworTuple(w *Dynamic, f *flworIter, t *Frame) (xdm.Sequence, error) {
 	t2 := t.withDyn(w)
-	if f.whereFn != nil {
-		keep, err := ebvOf(f.whereFn(t2))
+	if f.where != nil {
+		keep, err := f.where(t2)
 		if err != nil || !keep {
 			return nil, err
 		}
@@ -894,8 +894,8 @@ func (f *forClauseState) batch(buf []*Frame) (int, error) {
 	return n, nil
 }
 
-// filterTuples applies the where clause by effective boolean value.
-func filterTuples(tuples tupleSrc, whereFn seqFn) tupleSrc {
+// filterTuples applies the where clause.
+func filterTuples(tuples tupleSrc, where condFn) tupleSrc {
 	return tupleSrc{
 		next: func() (*Frame, bool, error) {
 			for {
@@ -903,7 +903,7 @@ func filterTuples(tuples tupleSrc, whereFn seqFn) tupleSrc {
 				if err != nil || !ok {
 					return nil, false, err
 				}
-				keep, err := ebvOf(whereFn(t))
+				keep, err := where(t)
 				if err != nil {
 					return nil, false, err
 				}
@@ -917,7 +917,7 @@ func filterTuples(tuples tupleSrc, whereFn seqFn) tupleSrc {
 				k, err := tuples.batch(buf)
 				n := 0
 				for i := 0; i < k; i++ {
-					keep, kerr := ebvOf(whereFn(buf[i]))
+					keep, kerr := where(buf[i])
 					if kerr != nil {
 						return n, kerr
 					}
@@ -936,7 +936,8 @@ func filterTuples(tuples tupleSrc, whereFn seqFn) tupleSrc {
 	}
 }
 
-func (c *compiler) compileQuantified(n *expr.Quantified) (seqFn, error) {
+// compileQuantified compiles some/every as a condition (see compileTest).
+func (c *compiler) compileQuantified(n *expr.Quantified) (condFn, error) {
 	c.pushScope()
 	defer c.popScope()
 
@@ -952,12 +953,12 @@ func (c *compiler) compileQuantified(n *expr.Quantified) (seqFn, error) {
 		}
 		binds = append(binds, qbind{id: c.declare(b.Var), in: in})
 	}
-	satFn, err := c.compile(n.Satisfies)
+	sat, err := c.compileCond(n.Satisfies)
 	if err != nil {
 		return nil, err
 	}
 	every := n.Every
-	fn := func(fr *Frame) Iter {
+	return func(fr *Frame) (bool, error) {
 		tuples := baseTuple(fr)
 		for i := range binds {
 			cl := compiledClause{kind: expr.ForClause, varID: binds[i].id, posID: -1, in: binds[i].in}
@@ -968,26 +969,16 @@ func (c *compiler) compileQuantified(n *expr.Quantified) (seqFn, error) {
 		// bindings past the deciding one.
 		for {
 			t, ok, err := tuples.next()
-			if err != nil {
-				return errIter(err)
-			}
-			if !ok {
+			if err != nil || !ok {
 				// every: vacuously true; some: false
-				return singleIter(xdm.NewBoolean(every))
+				return every && err == nil, err
 			}
-			sat, err := ebvOf(satFn(t))
-			if err != nil {
-				return errIter(err)
-			}
-			if sat && !every {
-				return singleIter(xdm.True) // early exit: lazy evaluation win
-			}
-			if !sat && every {
-				return singleIter(xdm.False)
+			b, err := sat(t)
+			if err != nil || b != every {
+				return b, err // early exit: lazy evaluation win
 			}
 		}
-	}
-	return c.tag("quantified", n, fn), nil
+	}, nil
 }
 
 // applyClauseQ is applyClause for a value clause (quantifiers have no

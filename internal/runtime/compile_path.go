@@ -53,24 +53,33 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	return tagged, nil
 }
 
-// compileNavPath is the navigation implementation of a path expression.
+// compileNavPath is the navigation implementation of a path expression. A
+// right side that is an axis step is applied to each left node directly;
+// any other right side is evaluated under a focus per left node. The left
+// input is memoized, for fn:last, only when the right side reads its focus
+// position or size.
 func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	lf, err := c.compile(n.L)
 	if err != nil {
 		return nil, err
 	}
-	rf, err := c.compile(n.R)
-	if err != nil {
-		return nil, err
+	step, _ := n.R.(*expr.Step)
+	var rf seqFn
+	if step == nil {
+		if rf, err = c.compile(n.R); err != nil {
+			return nil, err
+		}
 	}
+	memo := step == nil && expr.Positional(n.R)
 	noReorder := n.NoReorder && !c.opts.Eager
 
 	raw := func(fr *Frame) Iter {
-		p := &pathIter{fr: fr, rf: rf}
-		p.lseq.src = lf(fr)
-		p.lcur.seq = &p.lseq
-		p.li = &p.lcur
-		p.lastFn = p.last
+		p := &pathIter{fr: fr, rf: rf, step: step}
+		if memo {
+			p.li, p.lastFn = memoized(lf(fr))
+		} else {
+			p.li = lf(fr)
+		}
 		return p
 	}
 
@@ -107,22 +116,18 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	}, nil
 }
 
-// pathIter is the streaming core of E1/E2: one focused evaluation of the
-// right side per left-hand node, outputs concatenated. Batch pulls forward
-// the demand to the current right-side iterator, so chains of steps move
-// chunks end to end.
+// pathIter is the streaming core of E1/E2: the right side applied per
+// left-hand node, outputs concatenated. Batch pulls forward the demand to
+// the current right-side iterator, so chains of steps move chunks end to end.
 type pathIter struct {
 	fr     *Frame
-	rf     seqFn
-	li     Iter // cursor over the left input
+	rf     seqFn      // the right side under a focus; nil for a step
+	step   *expr.Step // the right side when it is an axis step
+	scan   storeScan  // the step's one scan, re-pointed at each stored left node
+	li     Iter       // cursor over the left input
 	lastFn func() (int64, error)
 	cur    Iter
 	pos    int64
-
-	// The memoized left input and the cursor li reads it through live inside
-	// the iterator: one allocation per path instantiation instead of three.
-	lseq LazySeq
-	lcur lazyCursor
 
 	// Batch-mode left prefetch. Like flworIter, a left-input error found
 	// while prefetching is stashed until the outputs of the nodes fetched
@@ -134,10 +139,13 @@ type pathIter struct {
 	ldone   bool
 }
 
-// last is fn:last() for the right side's focus: the left input's length.
-func (p *pathIter) last() (int64, error) {
-	n, err := p.lseq.Len()
-	return int64(n), err
+// memoized keeps an input so that fn:last() can ask for its length.
+func memoized(src Iter) (Iter, func() (int64, error)) {
+	seq := NewLazySeq(src)
+	return seq.Iterator(), func() (int64, error) {
+		n, err := seq.Len()
+		return int64(n), err
+	}
 }
 
 // nextLeft yields the next left-hand node. In batched mode it prefetches a
@@ -198,13 +206,28 @@ func (p *pathIter) advance(batched bool) (bool, error) {
 	if err != nil || !ok {
 		return false, err
 	}
-	if !it.IsNode() {
+	node, isNode := it.(xdm.Node)
+	if !isNode {
 		p.releaseLeft()
 		return false, xdm.ErrType("path step applied to an atomic value")
+	}
+	if p.step != nil {
+		p.cur = p.applyStep(node)
+		return true, nil
 	}
 	p.pos++
 	p.cur = p.rf(p.fr.focus(it, p.pos, p.lastFn))
 	return true, nil
+}
+
+// applyStep applies the right-side step to one left node. A stored node
+// re-points the path's one scan, so the step allocates nothing per node.
+func (p *pathIter) applyStep(n xdm.Node) Iter {
+	if sn, ok := n.(*store.Node); ok && scansStore(p.step.Axis) {
+		p.scan.reset(p.fr.dyn, sn, p.step.Axis, &p.step.Test)
+		return &p.scan
+	}
+	return axisIter(p.fr.dyn, n, p.step.Axis, &p.step.Test)
 }
 
 func (p *pathIter) Next() (xdm.Item, bool, error) {
@@ -267,7 +290,6 @@ func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
 
 // compileStep compiles one axis step against the context item.
 func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
-	axis, test := n.Axis, n.Test
 	return func(fr *Frame) Iter {
 		it, ok := fr.ContextItem()
 		if !ok {
@@ -277,7 +299,7 @@ func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 		if !isNode {
 			return errIter(xdm.ErrType("axis step applied to an atomic value"))
 		}
-		return axisIter(fr.dyn, node, axis, test)
+		return axisIter(fr.dyn, node, n.Axis, &n.Test)
 	}, nil
 }
 
@@ -286,7 +308,12 @@ func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 // order; the enclosing path restores document order when required). dyn
 // enables the morsel upgrade of large descendant scans; nil keeps every
 // axis sequential.
-func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test xtypes.NodeTest) Iter {
+func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) Iter {
+	if sn, ok := n.(*store.Node); ok && scansStore(axis) {
+		s := new(storeScan)
+		s.reset(dyn, sn, axis, test)
+		return s
+	}
 	principal := axis.Principal()
 	switch axis {
 	case expr.AxisSelf:
@@ -296,9 +323,6 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test xtypes.NodeTest) It
 		return emptyIter
 
 	case expr.AxisChild:
-		if sn, ok := n.(*store.Node); ok {
-			return storeChildIter(sn, test, principal)
-		}
 		return filterNodes(n.ChildrenOf(), test, principal)
 
 	case expr.AxisAttribute:
@@ -328,9 +352,6 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test xtypes.NodeTest) It
 		})
 
 	case expr.AxisDescendant, expr.AxisDescendantOrSelf:
-		if sn, ok := n.(*store.Node); ok {
-			return storeDescendantIter(dyn, sn, axis == expr.AxisDescendantOrSelf, test, principal)
-		}
 		return genericDescendantIter(n, axis == expr.AxisDescendantOrSelf, test, principal)
 
 	case expr.AxisFollowingSibling, expr.AxisPrecedingSibling:
@@ -366,7 +387,7 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test xtypes.NodeTest) It
 // nodeSliceIter filters an already-listed node slice by the node test.
 type nodeSliceIter struct {
 	nodes     []xdm.Node
-	test      xtypes.NodeTest
+	test      *xtypes.NodeTest
 	principal xdm.NodeKind
 	i         int
 }
@@ -396,84 +417,33 @@ func (s *nodeSliceIter) NextBatch(buf []xdm.Item) (int, error) {
 	return n, nil
 }
 
-func filterNodes(nodes []xdm.Node, test xtypes.NodeTest, principal xdm.NodeKind) Iter {
+func filterNodes(nodes []xdm.Node, test *xtypes.NodeTest, principal xdm.NodeKind) Iter {
 	return &nodeSliceIter{nodes: nodes, test: test, principal: principal}
 }
 
-// storeChildScan walks first-child/next-sibling links without allocating
-// the child slice. The next-sibling link of a delivered child is computed
-// only when the next child is demanded: on a lazily ingested document that
-// link may require parsing past the child (for the last child, to the
-// parent's end tag), so eager lookahead would force input the caller never
-// asked for — the document's only child would drain the stream to EOF
-// before being returned at all.
-type storeChildScan struct {
+// storeScan enumerates the child, attribute and descendant axes of a stored
+// node by id: it tests each candidate's kind and name on the store's arrays
+// and boxes only a node it emits. The child axis follows next-sibling
+// links. The other two walk an id range, since the array layout puts an
+// element's attributes right after it and its descendants in (id, endID],
+// attributes excluded. The range is also what makes a descendant scan
+// morsel-parallel: contiguous id sub-ranges partition the work, and
+// stitching their matches by sub-range order is document order.
+//
+// The child axis computes the next-sibling link of a delivered child only
+// when the next child is demanded: on a lazily ingested document that link
+// may require parsing past the child (for the last child, to the parent's
+// end tag), so eager lookahead would force input the caller never asked
+// for — the document's only child would drain the stream to EOF before
+// being returned at all.
+type storeScan struct {
 	d         *store.Document
-	cur       int32 // next candidate child id, or -1 when exhausted
-	yielded   bool  // cur was delivered; advance to its sibling before use
-	test      xtypes.NodeTest
-	principal xdm.NodeKind
-}
-
-func storeChildIter(n *store.Node, test xtypes.NodeTest, principal xdm.NodeKind) Iter {
-	return &storeChildScan{d: n.D, cur: n.D.FirstChildID(n.ID), test: test, principal: principal}
-}
-
-// scan returns the next matching child, or nil at the end.
-func (s *storeChildScan) scan() *store.Node {
-	for {
-		if s.yielded {
-			s.cur = s.d.NextSiblingID(s.cur)
-			s.yielded = false
-		}
-		if s.cur < 0 {
-			return nil
-		}
-		child := &store.Node{D: s.d, ID: s.cur}
-		s.yielded = true
-		if s.test.MatchesNode(child, s.principal) {
-			return child
-		}
-	}
-}
-
-func (s *storeChildScan) Next() (xdm.Item, bool, error) {
-	if n := s.scan(); n != nil {
-		return n, true, nil
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchIter. While the document is still being parsed
-// the fill stops after each item: discovering whether another child exists
-// can force arbitrary input, and a short batch legitimately means "pull
-// again", so demand stays item-granular until ingestion completes.
-func (s *storeChildScan) NextBatch(buf []xdm.Item) (int, error) {
-	n := 0
-	for n < len(buf) {
-		nd := s.scan()
-		if nd == nil {
-			break
-		}
-		buf[n] = nd
-		n++
-		if s.d.Lazy() {
-			break
-		}
-	}
-	return n, nil
-}
-
-// storeDescScan exploits the array layout: the descendants of a node are
-// exactly the id range (id, endID], minus attribute nodes — a linear scan
-// with no tree navigation at all. The range structure is also what makes
-// the scan morsel-parallel: contiguous id sub-ranges partition the work,
-// and stitching their matches by sub-range order is document order.
-type storeDescScan struct {
-	d         *store.Document
-	cur, end  int32
-	first     bool
-	test      xtypes.NodeTest
+	cur, end  int32 // next candidate (-1 ends a child scan); a range ends after end
+	self      int32 // the or-self context node, kept even as an attribute; else -1
+	siblings  bool  // child axis: follow next-sibling links
+	yielded   bool  // child axis: cur was consumed; advance to its sibling first
+	skipAttrs bool  // descendant axes: attributes are not descendants
+	test      *xtypes.NodeTest
 	principal xdm.NodeKind
 	dyn       *Dynamic // morsel upgrade for batch pulls; nil stays sequential
 
@@ -481,33 +451,71 @@ type storeDescScan struct {
 	oi  int
 }
 
-func storeDescendantIter(dyn *Dynamic, n *store.Node, orSelf bool, test xtypes.NodeTest, principal xdm.NodeKind) Iter {
-	cur := n.ID
-	if !orSelf {
-		cur++
+// scansStore reports whether storeScan serves the axis.
+func scansStore(axis expr.Axis) bool {
+	switch axis {
+	case expr.AxisChild, expr.AxisAttribute, expr.AxisDescendant, expr.AxisDescendantOrSelf:
+		return true
 	}
-	return &storeDescScan{d: n.D, cur: cur, end: n.D.EndID(n.ID), first: orSelf,
-		test: test, principal: principal, dyn: dyn}
+	return false
 }
 
-// scan advances past skipped ids and returns the next matching node, or nil.
-func (s *storeDescScan) scan() *store.Node {
-	for s.cur <= s.end {
+// reset points the scan at one of scansStore's axes of a stored node.
+func (s *storeScan) reset(dyn *Dynamic, n *store.Node, axis expr.Axis, test *xtypes.NodeTest) {
+	d := n.D
+	*s = storeScan{d: d, self: -1, test: test, principal: axis.Principal(), dyn: dyn}
+	switch axis {
+	case expr.AxisChild:
+		s.cur, s.siblings = d.FirstChildID(n.ID), true
+	case expr.AxisAttribute:
+		s.cur, s.end = 0, -1
+		if d.Kind(n.ID) == xdm.ElementNode {
+			from, to := d.AttrRange(n.ID)
+			s.cur, s.end = from, to-1
+		}
+	default:
+		s.cur, s.end, s.skipAttrs = n.ID+1, d.EndID(n.ID), true
+		if axis == expr.AxisDescendantOrSelf {
+			s.cur, s.self = n.ID, n.ID
+		}
+	}
+}
+
+// next returns the id of the next node that passes the test, or -1.
+func (s *storeScan) next() int32 {
+	for {
 		id := s.cur
-		s.cur++
-		if !s.first && s.d.Kind(id) == xdm.AttributeNode {
-			continue
+		if s.siblings {
+			if s.yielded && id >= 0 {
+				id = s.d.NextSiblingID(id)
+				s.cur = id
+			}
+			s.yielded = true
+			if id < 0 {
+				return -1
+			}
+		} else {
+			if id > s.end {
+				return -1
+			}
+			s.cur++
 		}
-		s.first = false
-		node := &store.Node{D: s.d, ID: id}
-		if s.test.MatchesNode(node, s.principal) {
-			return node
+		if s.keep(id) {
+			return id
 		}
 	}
-	return nil
 }
 
-func (s *storeDescScan) serve(buf []xdm.Item) int {
+// keep tests one candidate id without boxing it.
+func (s *storeScan) keep(id int32) bool {
+	k := s.d.Kind(id)
+	if k == xdm.AttributeNode && s.skipAttrs && id != s.self {
+		return false
+	}
+	return s.test.Matches(k, s.d.NameOf(id), s.principal)
+}
+
+func (s *storeScan) serve(buf []xdm.Item) int {
 	n := copy(buf, s.out[s.oi:])
 	s.oi += n
 	if s.oi >= len(s.out) {
@@ -516,17 +524,14 @@ func (s *storeDescScan) serve(buf []xdm.Item) int {
 	return n
 }
 
-func (s *storeDescScan) Next() (xdm.Item, bool, error) {
+func (s *storeScan) Next() (xdm.Item, bool, error) {
 	if s.oi < len(s.out) {
-		it := s.out[s.oi]
-		s.oi++
-		if s.oi >= len(s.out) {
-			s.out, s.oi = nil, 0
-		}
-		return it, true, nil
+		var one [1]xdm.Item
+		s.serve(one[:])
+		return one[0], true, nil
 	}
-	if n := s.scan(); n != nil {
-		return n, true, nil
+	if id := s.next(); id >= 0 {
+		return &store.Node{D: s.d, ID: id}, true, nil
 	}
 	return nil, false, nil
 }
@@ -536,8 +541,12 @@ func (s *storeDescScan) Next() (xdm.Item, bool, error) {
 // large remaining id range with morsel workers configured, the fill
 // upgrades to parallel rounds: contiguous sub-ranges are scanned by the
 // worker pool and the matches stitched back in range order (= document
-// order); leftover matches queue on s.out for subsequent pulls.
-func (s *storeDescScan) NextBatch(buf []xdm.Item) (int, error) {
+// order); leftover matches queue on s.out for subsequent pulls. While a
+// document is still being parsed a child scan stops after each item:
+// discovering whether another child exists can force arbitrary input, and a
+// short batch legitimately means "pull again", so demand stays
+// item-granular until ingestion completes.
+func (s *storeScan) NextBatch(buf []xdm.Item) (int, error) {
 	for s.oi >= len(s.out) && s.morselReady() {
 		ran, err := s.morselFill()
 		if err != nil {
@@ -552,29 +561,32 @@ func (s *storeDescScan) NextBatch(buf []xdm.Item) (int, error) {
 	}
 	n := 0
 	for n < len(buf) {
-		nd := s.scan()
-		if nd == nil {
+		id := s.next()
+		if id < 0 {
 			break
 		}
-		buf[n] = nd
+		buf[n] = &store.Node{D: s.d, ID: id}
 		n++
+		if s.siblings && s.d.Lazy() {
+			break
+		}
 	}
 	return n, nil
 }
 
 // morselReady reports whether a parallel round is worth attempting: a pool
-// is configured, the scan is past any self node, the document is fully
-// materialized (a lazy scan must not force input out of order), and at
-// least two morsels of ids remain.
-func (s *storeDescScan) morselReady() bool {
-	return s.dyn != nil && s.dyn.Workers > 1 && !s.first && !s.d.Lazy() &&
+// is configured, the scan is an id range past any self node, the document
+// is fully materialized (a lazy scan must not force input out of order),
+// and at least two morsels of ids remain.
+func (s *storeScan) morselReady() bool {
+	return s.dyn != nil && s.dyn.Workers > 1 && !s.siblings && s.cur > s.self && !s.d.Lazy() &&
 		int(s.end)-int(s.cur)+1 >= 2*descMorselIDs
 }
 
 // morselFill runs one parallel round over the next slice of the id range.
 // ran=false (without error) means no extra workers were available; the
 // caller falls back to the sequential fill for this pull.
-func (s *storeDescScan) morselFill() (bool, error) {
+func (s *storeScan) morselFill() (bool, error) {
 	remaining := int(s.end) - int(s.cur) + 1
 	chunks := (remaining + descMorselIDs - 1) / descMorselIDs
 	extra, release := s.dyn.leaseExtra(chunks - 1)
@@ -599,12 +611,8 @@ func (s *storeDescScan) morselFill() (bool, error) {
 					return nil, err
 				}
 			}
-			if s.d.Kind(id) == xdm.AttributeNode {
-				continue
-			}
-			node := &store.Node{D: s.d, ID: id}
-			if s.test.MatchesNode(node, s.principal) {
-				out = append(out, node)
+			if s.keep(id) {
+				out = append(out, &store.Node{D: s.d, ID: id})
 			}
 		}
 		return out, nil
@@ -632,7 +640,7 @@ func (s *storeDescScan) morselFill() (bool, error) {
 
 // genericDescendantIter is the interface-only fallback (used by non-store
 // node implementations in tests).
-func genericDescendantIter(n xdm.Node, orSelf bool, test xtypes.NodeTest, principal xdm.NodeKind) Iter {
+func genericDescendantIter(n xdm.Node, orSelf bool, test *xtypes.NodeTest, principal xdm.NodeKind) Iter {
 	var stack []xdm.Node
 	if orSelf {
 		stack = append(stack, n)
@@ -697,22 +705,37 @@ func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
 			}
 			continue
 		}
-		predFn, err := c.compile(pred)
+		keep, err := c.compilePredicate(pred)
 		if err != nil {
 			return nil, err
 		}
 		prev := cur
-		pf := predFn
+		memo := expr.Positional(pred)
 		cur = func(fr *Frame) Iter {
-			base := NewLazySeq(prev(fr))
-			lastFn := func() (int64, error) {
-				n, err := base.Len()
-				return int64(n), err
+			f := &filterIter{fr: fr, keep: keep}
+			if memo {
+				f.bi, f.lastFn = memoized(prev(fr))
+			} else {
+				f.bi = prev(fr)
 			}
-			return &filterIter{fr: fr, pf: pf, bi: base.Iterator(), lastFn: lastFn}
+			return f
 		}
 	}
 	return c.tag("filter", n, cur), nil
+}
+
+// compilePredicate compiles a filter predicate to a test of its focus. A
+// predicate typed xs:boolean is a condition; any other is decided by its
+// value, where a single number is a position test.
+func (c *compiler) compilePredicate(pred expr.Expr) (condFn, error) {
+	if t := expr.Infer(pred, nil); t.Item.Kind == xtypes.KAtomic && t.Item.Type == xdm.TBoolean {
+		return c.compileCond(pred)
+	}
+	pf, err := c.compile(pred)
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) (bool, error) { return evalPredicate(pf(fr), fr.Position()) }, nil
 }
 
 // filterIter applies one compiled predicate with its own focus per input
@@ -720,9 +743,9 @@ func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
 // the keepers in place.
 type filterIter struct {
 	fr      *Frame
-	pf      seqFn
+	keep    condFn
 	bi      Iter
-	lastFn  func() (int64, error)
+	lastFn  func() (int64, error) // nil unless the predicate reads its focus position or size
 	pos     int64
 	scratch []xdm.Item // borrowed from the pool on first batch pull
 	done    bool
@@ -735,7 +758,7 @@ func (f *filterIter) Next() (xdm.Item, bool, error) {
 			return nil, false, err
 		}
 		f.pos++
-		keep, err := evalPredicate(f.pf, f.fr.focus(it, f.pos, f.lastFn), f.pos)
+		keep, err := f.keep(f.fr.focus(it, f.pos, f.lastFn))
 		if err != nil {
 			return nil, false, err
 		}
@@ -770,7 +793,7 @@ func (f *filterIter) NextBatch(buf []xdm.Item) (int, error) {
 		for i := 0; i < k; i++ {
 			it := in[i]
 			f.pos++
-			keep, kerr := evalPredicate(f.pf, f.fr.focus(it, f.pos, f.lastFn), f.pos)
+			keep, kerr := f.keep(f.fr.focus(it, f.pos, f.lastFn))
 			if kerr != nil {
 				f.done = true
 				f.release()
@@ -794,49 +817,15 @@ func (f *filterIter) NextBatch(buf []xdm.Item) (int, error) {
 	}
 }
 
-// evalPredicate decides a predicate: a single numeric result is a position
+// evalPredicate decides a predicate's value: a single number is a position
 // test, anything else is taken by effective boolean value.
-func evalPredicate(pf seqFn, fr *Frame, pos int64) (bool, error) {
-	it := pf(fr)
-	first, ok, err := it.Next()
-	if err != nil {
+func evalPredicate(it Iter, pos int64) (bool, error) {
+	first, more, err := ebvPrefix(it)
+	if err != nil || first == nil {
 		return false, err
 	}
-	if !ok {
-		return false, nil
+	if a, ok := first.(xdm.Atomic); ok && !more && a.T.IsNumeric() {
+		return a.AsFloat() == float64(pos), nil
 	}
-	if a, isAtomic := first.(xdm.Atomic); isAtomic && a.T.IsNumeric() {
-		if _, extra, err := it.Next(); err != nil {
-			return false, err
-		} else if !extra {
-			return a.AsFloat() == float64(pos), nil
-		}
-		// A multi-item numeric sequence: positional range semantics
-		// (1 to 2): keep if any value equals the position.
-		if a.AsFloat() == float64(pos) {
-			return true, nil
-		}
-		for {
-			nx, more, err := it.Next()
-			if err != nil {
-				return false, err
-			}
-			if !more {
-				return false, nil
-			}
-			if na, isA := nx.(xdm.Atomic); isA && na.T.IsNumeric() && na.AsFloat() == float64(pos) {
-				return true, nil
-			}
-		}
-	}
-	if first.IsNode() {
-		return true, nil
-	}
-	// Single non-numeric atomic: EBV.
-	if _, extra, err := it.Next(); err != nil {
-		return false, err
-	} else if extra {
-		return false, xdm.ErrType("predicate yields a multi-item atomic sequence")
-	}
-	return xdm.EffectiveBooleanItem(first)
+	return xdm.EffectiveBooleanItem(first, more)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xqgo/internal/optimizer"
 	"xqgo/internal/serializer"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xmlparse"
@@ -312,7 +313,7 @@ func TestDynamicErrors(t *testing.T) {
 		{"cast-empty", `() cast as xs:integer`, "XPTY0004"},
 		{"cast-bad", `"x" cast as xs:integer`, "FORG0001"},
 		{"treat-violation", `("a" treat as xs:integer) `, "XPTY0004"},
-		{"ebv-multi", `(1, 2) and true()`, "XPTY0004"},
+		{"ebv-multi", `(1, 2) and true()`, "FORG0006"},
 		{"value-comp-multi", `(1, 2) eq 1`, "XPTY0004"},
 		{"step-on-atomic", `(1)/a`, "XPTY0004"},
 		{"fn-error", `error("XQGO0001", "boom")`, "XQGO0001"},
@@ -418,27 +419,43 @@ func TestStreamedExecute(t *testing.T) {
 	}
 }
 
-// TestIteratorEarlyStop: pulling one item must not drain the input.
+// TestIteratorEarlyStop: pulling one item must not drain the input. Each
+// row pulls one item of the optimized plan and checks it, and that no
+// filter has passed more than that one item.
 func TestIteratorEarlyStop(t *testing.T) {
-	parsed, err := xqparse.Parse(`/bib/book/title`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(parsed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := p.Iterator(testDynamic(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	n := first.(xdm.Node)
-	if n.StringValue() != "TCP/IP Illustrated" {
-		t.Errorf("first item = %q", n.StringValue())
+	for _, c := range []struct{ src, doc, first string }{
+		{`/bib/book/title`, testBib, "TCP/IP Illustrated"},
+		{`(/r/a[b = "1"])[1]`, `<r><a><b>1</b>first</a><a><b>1</b>second</a><a><b>2</b></a></r>`, "1first"},
+	} {
+		parsed, err := xqparse.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(optimizer.Optimize(parsed, optimizer.Options{}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmlparse.ParseString(c.doc, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := p.NewProfile(false)
+		it, err := p.Iterator(&Dynamic{ContextItem: doc.RootNode(), Prof: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, ok, err := it.Next()
+		if err != nil || !ok {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		if got := first.(xdm.Node).StringValue(); got != c.first {
+			t.Errorf("%s: first item = %q, want %q", c.src, got, c.first)
+		}
+		for _, op := range prof.Report().Operators {
+			if op.Kind == "filter" && op.Items > 1 {
+				t.Errorf("%s: filter %s passed %d items for one pull", c.src, op.Detail, op.Items)
+			}
+		}
 	}
 }
 

@@ -498,6 +498,24 @@ func (c *compiler) tagID(kind string, e expr.Expr, fn seqFn) (seqFn, int) {
 	}, id
 }
 
+// tagCond is tag for an operator that is a condition natively: one id
+// serves both forms. The sequence form is instrumented as tag does; the
+// condition form counts the same start, and the one item a successful
+// evaluation yields, without building an iterator.
+func (c *compiler) tagCond(kind string, e expr.Expr, cond condFn) (condFn, seqFn) {
+	seq, id := c.tagID(kind, e, boolSeq(cond))
+	return func(fr *Frame) (bool, error) {
+		b, err := cond(fr)
+		if p := fr.dyn.Prof; p != nil {
+			p.ops[id].starts.Add(1)
+			if err == nil {
+				p.ops[id].items.Add(1)
+			}
+		}
+		return b, err
+	}, seq
+}
+
 // exprSummary renders a compact single-line summary of an expression for
 // operator rows and rewrite traces.
 func exprSummary(e expr.Expr) string {

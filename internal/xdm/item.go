@@ -23,30 +23,29 @@ func AtomizeSequence(seq Sequence) []Atomic {
 	return out
 }
 
-// EffectiveBoolean computes the Effective Boolean Value of a sequence per
-// the paper's rules: () is false; a sequence whose first item is a node is
-// true; a single boolean is itself; a single string/untyped/anyURI is true
-// iff non-empty; a single numeric is true unless 0 or NaN; anything else is
-// a type error.
+// EffectiveBoolean computes the Effective Boolean Value of a sequence
+// (XQuery 1.0 §2.4.3, F&O §15.1.1): () is false; a sequence whose first item
+// is a node is true; a single boolean is itself; a single string/untyped/
+// anyURI is true iff non-empty; a single numeric is true unless 0 or NaN;
+// anything else raises err:FORG0006.
 func EffectiveBoolean(seq Sequence) (bool, error) {
 	if len(seq) == 0 {
 		return false, nil
 	}
-	if seq[0].IsNode() {
-		return true, nil
-	}
-	if len(seq) > 1 {
-		return false, ErrType("effective boolean value of a sequence of %d atomic values", len(seq))
-	}
-	return EffectiveBooleanItem(seq[0])
+	return EffectiveBooleanItem(seq[0], len(seq) > 1)
 }
 
-// EffectiveBooleanItem computes the EBV of a single item.
-func EffectiveBooleanItem(it Item) (bool, error) {
-	if it.IsNode() {
+// EffectiveBooleanItem is the EBV of a non-empty sequence known by its first
+// item and whether more items follow. more is read only for an atomic first
+// item, so a lazy caller need not pull past a node.
+func EffectiveBooleanItem(first Item, more bool) (bool, error) {
+	if first.IsNode() {
 		return true, nil
 	}
-	a := it.(Atomic)
+	if more {
+		return false, Errf("FORG0006", "effective boolean value of a sequence of more than one atomic value")
+	}
+	a := first.(Atomic)
 	switch a.T {
 	case TBoolean:
 		return a.B, nil
@@ -58,7 +57,7 @@ func EffectiveBooleanItem(it Item) (bool, error) {
 		f := a.AsFloat()
 		return f != 0 && !math.IsNaN(f), nil
 	default:
-		return false, ErrType("no effective boolean value for %s", a.T)
+		return false, Errf("FORG0006", "no effective boolean value for %s", a.T)
 	}
 }
 

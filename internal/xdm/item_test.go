@@ -74,8 +74,8 @@ func TestEffectiveBoolean(t *testing.T) {
 	for i, c := range cases {
 		got, err := EffectiveBoolean(c.seq)
 		if c.fail {
-			if err == nil {
-				t.Errorf("case %d: expected error", i)
+			if !IsCode(err, "FORG0006") {
+				t.Errorf("case %d: error = %v, want err:FORG0006", i, err)
 			}
 			continue
 		}

@@ -232,47 +232,39 @@ const (
 // principal node kind of the axis (element for most axes, attribute for the
 // attribute axis).
 func (t NodeTest) MatchesNode(n xdm.Node, principal xdm.NodeKind) bool {
+	return t.Matches(n.Kind(), n.NodeName(), principal)
+}
+
+// Matches is the node test on a node's kind and name: the store's scans
+// test a node id this way before they box the node.
+func (t NodeTest) Matches(kind xdm.NodeKind, name xdm.QName, principal xdm.NodeKind) bool {
 	switch t.Kind {
 	case TestAnyKind:
 		return true
 	case TestDoc:
-		return n.Kind() == xdm.DocumentNode
+		return kind == xdm.DocumentNode
 	case TestText:
-		return n.Kind() == xdm.TextNode
+		return kind == xdm.TextNode
 	case TestComment:
-		return n.Kind() == xdm.CommentNode
+		return kind == xdm.CommentNode
 	case TestPI:
-		if n.Kind() != xdm.PINode {
-			return false
-		}
-		return t.AnyName || t.Name.Local == "" || n.NodeName().Local == t.Name.Local
+		return kind == xdm.PINode && (t.AnyName || t.Name.Local == "" || name.Local == t.Name.Local)
 	case TestElement:
-		if n.Kind() != xdm.ElementNode {
-			return false
-		}
-		return t.matchName(n)
+		return kind == xdm.ElementNode && t.matchName(name)
 	case TestAttribute:
-		if n.Kind() != xdm.AttributeNode {
-			return false
-		}
-		return t.matchName(n)
+		return kind == xdm.AttributeNode && t.matchName(name)
 	default: // TestName
-		if n.Kind() != principal {
-			return false
-		}
-		return t.matchName(n)
+		return kind == principal && t.matchName(name)
 	}
 }
 
-func (t NodeTest) matchName(n xdm.Node) bool {
-	if t.AnyName {
+func (t NodeTest) matchName(name xdm.QName) bool {
+	switch {
+	case t.AnyName:
 		return true
-	}
-	name := n.NodeName()
-	if t.WildSpace {
+	case t.WildSpace:
 		return name.Local == t.Name.Local
-	}
-	if t.WildLocal {
+	case t.WildLocal:
 		return name.Space == t.Name.Space
 	}
 	return name.Equal(t.Name)

@@ -37,8 +37,20 @@ func (s *signalWriter) Write(p []byte) (int, error) {
 // ingestion: Execute over an io.Pipe must produce output while the producer
 // still holds the write end open. The producer only finishes the document
 // after observing the first output byte — if the engine needed EOF before
-// emitting, the test would time out instead of passing vacuously.
+// emitting, the test would time out instead of passing vacuously. Besides
+// plain child steps, a predicate and a where clause that compare against a
+// literal must keep that demand.
 func TestStreamingFirstOutputBeforeEOF(t *testing.T) {
+	for _, src := range []string{
+		`/bib/book/title`,
+		`/bib/book[price = "9"]/title`,
+		`for $b in /bib/book where $b/price eq "9" return $b/title`,
+	} {
+		t.Run(src, func(t *testing.T) { firstOutputBeforeEOF(t, src) })
+	}
+}
+
+func firstOutputBeforeEOF(t *testing.T, src string) {
 	pr, pw := io.Pipe()
 	firstByte := make(chan struct{})
 	var firstBeforeEOF atomic.Bool
@@ -68,7 +80,7 @@ func TestStreamingFirstOutputBeforeEOF(t *testing.T) {
 		pw.Close()
 	}()
 
-	q := xqgo.MustCompile(`/bib/book/title`, nil)
+	q := xqgo.MustCompile(src, nil)
 	ctx := xqgo.NewContext().WithStreamingInput(pr, "stream.xml")
 	var out bytes.Buffer
 	if err := q.Execute(ctx, &signalWriter{w: &out, signal: firstByte}); err != nil {
