@@ -86,7 +86,7 @@ func TestCLIXmlgenAndXq(t *testing.T) {
 		t.Errorf("xq -stream=false and xq -stream disagree:\n  false: %q\n  true:  %q", out, out2)
 	}
 	for _, want := range []string{
-		`<w xmlns:z="urn:z"><a xmlns="urn:p" xmlns:ns1="urn:p" ns1:k="v" plain="w">`,
+		`<w xmlns:z="urn:z"><p:a xmlns:p="urn:p" p:k="v" plain="w">`,
 		`<r xmlns="urn:default" xmlns:p="urn:p">`, `<p:a p:k="v" plain="w">`,
 	} {
 		if !strings.Contains(out, want) {

@@ -146,6 +146,12 @@ func Fire(p Point) error {
 	if armed.Load() == 0 {
 		return nil
 	}
+	return fire(p)
+}
+
+// fire is Fire's armed path, kept apart so that the disarmed check inlines
+// into the parser's per-token call.
+func fire(p Point) error {
 	f, ok := lookup(p)
 	if !ok {
 		return nil

@@ -74,7 +74,7 @@ func init() {
 			if err != nil || n == nil {
 				return singleton(xdm.NewString("")), err
 			}
-			return singleton(xdm.NewString(n.NodeName().String())), nil
+			return singleton(xdm.NewString(lexicalName(n.NodeName()))), nil
 		}})
 	register(&Func{Name: "local-name", MinArgs: 0, MaxArgs: 1, Props: nameAccessor,
 		Call: func(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
@@ -428,4 +428,14 @@ func ceilF(f float64) float64 {
 func nan() float64 {
 	var zero float64
 	return zero / zero
+}
+
+// lexicalName renders a node name the way fn:name reports it: Prefix:Local,
+// or Local alone when the name has no prefix (in no namespace, or in the
+// default one).
+func lexicalName(q xdm.QName) string {
+	if q.Prefix == "" {
+		return q.Local
+	}
+	return q.Prefix + ":" + q.Local
 }

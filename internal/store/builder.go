@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xqgo/internal/xdm"
 )
@@ -42,6 +43,8 @@ type Builder struct {
 	pendingText []byte
 	havePending bool
 	done        bool
+	// room is the columns' common capacity, in nodes.
+	room int
 }
 
 // NewBuilder creates a builder.
@@ -66,6 +69,9 @@ func NewBuilder(opts BuilderOptions) *Builder {
 
 func (b *Builder) appendNode(kind xdm.NodeKind, name int32, value string) int32 {
 	d := b.doc
+	if len(d.kind) == b.room {
+		b.grow()
+	}
 	id := int32(len(d.kind))
 	parent := int32(-1)
 	level := int32(0)
@@ -82,6 +88,29 @@ func (b *Builder) appendNode(kind xdm.NodeKind, name int32, value string) int32 
 	d.value = append(d.value, value)
 	d.level = append(d.level, level)
 	return id
+}
+
+// grow doubles the room of every column at once. Left to append, each column
+// of a large document would grow by a quarter at a time, copying and
+// clearing several times the final size.
+func (b *Builder) grow() {
+	d := b.doc
+	n := max(len(d.kind), 1)
+	d.kind = slices.Grow(d.kind, n)
+	d.name = slices.Grow(d.name, n)
+	d.parent = slices.Grow(d.parent, n)
+	d.endID = slices.Grow(d.endID, n)
+	d.nextSib = slices.Grow(d.nextSib, n)
+	d.firstChild = slices.Grow(d.firstChild, n)
+	d.value = slices.Grow(d.value, n)
+	d.level = slices.Grow(d.level, n)
+	b.room = d.room()
+}
+
+// room is how many nodes the columns hold before one must grow.
+func (d *Document) room() int {
+	return min(cap(d.kind), cap(d.name), cap(d.parent), cap(d.endID),
+		cap(d.nextSib), cap(d.firstChild), cap(d.value), cap(d.level))
 }
 
 // linkChild attaches id as the next child of the innermost open node.
@@ -250,8 +279,29 @@ func (b *Builder) Done() (*Document, error) {
 		b.stack = b.stack[:0]
 		b.lastChild = b.lastChild[:0]
 	}
+	b.fit()
 	b.done = true
 	return b.doc, nil
+}
+
+// fit gives a large document columns of its own length when doubling left
+// more than a quarter of them unused: a built document may live as long as
+// the catalog holds it. Small ones — the window arena's, constructed
+// fragments — keep their room.
+func (b *Builder) fit() {
+	d := b.doc
+	if n := len(d.kind); n < 1024 || b.room-n <= n/4 {
+		return
+	}
+	d.kind = slices.Clone(d.kind)
+	d.name = slices.Clone(d.name)
+	d.parent = slices.Clone(d.parent)
+	d.endID = slices.Clone(d.endID)
+	d.nextSib = slices.Clone(d.nextSib)
+	d.firstChild = slices.Clone(d.firstChild)
+	d.value = slices.Clone(d.value)
+	d.level = slices.Clone(d.level)
+	b.room = d.room()
 }
 
 // Reset re-arms the builder for another document that reuses the storage of
@@ -298,6 +348,7 @@ func (b *Builder) Reset() {
 	b.pendingText = b.pendingText[:0]
 	b.havePending = false
 	b.done = false
+	b.room = 0
 }
 
 // isOpen reports whether element id is still on the open stack. The stack

@@ -17,6 +17,10 @@ import "xqgo/internal/xdm"
 type NamePool struct {
 	names []xdm.QName
 	index map[nameKey]int32
+	// recent holds, per hash of a local name's length and end bytes, one
+	// more than the index of the name interned last with that hash: a
+	// document's few names are found again without hashing them in full.
+	recent [64]int32
 }
 
 type nameKey struct{ space, local string }
@@ -29,13 +33,21 @@ func NewNamePool() *NamePool {
 // Intern returns the pool index for the name, adding it if absent. The
 // prefix of the first interning wins (prefixes are informational).
 func (p *NamePool) Intern(q xdm.QName) int32 {
-	k := nameKey{q.Space, q.Local}
-	if i, ok := p.index[k]; ok {
+	h := 0
+	if n := len(q.Local); n > 0 {
+		h = (n*31 + int(q.Local[0])*7 + int(q.Local[n-1])) & (len(p.recent) - 1)
+	}
+	if i := p.recent[h] - 1; i >= 0 && p.names[i].Local == q.Local && p.names[i].Space == q.Space {
 		return i
 	}
-	i := int32(len(p.names))
-	p.names = append(p.names, q)
-	p.index[k] = i
+	k := nameKey{q.Space, q.Local}
+	i, ok := p.index[k]
+	if !ok {
+		i = int32(len(p.names))
+		p.names = append(p.names, q)
+		p.index[k] = i
+	}
+	p.recent[h] = i + 1
 	return i
 }
 

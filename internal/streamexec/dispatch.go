@@ -2,7 +2,6 @@ package streamexec
 
 import (
 	"bytes"
-	"encoding/xml"
 	"io"
 
 	"xqgo/internal/projection"
@@ -11,9 +10,10 @@ import (
 	"xqgo/internal/tokens"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xmlparse"
+	"xqgo/internal/xmlscan"
 )
 
-// Dispatcher fans one decoder token stream out to the window groups of a
+// Dispatcher fans one scanned token stream out to the window groups of a
 // feed (the pub/sub core: N continuous queries share a single parse pass
 // and, where their spines agree, a single window build). A member that errors
 // is detached — its error is recorded on its handle and the feed keeps
@@ -70,12 +70,12 @@ func (d *Dispatcher) write(p *Program, sw *serializer.Writer) *Member {
 }
 
 // Feed is the one feed loop: it parses r in a single pass with Token as the
-// parse's Tap and finishes the groups at end of input. opts says what the
-// parse builds beside them — the union of the store-required subscriptions'
-// projections, or nothing under an empty one — and Feed returns that
-// document.
+// parse's event listener and finishes the groups at end of input. opts says
+// what the parse builds beside them — the union of the store-required
+// subscriptions' projections, or nothing under an empty one — and Feed
+// returns that document.
 func (d *Dispatcher) Feed(r io.Reader, opts xmlparse.Options) (*store.Document, error) {
-	opts.Tap = d.Token
+	opts.Events = d.Token
 	p := xmlparse.ParseIncremental(r, opts)
 	for {
 		done, err := p.Advance()
@@ -91,24 +91,27 @@ func (d *Dispatcher) Feed(r io.Reader, opts xmlparse.Options) (*store.Document, 
 // interruptStride matches the store engine's polling granularity.
 const interruptStride = 256
 
-// Token delivers one token to every group. The errors it returns end the
-// feed: the interrupt hook's, polled at the first token and every
+// Token delivers one token to every group, and after a start tag reports
+// whether every group ignores the element's content. The errors it returns
+// end the feed: the interrupt hook's, polled at the first token and every
 // interruptStride after it, and in the Execute form the group's own. A
 // subscription's failure (error or panic — one poisoned handler must never
 // kill the feed's siblings) is recorded on the members it detaches instead.
-func (d *Dispatcher) Token(tok xml.Token) error {
+func (d *Dispatcher) Token(tok *xmlscan.Token) (skipContent bool, err error) {
 	if d.env.Interrupt != nil && d.inToks%interruptStride == 0 {
 		if err := d.env.Interrupt(); err != nil {
-			return err
+			return false, err
 		}
 	}
 	d.inToks++
+	skipContent = true
 	for _, r := range d.runners {
 		if err := r.Token(tok); err != nil && d.solo {
-			return err
+			return false, err
 		}
+		skipContent = skipContent && r.ignoring()
 	}
-	return nil
+	return skipContent, nil
 }
 
 // Finish signals end of input to every group; like Token it reports a

@@ -1,7 +1,6 @@
 package streamexec
 
 import (
-	"encoding/xml"
 	"fmt"
 	"slices"
 	"sort"
@@ -17,6 +16,7 @@ import (
 	"xqgo/internal/trace"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xmlparse"
+	"xqgo/internal/xmlscan"
 )
 
 // Stats are one Member's lifetime totals.
@@ -114,7 +114,7 @@ func (m *Member) Stats() Stats {
 	}
 }
 
-// Runner evaluates one window group over a decoder token stream: the
+// Runner evaluates one window group over a scanned token stream: the
 // streamable programs of one feed that share a spine. It owns what the group
 // shares — the spine's automaton state and the window arena — and runs each
 // member's residual plan over every completed window, in registration order.
@@ -256,7 +256,7 @@ func (r *Runner) windowSpan() *trace.Span {
 		SetAttr("seq", r.windows)
 }
 
-// Token consumes one decoder token. Payload bytes are copied before the call
+// Token consumes one scanned token. Payload bytes are copied before the call
 // returns.
 //
 // A member whose evaluation or delivery fails (or panics) is detached with
@@ -264,7 +264,7 @@ func (r *Runner) windowSpan() *trace.Span {
 // ends the whole group — the last live member failed, or something the group
 // shares did (the memory budget, the window build), which fails every live
 // member alike. A group without live members ignores the rest of the feed.
-func (r *Runner) Token(tok xml.Token) error {
+func (r *Runner) Token(tok *xmlscan.Token) error {
 	if r.dead {
 		return nil
 	}
@@ -275,29 +275,33 @@ func (r *Runner) Token(tok xml.Token) error {
 	return err
 }
 
+// ignoring reports whether the group takes nothing up to the end of the
+// element whose start tag it was just given.
+func (r *Runner) ignoring() bool { return r.dead || r.skip > 0 }
+
 // token is the group's recover boundary: a panic outside a member's own
 // evaluation (a poisoned identity sink, a broken invariant) ends the group,
 // never the feed.
-func (r *Runner) token(tok xml.Token) (err error) {
+func (r *Runner) token(tok *xmlscan.Token) (err error) {
 	defer runtime.RecoverXQ(&err)
-	switch t := tok.(type) {
-	case xml.StartElement:
-		return r.startElement(t)
-	case xml.EndElement:
+	switch tok.Kind {
+	case xmlscan.StartElement:
+		return r.startElement(tok)
+	case xmlscan.EndElement:
 		return r.endElement()
 	}
 	if !r.inWindow() {
 		return nil
 	}
-	switch t := tok.(type) {
-	case xml.CharData:
-		return r.content(tokens.Token{Kind: tokens.KindText, Value: string(t)})
-	case xml.Comment:
-		return r.content(tokens.Token{Kind: tokens.KindComment, Value: string(t)})
-	case xml.ProcInst:
-		if t.Target != "xml" { // not the XML declaration
+	switch tok.Kind {
+	case xmlscan.Text:
+		return r.content(tokens.Token{Kind: tokens.KindText, Value: string(tok.Data)})
+	case xmlscan.Comment:
+		return r.content(tokens.Token{Kind: tokens.KindComment, Value: string(tok.Data)})
+	case xmlscan.ProcInst:
+		if tok.Name.Local != "xml" { // not the XML declaration
 			return r.content(tokens.Token{Kind: tokens.KindPI,
-				Name: xdm.LocalName(t.Target), Value: string(t.Inst)})
+				Name: xdm.LocalName(tok.Name.Local), Value: string(tok.Data)})
 		}
 	}
 	return nil
@@ -371,7 +375,7 @@ func (r *Runner) flushCounters(m *Member) {
 
 // ---- element events ----
 
-func (r *Runner) startElement(t xml.StartElement) error {
+func (r *Runner) startElement(t *xmlscan.Token) error {
 	if r.skip > 0 {
 		r.skip++
 		return nil
@@ -419,7 +423,8 @@ func (r *Runner) startElement(t xml.StartElement) error {
 		return err
 	}
 	est := int64(len(t.Name.Local)+len(t.Name.Space)) + 16
-	for _, a := range t.Attr {
+	for i := range t.Attr {
+		a := &t.Attr[i]
 		est += int64(len(a.Name.Local)+len(a.Name.Space)+len(a.Value)) + 16
 	}
 	return r.addBuf(est)

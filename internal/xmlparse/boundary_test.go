@@ -39,10 +39,13 @@ func (c *chunkedReader) Read(p []byte) (int, error) {
 
 // tokenSignature renders a tapped token stream into a comparable string.
 // Adjacent character data is coalesced, so the signature is independent of
-// how the decoder slices text runs.
+// how the decoder slices text runs. With foldAttrSpace every tab, line feed
+// and carriage return in an attribute value reads as a space, which is what
+// attribute-value normalization makes of a literal one.
 type tokenSignature struct {
-	sb   strings.Builder
-	text strings.Builder
+	sb            strings.Builder
+	text          strings.Builder
+	foldAttrSpace bool
 }
 
 func (s *tokenSignature) add(tok xml.Token) error {
@@ -58,7 +61,11 @@ func (s *tokenSignature) add(tok xml.Token) error {
 	case xml.StartElement:
 		fmt.Fprintf(&s.sb, "start(%s:%s", t.Name.Space, t.Name.Local)
 		for _, a := range t.Attr {
-			fmt.Fprintf(&s.sb, " %s:%s=%q", a.Name.Space, a.Name.Local, a.Value)
+			v := a.Value
+			if s.foldAttrSpace {
+				v = strings.Map(foldSpace, v)
+			}
+			fmt.Fprintf(&s.sb, " %s:%s=%q", a.Name.Space, a.Name.Local, v)
 		}
 		s.sb.WriteString(")\n")
 	case xml.EndElement:
@@ -71,6 +78,13 @@ func (s *tokenSignature) add(tok xml.Token) error {
 		fmt.Fprintf(&s.sb, "directive(%q)\n", string(t))
 	}
 	return nil
+}
+
+func foldSpace(r rune) rune {
+	if r == '\t' || r == '\n' || r == '\r' {
+		return ' '
+	}
+	return r
 }
 
 func (s *tokenSignature) String() string {

@@ -2,7 +2,6 @@ package xmlparse
 
 import (
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"xqgo/internal/faultinject"
 	"xqgo/internal/projection"
 	"xqgo/internal/store"
+	"xqgo/internal/xmlscan"
 )
 
 // Stats receives ingestion counters as parsing progresses. All arguments are
@@ -47,10 +47,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // usable immediately — its accessors drive the parse forward on demand (the
 // paper's pull-based, parse-as-far-as-the-query-asks ingestion). With a
 // projection in Options, subtrees no query path can touch are skipped:
-// tokenized, counted, never materialized.
+// scanned, checked and counted, never materialized.
 type Incremental struct {
 	b      *store.Builder
-	dec    *xml.Decoder
+	sc     *xmlscan.Scanner
 	cr     countingReader
 	opts   Options
 	doc    *store.Document
@@ -78,8 +78,7 @@ func ParseIncremental(r io.Reader, opts Options) *Incremental {
 		opts:   opts,
 		runner: projection.NewRunner(opts.Projection),
 	}
-	p.dec = xml.NewDecoder(&p.cr)
-	p.dec.Strict = true
+	p.sc = xmlscan.New(&p.cr)
 	p.b.StartDocument()
 	p.doc = store.BeginLazy(p.b, p.advance)
 	return p
@@ -95,7 +94,7 @@ func (p *Incremental) Advance() (done bool, err error) { return p.doc.Advance() 
 // advance consumes one token. It runs under the document's frontier lock —
 // it must never call the locking store.Document accessors.
 func (p *Incremental) advance() (done bool, err error) {
-	tok, err := p.dec.Token()
+	tok, err := p.sc.Next()
 	if err == io.EOF {
 		return true, p.finish()
 	}
@@ -113,21 +112,35 @@ func (p *Incremental) advance() (done bool, err error) {
 		p.flushStats(1, 0)
 		return false, ferr
 	}
-	if p.opts.Tap != nil {
-		if terr := p.opts.Tap(tok); terr != nil {
-			p.flushStats(1, 0)
-			return false, terr
+	// Skipped tokens lie inside a subtree that neither the build nor a
+	// listener takes: nothing is called for them. After a start tag,
+	// listenersSkip says whether every listener ignores the element's content.
+	listenersSkip := !tok.Skipped && p.opts.Tap == nil
+	if !tok.Skipped {
+		if p.opts.Events != nil {
+			skip, eerr := p.opts.Events(tok)
+			if eerr != nil {
+				p.flushStats(1, 0)
+				return false, eerr
+			}
+			listenersSkip = listenersSkip && skip
+		}
+		if p.opts.Tap != nil {
+			if terr := p.opts.Tap(xmlToken(tok)); terr != nil {
+				p.flushStats(1, 0)
+				return false, terr
+			}
 		}
 	}
 
 	before := p.b.NodeCount()
 	var skipped int64
 
-	switch t := tok.(type) {
-	case xml.StartElement:
+	switch tok.Kind {
+	case xmlscan.StartElement:
 		if p.skipDepth > 0 {
 			p.skipDepth++
-			skipped = 1 + int64(countAttrs(t.Attr))
+			skipped = 1 + int64(tok.NumAttr)
 			break
 		}
 		if p.depth == 0 && p.seenRoot {
@@ -136,21 +149,21 @@ func (p *Incremental) advance() (done bool, err error) {
 		}
 		p.seenRoot = true
 		if p.runner != nil {
-			if p.runner.StartElement(t.Name.Space, t.Name.Local) == projection.Skip {
+			if p.runner.StartElement(tok.Name.Space, tok.Name.Local) == projection.Skip {
 				p.skipDepth = 1
 				p.pendingWS = p.pendingWS[:0]
-				skipped = 1 + int64(countAttrs(t.Attr))
+				skipped = 1 + int64(tok.NumAttr)
 				break
 			}
 		}
 		p.pendingWS = p.pendingWS[:0] // held only when stripping: dropped at a tag
-		if err := StartTag(t, p.b); err != nil {
+		if err := StartTag(tok, p.b); err != nil {
 			p.flushStats(1, 0)
 			return false, fmt.Errorf("xmlparse: %w", err)
 		}
 		p.depth++
 
-	case xml.EndElement:
+	case xmlscan.EndElement:
 		if p.skipDepth > 0 {
 			p.skipDepth--
 			break
@@ -162,15 +175,15 @@ func (p *Incremental) advance() (done bool, err error) {
 		}
 		p.depth--
 
-	case xml.CharData:
+	case xmlscan.Text:
 		if p.skipDepth > 0 {
-			if !IsXMLSpace(t) {
+			if !tok.Whitespace {
 				skipped = 1
 			}
 			break
 		}
 		if p.depth == 0 {
-			if !IsXMLSpace(t) {
+			if !tok.Whitespace {
 				p.flushStats(1, 0)
 				return false, fmt.Errorf("xmlparse: character data outside the root element")
 			}
@@ -179,20 +192,20 @@ func (p *Incremental) advance() (done bool, err error) {
 		if p.runner != nil && !p.runner.KeepingContent() {
 			// Traversal/empty-target element: its character content is
 			// statically unobservable, drop it.
-			if !IsXMLSpace(t) {
+			if !tok.Whitespace {
 				skipped = 1
 			}
 			break
 		}
-		s := string(t)
-		if p.opts.StripWhitespace && IsXMLSpace(s) {
+		s := string(tok.Data)
+		if p.opts.StripWhitespace && tok.Whitespace {
 			p.pendingWS = append(p.pendingWS, s)
 			break
 		}
 		p.flushWS()
 		p.b.Text(s)
 
-	case xml.Comment:
+	case xmlscan.Comment:
 		if p.skipDepth > 0 {
 			skipped = 1
 			break
@@ -203,11 +216,11 @@ func (p *Incremental) advance() (done bool, err error) {
 				break
 			}
 			p.flushWS()
-			p.b.Comment(string(t))
+			p.b.Comment(string(tok.Data))
 		}
 
-	case xml.ProcInst:
-		if t.Target == "xml" {
+	case xmlscan.ProcInst:
+		if tok.Name.Local == "xml" {
 			break // XML declaration
 		}
 		if p.skipDepth > 0 {
@@ -220,11 +233,14 @@ func (p *Incremental) advance() (done bool, err error) {
 				break
 			}
 			p.flushWS()
-			p.b.PI(t.Target, string(t.Inst))
+			p.b.PI(tok.Name.Local, string(tok.Data))
 		}
 
-	case xml.Directive:
+	case xmlscan.Directive:
 		// DOCTYPE etc.: accepted and dropped.
+	}
+	if p.skipDepth > 0 && listenersSkip {
+		p.sc.Skip() // a no-op unless tok is a start tag
 	}
 
 	built := int64(p.b.NodeCount() - before)
@@ -290,16 +306,4 @@ func (p *Incremental) bytesDelta() int64 {
 	d := p.cr.n - p.lastBytes
 	p.lastBytes = p.cr.n
 	return d
-}
-
-// countAttrs counts real attributes (namespace declarations excluded — they
-// never become nodes).
-func countAttrs(attrs []xml.Attr) int {
-	n := 0
-	for _, a := range attrs {
-		if _, ok := nsDecl(a.Name); !ok {
-			n++
-		}
-	}
-	return n
 }

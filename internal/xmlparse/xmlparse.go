@@ -1,7 +1,6 @@
-// Package xmlparse parses well-formed XML into store documents. It uses the
-// standard library tokenizer (encoding/xml) for the lexical layer and builds
-// the array representation in a single pass, so parsing is itself a
-// streaming operation.
+// Package xmlparse parses well-formed XML into store documents. It drives
+// the internal/xmlscan tokenizer and builds the array representation in the
+// same pass, so parsing is itself a streaming operation.
 package xmlparse
 
 import (
@@ -12,6 +11,7 @@ import (
 	"xqgo/internal/projection"
 	"xqgo/internal/store"
 	"xqgo/internal/xdm"
+	"xqgo/internal/xmlscan"
 )
 
 // Options configure parsing.
@@ -31,12 +31,17 @@ type Options struct {
 	Projection *projection.Paths
 	// Stats, when non-nil, receives ingestion counter deltas.
 	Stats Stats
-	// Tap, when non-nil, observes every decoded token in document order,
+	// Events, when non-nil, receives every scanned token in document order,
 	// before whitespace stripping, projection skipping or materialization
 	// (the streamexec event bus: one parse pass can feed the store builder
-	// and any number of event-handler automata). A non-nil error aborts the
-	// parse with it. Token payloads ([]byte of CharData etc.) are only valid
-	// for the duration of the call.
+	// and any number of event-handler automata). After a start tag it says
+	// whether it ignores the element's content; when the build skips that
+	// content too, the scanner checks it without delivering it. A non-nil
+	// error aborts the parse with it. Token payloads are only valid for the
+	// duration of the call.
+	Events func(t *xmlscan.Token) (skipContent bool, err error)
+	// Tap is Events for encoding/xml tokens, converted per token, for callers
+	// that compile against that type. It never skips.
 	Tap func(xml.Token) error
 	// Charge, when non-nil, is called with a byte estimate of the store
 	// growth each increment retains (node records plus materialized input
@@ -61,22 +66,6 @@ func ParseString(s string, opts Options) (*store.Document, error) {
 	return Parse(strings.NewReader(s), opts)
 }
 
-// IsXMLSpace reports whether s consists only of XML whitespace (production
-// S: space, tab, carriage return, line feed), the empty string included.
-// Unicode spaces such as U+00A0 or U+2003 are ordinary character data to XML,
-// which is why strings.TrimSpace must not classify text here or in the
-// streaming evaluator.
-func IsXMLSpace[T ~string | ~[]byte](s T) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // StartSink receives the parts of one start tag, in the order a scan of the
 // stored element yields them: the name, its namespace declarations, then its
 // attributes. *store.Builder is one.
@@ -86,42 +75,57 @@ type StartSink interface {
 	Attr(name xdm.QName, value string) error
 }
 
-// StartTag is the one translation of a decoder start tag: the document build,
-// the streaming evaluator's window arena and its token forwarder all receive
-// their elements through it.
-func StartTag(t xml.StartElement, sink StartSink) error {
-	sink.StartElement(convName(t.Name))
-	for _, a := range t.Attr {
-		if prefix, ok := nsDecl(a.Name); ok {
-			sink.NSDecl(prefix, a.Value)
+// StartTag is the one translation of a scanned start tag: the document
+// build, the streaming evaluator's window arena and its token forwarder all
+// receive their elements through it. Names arrive interned; an attribute
+// value becomes a string here, where a sink keeps it.
+func StartTag(t *xmlscan.Token, sink StartSink) error {
+	sink.StartElement(qname(t.Name))
+	for i := range t.Attr {
+		if a := &t.Attr[i]; a.NS {
+			sink.NSDecl(a.Name.Local, a.Name.Space)
 		}
 	}
-	for _, a := range t.Attr {
-		if _, ok := nsDecl(a.Name); ok {
-			continue
-		}
-		if err := sink.Attr(convName(a.Name), a.Value); err != nil {
-			return err
+	for i := range t.Attr {
+		if a := &t.Attr[i]; !a.NS {
+			if err := sink.Attr(qname(a.Name), string(a.Value)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// nsDecl reports whether an attribute name is a namespace declaration
-// (xmlns:p="…" or xmlns="…"), and the prefix it binds.
-func nsDecl(n xml.Name) (prefix string, ok bool) {
-	switch {
-	case n.Space == "xmlns":
-		return n.Local, true
-	case n.Space == "" && n.Local == "xmlns":
-		return "", true
-	}
-	return "", false
+func qname(n xmlscan.Name) xdm.QName {
+	return xdm.QName{Space: n.Space, Local: n.Local, Prefix: n.Prefix}
 }
 
-// convName converts an encoding/xml name (Space = resolved URI) to a QName.
-// encoding/xml loses the original prefix; the serializer re-derives one from
-// the namespace declarations.
-func convName(n xml.Name) xdm.QName {
-	return xdm.QName{Space: n.Space, Local: n.Local}
+// xmlToken renders a scanned token as the encoding/xml token the Tap
+// adapter hands on: names resolved, a namespace declaration named xmlns:p
+// (Space "xmlns") or xmlns, payloads borrowed from the scanner.
+func xmlToken(t *xmlscan.Token) xml.Token {
+	switch t.Kind {
+	case xmlscan.StartElement:
+		se := xml.StartElement{Name: xml.Name{Space: t.Name.Space, Local: t.Name.Local}, Attr: make([]xml.Attr, len(t.Attr))}
+		for i, a := range t.Attr {
+			n := xml.Name{Space: a.Name.Space, Local: a.Name.Local}
+			switch {
+			case a.NS && a.Name.Local == "":
+				n = xml.Name{Local: "xmlns"}
+			case a.NS:
+				n = xml.Name{Space: "xmlns", Local: a.Name.Local}
+			}
+			se.Attr[i] = xml.Attr{Name: n, Value: string(a.Value)}
+		}
+		return se
+	case xmlscan.EndElement:
+		return xml.EndElement{Name: xml.Name{Space: t.Name.Space, Local: t.Name.Local}}
+	case xmlscan.Text:
+		return xml.CharData(t.Data)
+	case xmlscan.Comment:
+		return xml.Comment(t.Data)
+	case xmlscan.ProcInst:
+		return xml.ProcInst{Target: t.Name.Local, Inst: t.Data}
+	}
+	return xml.Directive(t.Data)
 }
