@@ -148,7 +148,7 @@ func TestChaosCommaBranchPanicCancelsSiblings(t *testing.T) {
 	if hits := faultinject.Hits(faultinject.MorselPanic); hits != 3 {
 		t.Fatalf("%d branches claimed, want 3 — the comma round never ran", hits)
 	}
-	if errCode(err) != "XQGO0002" {
+	if codeOf(err) != "XQGO0002" {
 		t.Fatalf("branch panic surfaced as %v, want XQGO0002", err)
 	}
 }

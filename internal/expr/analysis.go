@@ -1,8 +1,11 @@
 package expr
 
 import (
+	"slices"
+
 	"xqgo/internal/functions"
 	"xqgo/internal/xdm"
+	"xqgo/internal/xtypes"
 )
 
 // This file implements the dataflow analyses of the paper's "Xquery
@@ -67,38 +70,51 @@ func boundVars(e Expr) [][]xdm.QName {
 	return nil
 }
 
-// FreeVars returns the free variables of e (keys in Clark notation).
-func FreeVars(e Expr) map[string]bool {
-	out := make(map[string]bool)
-	collectFree(e, map[string]int{}, out)
+// BoundIn returns the variables e binds anywhere inside it (Clark keys).
+func BoundIn(e Expr) map[string]bool {
+	out := map[string]bool{}
+	Walk(e, func(x Expr) bool {
+		for _, vs := range boundVars(x) {
+			for _, q := range vs {
+				out[q.Clark()] = true
+			}
+		}
+		return true
+	})
 	return out
 }
 
-func collectFree(e Expr, bound map[string]int, out map[string]bool) {
+// FreeVars returns the free variables of e (keys in Clark notation).
+func FreeVars(e Expr) map[string]bool {
+	out := make(map[string]bool)
+	EachFree(e, func(v *VarRef) { out[v.Name.Clark()] = true })
+	return out
+}
+
+// EachFree calls free on each reference in e to a variable e does not bind.
+func EachFree(e Expr, free func(*VarRef)) { collectFree(e, nil, free) }
+
+// collectFree keeps the bindings in scope as a stack, innermost last.
+func collectFree(e Expr, bound []xdm.QName, free func(*VarRef)) {
 	if e == nil {
 		return
 	}
 	if v, ok := e.(*VarRef); ok {
-		if bound[v.Name.Clark()] == 0 {
-			out[v.Name.Clark()] = true
-		}
-		return
-	}
-	children := e.Children()
-	bv := boundVars(e)
-	for i, c := range children {
-		var added []string
-		if bv != nil {
-			for _, q := range bv[i] {
-				k := q.Clark()
-				bound[k]++
-				added = append(added, k)
+		for _, q := range bound {
+			if q.Equal(v.Name) {
+				return
 			}
 		}
-		collectFree(c, bound, out)
-		for _, k := range added {
-			bound[k]--
+		free(v)
+		return
+	}
+	bv := boundVars(e)
+	for i, c := range e.Children() {
+		inner := bound
+		if bv != nil && len(bv[i]) > 0 {
+			inner = append(bound[:len(bound):len(bound)], bv[i]...)
 		}
+		collectFree(c, inner, free)
 	}
 }
 
@@ -213,12 +229,25 @@ func CanRaiseError(e Expr) bool { return new(Analysis).Of(e).CanRaiseError }
 // (fn:position, fn:last).
 func Positional(e Expr) bool { return new(Analysis).Of(e).Positional }
 
-// safeCalls lists built-ins that never raise dynamic errors on any input.
+// safeCalls lists built-ins that never raise dynamic errors on any input:
+// every other one raises on some argument, if only on a sequence of two.
 var safeCalls = map[string]bool{
 	"true": true, "false": true, "count": true, "empty": true,
-	"exists": true, "not": true, "string": true, "concat": true,
-	"position": true, "last": true, "local-name": true, "name": true,
-	"namespace-uri": true, "string-length": true, "normalize-space": true,
+	"exists": true, "position": true, "last": true,
+}
+
+// ebvSafe reports whether taking the effective boolean value of e cannot
+// raise err:FORG0006: e is nodes, or at most one boolean or, where
+// numeric is set (a predicate), one number.
+func ebvSafe(e Expr, numeric bool) bool {
+	t := Infer(e, nil)
+	switch {
+	case t.Item.Kind != xtypes.KAnyItem && t.Item.Kind != xtypes.KAtomic:
+		return true
+	case t.Item.Kind == xtypes.KAnyItem || t.Occ != xtypes.OccOne && t.Occ != xtypes.OccOpt:
+		return false
+	}
+	return t.Item.Type == xdm.TBoolean || numeric && t.Item.Type.IsNumeric()
 }
 
 // Builtin returns the registry record of the built-in c calls; nil for a
@@ -298,21 +327,41 @@ func (a *Analysis) Of(e Expr) Facts {
 	case *ElemConstructor, *AttrConstructor, *TextConstructor,
 		*CommentConstructor, *PIConstructor, *DocConstructor:
 		f.CreatesNodes = true
+		if c, ok := n.(*ElemConstructor); ok {
+			// A computed name, or content that may hold an attribute: a
+			// duplicate (err:XQDY0025) or one after content (err:XQTY0024).
+			f.CanRaiseError = f.CanRaiseError || c.NameExpr != nil || slices.ContainsFunc(c.Content, func(x Expr) bool {
+				k := Infer(x, nil).Item.Kind
+				return k == xtypes.KAnyItem || k == xtypes.KAnyNode || k == xtypes.KAttribute
+			})
+		}
 	case *ContextItem, *Root, *Step:
 		f.UsesContext = true
-	case *Arith, *Cast, *Treat, *Compare:
+	case *Arith, *Neg, *Cast, *Treat, *Compare:
 		f.CanRaiseError = true
 	case *Path: // the right side's context comes from the left
 		f.UsesContext, f.Positional, f.TouchesData = first.UsesContext, first.Positional, true
 	case *Filter:
 		f.UsesContext, f.Positional = first.UsesContext, first.Positional
+		for _, p := range n.Preds {
+			f.CanRaiseError = f.CanRaiseError || !ebvSafe(p, true)
+		}
+	case *If:
+		f.CanRaiseError = f.CanRaiseError || !ebvSafe(n.Cond, false)
+	case *Logic:
+		f.CanRaiseError = f.CanRaiseError || !ebvSafe(n.L, false) || !ebvSafe(n.R, false)
+	case *Quantified:
+		f.CanRaiseError = f.CanRaiseError || !ebvSafe(n.Satisfies, false)
+	case *Flwor: // a where clause's value, or a sort or group key of two items
+		f.CanRaiseError = f.CanRaiseError || n.Where != nil && !ebvSafe(n.Where, false) ||
+			len(n.Order) > 0 || len(n.Group) > 0
 	case *SetOp:
 		f.TouchesData = true
 	case *Call:
 		f.CreatesNodes = f.CreatesNodes || a.callCreates == nil || a.callCreates(n)
 		f.UsesContext = f.UsesContext || ReadsFocus(n)
 		f.Positional = f.Positional || focusAccessor(n)
-		f.CanRaiseError = f.CanRaiseError || !safeCalls[n.Name.Local]
+		f.CanRaiseError = f.CanRaiseError || Builtin(n) == nil || !safeCalls[n.Name.Local]
 		f.TouchesData = true
 	}
 	if a.memo != nil {

@@ -4,8 +4,10 @@ import (
 	"math"
 	"regexp"
 	"strings"
+	"unicode"
 
 	"xqgo/internal/xdm"
+	"xqgo/internal/xmlscan"
 )
 
 // String functions.
@@ -312,21 +314,8 @@ func init() {
 }
 
 // isXMLChar reports whether cp is a valid XML 1.0 character (the Char
-// production): 0x9 | 0xA | 0xD | [0x20-0xD7FF] | [0xE000-0xFFFD] |
-// [0x10000-0x10FFFF]. Surrogate code points and most C0 controls are not.
-func isXMLChar(cp int64) bool {
-	switch {
-	case cp == 0x9 || cp == 0xA || cp == 0xD:
-		return true
-	case cp >= 0x20 && cp <= 0xD7FF:
-		return true
-	case cp >= 0xE000 && cp <= 0xFFFD:
-		return true
-	case cp >= 0x10000 && cp <= 0x10FFFF:
-		return true
-	}
-	return false
-}
+// production). Surrogate code points and most C0 controls are not.
+func isXMLChar(cp int64) bool { return cp >= 0 && cp <= unicode.MaxRune && xmlscan.IsChar(rune(cp)) }
 
 func hexByte(c byte) string {
 	const hexDigits = "0123456789ABCDEF"

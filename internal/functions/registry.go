@@ -152,6 +152,44 @@ func register(f *Func) {
 	registry[f.Name] = f
 }
 
+// The namespaces of constructor functions: xs:T and xdt:T for an atomic
+// type T.
+const (
+	xsNamespace  = "http://www.w3.org/2001/XMLSchema"
+	xdtNamespace = "http://www.w3.org/2005/xpath-datatypes"
+)
+
+// Constructor returns the atomic type T of a constructor function xs:T or
+// xdt:T, which casts its one argument as T?.
+func Constructor(name xdm.QName) (xdm.TypeCode, bool) {
+	switch name.Space {
+	case xsNamespace:
+		return xdm.TypeByName("xs:" + name.Local)
+	case xdtNamespace:
+		return xdm.TypeByName("xdt:" + name.Local)
+	}
+	return 0, false
+}
+
+// Resolves reports whether a call of name with nargs arguments, which no
+// declared function takes, has a function to call: a constructor function
+// with one argument, fn:position or fn:last with none (the runtime compiles
+// those two itself), or a built-in of that arity. A call that has none is
+// err:XPST0017. The static check and the runtime compiler both ask here.
+func Resolves(name xdm.QName, nargs int) bool {
+	if _, ok := Constructor(name); ok {
+		return nargs == 1
+	}
+	if name.Space != Namespace && name.Space != "" {
+		return false
+	}
+	if name.Local == "position" || name.Local == "last" {
+		return nargs == 0
+	}
+	f, err := Lookup(name.Local, nargs)
+	return f != nil && err == nil
+}
+
 // Lookup finds a built-in by local name (within the fn namespace) and
 // checks the arity. A nil return with ok=false means unknown name.
 func Lookup(local string, nargs int) (*Func, error) {

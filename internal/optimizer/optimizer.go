@@ -245,8 +245,10 @@ func (o *optimizer) findInlinable() {
 		if reaches(key, key, map[string]bool{}) {
 			continue // recursive
 		}
-		if o.facts.Of(fd.Body).Size > 60 {
-			continue // too large to inline profitably
+		if f := o.facts.Of(fd.Body); f.Size > 60 || f.UsesContext {
+			// Too large to inline profitably, or reads the focus: undefined
+			// in a function body (err:XPDY0002), the caller's once inlined.
+			continue
 		}
 		o.inlinable[key] = fd
 	}

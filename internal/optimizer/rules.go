@@ -182,16 +182,19 @@ func (o *optimizer) foldLets(x expr.Expr) expr.Expr {
 			continue
 		}
 		// Scope of the variable: later clauses + where + order + return.
+		// A bound constructor stays bound even when used once: at its use
+		// it would build its tree after trees built in between, and the
+		// relative order of distinct trees follows construction.
 		uses := expr.UsesOf(restOfFlwor(f, i+1), cl.Var)
+		creates := o.facts.Of(cl.In).CreatesNodes
 		switch {
 		case uses.Count == 0:
 			return dropClause(f, i)
 		case isTrivial(cl.In):
 			return substituteClause(f, i, cl)
-		case uses.Count == 1 && !uses.InLoop:
+		case uses.Count == 1 && !uses.InLoop && !creates:
 			return substituteClause(f, i, cl)
-		case !o.facts.Of(cl.In).CreatesNodes && !o.facts.Of(cl.In).CanRaiseError &&
-			uses.Count == 1:
+		case !creates && !o.facts.Of(cl.In).CanRaiseError && uses.Count == 1:
 			return substituteClause(f, i, cl)
 		}
 	}
@@ -353,7 +356,7 @@ func minimizeFor(x expr.Expr) expr.Expr {
 		if cl.Kind != expr.ForClause || !cl.PosVar.IsZero() {
 			continue
 		}
-		if !isStaticSingleton(cl.In) {
+		if !isStaticSingleton(cl.In) || expr.CanRaiseError(cl.In) { // dropped, it could not raise
 			continue
 		}
 		rest := restOfFlwor(f, i+1)
@@ -407,10 +410,22 @@ func (o *optimizer) factorCSE(x expr.Expr) expr.Expr {
 		return true
 	})
 	// Factor the largest duplicated candidate, the first in pre-order on a
-	// tie: binding a call binds the path inside it too.
+	// tie: binding a call binds the path inside it too. A candidate that
+	// reads a variable bound inside the return clause cannot move out of it.
 	var rep expr.Expr
+	var inner map[string]bool
 	for i, e := range firsts {
-		if counts[i] >= 2 && (rep == nil || o.facts.Of(e).Size > o.facts.Of(rep).Size) {
+		if counts[i] < 2 || rep != nil && o.facts.Of(e).Size <= o.facts.Of(rep).Size {
+			continue
+		}
+		if inner == nil {
+			inner = expr.BoundIn(f.Ret)
+		}
+		local := false
+		for v := range expr.FreeVars(e) {
+			local = local || inner[v]
+		}
+		if !local {
 			rep = e
 		}
 	}
@@ -514,7 +529,9 @@ func typeRewrite(x expr.Expr) expr.Expr {
 			return n.X
 		}
 	case *expr.InstanceOf:
-		if expr.Infer(n.X, nil).SubtypeOf(n.T) {
+		// Folding to true drops the operand: only when it cannot raise the
+		// error the unoptimized plan would, a missing focus among them.
+		if f := new(expr.Analysis).Of(n.X); expr.Infer(n.X, nil).SubtypeOf(n.T) && !f.CanRaiseError && !f.UsesContext {
 			return expr.NewLiteral(n.Span(), xdm.True)
 		}
 	}

@@ -189,7 +189,7 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 	case *expr.VarRef:
 		id, ok := c.resolve(n.Name)
 		if !ok {
-			return nil, fmt.Errorf("%d:%d: undeclared variable $%s",
+			return nil, xdm.Errf("XPST0008", "%d:%d: undeclared variable $%s",
 				n.Span().Line, n.Span().Col, n.Name)
 		}
 		return func(fr *Frame) Iter { return fr.lookup(id).Iterator() }, nil
@@ -515,10 +515,13 @@ func atomizeSingle(it Iter) (xdm.Atomic, bool, error) {
 	if _, extra, err := it.Next(); err != nil {
 		return xdm.Atomic{}, false, err
 	} else if extra {
-		return xdm.Atomic{}, false, xdm.ErrType("a sequence of more than one item cannot be atomized to a single value")
+		return xdm.Atomic{}, false, errTooMany
 	}
 	return xdm.Atomize(first), true, nil
 }
+
+// errTooMany is atomizeSingle's error for a sequence of two or more items.
+var errTooMany = xdm.ErrType("a sequence of more than one item cannot be atomized to a single value")
 
 // ebvOf is the generic condition: the effective boolean value of any
 // expression's iterator, pulling at most two items.
@@ -742,6 +745,9 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 	// the left side streams and the right side is memoized.
 	var cond condFn
 	switch {
+	case litL != nil && litR != nil: // unoptimized: nothing folded them
+		a, b := *litL, *litR
+		cond = func(*Frame) (bool, error) { return xdm.GeneralCompareItems(op, a, b) }
 	case litR != nil:
 		b := *litR
 		cond = func(fr *Frame) (bool, error) {
@@ -863,10 +869,10 @@ func (c *compiler) compileCast(n *expr.Cast) (seqFn, error) {
 	target, optional, castable := n.T, n.Optional, n.Castable
 	return func(fr *Frame) Iter {
 		a, ok, err := atomizeSingle(xf(fr))
-		if err != nil {
-			if castable {
-				return singleIter(xdm.False)
-			}
+		switch {
+		case castable && err == errTooMany: // no cast takes two items; the operand's own errors stand
+			return singleIter(xdm.False)
+		case err != nil:
 			return errIter(err)
 		}
 		if !ok {

@@ -13,11 +13,7 @@ import (
 // iterator protocol directly (fn:empty pulls one item, fn:count never
 // materializes, ...) — the lazy-evaluation payoffs of E3.
 
-const (
-	fnNS  = "http://www.w3.org/2005/xpath-functions"
-	xsNS  = "http://www.w3.org/2001/XMLSchema"
-	xdtNS = "http://www.w3.org/2005/xpath-datatypes"
-)
+const fnNS = functions.Namespace
 
 func (c *compiler) compileCall(n *expr.Call) (seqFn, error) {
 	if _, seq, ok, err := c.compileTest(n); ok {
@@ -35,24 +31,15 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	if uf, ok := c.funcs[funcKey(n.Name, len(n.Args))]; ok {
 		return c.compileUserCall(n, uf)
 	}
+	if !functions.Resolves(n.Name, len(n.Args)) {
+		return nil, xdm.Errf("XPST0017", "%d:%d: unknown function %s/%d",
+			n.Span().Line, n.Span().Col, n.Name, len(n.Args))
+	}
 	// Constructor functions: xs:integer("42") etc. behave as "cast as T?".
-	if n.Name.Space == xsNS || n.Name.Space == xdtNS {
-		prefix := "xs:"
-		if n.Name.Space == xdtNS {
-			prefix = "xdt:"
-		}
-		tc, known := xdm.TypeByName(prefix + n.Name.Local)
-		if !known || len(n.Args) != 1 {
-			return nil, fmt.Errorf("%d:%d: unknown constructor function %s/%d",
-				n.Span().Line, n.Span().Col, n.Name, len(n.Args))
-		}
+	if tc, ok := functions.Constructor(n.Name); ok {
 		return c.compileRaw(&expr.Cast{
 			Base: expr.Base{P: n.Span()}, X: n.Args[0], T: tc, Optional: true,
 		})
-	}
-	if n.Name.Space != fnNS && n.Name.Space != "" {
-		return nil, fmt.Errorf("%d:%d: unknown function %s/%d",
-			n.Span().Line, n.Span().Col, n.Name, len(n.Args))
 	}
 	local := n.Name.Local
 
@@ -66,16 +53,13 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	}
 
 	// Lazy special forms.
-	if fn, handled, err := c.lazyBuiltin(local, argFns); handled {
-		return fn, err
+	if fn, handled := c.lazyBuiltin(local, argFns); handled {
+		return fn, nil
 	}
 
 	// fn:position and fn:last read the focus.
 	switch local {
 	case "position":
-		if len(argFns) != 0 {
-			return nil, fmt.Errorf("fn:position takes no arguments")
-		}
 		return func(fr *Frame) Iter {
 			if _, ok := fr.ContextItem(); !ok {
 				return errIter(xdm.Errf("XPDY0002", "fn:position(): no context"))
@@ -83,9 +67,6 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 			return singleIter(xdm.NewInteger(fr.Position()))
 		}, nil
 	case "last":
-		if len(argFns) != 0 {
-			return nil, fmt.Errorf("fn:last takes no arguments")
-		}
 		return func(fr *Frame) Iter {
 			n, err := fr.Size()
 			if err != nil {
@@ -95,14 +76,7 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		}, nil
 	}
 
-	f, err := functions.Lookup(local, len(n.Args))
-	if err != nil {
-		return nil, fmt.Errorf("%d:%d: %v", n.Span().Line, n.Span().Col, err)
-	}
-	if f == nil {
-		return nil, fmt.Errorf("%d:%d: unknown function fn:%s",
-			n.Span().Line, n.Span().Col, local)
-	}
+	f, _ := functions.Lookup(local, len(n.Args))
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
@@ -121,12 +95,9 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 }
 
 // lazyBuiltin wires the sequence predicates that benefit from lazy inputs.
-func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error) {
+func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool) {
 	switch local {
 	case "empty", "exists":
-		if len(argFns) != 1 {
-			return nil, true, fmt.Errorf("fn:%s expects 1 argument", local)
-		}
 		wantEmpty := local == "empty"
 		return func(fr *Frame) Iter {
 			_, ok, err := argFns[0](fr).Next() // pull exactly one item
@@ -134,11 +105,8 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 				return errIter(err)
 			}
 			return singleIter(boolItem(ok == !wantEmpty))
-		}, true, nil
+		}, true
 	case "count":
-		if len(argFns) != 1 {
-			return nil, true, fmt.Errorf("fn:count expects 1 argument")
-		}
 		// Batched counting: the input is drained a chunk at a time without
 		// ever materializing it; a source that knows its cardinality
 		// (range, materialized slice) skips production entirely.
@@ -163,11 +131,8 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 				}
 				n += int64(k)
 			}
-		}, true, nil
+		}, true
 	case "subsequence":
-		if len(argFns) < 2 || len(argFns) > 3 {
-			return nil, true, fmt.Errorf("fn:subsequence expects 2..3 arguments")
-		}
 		return func(fr *Frame) Iter {
 			start, okS, err := atomizeSingle(argFns[1](fr))
 			if err != nil || !okS {
@@ -199,15 +164,12 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool, error
 					}
 				}
 			})
-		}, true, nil
+		}, true
 	case "unordered":
-		if len(argFns) != 1 {
-			return nil, true, fmt.Errorf("fn:unordered expects 1 argument")
-		}
 		fn := argFns[0]
-		return func(fr *Frame) Iter { return fn(fr) }, true, nil
+		return func(fr *Frame) Iter { return fn(fr) }, true
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 func (c *compiler) compileUserCall(n *expr.Call, uf *userFunc) (seqFn, error) {

@@ -279,11 +279,7 @@ func buildInto(b *store.Builder, cc *compiledConstructor, fr *Frame) error {
 
 	case xdm.DocumentNode:
 		b.StartDocument()
-		seq, err := drain(cc.valueFn(fr))
-		if err != nil {
-			return err
-		}
-		return copyContentSeq(b, seq)
+		return copyContent(b, cc.valueFn(fr))
 	}
 	return xdm.ErrType("cannot construct node kind %v", cc.kind)
 }
@@ -298,21 +294,23 @@ func buildContent(b *store.Builder, content []contentPiece, fr *Frame) error {
 			b.Text(piece.literalText)
 			continue
 		}
-		seq, err := drain(piece.fn(fr))
-		if err != nil {
-			return err
-		}
-		if err := copyContentSeq(b, seq); err != nil {
+		if err := copyContent(b, piece.fn(fr)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// copyContentSeq copies an evaluated sequence into element/document content.
-func copyContentSeq(b *store.Builder, seq xdm.Sequence) error {
+// copyContent copies a sequence into element/document content item by
+// item, as the id-free constructor writes it: a duplicate attribute is
+// reported before the items after it are evaluated.
+func copyContent(b *store.Builder, seq Iter) error {
 	prevAtomic := false
-	for _, it := range seq {
+	for {
+		it, ok, err := seq.Next()
+		if err != nil || !ok {
+			return err
+		}
 		if n, ok := it.(xdm.Node); ok {
 			prevAtomic = false
 			if sn, isStream := n.(*StreamedNode); isStream {
@@ -335,7 +333,6 @@ func copyContentSeq(b *store.Builder, seq xdm.Sequence) error {
 		}
 		prevAtomic = true
 	}
-	return nil
 }
 
 // attrError gives a builder's attribute error its XQuery code: a duplicate

@@ -273,7 +273,7 @@ func (c *compiler) hasUserCall(e expr.Expr) bool {
 // two workers forcing one lazily would race; anything the let's input reads
 // is in turn forced inside that same caller-side evaluation, so no closure
 // is needed), outerForce are bindings from outside the FLWOR, forced once
-// before the first round. For-clause and positional variables are
+// the first round has gathered a tuple. For-clause and positional variables are
 // materialized per tuple already and need no forcing. Let bindings nothing
 // references are never forced, preserving lazy skipping of erroring
 // dead bindings.
@@ -457,7 +457,7 @@ func (f *flworIter) NextBatch(buf []xdm.Item) (int, error) {
 // tuple order, preserving the sequential result order exactly.
 type flworMorsel struct {
 	fr         *Frame
-	outerForce []int // bindings outside the FLWOR; forced once, first round
+	outerForce []int // bindings outside the FLWOR; forced once, after the first tuple
 	letForce   []int // the FLWOR's own referenced lets; forced per tuple
 	forced     bool
 
@@ -511,14 +511,6 @@ func (m *flworMorsel) runRound(f *flworIter) (bool, error) {
 		return false, nil
 	}
 	defer release()
-	if !m.forced {
-		for _, id := range m.outerForce {
-			if _, err := m.fr.lookup(id).All(); err != nil {
-				return false, err
-			}
-		}
-		m.forced = true
-	}
 	// Gather raw tuples on the puller, forcing referenced let bindings so
 	// workers only read materialized values. A source or forcing error is
 	// stashed until the outputs of the tuples gathered before it deliver,
@@ -559,6 +551,17 @@ gather:
 		}
 		m.done = true
 		return true, nil
+	}
+	// Outer bindings are forced once a first tuple exists: the first
+	// tuple's where and return would read them, but an error from the
+	// tuple source comes first, as it does sequentially.
+	if !m.forced {
+		for _, id := range m.outerForce {
+			if _, err := m.fr.lookup(id).All(); err != nil {
+				return false, err
+			}
+		}
+		m.forced = true
 	}
 	chunks := (len(round) + flworMorselTuples - 1) / flworMorselTuples
 	parts, rerr := morselRound(d, extra, chunks, func(w *Dynamic, i int) (xdm.Sequence, error) {

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math"
+
 	"xqgo/internal/expr"
 	"xqgo/internal/optimizer"
 	"xqgo/internal/store"
@@ -512,7 +514,7 @@ func (s *storeScan) keep(id int32) bool {
 	if k == xdm.AttributeNode && s.skipAttrs && id != s.self {
 		return false
 	}
-	return s.test.Matches(k, s.d.NameOf(id), s.principal)
+	return s.test.Matches(k, s.d.ExpandedName(id), s.principal)
 }
 
 func (s *storeScan) serve(buf []xdm.Item) int {
@@ -675,34 +677,16 @@ func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
 	}
 	cur := baseFn
 	for _, pred := range n.Preds {
-		// Positional fast path: a literal integer predicate [k] selects one
-		// item and stops pulling input — the item-level skip() of E3/E4.
-		if lit, ok := pred.(*expr.Literal); ok && lit.Val.T == xdm.TInteger {
-			k := lit.Val.I
-			prev := cur
-			cur = func(fr *Frame) Iter {
-				if k < 1 {
-					return emptyIter
-				}
-				src := prev(fr)
-				done := false
-				return iterFunc(func() (xdm.Item, bool, error) {
-					if done {
-						return nil, false, nil
-					}
-					done = true
-					var it xdm.Item
-					var ok bool
-					var err error
-					for i := int64(0); i < k; i++ {
-						it, ok, err = src.Next()
-						if err != nil || !ok {
-							return nil, false, err
-						}
-					}
-					return it, true, nil
-				})
+		// A predicate that reads no focus has one value for every item, so
+		// it is evaluated once (constFilter) — alike whether or not the
+		// optimizer folded it to a literal.
+		if f := new(expr.Analysis).Of(pred); !f.UsesContext && !f.Positional {
+			pf, err := c.compile(pred)
+			if err != nil {
+				return nil, err
 			}
+			prev := cur
+			cur = func(fr *Frame) Iter { return &constFilter{fr: fr, pred: pf, src: prev(fr)} }
 			continue
 		}
 		keep, err := c.compilePredicate(pred)
@@ -815,6 +799,58 @@ func (f *filterIter) NextBatch(buf []xdm.Item) (int, error) {
 		// A full input batch with no keepers: pull again rather than
 		// returning a misleading n == 0 (which would signal the end).
 	}
+}
+
+// constFilter applies a predicate that reads no focus. It is decided at the
+// input's first item, so that an empty input evaluates nothing, as with a
+// per-item predicate. A number k selects the k-th item and stops pulling
+// input there — the item-level skip() of E3/E4; any other value keeps every
+// item or none.
+type constFilter struct {
+	fr      *Frame
+	pred    seqFn
+	src     Iter
+	decided bool
+	all     bool
+	k, pos  int64
+}
+
+func (f *constFilter) Next() (xdm.Item, bool, error) {
+	for !f.decided || f.all || f.pos < f.k {
+		it, ok, err := f.src.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		f.pos++
+		if !f.decided {
+			f.decided = true
+			if f.k, f.all, err = constPredicate(f.pred(f.fr)); err != nil {
+				return nil, false, err
+			}
+		}
+		if f.all || f.pos == f.k {
+			return it, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// constPredicate decides a predicate that reads no focus: a single number
+// selects the item at that position (none when it is no position), any
+// other value keeps every item or none by its effective boolean value.
+func constPredicate(it Iter) (k int64, all bool, err error) {
+	first, more, err := ebvPrefix(it)
+	if err != nil || first == nil {
+		return 0, false, err
+	}
+	if a, ok := first.(xdm.Atomic); ok && !more && a.T.IsNumeric() {
+		if f := a.AsFloat(); f >= 1 && f < 1<<62 && f == math.Trunc(f) {
+			return int64(f), false, nil
+		}
+		return 0, false, nil
+	}
+	all, err = xdm.EffectiveBooleanItem(first, more)
+	return 0, all, err
 }
 
 // evalPredicate decides a predicate's value: a single number is a position

@@ -77,9 +77,9 @@ func treeDiff(a, b *store.Document) string {
 		return fmt.Sprintf("%d nodes became %d", a.NumNodes(), b.NumNodes())
 	}
 	for id := int32(0); id < int32(a.NumNodes()); id++ {
-		if a.Kind(id) != b.Kind(id) || !a.NameOf(id).Equal(b.NameOf(id)) || a.Value(id) != b.Value(id) {
+		if a.Kind(id) != b.Kind(id) || !a.ExpandedName(id).Equal(b.ExpandedName(id)) || a.Value(id) != b.Value(id) {
 			return fmt.Sprintf("node %d: %v %s %q became %v %s %q", id,
-				a.Kind(id), a.NameOf(id).Clark(), a.Value(id), b.Kind(id), b.NameOf(id).Clark(), b.Value(id))
+				a.Kind(id), a.ExpandedName(id).Clark(), a.Value(id), b.Kind(id), b.ExpandedName(id).Clark(), b.Value(id))
 		}
 	}
 	return ""
@@ -91,7 +91,7 @@ func ncNames(d *store.Document) bool {
 		return name == "" || (unicode.IsLetter(first) || first == '_') && !strings.Contains(name, ":")
 	}
 	for id := int32(0); id < int32(d.NumNodes()); id++ {
-		if !ok(d.NameOf(id).Local) {
+		if !ok(d.ExpandedName(id).Local) {
 			return false
 		}
 	}

@@ -32,8 +32,10 @@ const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
 // transparent.
 //
 // A start tag is held until the element's KindNamespace tokens have been
-// seen, and a stack of in-scope prefix bindings decides every prefix. The
-// namespace rule, the same for every token source:
+// seen, and a stack of in-scope prefix bindings decides every prefix. It
+// reaches w only when it is complete, at the token that closes it: an
+// error among its attributes (err:XQDY0025) leaves nothing of the element
+// written. The namespace rule, the same for every token source:
 //
 //  1. A KindNamespace token is a declaration recorded on the element. It is
 //     written unless the identical binding is already in scope, used or not.
@@ -57,9 +59,10 @@ type Writer struct {
 	w    io.Writer
 	opts Options
 	emit func(tokens.Token) error // WriteToken, bound once
-	// buf collects the pieces of one token and reaches w in a single Write
-	// when the token is done: output still appears token by token, and a w
-	// that is no io.StringWriter costs no conversion per piece.
+	// buf collects the pieces of one token, or of a whole start tag, and
+	// reaches w in a single Write when it is done: output still appears
+	// token by token outside start tags, and a w that is no io.StringWriter
+	// costs no conversion per piece.
 	buf []byte
 
 	stack []element
@@ -196,6 +199,9 @@ func (s *Writer) WriteToken(t tokens.Token) error {
 		s.escaped(attrEscaper, t.Value)
 		s.str(`"`)
 	case tokens.KindText:
+		if t.Value == "" {
+			break // an empty text node is no content: <e/> stays empty
+		}
 		s.closeStartTag()
 		s.escaped(textEscaper, t.Value)
 	case tokens.KindComment:
@@ -211,12 +217,18 @@ func (s *Writer) WriteToken(t tokens.Token) error {
 		s.str(t.Value)
 		s.str("?>")
 	case tokens.KindAtomic:
-		s.closeStartTag()
-		if s.prevAtomic {
-			s.str(" ")
+		// Adjacent atomics are one text node; a lone "" is none.
+		if lex := t.Atom.Lexical(); s.prevAtomic || lex != "" {
+			s.closeStartTag()
+			if s.prevAtomic {
+				s.str(" ")
+			}
+			s.escaped(textEscaper, lex)
 		}
-		s.escaped(textEscaper, t.Atom.Lexical())
 		s.prevAtomic = true
+	}
+	if s.openTag {
+		return nil // the start tag reaches w whole, at the token that closes it
 	}
 	return s.flush()
 }

@@ -14,6 +14,7 @@ import (
 
 	"xqgo"
 	"xqgo/internal/trace"
+	"xqgo/internal/xdm"
 )
 
 // NewHTTPHandler exposes the service over HTTP (stdlib net/http only):
@@ -437,10 +438,11 @@ func normalizeJSONValue(v any) any {
 
 type errorResponse struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"` // the XQuery error code, when err has one
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusForError(err), errorResponse{Error: err.Error()})
+	writeJSON(w, statusForError(err), errorResponse{Error: err.Error(), Code: xdm.CodeOf(err)})
 }
 
 // statusForError maps service errors onto HTTP semantics: overload is 503

@@ -36,6 +36,7 @@ import (
 	"xqgo/internal/ctxio"
 	"xqgo/internal/faultinject"
 	"xqgo/internal/limits"
+	"xqgo/internal/xdm"
 )
 
 // subCore aggregates subscription accounting across the service lifetime and
@@ -183,6 +184,7 @@ type subResult struct {
 type subError struct {
 	Sub   int    `json:"sub"`
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
 
 // subEnd is one entry of the "end" event: the subscription's lifetime stats.
@@ -355,7 +357,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	for i, h := range handles {
 		s.subs.notePeak(h.Stats().PeakBufferBytes)
 		if err := h.Err(); err != nil {
-			data, _ := json.Marshal(subError{Sub: i, Error: err.Error()})
+			data, _ := json.Marshal(subError{Sub: i, Error: err.Error(), Code: xdm.CodeOf(err)})
 			_ = sseEvent(w, flusher, "error", data)
 		}
 	}
@@ -369,7 +371,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	case ctx.Err() != nil:
 		// Client went away mid-feed; nobody is listening.
 	case runErr != nil:
-		data, _ := json.Marshal(subError{Sub: -1, Error: runErr.Error()})
+		data, _ := json.Marshal(subError{Sub: -1, Error: runErr.Error(), Code: xdm.CodeOf(runErr)})
 		_ = sseEvent(w, flusher, "error", data)
 	default:
 		ends := make([]subEnd, len(handles))

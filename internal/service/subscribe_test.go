@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,30 @@ func TestSubscribeSSE(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// A subscription that raises an XQuery error reports its code beside the
+// message; the feed and its sibling go on.
+func TestSubscribeErrorEventCode(t *testing.T) {
+	leakcheck.Check(t)
+	h := NewHTTPHandler(newTestService(t, Config{}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST",
+		"/subscribe?query="+url.QueryEscape("/bib/book/(1 idiv 0)")+"&query="+url.QueryEscape("/bib/book/title"),
+		strings.NewReader(bibXML)))
+	var got []subError
+	for _, e := range parseSSE(t, rec.Body.String()) {
+		if e.name == "error" {
+			var se subError
+			if err := json.Unmarshal([]byte(e.data), &se); err != nil {
+				t.Fatalf("error payload %q: %v", e.data, err)
+			}
+			got = append(got, se)
+		}
+	}
+	if len(got) != 1 || got[0].Sub != 0 || got[0].Code != "FOAR0001" || !strings.Contains(got[0].Error, "FOAR0001") {
+		t.Fatalf("error events = %+v, want one for sub 0 with code FOAR0001\n%s", got, rec.Body.String())
 	}
 }
 

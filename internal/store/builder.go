@@ -90,6 +90,18 @@ func (b *Builder) appendNode(kind xdm.NodeKind, name int32, value string) int32 
 	return id
 }
 
+// ownPrefix records the prefix of node id when the name pool keeps another
+// one for its expanded name (the first interned): fn:name reads it.
+func (b *Builder) ownPrefix(id, name int32, q xdm.QName) {
+	if b.doc.Names.Name(name).Prefix == q.Prefix {
+		return
+	}
+	if b.doc.prefix == nil {
+		b.doc.prefix = map[int32]string{}
+	}
+	b.doc.prefix[id] = q.Prefix
+}
+
 // grow doubles the room of every column at once. Left to append, each column
 // of a large document would grow by a quarter at a time, copying and
 // clearing several times the final size.
@@ -139,7 +151,9 @@ func (b *Builder) StartDocument() {
 // StartElement opens an element.
 func (b *Builder) StartElement(q xdm.QName) {
 	b.flushText()
-	id := b.appendNode(xdm.ElementNode, b.doc.Names.Intern(q), "")
+	name := b.doc.Names.Intern(q)
+	id := b.appendNode(xdm.ElementNode, name, "")
+	b.ownPrefix(id, name, q)
 	b.linkChild(id)
 	b.stack = append(b.stack, id)
 	b.lastChild = append(b.lastChild, -1)
@@ -158,7 +172,8 @@ var ErrDuplicateAttribute = errors.New("duplicate attribute")
 func (b *Builder) Attr(q xdm.QName, value string) error {
 	if len(b.stack) == 0 {
 		// standalone attribute node fragment
-		b.appendNode(xdm.AttributeNode, b.doc.Names.Intern(q), b.texts.Intern(value))
+		name := b.doc.Names.Intern(q)
+		b.ownPrefix(b.appendNode(xdm.AttributeNode, name, b.texts.Intern(value)), name, q)
 		return nil
 	}
 	owner := b.stack[len(b.stack)-1]
@@ -179,6 +194,7 @@ func (b *Builder) Attr(q xdm.QName, value string) error {
 		}
 	}
 	id := b.appendNode(xdm.AttributeNode, nameIdx, b.texts.Intern(value))
+	b.ownPrefix(id, nameIdx, q)
 	if b.lastAttr >= 0 {
 		b.doc.nextSib[b.lastAttr] = id
 	}
@@ -396,13 +412,13 @@ func (b *Builder) copyStoreTree(d *Document, id int32) error {
 			}
 		}
 	case xdm.ElementNode:
-		b.StartElement(d.NameOf(id))
+		b.StartElement(d.LexicalName(id))
 		for _, ns := range d.NSDecls(id) {
 			b.NSDecl(ns.Prefix, ns.URI)
 		}
 		from, to := d.AttrRange(id)
 		for i := from; i < to; i++ {
-			if err := b.Attr(d.NameOf(i), d.Value(i)); err != nil {
+			if err := b.Attr(d.LexicalName(i), d.Value(i)); err != nil {
 				return err
 			}
 		}
@@ -413,13 +429,13 @@ func (b *Builder) copyStoreTree(d *Document, id int32) error {
 		}
 		b.EndElement()
 	case xdm.AttributeNode:
-		return b.Attr(d.NameOf(id), d.Value(id))
+		return b.Attr(d.LexicalName(id), d.Value(id))
 	case xdm.TextNode:
 		b.Text(d.Value(id))
 	case xdm.CommentNode:
 		b.Comment(d.Value(id))
 	case xdm.PINode:
-		b.PI(d.NameOf(id).Local, d.Value(id))
+		b.PI(d.LexicalName(id).Local, d.Value(id))
 	}
 	return nil
 }

@@ -38,11 +38,12 @@ type Document struct {
 	Names *NamePool
 
 	kind       []xdm.NodeKind
-	name       []int32 // index into Names; -1 for unnamed kinds
-	parent     []int32 // -1 at node 0
-	endID      []int32 // id of last node in the subtree (== own id for leaves)
-	nextSib    []int32 // next sibling id, -1
-	firstChild []int32 // first non-attribute child id, -1
+	name       []int32          // index into Names; -1 for unnamed kinds
+	prefix     map[int32]string // a node's prefix where Names keeps another for its name
+	parent     []int32          // -1 at node 0
+	endID      []int32          // id of last node in the subtree (== own id for leaves)
+	nextSib    []int32          // next sibling id, -1
+	firstChild []int32          // first non-attribute child id, -1
 	value      []string
 	level      []int32
 
@@ -129,8 +130,31 @@ func (d *Document) Kind(id int32) xdm.NodeKind {
 	return k
 }
 
-// NameOf returns the QName of node id (zero for unnamed kinds).
-func (d *Document) NameOf(id int32) xdm.QName {
+// LexicalName returns the QName of node id (zero for unnamed kinds), with
+// the prefix the node was named with. It is for what shows a name as
+// written: fn:name, fn:node-name, serialization and copies. A per-node scan
+// that compares names reads ExpandedName instead.
+func (d *Document) LexicalName(id int32) xdm.QName {
+	f := d.rlock()
+	n := d.name[id]
+	prefix, own := d.prefix[id]
+	d.runlock(f)
+	if n < 0 {
+		return xdm.QName{}
+	}
+	q := d.Names.Name(n)
+	if own {
+		q.Prefix = prefix
+	}
+	return q
+}
+
+// ExpandedName is the name accessor: it returns the name of node id for
+// comparison by namespace and local name (QName.Equal, Clark). Its prefix
+// is the name pool's, which need not be the node's. Name tests, join
+// indexes and every other per-node scan read it; unlike LexicalName it
+// inlines.
+func (d *Document) ExpandedName(id int32) xdm.QName {
 	if n := d.NameIndex(id); n >= 0 {
 		return d.Names.Name(n)
 	}

@@ -21,7 +21,7 @@ func (n *Node) IsNode() bool { return true }
 func (n *Node) Kind() xdm.NodeKind { return n.D.Kind(n.ID) }
 
 // NodeName returns the node's expanded name.
-func (n *Node) NodeName() xdm.QName { return n.D.NameOf(n.ID) }
+func (n *Node) NodeName() xdm.QName { return n.D.LexicalName(n.ID) }
 
 // StringValue returns the string value: for elements and documents the
 // concatenation of all descendant text nodes, for other kinds the stored

@@ -143,7 +143,7 @@ func TestDewey(t *testing.T) {
 	// title (first child of book): root=1, book=1, title=1 -> [1 1 1]
 	var titleID int32 = -1
 	for id := int32(0); id < int32(doc.NumNodes()); id++ {
-		if doc.Kind(id) == xdm.ElementNode && doc.NameOf(id).Local == "title" {
+		if doc.Kind(id) == xdm.ElementNode && doc.ExpandedName(id).Local == "title" {
 			titleID = id
 		}
 	}
@@ -153,7 +153,7 @@ func TestDewey(t *testing.T) {
 	}
 	var lastID int32 = -1
 	for id := int32(0); id < int32(doc.NumNodes()); id++ {
-		if doc.Kind(id) == xdm.ElementNode && doc.NameOf(id).Local == "last" {
+		if doc.Kind(id) == xdm.ElementNode && doc.ExpandedName(id).Local == "last" {
 			lastID = id
 		}
 	}

@@ -92,7 +92,7 @@ func NavigationDesc(d *store.Document, ancestorName, descendantName xdm.QName, p
 	test := xtypes.NodeTest{Name: descendantName}
 	var out []Pair
 	for id := int32(0); id < int32(d.NumNodes()); id++ {
-		if d.Kind(id) != xdm.ElementNode || !d.NameOf(id).Equal(ancestorName) {
+		if d.Kind(id) != xdm.ElementNode || !d.ExpandedName(id).Equal(ancestorName) {
 			continue
 		}
 		anc := Posting{Region: d.Region(id), ID: id}
@@ -106,7 +106,7 @@ func NavigationDesc(d *store.Document, ancestorName, descendantName xdm.QName, p
 		}
 		end := d.EndID(id)
 		for c := id + 1; c <= end; c++ {
-			if d.Kind(c) == xdm.ElementNode && d.NameOf(c).Equal(descendantName) {
+			if d.Kind(c) == xdm.ElementNode && d.ExpandedName(c).Equal(descendantName) {
 				out = append(out, Pair{Ancestor: anc, Descendant: Posting{Region: d.Region(c), ID: c}})
 			}
 		}

@@ -26,14 +26,14 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 			var sum int64
 			if c.ChildEdge {
 				for ch := d.FirstChildID(id); ch >= 0; ch = d.NextSiblingID(ch) {
-					if d.Kind(ch) == xdm.ElementNode && d.NameOf(ch).Equal(c.Name) {
+					if d.Kind(ch) == xdm.ElementNode && d.ExpandedName(ch).Equal(c.Name) {
 						sum += embeddings(c, ch)
 					}
 				}
 			} else {
 				end := d.EndID(id)
 				for ch := id + 1; ch <= end; ch++ {
-					if d.Kind(ch) == xdm.ElementNode && d.NameOf(ch).Equal(c.Name) {
+					if d.Kind(ch) == xdm.ElementNode && d.ExpandedName(ch).Equal(c.Name) {
 						sum += embeddings(c, ch)
 					}
 				}
@@ -49,7 +49,7 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 
 	var grand int64
 	for id := int32(0); id < int32(d.NumNodes()); id++ {
-		if d.Kind(id) == xdm.ElementNode && d.NameOf(id).Equal(root.Name) {
+		if d.Kind(id) == xdm.ElementNode && d.ExpandedName(id).Equal(root.Name) {
 			grand += embeddings(root, id)
 		}
 	}

@@ -46,10 +46,10 @@ func BuildIndex(d *store.Document) *Index {
 	for id := int32(0); id < int32(d.NumNodes()); id++ {
 		switch d.Kind(id) {
 		case xdm.ElementNode:
-			key := d.NameOf(id).Clark()
+			key := d.ExpandedName(id).Clark()
 			idx.elements[key] = append(idx.elements[key], Posting{Region: d.Region(id), ID: id})
 		case xdm.AttributeNode:
-			key := d.NameOf(id).Clark()
+			key := d.ExpandedName(id).Clark()
 			idx.attrs[key] = append(idx.attrs[key], Posting{Region: d.Region(id), ID: id})
 		}
 	}

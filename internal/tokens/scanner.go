@@ -69,7 +69,7 @@ func (s *DocScanner) Next() (Token, bool, error) {
 			if d.Kind(top.id) == xdm.DocumentNode {
 				return Token{Kind: KindEndDocument}, true, nil
 			}
-			return Token{Kind: KindEndElement, Name: d.NameOf(top.id)}, true, nil
+			return Token{Kind: KindEndElement, Name: d.LexicalName(top.id)}, true, nil
 		}
 	}
 	if s.next > end {
@@ -86,10 +86,10 @@ func (s *DocScanner) Next() (Token, bool, error) {
 		s.pending = append(s.pending, frame{id: id, end: d.EndID(id)})
 		s.lastStart, s.lastIsOpen = id, true
 		s.ns = d.NSDecls(id)
-		return Token{Kind: KindStartElement, Name: d.NameOf(id)}, true, nil
+		return Token{Kind: KindStartElement, Name: d.LexicalName(id)}, true, nil
 	case xdm.AttributeNode:
 		s.lastIsOpen = false
-		return Token{Kind: KindAttribute, Name: d.NameOf(id), Value: d.Value(id)}, true, nil
+		return Token{Kind: KindAttribute, Name: d.LexicalName(id), Value: d.Value(id)}, true, nil
 	case xdm.TextNode:
 		s.lastIsOpen = false
 		return Token{Kind: KindText, Value: d.Value(id)}, true, nil
@@ -98,7 +98,7 @@ func (s *DocScanner) Next() (Token, bool, error) {
 		return Token{Kind: KindComment, Value: d.Value(id)}, true, nil
 	case xdm.PINode:
 		s.lastIsOpen = false
-		return Token{Kind: KindPI, Name: d.NameOf(id), Value: d.Value(id)}, true, nil
+		return Token{Kind: KindPI, Name: d.LexicalName(id), Value: d.Value(id)}, true, nil
 	default:
 		return Token{}, false, fmt.Errorf("tokens: unexpected node kind %v", d.Kind(id))
 	}

@@ -84,7 +84,7 @@ func TestDocScannerSubtree(t *testing.T) {
 	// Find the title element id.
 	var titleID int32 = -1
 	for id := int32(0); id < int32(doc.NumNodes()); id++ {
-		if doc.Kind(id) == xdm.ElementNode && doc.NameOf(id).Local == "title" {
+		if doc.Kind(id) == xdm.ElementNode && doc.ExpandedName(id).Local == "title" {
 			titleID = id
 		}
 	}

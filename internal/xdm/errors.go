@@ -1,6 +1,9 @@
 package xdm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Error is an XQuery static or dynamic error, identified by the standard
 // err: code (e.g. XPTY0004 for a type error, FOAR0001 for division by zero).
@@ -34,8 +37,16 @@ func ErrDivZero() *Error { return Errf("FOAR0001", "division by zero") }
 // ErrOverflow reports numeric overflow (err:FOAR0002).
 func ErrOverflow() *Error { return Errf("FOAR0002", "numeric overflow") }
 
-// IsCode reports whether err is an xdm.Error carrying the given code.
-func IsCode(err error, code string) bool {
-	e, ok := err.(*Error)
-	return ok && e.Code == code
+// IsCode reports whether err's chain holds an xdm.Error carrying the given
+// code.
+func IsCode(err error, code string) bool { return code != "" && CodeOf(err) == code }
+
+// CodeOf returns the code of the xdm.Error in err's chain (errors.As), or ""
+// when there is none.
+func CodeOf(err error) string {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Code
+	}
+	return ""
 }

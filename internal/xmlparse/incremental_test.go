@@ -54,12 +54,12 @@ func TestIncrementalIsLazy(t *testing.T) {
 	// parse (the last-sibling check needs the parent closed), but first-child
 	// hops stop at the frontier.
 	bib := doc.FirstChildID(0)
-	if doc.NameOf(bib).Local != "bib" {
-		t.Fatalf("root element = %s", doc.NameOf(bib))
+	if doc.ExpandedName(bib).Local != "bib" {
+		t.Fatalf("root element = %s", doc.ExpandedName(bib))
 	}
 	book := doc.FirstChildID(bib)
-	if doc.NameOf(book).Local != "book" {
-		t.Fatalf("first child = %s", doc.NameOf(book))
+	if doc.ExpandedName(book).Local != "book" {
+		t.Fatalf("first child = %s", doc.ExpandedName(book))
 	}
 	after := mr.n.Load()
 	if after == 0 || after >= int64(len(src)) {

@@ -44,8 +44,8 @@ func init() {
 	cdataClass['&'], cdataClass['<'] = cPlain, cPlain
 }
 
-// isChar reports whether r is in the Char production of XML 1.0.
-func isChar(r rune) bool {
+// IsChar reports whether r is in the Char production of XML 1.0.
+func IsChar(r rune) bool {
 	return r == 0x09 || r == 0x0A || r == 0x0D ||
 		r >= 0x20 && r <= 0xD7FF ||
 		r >= 0xE000 && r <= 0xFFFD ||
@@ -110,7 +110,7 @@ func (s *Scanner) chars(raw []byte, class *[256]uint8, keep bool) (data []byte, 
 			if msg != "" {
 				return nil, false, i, msg
 			}
-			if !isChar(r) {
+			if !IsChar(r) {
 				return nil, false, i, fmt.Sprintf("illegal character code %U", r)
 			}
 			edit(i)
@@ -129,7 +129,7 @@ func (s *Scanner) chars(raw []byte, class *[256]uint8, keep bool) (data []byte, 
 			if r == utf8.RuneError && n == 1 {
 				return nil, false, i, "invalid UTF-8"
 			}
-			if !isChar(r) {
+			if !IsChar(r) {
 				return nil, false, i, fmt.Sprintf("illegal character code %U", r)
 			}
 			blank = false

@@ -13,6 +13,9 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"xqgo/internal/xdm"
+	"xqgo/internal/xmlscan"
 )
 
 // tokKind is a lexical token kind.
@@ -89,18 +92,46 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
-// Error is a positioned parse error.
+// Error is a positioned parse error. A query the grammar rejects is
+// err:XPST0003 (XQuery 1.0 §2.3.1): errors.As reads an Error as that
+// *xdm.Error, whose message keeps the line and column.
 type Error struct {
 	Line, Col int
 	Msg       string
 }
 
-func (e *Error) Error() string {
-	return fmt.Sprintf("xquery:%d:%d: %s", e.Line, e.Col, e.Msg)
+func (e *Error) Error() string { return e.Unwrap().Error() }
+
+// Unwrap returns the error as err:XPST0003.
+func (e *Error) Unwrap() error {
+	return xdm.Errf("XPST0003", "xquery:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
 func (l *lexer) errf(format string, args ...any) *Error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// checkChars rejects text that is not UTF-8 or holds a character outside
+// XML 1.0's Char production: XQuery's terminals are made of Chars (XQuery
+// 1.0 §A.2), so such a query is err:XPST0003, and a string literal could
+// otherwise carry the character to serialized output.
+func checkChars(src string) error {
+	line, col := 1, 1
+	for i := 0; i < len(src); {
+		r, n := utf8.DecodeRuneInString(src[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			return &Error{Line: line, Col: col, Msg: "invalid UTF-8"}
+		case !xmlscan.IsChar(r):
+			return &Error{Line: line, Col: col, Msg: fmt.Sprintf("invalid character %U", r)}
+		case r == '\n':
+			line, col = line+1, 1
+		default:
+			col++
+		}
+		i += n
+	}
+	return nil
 }
 
 // peekRune returns the rune at the cursor without consuming.

@@ -44,6 +44,9 @@ type parser struct {
 
 // Parse parses a complete query (prolog + body).
 func Parse(src string) (*expr.Query, error) {
+	if err := checkChars(src); err != nil {
+		return nil, err
+	}
 	p := &parser{
 		lex: newLexer(src),
 		ns: []map[string]string{{

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xqgo/internal/expr"
+	"xqgo/internal/xdm"
 )
 
 // parseOK parses a query body and returns its rendered expression tree.
@@ -51,10 +52,34 @@ func TestOperatorPrecedence(t *testing.T) {
 		`-3 + 2`:                      `(-3 + 2)`,
 		`2 + -3`:                      `(2 + -3)`,
 		`- 3 * 2`:                     `(-3 * 2)`, // unary binds the value expr
+		// One row per adjacent pair of levels, parseOr … parseUnary.
+		`1 eq 1 and 2 eq 2`:                             `((1 eq 1) and (2 eq 2))`,
+		`1 to 2 = 2 to 3`:                               `((1 to 2) = (2 to 3))`,
+		`1 + 1 to 2 + 3`:                                `((1 + 1) to (2 + 3))`,
+		`$a * $b | $c`:                                  `($a * ($b union $c))`,
+		`$a | $b intersect $c`:                          `($a union ($b intersect $c))`,
+		`$a union $b except $c`:                         `($a union ($b except $c))`,
+		`$a intersect $b instance of node()*`:           `($a intersect ($b instance of node()*))`,
+		`$a treat as node() instance of node()`:         `(($a treat as node()) instance of node())`,
+		`$a castable as xs:integer treat as xs:boolean`: `(($a castable as xs:integer) treat as xs:boolean)`,
+		`$a cast as xs:integer castable as xs:string`:   `(($a cast as xs:integer) castable as xs:string)`,
+		`-$a cast as xs:string`:                         `(-$a cast as xs:string)`, // (-$a) cast, not -($a cast)
 	}
 	for src, want := range cases {
 		if got := parseOK(t, src); got != want {
 			t.Errorf("parse %q = %s, want %s", src, got, want)
+		}
+	}
+	// The non-associative levels take one operator: a second is a syntax
+	// error.
+	for _, src := range []string{
+		`1 eq 1 eq 1`,
+		`1 to 2 to 3`,
+		`1 cast as xs:integer cast as xs:string`,
+		`1 instance of xs:integer instance of xs:boolean`,
+	} {
+		if _, err := Parse(src); !xdm.IsCode(err, "XPST0003") {
+			t.Errorf("Parse(%q) error = %v, want err:XPST0003", src, err)
 		}
 	}
 }
@@ -329,6 +354,9 @@ func TestParseErrors(t *testing.T) {
 		{`"unterminated`, "unterminated string"},
 		{`(: unclosed comment`, "unterminated comment"},
 		{`<a>}</a>`, `single "}"`},
+		{"'\v'", "1:2: invalid character U+000B"},
+		{"<a>\x00</a>", "1:4: invalid character U+0000"},
+		{"'\xff'", "1:2: invalid UTF-8"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -336,8 +364,8 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", c.src)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Parse(%q) error = %q, want substring %q", c.src, err, c.wantSub)
+		if !strings.Contains(err.Error(), c.wantSub) || !xdm.IsCode(err, "XPST0003") {
+			t.Errorf("Parse(%q) error = %q, want err:XPST0003 with substring %q", c.src, err, c.wantSub)
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package xqgo_test
 
-// Differential test for morsel-driven intra-query parallelism: every query
-// of the batch differential suite — and a set of large-document queries
-// that actually cross the morsel activation thresholds — is evaluated with
-// worker parallelism off and on (Workers=8), under every engine variant,
-// asserting identical results and identical error codes. Run in CI at
-// GOMAXPROCS=8 under -race: workers share indexes, the call memo, and the
-// resolver across goroutines.
+// Morsel-driven intra-query parallelism: workers off and on (8, with a
+// limiter that grants them all) under every engine variant, on the paper
+// suite and on a document large enough that the morsel loops split into
+// parallel rounds. CI runs these at GOMAXPROCS=8 under -race: workers share
+// indexes, the call memo and the resolver across goroutines.
 
 import (
 	"fmt"
@@ -17,112 +15,9 @@ import (
 	"xqgo/internal/workload"
 )
 
-// grantAll always grants the full worker request, so the differential runs
-// real parallel rounds regardless of the host's CPU count (the default
-// process pool grants nothing on a single-CPU machine).
-type grantAll struct{}
+func TestMorselDifferentialPaperSuite(t *testing.T) { eachBase(t, paperRows, axWorkers) }
 
-func (grantAll) TryLease(n int) int { return n }
-func (grantAll) Release(int)        {}
-
-func TestMorselDifferentialPaperSuite(t *testing.T) {
-	for _, os := range batchDiffOptSets {
-		t.Run(os.name, func(t *testing.T) {
-			for _, q := range batchDiffQueries {
-				compiled, err := xqgo.Compile(q, &os.opts)
-				if err != nil {
-					t.Fatalf("compile %q: %v", q, err)
-				}
-				ctxSeq, _ := paperCtx(t)
-				ctxPar, _ := paperCtx(t)
-				ctxPar.WithWorkers(8).WithWorkerLimiter(grantAll{})
-				outSeq, errSeq := compiled.EvalString(ctxSeq)
-				outPar, errPar := compiled.EvalString(ctxPar)
-				if errCode(errSeq) != errCode(errPar) {
-					t.Errorf("%q: error mismatch: sequential %v vs workers %v", q, errSeq, errPar)
-					continue
-				}
-				if errSeq == nil && outSeq != outPar {
-					t.Errorf("%q: result mismatch:\n  sequential: %q\n  workers:    %q", q, outSeq, outPar)
-				}
-			}
-		})
-	}
-}
-
-// morselDeepQueries run over a document large enough that the path-scan,
-// structural-join, and FLWOR morsel loops genuinely split into parallel
-// rounds (the paper suite's bib document is far below the thresholds). The
-// document is also bound to $d: comma branches must not read the focus.
-var morselDeepQueries = []string{
-	// Descendant range scans over the pre-order array.
-	`count(//a)`,
-	`count(//b) + count(//c)`,
-	`string-join((//a)[position() <= 20]/local-name(), "")`,
-	// Structural-join chains (postings feeds at scale).
-	`count(//a//b)`,
-	`count(//a//b//c)`,
-	`(//a//b)[500]/local-name()`,
-	// FLWOR tuple pipelines.
-	`sum(for $i in 1 to 20000 return $i mod 7)`,
-	`string-join(for $b in //b return local-name($b), "")`,
-	`count(for $a in //a where count($a/*) > 2 return $a)`,
-	// Error position must not depend on worker count.
-	`count(for $i in 1 to 20000 return 1 idiv (20000 - $i))`,
-	`sum(for $i in 1 to 20000 return if ($i = 19999) then "boom" else 1)`,
-	// Comma branches, one morsel each: the E13 eight-branch sequence,
-	// branches sharing a let binding, a failing branch in the middle.
-	e13Query,
-	`declare variable $d external;
-	 let $a := $d//a return
-	   (count($a//b) + count($a/c) + count($a/d) + count($a/a),
-	    string-join(for $x in $a[position() <= 40] return local-name($x/*[1]), ""),
-	    sum(for $x in $a[position() <= 400] return count($x/*)) + count($a/b))`,
-	`declare variable $d external;
-	 (count($d//a//b//c), sum(for $i in 1 to 20000 return 1 idiv (20000 - $i)), count($d//b//c//d))`,
-}
-
-// e13Query is experiment E13's comma sequence (cmd/xqbench): eight
-// independent three-step chains over one external document.
-const e13Query = `declare variable $d external;
-	(count($d//a//b//c), count($d//b//c//d), count($d//c//d//a), count($d//d//a//b),
-	 count($d//a//c//b), count($d//b//d//a), count($d//c//a//d), count($d//d//b//c))`
-
-func TestMorselDifferentialDeepDoc(t *testing.T) {
-	doc := xqgo.FromStore(workload.Deep(workload.DeepConfig{Nodes: 60000, Seed: 2}))
-	for _, os := range batchDiffOptSets {
-		t.Run(os.name, func(t *testing.T) {
-			for _, q := range morselDeepQueries {
-				compiled, err := xqgo.Compile(q, &os.opts)
-				if err != nil {
-					t.Fatalf("compile %q: %v", q, err)
-				}
-				base := ""
-				var baseErr error
-				for i, workers := range []int{0, 2, 8} {
-					ctx := xqgo.NewContext().WithContextNode(doc).Bind("d", doc)
-					if workers > 0 {
-						ctx.WithWorkers(workers).WithWorkerLimiter(grantAll{})
-					}
-					out, err := compiled.EvalString(ctx)
-					if i == 0 {
-						base, baseErr = out, err
-						continue
-					}
-					if errCode(err) != errCode(baseErr) {
-						t.Errorf("%q: workers=%d error mismatch: %v vs sequential %v",
-							q, workers, err, baseErr)
-						continue
-					}
-					if baseErr == nil && out != base {
-						t.Errorf("%q: workers=%d result mismatch:\n  sequential: %q\n  workers:    %q",
-							q, workers, base, out)
-					}
-				}
-			}
-		})
-	}
-}
+func TestMorselDifferentialDeepDoc(t *testing.T) { eachBase(t, deepRows, axWorkers) }
 
 // Concurrent executions of one shared plan, each with morsel workers: the
 // per-execution state (buffer pools, profile shards, step counters) must
@@ -205,7 +100,7 @@ func TestMorselCommaBranchesStayLazy(t *testing.T) {
 	q := xqgo.MustCompile(`count((`+a+`, `+b+`))`, nil)
 	for _, workers := range []int{0, 8} {
 		_, err := q.EvalString(xqgo.NewContext().WithWorkers(workers).WithWorkerLimiter(grantAll{}))
-		if errCode(err) != "FOER0000" {
+		if codeOf(err) != "FOER0000" {
 			t.Errorf("count workers=%d: err %v, want FOER0000", workers, err)
 		}
 	}

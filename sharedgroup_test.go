@@ -15,26 +15,6 @@ import (
 	"xqgo/internal/workload"
 )
 
-// feedQueries are the benchmark's eight subscription queries (five of the
-// six streamable ones share the spine /Order/OrderLine, two need the store)
-// plus queries on other spines: two over a Bib feed, and one whose windows
-// nest inside the OrderLine windows of the same feed.
-var feedQueries = []string{
-	`/Order/date`,
-	paperQuery,
-	`/Order/OrderLine[SellersID = "2"]/Item/ID`,
-	`/Order/OrderLine[Item/Quantity = "20"]/Note`,
-	`for $l in /Order/OrderLine
-where $l/SellersID eq "3" and $l/Item/Quantity eq "1"
-return <hit>{string($l/Item/ID)}</hit>`,
-	`/Order/OrderLine[SellersID = "1"][Item/Quantity = "5"]/Item`,
-	`count(/Order/OrderLine)`,
-	`sum(/Order/OrderLine/Item/Quantity)`,
-	`/bib/book[price > 60]/title`,
-	`for $b in /bib/book where $b/@year = "1994" return <t>{string($b/title)}</t>`,
-	`/Order/OrderLine/Item[Quantity = "7"]/ID`,
-}
-
 // sharedSpine indexes the feedQueries that evaluate a residual over
 // /Order/OrderLine windows, i.e. land in one window group.
 var sharedSpine = []int{1, 2, 3, 4, 5}
@@ -114,19 +94,15 @@ func compileAll(srcs []string) []*xqgo.Query {
 	return qs
 }
 
-// TestSharedGroupMatchesSolo is the shared-vs-solo differential: whatever
-// subset of the queries is registered on one Subscriber, in whatever order,
-// every subscription sees exactly what it would see as the feed's only
-// subscription — the same results in the same order, the same totals, the
-// same error.
+// TestSharedGroupMatchesSolo is the feed axis of the oracle: whatever
+// subset of the feed queries is registered on one Subscriber, in whatever
+// order, every subscription sees exactly what it would see as the feed's
+// only subscription — the same results in the same order, the same
+// totals, the same error.
 func TestSharedGroupMatchesSolo(t *testing.T) {
 	leakcheck.Check(t)
 	all := compileAll(feedQueries)
-	feeds := map[string]string{
-		"orders": workload.DocToXML(workload.Orders(workload.OrdersConfig{Lines: 300, Sellers: 4, Seed: 11})),
-		"bib":    workload.DocToXML(workload.Bib(workload.BibConfig{Books: 120, Seed: 12})),
-	}
-	for name, feed := range feeds {
+	for name, feed := range map[string]string{"orders": ordersFeedDoc.load().xml, "bib": bibDoc.load().xml} {
 		solo := runSolo(t, feed, all, nil)
 		delivered := 0
 		for _, o := range solo {
@@ -148,13 +124,16 @@ func TestSharedGroupMatchesSolo(t *testing.T) {
 			}
 			shared := runFeed(t, feed, qs, nil, nil)
 			for i, qi := range pick {
-				if !reflect.DeepEqual(shared[i], solo[qi]) {
-					t.Errorf("%s round %d, registration %v: query %d (%s)\n shared: %+v\n solo:   %+v",
-						name, round, pick, qi, feedQueries[qi], brief(shared[i]), brief(solo[qi]))
-				}
+				compare(t, fmt.Sprintf("%s round %d, registration %v: %s", name, round, pick, feedQueries[qi]),
+					solo[qi].outcome(), shared[i].outcome(), nil, false)
 			}
 		}
 	}
+}
+
+// outcome is what the subscription showed, for compare.
+func (o subOutcome) outcome() outcome {
+	return outcome{out: fmt.Sprintf("%q %+v", o.results, o.stats), code: o.err}
 }
 
 // brief shortens an outcome for a failure message.

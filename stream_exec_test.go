@@ -12,10 +12,6 @@ import (
 	"xqgo/internal/workload"
 )
 
-const paperQuery = `for $line in /Order/OrderLine
-where $line/SellersID eq "1"
-return <lineItem>{fn:string($line/Item/ID)}</lineItem>`
-
 func ordersXML(lines int) string {
 	return workload.DocToXML(workload.Orders(workload.OrdersConfig{Lines: lines, Sellers: 3, Seed: 1}))
 }
@@ -35,67 +31,10 @@ func storedExecute(t *testing.T, src, doc string) string {
 	return buf.String()
 }
 
-func TestStreamModeMatchesStoreEngine(t *testing.T) {
-	orders, feed := ordersXML(200), ordersXML(5000)
-	queries := []struct {
-		src  string
-		want xqgo.StreamClass
-		doc  string
-	}{
-		{`/Order/OrderLine`, xqgo.StreamFullyStreamable, orders},
-		{`/Order/OrderLine/Item/ID`, xqgo.StreamFullyStreamable, orders},
-		{`/Order/OrderLine[SellersID = "1"]`, xqgo.StreamBoundedBuffer, orders},
-		{paperQuery, xqgo.StreamBoundedBuffer, orders},
-		{paperQuery, xqgo.StreamBoundedBuffer, feed},
-		{`count(/Order/OrderLine)`, xqgo.StreamStoreRequired, orders}, // exercises fallback
-		// A prefixed feed: forwarded window tokens, nested windows and arena
-		// windows carry the declarations a scan of the stored subtree sends.
-		{`declare namespace p="urn:p"; /p:a/p:b`, xqgo.StreamFullyStreamable, paperNS},
-		{`declare namespace d="urn:d"; //d:e`, xqgo.StreamBoundedBuffer, paperNS},
-		{`declare namespace p="urn:p"; for $b in /p:a/* return <hit xmlns:z="urn:z">{$b/@*, $b/*}</hit>`,
-			xqgo.StreamBoundedBuffer, paperNS},
-	}
-	for _, c := range queries {
-		doc := c.doc
-		q := xqgo.MustCompile(c.src, nil)
-		if class, reason := q.Streamability(); class != c.want {
-			t.Errorf("%s: class %v (%s), want %v", c.src, class, reason, c.want)
-			continue
-		}
-		want := storedExecute(t, c.src, doc)
-
-		prof := q.NewCountersProfile()
-		ctx := xqgo.NewContext().
-			WithStreamingInput(strings.NewReader(doc), "mem:feed").
-			WithStreamMode(true).
-			WithProfile(prof)
-		var buf bytes.Buffer
-		if err := q.Execute(ctx, &buf); err != nil {
-			t.Errorf("%s: stream execute: %v", c.src, err)
-			continue
-		}
-		if got := buf.String(); got != want {
-			t.Errorf("%s:\n stream: %.200q\n store:  %.200q", c.src, got, want)
-		}
-		rep := prof.Report()
-		if c.want == xqgo.StreamStoreRequired {
-			if rep.Counters.StreamFallbacks != 1 {
-				t.Errorf("%s: fallbacks = %d, want 1", c.src, rep.Counters.StreamFallbacks)
-			}
-		} else {
-			if rep.Counters.StreamWindows == 0 {
-				t.Errorf("%s: no stream windows recorded", c.src)
-			}
-			if rep.Counters.StreamFallbacks != 0 {
-				t.Errorf("%s: unexpected fallback (%d)", c.src, rep.Counters.StreamFallbacks)
-			}
-			// A window holds one OrderLine however long the feed is.
-			if peak := rep.Counters.StreamBufferPeakBytes; doc == feed && (peak <= 0 || peak > int64(len(feed)/100)) {
-				t.Errorf("%s: peak window buffer %d B, want > 0 and <= 1%% of the %d B feed", c.src, peak, len(feed))
-			}
-		}
-	}
-}
+// TestStreamModeMatchesStoreEngine: the event-driven evaluator, the lazy
+// streamed parse with and without projection, and the store engine agree,
+// and each plan has the class and the window counters it is pinned to.
+func TestStreamModeMatchesStoreEngine(t *testing.T) { oracle(t, streamRows, xqgo.Options{}, axInput) }
 
 // trackingReader records how many input bytes have been consumed.
 type trackingReader struct {

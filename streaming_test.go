@@ -1,8 +1,8 @@
 package xqgo_test
 
 // End-to-end tests of lazy streaming ingestion with static path projection:
-// time-to-first-answer over a pipe, projection on/off differentials across
-// the paper-query shapes, and the materialization budget on a multi-megabyte
+// time-to-first-answer over a pipe, projection on/off across the
+// paper-query shapes, and the materialization budget on a multi-megabyte
 // document.
 
 import (
@@ -114,63 +114,10 @@ func streamRun(t *testing.T, src, xml string, disableProjection bool) (string, e
 	return out.String(), execErr, prof.Report().Counters
 }
 
-// TestProjectionDifferential runs the paper-query shapes over the same
-// streamed document with projection on and off: results and errors must be
-// identical, and the selective queries must actually skip nodes.
-func TestProjectionDifferential(t *testing.T) {
-	xml := workload.DocToXML(workload.Bib(workload.BibConfig{Books: 500, Seed: 11}))
-
-	cases := []struct {
-		query      string
-		wantSkips  bool // projection must skip at least one node
-		mayBeError bool // evaluation error expected (parity still required)
-	}{
-		{query: `/bib/book/title`, wantSkips: true},
-		{query: `//title`, wantSkips: true},
-		{query: `count(//author)`, wantSkips: true},
-		{query: `for $b in /bib/book where $b/@year = "1994" return $b/title`, wantSkips: true},
-		{query: `/bib/book[price > 50]/title`, wantSkips: true},
-		{query: `for $b in /bib/book return <r y="{$b/@year}">{$b/title}</r>`, wantSkips: true},
-		{query: `/bib/book/author/last`, wantSkips: true},
-		{query: `doc("stream.xml")/bib/book/publisher`, wantSkips: true},
-		{query: `count(/bib/book[author/last = "Suciu"])`, wantSkips: true},
-		{query: `/bib/book/title/..`},              // parent axis: keep-all
-		{query: `.`},                               // whole document
-		{query: `1 + /bib/book`, mayBeError: true}, // XPTY0004 parity
-		{query: `sum(/bib/book/xs:integer(@year))`},
-		{query: `xs:integer(/bib/book[1]/title)`, mayBeError: true}, // FORG0001 parity
-		// An omitted focus argument reads the focus: the string value, the
-		// name, or the root of the focus's tree.
-		{query: `/bib/book/title/string()`, wantSkips: true},
-		{query: `string()`},
-		{query: `count(/bib/book[string-length() gt 40])`},
-		{query: `/bib/book/title/name()`, wantSkips: true},
-		{query: `for $b in /bib/book return $b/title/string()`, wantSkips: true},
-		{query: `/bib/book[1]/title/root()/bib/book[2]/price/string(.)`, wantSkips: true},
-		{query: `/bib/book/price/number()`, wantSkips: true},
-	}
-	for _, c := range cases {
-		projOut, projErr, projC := streamRun(t, c.query, xml, false)
-		fullOut, fullErr, fullC := streamRun(t, c.query, xml, true)
-		if projOut != fullOut {
-			t.Errorf("%s: output diverged with projection\n proj %q\n full %q",
-				c.query, clip(projOut), clip(fullOut))
-		}
-		if (projErr == nil) != (fullErr == nil) ||
-			(projErr != nil && projErr.Error() != fullErr.Error()) {
-			t.Errorf("%s: error diverged with projection\n proj %v\n full %v", c.query, projErr, fullErr)
-		}
-		if c.mayBeError && fullErr == nil {
-			t.Errorf("%s: expected an evaluation error, got none", c.query)
-		}
-		if c.wantSkips && projC.NodesSkipped == 0 {
-			t.Errorf("%s: projection skipped no nodes", c.query)
-		}
-		if fullC.NodesSkipped != 0 {
-			t.Errorf("%s: projection-off run skipped %d nodes", c.query, fullC.NodesSkipped)
-		}
-	}
-}
+// TestProjectionDifferential: the paper-query shapes over a streamed
+// document with projection on and off give the reference's bytes and
+// codes, and the selective queries skip nodes.
+func TestProjectionDifferential(t *testing.T) { oracle(t, projectionRows, xqgo.Options{}, axInput) }
 
 func clip(s string) string {
 	if len(s) > 160 {

@@ -31,7 +31,7 @@ import (
 
 // startServer serves the handler on a real ephemeral TCP port and returns
 // the base URL.
-func startServer(t *testing.T, svc *service.Service) string {
+func startServer(t testing.TB, svc *service.Service) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +43,7 @@ func startServer(t *testing.T, svc *service.Service) string {
 	return "http://" + ln.Addr().String()
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -66,6 +66,7 @@ type queryResp struct {
 	Cached bool   `json:"cached"`
 	Micros int64  `json:"micros"`
 	Error  string `json:"error"`
+	Code   string `json:"code"`
 }
 
 func getStats(t *testing.T, base string) service.Snapshot {
@@ -285,12 +286,13 @@ func TestXqdNamespacedResults(t *testing.T) {
 	}
 
 	for query, code := range map[string]string{
-		`/*/*[1]/@*[1]`:                  "err:SENR0001", // top-level attribute
-		`<a x="1">{attribute x {2}}</a>`: "err:XQDY0025", // duplicate attribute
+		`/*/*[1]/@*[1]`:                  "SENR0001", // top-level attribute
+		`<a x="1">{attribute x {2}}</a>`: "XQDY0025", // duplicate attribute
 	} {
 		r, body := postJSON(t, base+"/query", map[string]any{"query": query, "doc": "feed"})
-		if r.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), code) {
-			t.Errorf("%s: status %d body %s, want 422 with %s", query, r.StatusCode, body, code)
+		var qr queryResp
+		if err := json.Unmarshal(body, &qr); err != nil || r.StatusCode != http.StatusUnprocessableEntity || qr.Code != code {
+			t.Errorf("%s: status %d body %s, want 422 with code %s", query, r.StatusCode, body, code)
 		}
 	}
 

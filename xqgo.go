@@ -125,7 +125,7 @@ func Compile(src string, opts *Options) (*Query, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	q, err := xqparse.Parse(src)
+	q, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +157,20 @@ func Compile(src string, opts *Options) (*Query, error) {
 // lazy engine against. The parameter type lives under internal/, so only
 // code inside this module can call it.
 func CompileReference(src string, ro runtime.Options) (*Query, error) {
-	q, err := xqparse.Parse(src)
+	q, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
 	return compilePlan(q, nil, ro)
+}
+
+// parse parses src and checks its names, before anything rewrites it.
+func parse(src string) (*expr.Query, error) {
+	q, err := xqparse.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return q, xqparse.CheckNames(q)
 }
 
 func compilePlan(q *expr.Query, trace *optimizer.Trace, ro runtime.Options) (*Query, error) {
