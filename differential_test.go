@@ -16,6 +16,10 @@ func TestDifferentialExecutePath(t *testing.T) {
 		axOptimizer|axInput|axBudget|axPull|axHTTP)
 }
 
+// TestChainDifferential: the step-chain rows through every leg, under the
+// default plan, forced navigation and the forced twig join.
+func TestChainDifferential(t *testing.T) { eachBase(t, chainRows, axAll) }
+
 // eagerOracle compiles src, unoptimized, for the eager reference engine:
 // every sub-expression fully materialized before its consumer runs.
 func eagerOracle(tb testing.TB, src string) *xqgo.Query {

@@ -7,6 +7,7 @@
 //
 // Queries walk the subset of DESIGN.md §3 by a grammar: paths over every
 // supported axis with numeric, boolean, positional and last() predicates,
+// predicate-free step chains in every scalar position (DESIGN.md §13),
 // focus built-ins with and without their argument, FLWOR with at, where,
 // order by and group by, quantifiers, direct and computed constructors
 // with duplicate and copied attributes, try/catch, declared functions and
@@ -77,22 +78,24 @@ const (
 // variable for the rest of the production, %i a number one and %g a string
 // one, in scope from the hole after the next on, and %V %I %G name the last
 // bound; %o is a range; %f calls a focus built-in, %z one without its
-// argument; %l names a declared function; %t is a path, %r forward element
-// steps from the root; %= repeats the hole before it. A production that
-// starts with "." needs a focus.
+// argument; %l names a declared function; %t is a path, %h a step chain,
+// %r forward element steps from the root; %= repeats the hole before it. A
+// production that starts with "." needs a focus.
 var grammar = map[byte][]string{
-	'n': {"0", "1", "2", "3", "2.5", "1e0", "count(%p)", "sum(%p)", "max(%p)", "xs:integer(%a)", ".position()", ".last()", "%f", "%l(%a)"},
-	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f"},
-	'b': {"true()", "false()", "not(%a)", "exists(%p)", "empty(%p)", "boolean(%p)"},
-	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c"},
+	'n': {"0", "1", "2", "3", "2.5", "1e0", "count(%p)", "sum(%p)", "max(%p)", "xs:integer(%a)", ".position()", ".last()", "%f", "%l(%a)",
+		"count(%h)", "sum(%h)"},
+	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f", "string(%h)"},
+	'b': {"true()", "false()", "not(%a)", "exists(%p)", "empty(%p)", "boolean(%p)", "exists(%h)", "empty(%h)", "(%h = (%a))", "(%h eq (%a))"},
+	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c", "%h"},
 	'c': {"element e { %a }", "element p:e { %a }", `<e x="1">{attribute x { %a }, %a}</e>`, `<e x="1">{attribute y { %a }, %a}</e>`,
-		`<e>{%t/@*, %a}</e>`, `<e x="1">{%t/@x, %a}</e>`, `<p:e xmlns:p="urn:p" y="{%a}">{%a}</p:e>`, "<e>{%a}</e>"},
+		`<e>{%t/@*, %a}</e>`, `<e x="1">{%t/@x, %a}</e>`, `<p:e xmlns:p="urn:p" y="{%a}">{%a}</p:e>`, "<e>{%a}</e>", `<e y="{%h}">{%a}</e>`},
 	'w': {`concat(%z, "-", %z, "-", %z)`},
 	'x': {"if (%b) then %k else %k", "try { %k } catch * { %k }", "some %v in %p satisfies %b", "every %v in %p satisfies %b",
 		`for %v in %p group by %g := local-name(%V) order by %G return concat(%G, ":", count(%V))`,
 		`for %v in %p group by %g := string(%V) order by %G return concat(%G, ":", count(%V))`,
 		"for %v in %r return %k", "for %v at %i in %p where %b return %k", "for %v in %r let %v := %p return %k",
 		"for %v in %p order by %a descending return %k", "for %v at %i in %r order by %a empty greatest return %k",
+		"for %v in %r order by %h return %k", "for %v in %r where %h return %h",
 		"for %i in %o where %b return %k", "for %i at %i in %o return %k",
 		"for %v in %r return %V/(%W, %=)"}, // the same step twice: what common subexpression elimination may factor
 }
@@ -352,6 +355,8 @@ func (g *gen) expand(p string, k byte) string {
 			}
 		case 't':
 			last = g.path()
+		case 'h':
+			last = g.chain()
 		case 'r':
 			last = g.spine()
 		}
@@ -387,7 +392,7 @@ func (g *gen) lastVar(k byte) string {
 var (
 	axes  = []string{"", "", "", "child::", "descendant::", "descendant::", "self::", "descendant-or-self::", "parent::", "ancestor::", "ancestor-or-self::", "following-sibling::", "preceding-sibling::"}
 	tests = []string{"a", "b", "c", "a", "b", "c", "*", "*", "p:a", "p:*", "d:b", "*:c", "node()", "text()", "comment()", "processing-instruction()", "element()", "element(b)"}
-	preds = []string{"[1]", "[2]", "[last()]", "[last() - 1]", "[position() = 2]", "[position() lt 3]", "[%N]", "[%P]", "[%B]", "[%B]"}
+	preds = []string{"[1]", "[2]", "[last()]", "[last() - 1]", "[position() = 2]", "[position() lt 3]", "[%N]", "[%P]", "[%B]", "[%B]", "[%H]", "[%H = (%A)]"}
 )
 
 // path generates a path from the root, a node variable or the focus: one to
@@ -423,6 +428,29 @@ func (g *gen) path() string {
 	}
 	if g.chance(3) {
 		s += g.expand(g.pick("/%F", "/(%A)", "/(%A, %=)"), 'a')
+	}
+	return s
+}
+
+// chain generates a step chain, the shape the runtime walks on one cursor:
+// predicate-free child, attribute and self steps from the root, the focus
+// or a node variable, now and then after a leading "//".
+func (g *gen) chain() string {
+	starts := []string{"/", "//", "/r/"}
+	if g.focus {
+		starts = append(starts, "", "./")
+	}
+	for _, v := range g.vars {
+		if v.kind == 'p' {
+			starts = append(starts, v.name+"/")
+		}
+	}
+	s := g.pick(starts...)
+	for n := g.rng.Intn(3); n >= 0; n-- {
+		if s != "" && !strings.HasSuffix(s, "/") {
+			s += "/"
+		}
+		s += g.pick("a", "b", "c", "a", "b", "*", "p:a", "d:b", "*:c", "self::node()", "node()", "text()", "@x", "@*", "@p:x")
 	}
 	return s
 }

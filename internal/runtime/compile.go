@@ -7,6 +7,7 @@ import (
 	"xqgo/internal/functions"
 	"xqgo/internal/optimizer"
 	"xqgo/internal/projection"
+	"xqgo/internal/store"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xtypes"
 )
@@ -68,11 +69,12 @@ type compiler struct {
 	ops    []OpInfo             // operators tagged so far (profiling ids)
 	opExpr []expr.Expr          // source expression per tagged operator
 	fb     *feedback            // shared with the Prepared; sized after compile
+	chains map[expr.Expr]*chain // the step chains compiled so far, for their consumers
 }
 
 // Compile compiles a parsed query for the given engine options.
 func Compile(q *expr.Query, opts Options) (*Prepared, error) {
-	c := &compiler{opts: opts, funcs: map[string]*userFunc{}, fb: &feedback{}}
+	c := &compiler{opts: opts, funcs: map[string]*userFunc{}, fb: &feedback{}, chains: map[expr.Expr]*chain{}}
 	c.pushScope()
 
 	// Declare functions first (mutual recursion).
@@ -617,7 +619,13 @@ func (c *compiler) compileCond(e expr.Expr) (condFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(fr *Frame) (bool, error) { return ebvOf(fn(fr)) }, nil
+	ch := c.chains[e]
+	return func(fr *Frame) (bool, error) {
+		if found, ok, err := ch.exists(fr); ok {
+			return found, err
+		}
+		return ebvOf(fn(fr))
+	}, nil
 }
 
 // compileTest compiles an expression that is a condition natively into its
@@ -700,11 +708,11 @@ func (c *compiler) compileLogic(n *expr.Logic) (condFn, error) {
 // form wraps it. A literal operand is atomized at compile time and the
 // other operand streams.
 func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
-	lf, litL, err := c.compileOperand(n.L)
+	lo, err := c.compileOperand(n.L)
 	if err != nil {
 		return nil, nil, err
 	}
-	rf, litR, err := c.compileOperand(n.R)
+	ro, err := c.compileOperand(n.R)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -713,11 +721,11 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 		// An empty operand makes the result the empty sequence, which the
 		// condition reads as false.
 		cmp := func(fr *Frame) (r, ok bool, err error) {
-			a, ok, err := operandAtom(fr, lf, litL)
+			a, ok, err := lo.single(fr)
 			if err != nil || !ok {
 				return false, false, err
 			}
-			b, ok, err := operandAtom(fr, rf, litR)
+			b, ok, err := ro.single(fr)
 			if err != nil || !ok {
 				return false, false, err
 			}
@@ -742,60 +750,96 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 	}
 	// General comparison: existential over both operands, stopping at the
 	// first match. Against a literal the other side streams once; otherwise
-	// the left side streams and the right side is memoized.
+	// the left side streams and the right side is memoized — a variable's
+	// own memoized value, when it is one.
 	var cond condFn
 	switch {
-	case litL != nil && litR != nil: // unoptimized: nothing folded them
-		a, b := *litL, *litR
+	case lo.lit != nil && ro.lit != nil: // unoptimized: nothing folded them
+		a, b := *lo.lit, *ro.lit
 		cond = func(*Frame) (bool, error) { return xdm.GeneralCompareItems(op, a, b) }
-	case litR != nil:
-		b := *litR
+	case ro.lit != nil:
+		b := *ro.lit
 		cond = func(fr *Frame) (bool, error) {
-			return anyAtom(lf(fr), func(a xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+			return lo.any(fr, func(a xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
 		}
-	case litL != nil:
-		a := *litL
+	case lo.lit != nil:
+		a := *lo.lit
 		cond = func(fr *Frame) (bool, error) {
-			return anyAtom(rf(fr), func(b xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+			return ro.any(fr, func(b xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
 		}
 	default:
+		right := func(fr *Frame) *LazySeq { return NewLazySeq(ro.fn(fr)) }
+		if v, ok := n.R.(*expr.VarRef); ok && !c.opts.Eager {
+			id, _ := c.resolve(v.Name)
+			right = func(fr *Frame) *LazySeq { return fr.lookup(id) }
+		}
 		cond = func(fr *Frame) (bool, error) {
-			li := lf(fr)
-			rseq := NewLazySeq(rf(fr))
-			return anyAtom(li, func(a xdm.Atomic) (bool, error) {
-				return anyAtom(rseq.Iterator(), func(b xdm.Atomic) (bool, error) {
-					return xdm.GeneralCompareItems(op, a, b)
-				})
+			rseq := right(fr)
+			return lo.any(fr, func(a xdm.Atomic) (bool, error) {
+				for i := 0; ; i++ {
+					b, ok, err := rseq.at(i)
+					if err != nil || !ok {
+						return false, err
+					}
+					if m, err := xdm.GeneralCompareItems(op, a, xdm.Atomize(b)); err != nil || m {
+						return m, err
+					}
+				}
 			})
 		}
 	}
 	return cond, boolSeq(cond), nil
 }
 
-// compileOperand compiles a comparison operand; a literal comes back as its
-// value instead, to be compared without evaluating anything.
-func (c *compiler) compileOperand(e expr.Expr) (seqFn, *xdm.Atomic, error) {
+// operand is a compiled expression that its consumer atomizes to the end
+// inside one call: a literal's value, a step chain the consumer walks on
+// its stack, or else the expression's iterator.
+type operand struct {
+	fn  seqFn
+	lit *xdm.Atomic
+	ch  *chain
+}
+
+// compileOperand compiles an operand; a literal comes back as its value,
+// to be compared without evaluating anything.
+func (c *compiler) compileOperand(e expr.Expr) (operand, error) {
 	if lit, ok := e.(*expr.Literal); ok {
 		v := lit.Val
-		return nil, &v, nil
+		return operand{lit: &v}, nil
 	}
 	fn, err := c.compile(e)
-	return fn, nil, err
+	return operand{fn: fn, ch: c.chains[e]}, err
 }
 
-// operandAtom atomizes a value-comparison operand: a literal's value, or
-// at most one item of the compiled operand.
-func operandAtom(fr *Frame, fn seqFn, lit *xdm.Atomic) (xdm.Atomic, bool, error) {
-	if lit != nil {
-		return *lit, true, nil
+// single atomizes at most one item of the operand; a second item is a type
+// error, an empty operand yields ok=false.
+func (o operand) single(fr *Frame) (a xdm.Atomic, ok bool, err error) {
+	if o.lit != nil {
+		return *o.lit, true, nil
 	}
-	return atomizeSingle(fn(fr))
+	n := 0
+	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+		if n++; n > 1 {
+			return true, errTooMany
+		}
+		a = xdm.NewUntyped(d.StringValue(id))
+		return false, nil
+	}); walked {
+		return a, n == 1 && err == nil, err
+	}
+	return atomizeSingle(o.fn(fr))
 }
 
-// anyAtom reports whether test holds for the atomized value of some item of
-// it, pulling no further than the first that does.
-func anyAtom(it Iter, test func(xdm.Atomic) (bool, error)) (bool, error) {
-	for {
+// any reports whether test holds for the atomized value of some item of
+// the operand, reading no further than the first that does.
+func (o operand) any(fr *Frame, test func(xdm.Atomic) (bool, error)) (found bool, err error) {
+	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+		found, err = test(xdm.NewUntyped(d.StringValue(id)))
+		return found, err
+	}); walked {
+		return found, err
+	}
+	for it := o.fn(fr); ; {
 		x, ok, err := it.Next()
 		if err != nil || !ok {
 			return false, err

@@ -5,6 +5,7 @@ import (
 
 	"xqgo/internal/expr"
 	"xqgo/internal/functions"
+	"xqgo/internal/store"
 	"xqgo/internal/xdm"
 )
 
@@ -44,16 +45,17 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	local := n.Name.Local
 
 	argFns := make([]seqFn, len(n.Args))
+	chs := make([]*chain, len(n.Args))
 	for i, a := range n.Args {
 		fn, err := c.compile(a)
 		if err != nil {
 			return nil, err
 		}
-		argFns[i] = fn
+		argFns[i], chs[i] = fn, c.chains[a]
 	}
 
 	// Lazy special forms.
-	if fn, handled := c.lazyBuiltin(local, argFns); handled {
+	if fn, handled := c.lazyBuiltin(local, argFns, chs); handled {
 		return fn, nil
 	}
 
@@ -76,11 +78,19 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		}, nil
 	}
 
+	// A chain argument is walked on the stack, boxing only what it passes.
 	f, _ := functions.Lookup(local, len(n.Args))
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
-			seq, err := drainBatched(fr.dyn, afn(fr))
+			var seq xdm.Sequence
+			walked, err := chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
+				seq = append(seq, &store.Node{D: d, ID: id})
+				return false, nil
+			})
+			if !walked {
+				seq, err = drainBatched(fr.dyn, afn(fr))
+			}
 			if err != nil {
 				return errIter(err)
 			}
@@ -94,23 +104,34 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	}, nil
 }
 
-// lazyBuiltin wires the sequence predicates that benefit from lazy inputs.
-func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool) {
+// lazyBuiltin wires the sequence predicates that benefit from lazy inputs;
+// a chain argument is walked on the stack.
+func (c *compiler) lazyBuiltin(local string, argFns []seqFn, chs []*chain) (seqFn, bool) {
 	switch local {
 	case "empty", "exists":
 		wantEmpty := local == "empty"
 		return func(fr *Frame) Iter {
-			_, ok, err := argFns[0](fr).Next() // pull exactly one item
+			found, walked, err := chs[0].exists(fr)
+			if !walked {
+				_, found, err = argFns[0](fr).Next() // pull exactly one item
+			}
 			if err != nil {
 				return errIter(err)
 			}
-			return singleIter(boolItem(ok == !wantEmpty))
+			return singleIter(boolItem(found == !wantEmpty))
 		}, true
 	case "count":
 		// Batched counting: the input is drained a chunk at a time without
 		// ever materializing it; a source that knows its cardinality
 		// (range, materialized slice) skips production entirely.
 		return func(fr *Frame) Iter {
+			n := int64(0)
+			if walked, err := chs[0].walk(fr, func(*store.Document, int32) (bool, error) { n++; return false, nil }); walked {
+				if err != nil {
+					return errIter(err)
+				}
+				return singleIter(xdm.NewInteger(n))
+			}
 			it := argFns[0](fr)
 			if sz, ok := it.(sizedIter); ok {
 				if n, known := sz.remaining(); known {
@@ -118,7 +139,6 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn) (seqFn, bool) {
 				}
 			}
 			buf := fr.dyn.getBuf()
-			n := int64(0)
 			for {
 				k, err := nextBatch(it, buf)
 				if err != nil {

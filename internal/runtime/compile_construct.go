@@ -21,6 +21,7 @@ import (
 type compiledAttr struct {
 	name  xdm.QName
 	parts []seqFn // literal parts compiled too; joined per the AVT rules
+	chs   []*chain
 	lits  []string
 }
 
@@ -78,6 +79,7 @@ func (c *compiler) buildConstructor(e expr.Expr) (*compiledConstructor, error) {
 			for _, part := range a.Parts {
 				if lit, ok := part.(*expr.Literal); ok && lit.Val.T == xdm.TString {
 					ca.parts = append(ca.parts, nil)
+					ca.chs = append(ca.chs, nil)
 					ca.lits = append(ca.lits, lit.Val.S)
 					continue
 				}
@@ -86,6 +88,7 @@ func (c *compiler) buildConstructor(e expr.Expr) (*compiledConstructor, error) {
 					return nil, err
 				}
 				ca.parts = append(ca.parts, fn)
+				ca.chs = append(ca.chs, c.chains[part])
 				ca.lits = append(ca.lits, "")
 			}
 			cc.attrs = append(cc.attrs, ca)
@@ -115,6 +118,7 @@ func (c *compiler) buildConstructor(e expr.Expr) (*compiledConstructor, error) {
 				return nil, err
 			}
 			ca.parts = append(ca.parts, fn)
+			ca.chs = append(ca.chs, c.chains[part])
 			ca.lits = append(ca.lits, "")
 		}
 		cc.attrs = []compiledAttr{ca}
@@ -166,7 +170,8 @@ func (c *compiler) compileContentPiece(ce expr.Expr) (contentPiece, error) {
 	return contentPiece{fn: fn}, nil
 }
 
-// evalAttrValue computes an attribute's string value from its parts.
+// evalAttrValue computes an attribute's string value from its parts. A
+// chain part is written from the store by node id.
 func evalAttrValue(ca *compiledAttr, fr *Frame) (string, error) {
 	var b strings.Builder
 	for i, part := range ca.parts {
@@ -174,15 +179,26 @@ func evalAttrValue(ca *compiledAttr, fr *Frame) (string, error) {
 			b.WriteString(ca.lits[i])
 			continue
 		}
-		seq, err := drain(part(fr))
+		j := 0
+		write := func(s string) {
+			if j++; j > 1 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(s)
+		}
+		walked, err := ca.chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
+			write(d.StringValue(id))
+			return false, nil
+		})
+		if !walked {
+			var seq xdm.Sequence
+			seq, err = drainBatched(fr.dyn, part(fr))
+			for _, it := range seq {
+				write(xdm.StringValue(it))
+			}
+		}
 		if err != nil {
 			return "", err
-		}
-		for j, it := range seq {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			b.WriteString(xdm.StringValue(it))
 		}
 	}
 	return b.String(), nil
@@ -347,7 +363,7 @@ func attrError(err error) error {
 // contentString computes the joined string value for text/comment/PI
 // constructors.
 func contentString(fn seqFn, fr *Frame) (string, error) {
-	seq, err := drain(fn(fr))
+	seq, err := drainBatched(fr.dyn, fn(fr))
 	if err != nil {
 		return "", err
 	}

@@ -100,17 +100,17 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 	}
 	type orderKey struct {
-		key        seqFn
+		key        operand
 		descending bool
 		emptyLeast bool
 	}
 	var orderKeys []orderKey
 	for _, o := range n.Order {
-		fn, err := c.compile(o.Key)
+		key, err := c.compileOperand(o.Key)
 		if err != nil {
 			return nil, err
 		}
-		orderKeys = append(orderKeys, orderKey{fn, o.Descending, o.EmptyLeast})
+		orderKeys = append(orderKeys, orderKey{key, o.Descending, o.EmptyLeast})
 	}
 	retFn, err := c.compile(n.Ret)
 	if err != nil {
@@ -182,7 +182,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			}
 			row := sortable{frame: t}
 			for _, ok := range orderKeys {
-				a, present, err := atomizeSingle(ok.key(t))
+				a, present, err := ok.key.single(t)
 				if err != nil {
 					return errIter(err)
 				}

@@ -23,8 +23,15 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	}
 	jp := extractJoinPlan(n)
 	if jp == nil {
+		ch := c.chainOf(n)
+		if ch != nil {
+			navFn = ch.iter(navFn)
+		}
 		fn, id := c.tagID("path", n, navFn)
 		c.ops[id].Strategy = optimizer.StrategyNavigation.String()
+		if ch != nil {
+			ch.op = id
+		}
 		return fn, nil
 	}
 	// Join-eligible: both compilations are kept and one operator dispatches
@@ -118,9 +125,246 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	}, nil
 }
 
+// maxChain bounds a chain's steps: a consumer's cursor lives on its stack.
+const maxChain = 8
+
+// chain is a step chain (DESIGN §13): "/", "." or a variable, then
+// predicate-free child, attribute or self steps after at most a leading
+// descendant step (or "//x"). Walked depth-first over store ids it yields
+// document order without duplicates: each later step starts from nodes in
+// disjoint subtrees, in order. It serves when its start is one stored node.
+type chain struct {
+	root  bool // starts at the root of the context item's tree
+	varID int  // starts at this variable's one item; -1 for "." and "/"
+	steps []*expr.Step
+	op    int  // the path's profiling id; -1 for a bare step
+	par   bool // one descendant step, which morsel workers split
+}
+
+// chainOf recognizes e as a chain and records it for e's consumers; nil
+// when e is none, and always under the eager engine.
+func (c *compiler) chainOf(e expr.Expr) *chain {
+	if c.opts.Eager {
+		return nil
+	}
+	var rev []*expr.Step
+	top := e
+	for p, ok := e.(*expr.Path); ok; p, ok = e.(*expr.Path) {
+		s, isStep := p.R.(*expr.Step)
+		if !isStep {
+			return nil
+		}
+		rev, e = append(rev, s), p.L
+	}
+	ch := &chain{varID: -1, op: -1}
+	switch n := e.(type) {
+	case *expr.Step:
+		rev = append(rev, n)
+	case *expr.Root:
+		ch.root = true
+	case *expr.VarRef:
+		ch.varID, _ = c.resolve(n.Name)
+	case *expr.ContextItem:
+	default:
+		return nil
+	}
+	desc := false
+	for i := len(rev) - 1; i >= 0; i-- {
+		s := rev[i]
+		if s.Axis == expr.AxisDescendantOrSelf && s.Test.Kind == xtypes.TestAnyKind && i > 0 && rev[i-1].Axis == expr.AxisChild {
+			i-- // "//x" is descendant::x
+			s = &expr.Step{Base: rev[i].Base, Axis: expr.AxisDescendant, Test: rev[i].Test}
+		}
+		switch {
+		case s.Axis == expr.AxisDescendant || s.Axis == expr.AxisDescendantOrSelf:
+			if desc = true; len(ch.steps) > 0 {
+				return nil
+			}
+		case s.Axis == expr.AxisChild && desc, !scansStore(s.Axis):
+			return nil // under a descendant step, nested matches would interleave their children
+		}
+		ch.steps = append(ch.steps, s)
+	}
+	if len(ch.steps) == 0 || len(ch.steps) > maxChain {
+		return nil
+	}
+	ch.par = len(ch.steps) == 1 && desc
+	c.chains[top] = ch
+	return ch
+}
+
+// start is the chain's start node in fr; ok=false when it is not one
+// stored node. A variable qualifies only once its value is materialized
+// (a for variable, a parameter), so the test pulls nothing.
+func (ch *chain) start(fr *Frame) (d *store.Document, id int32, ok bool) {
+	var it xdm.Item
+	if ch.varID >= 0 {
+		v := fr.lookup(ch.varID)
+		if v.src != nil || v.err != nil || len(v.items) != 1 {
+			return nil, 0, false
+		}
+		it = v.items[0]
+	} else if it, ok = fr.ContextItem(); !ok {
+		return nil, 0, false
+	}
+	n, ok := it.(*store.Node)
+	if !ok {
+		return nil, 0, false
+	}
+	if ch.root {
+		return n.D, 0, true // node 0 is every stored tree's root
+	}
+	return n.D, n.ID, true
+}
+
+// walk reads the chain, until visit stops it, on a cursor on the caller's
+// stack: visit gets each node by id, unboxed. ok=false leaves the caller
+// to read the compiled expression: the start is not one stored node, or
+// morsel workers would split the scan. A profiled walk counts on the
+// path's row as its iterator would.
+func (ch *chain) walk(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (ok bool, err error) {
+	if ch == nil || ch.par && fr.dyn.Workers > 1 {
+		return false, nil
+	}
+	d, id, ok := ch.start(fr)
+	if !ok {
+		return false, nil
+	}
+	var arr [maxChain]storeScan
+	scans := arr[:len(ch.steps)]
+	cur := chainCursor{dyn: fr.dyn, d: d, steps: ch.steps}
+	cur.open(scans, id)
+	n := int64(0)
+	for id := cur.next(scans); id >= 0; id = cur.next(scans) {
+		n++
+		stop := false
+		if err = fr.dyn.CheckInterrupt(); err == nil {
+			stop, err = visit(d, id)
+		}
+		if stop || err != nil {
+			break
+		}
+	}
+	if p := fr.dyn.Prof; p != nil && ch.op >= 0 {
+		p.ops[ch.op].starts.Add(1)
+		p.ops[ch.op].items.Add(n)
+	}
+	return true, err
+}
+
+// exists walks the chain to its first node. found is also the effective
+// boolean value, the chain's items being nodes.
+func (ch *chain) exists(fr *Frame) (found, ok bool, err error) {
+	ok, err = ch.walk(fr, func(*store.Document, int32) (bool, error) { found = true; return true, nil })
+	return found, ok, err
+}
+
+// iter is the chain's iterator form: the cursor on the heap, or fallback's
+// iterator where the start is not one stored node.
+func (ch *chain) iter(fallback seqFn) seqFn {
+	return func(fr *Frame) Iter {
+		d, id, ok := ch.start(fr)
+		if !ok {
+			return fallback(fr)
+		}
+		it := &chainIter{chainCursor: chainCursor{dyn: fr.dyn, d: d, steps: ch.steps}}
+		if it.scans = it.one[:]; len(ch.steps) > 1 {
+			it.scans = make([]storeScan, len(ch.steps))
+		}
+		it.open(it.scans, id)
+		return it
+	}
+}
+
+// chainCursor walks a chain depth-first, one scan per step: scans[i] runs
+// step i from scans[i-1]'s last node, and scans[:depth] are positioned.
+// The scans are passed in, not held, so a consumer's stay on its stack.
+type chainCursor struct {
+	dyn   *Dynamic
+	d     *store.Document
+	steps []*expr.Step
+	depth int
+}
+
+func (c *chainCursor) open(scans []storeScan, id int32) {
+	scans[0].reset(c.dyn, c.d, id, c.steps[0].Axis, &c.steps[0].Test)
+	c.depth = 1
+}
+
+// descend positions every scan under the deepest one with nodes left;
+// false when the chain is done.
+func (c *chainCursor) descend(scans []storeScan) bool {
+	for c.depth < len(scans) {
+		if c.depth == 0 {
+			return false
+		}
+		id := scans[c.depth-1].next()
+		if id < 0 {
+			c.depth--
+			continue
+		}
+		s := c.steps[c.depth]
+		scans[c.depth].reset(c.dyn, c.d, id, s.Axis, &s.Test)
+		c.depth++
+	}
+	return c.depth > 0
+}
+
+// next returns the id of the chain's next node, or -1 at its end.
+func (c *chainCursor) next(scans []storeScan) int32 {
+	for c.descend(scans) {
+		if id := scans[c.depth-1].next(); id >= 0 {
+			return id
+		}
+		c.depth--
+	}
+	return -1
+}
+
+// chainIter is the cursor on the heap. Its last scan boxes the nodes it
+// emits, and splits a large descendant range into morsels as a step does.
+type chainIter struct {
+	chainCursor
+	scans []storeScan
+	one   [1]storeScan // a one-step chain's scan, in the same allocation
+}
+
+func (c *chainIter) Next() (xdm.Item, bool, error) {
+	if err := c.dyn.CheckInterrupt(); err != nil {
+		return nil, false, err
+	}
+	for c.descend(c.scans) {
+		if it, ok, err := c.scans[c.depth-1].Next(); ok || err != nil {
+			return it, ok, err
+		}
+		c.depth--
+	}
+	return nil, false, nil
+}
+
+// NextBatch implements BatchIter. While a streamed input is being parsed it
+// returns after any output, as pathIter does.
+func (c *chainIter) NextBatch(buf []xdm.Item) (int, error) {
+	lazy := c.dyn.streamingLazy()
+	n := 0
+	for n < len(buf) && c.descend(c.scans) {
+		k, err := c.scans[c.depth-1].NextBatch(buf[n:])
+		if n += k; err != nil {
+			return n, err
+		}
+		if k == 0 {
+			c.depth--
+		} else if lazy {
+			break
+		}
+	}
+	return n, c.dyn.CheckInterruptN(n)
+}
+
 // pathIter is the streaming core of E1/E2: the right side applied per
 // left-hand node, outputs concatenated. Batch pulls forward the demand to
-// the current right-side iterator, so chains of steps move chunks end to end.
+// the current right-side iterator; the left input is pulled a node at a
+// time.
 type pathIter struct {
 	fr     *Frame
 	rf     seqFn      // the right side under a focus; nil for a step
@@ -130,15 +374,6 @@ type pathIter struct {
 	lastFn func() (int64, error)
 	cur    Iter
 	pos    int64
-
-	// Batch-mode left prefetch. Like flworIter, a left-input error found
-	// while prefetching is stashed until the outputs of the nodes fetched
-	// before it have all been delivered, so errors surface in the same
-	// order as item-at-a-time evaluation.
-	pending []xdm.Item
-	pi, pn  int
-	stash   error
-	ldone   bool
 }
 
 // memoized keeps an input so that fn:last() can ask for its length.
@@ -150,67 +385,15 @@ func memoized(src Iter) (Iter, func() (int64, error)) {
 	}
 }
 
-// nextLeft yields the next left-hand node. In batched mode it prefetches a
-// chunk of the left input into a pooled buffer.
-func (p *pathIter) nextLeft(batched bool) (xdm.Item, bool, error) {
-	if p.pi < p.pn {
-		it := p.pending[p.pi]
-		p.pi++
-		return it, true, nil
-	}
-	if p.stash != nil {
-		err := p.stash
-		p.stash = nil
-		p.ldone = true
-		p.releaseLeft()
-		return nil, false, err
-	}
-	if p.ldone {
-		p.releaseLeft()
-		return nil, false, nil
-	}
-	if !batched {
-		it, ok, err := p.li.Next()
-		if err != nil || !ok {
-			p.ldone = true
-		}
-		return it, ok, err
-	}
-	if p.pending == nil {
-		p.pending = p.fr.dyn.getBuf()
-	}
-	n, err := nextBatch(p.li, p.pending)
-	p.pi, p.pn = 0, n
-	if err != nil {
-		p.stash = err
-	} else if n == 0 {
-		p.ldone = true
-	}
-	if n == 0 {
-		return p.nextLeft(batched) // deliver the stash or the end
-	}
-	p.pi = 1
-	return p.pending[0], true, nil
-}
-
-func (p *pathIter) releaseLeft() {
-	if p.pending != nil {
-		p.fr.dyn.putBuf(p.pending)
-		p.pending = nil
-		p.pi, p.pn = 0, 0
-	}
-}
-
 // advance focuses the right side on the next left-hand node; ok=false at
 // the end of the left input.
-func (p *pathIter) advance(batched bool) (bool, error) {
-	it, ok, err := p.nextLeft(batched)
+func (p *pathIter) advance() (bool, error) {
+	it, ok, err := p.li.Next()
 	if err != nil || !ok {
 		return false, err
 	}
 	node, isNode := it.(xdm.Node)
 	if !isNode {
-		p.releaseLeft()
 		return false, xdm.ErrType("path step applied to an atomic value")
 	}
 	if p.step != nil {
@@ -226,7 +409,7 @@ func (p *pathIter) advance(batched bool) (bool, error) {
 // re-points the path's one scan, so the step allocates nothing per node.
 func (p *pathIter) applyStep(n xdm.Node) Iter {
 	if sn, ok := n.(*store.Node); ok && scansStore(p.step.Axis) {
-		p.scan.reset(p.fr.dyn, sn, p.step.Axis, &p.step.Test)
+		p.scan.reset(p.fr.dyn, sn.D, sn.ID, p.step.Axis, &p.step.Test)
 		return &p.scan
 	}
 	return axisIter(p.fr.dyn, n, p.step.Axis, &p.step.Test)
@@ -238,7 +421,7 @@ func (p *pathIter) Next() (xdm.Item, bool, error) {
 			return nil, false, err
 		}
 		if p.cur == nil {
-			ok, err := p.advance(false)
+			ok, err := p.advance()
 			if err != nil || !ok {
 				return nil, false, err
 			}
@@ -255,17 +438,16 @@ func (p *pathIter) Next() (xdm.Item, bool, error) {
 }
 
 // NextBatch implements BatchIter. While a streamed input is still being
-// parsed, demand drops to item granularity: left prefetch is disabled and
-// the fill returns as soon as it holds anything, so a batch never forces
-// input beyond the items it delivers (short batches mean "pull again", so
-// this is invisible to consumers). Once ingestion completes — or when there
-// is no streamed input at all — batches fill normally.
+// parsed, demand drops to item granularity: the fill returns as soon as it
+// holds anything, so a batch never forces input beyond the items it
+// delivers (short batches mean "pull again", so this is invisible to
+// consumers).
 func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
 	lazy := p.fr.dyn.streamingLazy()
 	n := 0
 	for n < len(buf) {
 		if p.cur == nil {
-			ok, err := p.advance(!lazy)
+			ok, err := p.advance()
 			if err != nil || !ok {
 				return n, err
 			}
@@ -273,7 +455,6 @@ func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
 		k, err := nextBatch(p.cur, buf[n:])
 		n += k
 		if err != nil {
-			p.releaseLeft()
 			return n, err
 		}
 		if k == 0 {
@@ -292,6 +473,7 @@ func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
 
 // compileStep compiles one axis step against the context item.
 func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
+	c.chainOf(n) // a bare step's consumers walk it; its iterator is axisIter's scan
 	return func(fr *Frame) Iter {
 		it, ok := fr.ContextItem()
 		if !ok {
@@ -309,27 +491,23 @@ func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 // the node test, in axis order (reverse axes deliver reverse document
 // order; the enclosing path restores document order when required). dyn
 // enables the morsel upgrade of large descendant scans; nil keeps every
-// axis sequential.
+// axis sequential. A streamed constructed node is materialized first, so
+// the downward axes always scan the store.
 func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) Iter {
+	if s, ok := n.(*StreamedNode); ok {
+		m, err := s.materialize()
+		if err != nil {
+			return errIter(err)
+		}
+		n = m
+	}
 	if sn, ok := n.(*store.Node); ok && scansStore(axis) {
 		s := new(storeScan)
-		s.reset(dyn, sn, axis, test)
+		s.reset(dyn, sn.D, sn.ID, axis, test)
 		return s
 	}
 	principal := axis.Principal()
 	switch axis {
-	case expr.AxisSelf:
-		if test.MatchesNode(n, principal) {
-			return singleIter(n)
-		}
-		return emptyIter
-
-	case expr.AxisChild:
-		return filterNodes(n.ChildrenOf(), test, principal)
-
-	case expr.AxisAttribute:
-		return filterNodes(n.AttributesOf(), test, principal)
-
 	case expr.AxisParent:
 		p := n.Parent()
 		if p != nil && test.MatchesNode(p, principal) {
@@ -353,9 +531,6 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) I
 			return nil, false, nil
 		})
 
-	case expr.AxisDescendant, expr.AxisDescendantOrSelf:
-		return genericDescendantIter(n, axis == expr.AxisDescendantOrSelf, test, principal)
-
 	case expr.AxisFollowingSibling, expr.AxisPrecedingSibling:
 		p := n.Parent()
 		if p == nil || n.Kind() == xdm.AttributeNode {
@@ -372,55 +547,19 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) I
 		if idx < 0 {
 			return emptyIter
 		}
-		var cand []xdm.Node
-		if axis == expr.AxisFollowingSibling {
-			cand = sibs[idx+1:]
-		} else {
-			// preceding-sibling in reverse document order
-			for i := idx - 1; i >= 0; i-- {
-				cand = append(cand, sibs[i])
+		step, end := 1, len(sibs)
+		if axis == expr.AxisPrecedingSibling {
+			step, end = -1, -1 // reverse document order
+		}
+		var out xdm.Sequence
+		for i := idx + step; i != end; i += step {
+			if test.MatchesNode(sibs[i], principal) {
+				out = append(out, sibs[i])
 			}
 		}
-		return filterNodes(cand, test, principal)
+		return newSliceIter(out)
 	}
 	return emptyIter
-}
-
-// nodeSliceIter filters an already-listed node slice by the node test.
-type nodeSliceIter struct {
-	nodes     []xdm.Node
-	test      *xtypes.NodeTest
-	principal xdm.NodeKind
-	i         int
-}
-
-func (s *nodeSliceIter) Next() (xdm.Item, bool, error) {
-	for s.i < len(s.nodes) {
-		n := s.nodes[s.i]
-		s.i++
-		if s.test.MatchesNode(n, s.principal) {
-			return n, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchIter.
-func (s *nodeSliceIter) NextBatch(buf []xdm.Item) (int, error) {
-	n := 0
-	for n < len(buf) && s.i < len(s.nodes) {
-		nd := s.nodes[s.i]
-		s.i++
-		if s.test.MatchesNode(nd, s.principal) {
-			buf[n] = nd
-			n++
-		}
-	}
-	return n, nil
-}
-
-func filterNodes(nodes []xdm.Node, test *xtypes.NodeTest, principal xdm.NodeKind) Iter {
-	return &nodeSliceIter{nodes: nodes, test: test, principal: principal}
 }
 
 // storeScan enumerates the child, attribute and descendant axes of a stored
@@ -456,29 +595,30 @@ type storeScan struct {
 // scansStore reports whether storeScan serves the axis.
 func scansStore(axis expr.Axis) bool {
 	switch axis {
-	case expr.AxisChild, expr.AxisAttribute, expr.AxisDescendant, expr.AxisDescendantOrSelf:
+	case expr.AxisSelf, expr.AxisChild, expr.AxisAttribute, expr.AxisDescendant, expr.AxisDescendantOrSelf:
 		return true
 	}
 	return false
 }
 
-// reset points the scan at one of scansStore's axes of a stored node.
-func (s *storeScan) reset(dyn *Dynamic, n *store.Node, axis expr.Axis, test *xtypes.NodeTest) {
-	d := n.D
+// reset points the scan at one of scansStore's axes of stored node id.
+func (s *storeScan) reset(dyn *Dynamic, d *store.Document, id int32, axis expr.Axis, test *xtypes.NodeTest) {
 	*s = storeScan{d: d, self: -1, test: test, principal: axis.Principal(), dyn: dyn}
 	switch axis {
 	case expr.AxisChild:
-		s.cur, s.siblings = d.FirstChildID(n.ID), true
+		s.cur, s.siblings = d.FirstChildID(id), true
+	case expr.AxisSelf:
+		s.cur, s.end = id, id
 	case expr.AxisAttribute:
 		s.cur, s.end = 0, -1
-		if d.Kind(n.ID) == xdm.ElementNode {
-			from, to := d.AttrRange(n.ID)
+		if d.Kind(id) == xdm.ElementNode {
+			from, to := d.AttrRange(id)
 			s.cur, s.end = from, to-1
 		}
 	default:
-		s.cur, s.end, s.skipAttrs = n.ID+1, d.EndID(n.ID), true
+		s.cur, s.end, s.skipAttrs = id+1, d.EndID(id), true
 		if axis == expr.AxisDescendantOrSelf {
-			s.cur, s.self = n.ID, n.ID
+			s.cur, s.self = id, id
 		}
 	}
 }
@@ -640,34 +780,6 @@ func (s *storeScan) morselFill() (bool, error) {
 	return true, nil
 }
 
-// genericDescendantIter is the interface-only fallback (used by non-store
-// node implementations in tests).
-func genericDescendantIter(n xdm.Node, orSelf bool, test *xtypes.NodeTest, principal xdm.NodeKind) Iter {
-	var stack []xdm.Node
-	if orSelf {
-		stack = append(stack, n)
-	} else {
-		kids := n.ChildrenOf()
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
-	}
-	return iterFunc(func() (xdm.Item, bool, error) {
-		for len(stack) > 0 {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			kids := top.ChildrenOf()
-			for i := len(kids) - 1; i >= 0; i-- {
-				stack = append(stack, kids[i])
-			}
-			if test.MatchesNode(top, principal) {
-				return top, true, nil
-			}
-		}
-		return nil, false, nil
-	})
-}
-
 // compileFilter compiles E[p1][p2]...: each predicate filters the result of
 // the previous stage, with its own focus (item, position, size).
 func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
@@ -719,20 +831,25 @@ func (c *compiler) compilePredicate(pred expr.Expr) (condFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(fr *Frame) (bool, error) { return evalPredicate(pf(fr), fr.Position()) }, nil
+	ch := c.chains[pred]
+	return func(fr *Frame) (bool, error) {
+		if found, ok, err := ch.exists(fr); ok {
+			return found, err
+		}
+		return evalPredicate(pf(fr), fr.Position())
+	}, nil
 }
 
 // filterIter applies one compiled predicate with its own focus per input
-// item. Batch pulls stage the input in a pooled scratch buffer and compact
-// the keepers in place.
+// item, one frame re-pointed at each, and pulls its input an item at a
+// time.
 type filterIter struct {
-	fr      *Frame
-	keep    condFn
-	bi      Iter
-	lastFn  func() (int64, error) // nil unless the predicate reads its focus position or size
-	pos     int64
-	scratch []xdm.Item // borrowed from the pool on first batch pull
-	done    bool
+	fr     *Frame
+	focus  Frame // re-pointed at each item (see Frame)
+	keep   condFn
+	bi     Iter
+	lastFn func() (int64, error) // nil unless the predicate reads its focus position or size
+	pos    int64
 }
 
 func (f *filterIter) Next() (xdm.Item, bool, error) {
@@ -741,8 +858,7 @@ func (f *filterIter) Next() (xdm.Item, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.pos++
-		keep, err := f.keep(f.fr.focus(it, f.pos, f.lastFn))
+		keep, err := f.keep(f.at(it))
 		if err != nil {
 			return nil, false, err
 		}
@@ -752,53 +868,11 @@ func (f *filterIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-func (f *filterIter) release() {
-	if f.scratch != nil {
-		f.fr.dyn.putBuf(f.scratch)
-		f.scratch = nil
-	}
-}
-
-// NextBatch implements BatchIter.
-func (f *filterIter) NextBatch(buf []xdm.Item) (int, error) {
-	if f.done {
-		return 0, nil
-	}
-	if f.scratch == nil {
-		f.scratch = f.fr.dyn.getBuf()
-	}
-	for {
-		in := f.scratch
-		if len(buf) < len(in) {
-			in = in[:len(buf)] // keepers must fit the caller's buffer
-		}
-		k, err := nextBatch(f.bi, in)
-		n := 0
-		for i := 0; i < k; i++ {
-			it := in[i]
-			f.pos++
-			keep, kerr := f.keep(f.fr.focus(it, f.pos, f.lastFn))
-			if kerr != nil {
-				f.done = true
-				f.release()
-				return n, kerr
-			}
-			if keep {
-				buf[n] = it
-				n++
-			}
-		}
-		if err != nil || k == 0 {
-			f.done = true
-			f.release()
-			return n, err
-		}
-		if n > 0 {
-			return n, nil
-		}
-		// A full input batch with no keepers: pull again rather than
-		// returning a misleading n == 0 (which would signal the end).
-	}
+// at focuses the filter's one frame on the next item.
+func (f *filterIter) at(it xdm.Item) *Frame {
+	f.pos++
+	f.focus = Frame{parent: f.fr, dyn: f.fr.dyn, id: -1, hasFocus: true, ctxItem: it, ctxPos: f.pos, ctxLast: f.lastFn}
+	return &f.focus
 }
 
 // constFilter applies a predicate that reads no focus. It is decided at the

@@ -311,7 +311,10 @@ func (d *Dynamic) currentDateTime() xdm.Atomic {
 // Frame is one link of the binding-environment chain: it either binds a
 // variable (id >= 0) or establishes a focus (context item / position /
 // size). Frames are immutable once created, so lazily-evaluated thunks can
-// safely capture them.
+// safely capture them — with one exception: a filter re-points its one
+// focus frame at each item it tests (filterIter.at). That rests on an
+// invariant of conditions: a condFn returns only after everything it built
+// under the frame is dead, since its result is a bool.
 type Frame struct {
 	parent *Frame
 	dyn    *Dynamic

@@ -76,21 +76,6 @@ func (s *sliceIter) NextBatch(buf []xdm.Item) (int, error) {
 // remaining implements sizedIter.
 func (s *sliceIter) remaining() (int64, bool) { return int64(len(s.seq) - s.pos), true }
 
-// drain materializes an iterator into a sequence.
-func drain(it Iter) (xdm.Sequence, error) {
-	var out xdm.Sequence
-	for {
-		x, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, x)
-	}
-}
-
 // LazySeq is a lazily-materialized, memoizing sequence: the value of a
 // variable. Multiple consumers each get an independent cursor; items are
 // pulled from the producer at most once and cached — the item-granularity

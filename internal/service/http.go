@@ -14,7 +14,6 @@ import (
 
 	"xqgo"
 	"xqgo/internal/trace"
-	"xqgo/internal/xdm"
 )
 
 // NewHTTPHandler exposes the service over HTTP (stdlib net/http only):
@@ -299,12 +298,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	traceHeaders(w, tr)
 	if qr.Stream {
-		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		// Status and headers are committed at the first write; errors after
-		// that can only truncate the stream.
-		if _, _, err := s.Execute(r.Context(), req, w); err != nil {
-			writeError(w, err) // no-op on the status line if already streaming
-		}
+		s.stream(w, r, req)
 		return
 	}
 	res, err := s.Query(r.Context(), req)
@@ -359,10 +353,27 @@ func (s *Service) handleStreamQuery(w http.ResponseWriter, r *http.Request) {
 	// read — otherwise HTTP/1.x drains (and closes) the body at the first
 	// response write, which defeats incremental evaluation entirely.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	traceHeaders(w, tr)
-	if _, _, err := s.Execute(r.Context(), req, w); err != nil {
-		writeError(w, err) // no-op on the status line if already streaming
+	s.stream(w, r, req)
+}
+
+// stream answers with the XML result as it is produced. Status and headers
+// go out with the first byte: an error before it is the JSON error
+// response, an error after it ends the body where the result stopped and
+// travels in the trailers Xq-Error-Code (ErrorCode, the same string an
+// error response's "code" holds) and Xq-Error (the message).
+func (s *Service) stream(w http.ResponseWriter, r *http.Request, req Request) {
+	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header().Set("Trailer", "Xq-Error-Code, Xq-Error")
+	_, _, err := s.Execute(r.Context(), req, w)
+	var cut *truncatedError
+	switch {
+	case err == nil:
+	case !errors.As(err, &cut):
+		writeError(w, err)
+	default:
+		w.Header().Set("Xq-Error-Code", ErrorCode(err))
+		w.Header().Set("Xq-Error", strings.Join(strings.Fields(err.Error()), " "))
 	}
 }
 
@@ -442,7 +453,7 @@ type errorResponse struct {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusForError(err), errorResponse{Error: err.Error(), Code: xdm.CodeOf(err)})
+	writeJSON(w, statusForError(err), errorResponse{Error: err.Error(), Code: ErrorCode(err)})
 }
 
 // statusForError maps service errors onto HTTP semantics: overload is 503

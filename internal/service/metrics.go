@@ -62,7 +62,7 @@ func (s *Service) WriteOpenMetrics(w io.Writer) {
 func (s *Service) writeMetrics(w io.Writer, exemplars bool) {
 	st := s.stats
 	st.mu.Lock()
-	served, errs, rej, to := st.served, st.errors, st.rejected, st.timeouts
+	served, errs, rej, to, truncated := st.served, st.errors, st.rejected, st.timeouts, st.truncated
 	start := st.start
 	engine := st.engine
 	profiled := st.profiled
@@ -84,6 +84,8 @@ func (s *Service) writeMetrics(w io.Writer, exemplars bool) {
 	fmt.Fprintf(w, "xqd_requests_total{outcome=\"error\"} %d\n", errs)
 	fmt.Fprintf(w, "xqd_requests_total{outcome=\"rejected\"} %d\n", rej)
 	fmt.Fprintf(w, "xqd_requests_total{outcome=\"timeout\"} %d\n", to)
+	counter("xqd_truncated_responses_total", "Streamed results that failed after their first byte; the error is in the Xq-Error-Code and Xq-Error trailers.")
+	fmt.Fprintf(w, "xqd_truncated_responses_total %d\n", truncated)
 
 	fmt.Fprintf(w, "# HELP xqd_request_duration_seconds Service-side request latency (queue wait included; rejections excluded).\n")
 	fmt.Fprintf(w, "# TYPE xqd_request_duration_seconds histogram\n")

@@ -15,6 +15,7 @@ import (
 	"xqgo"
 	"xqgo/internal/limits"
 	"xqgo/internal/trace"
+	"xqgo/internal/xdm"
 )
 
 // Config tunes the service.
@@ -356,19 +357,52 @@ type BadRequestError struct{ Err error }
 func (e *BadRequestError) Error() string { return e.Err.Error() }
 func (e *BadRequestError) Unwrap() error { return e.Err }
 
-// limitWriter enforces the result-size cap.
+// Codes of the service's own failures. An error response carries them in
+// "code", and a streamed response that fails after its first byte in the
+// Xq-Error-Code trailer, as it does the XQuery error codes.
+const (
+	CodeResultTooLarge = "XQGO0003"
+	CodeTimeout        = "XQGO0004"
+)
+
+// ErrorCode is the code a failed request reports: the XQuery error code,
+// or the service's own for an exceeded result cap or deadline; "" when
+// there is none.
+func ErrorCode(err error) string {
+	switch code := xdm.CodeOf(err); {
+	case code != "":
+		return code
+	case errors.Is(err, ErrResultTooLarge):
+		return CodeResultTooLarge
+	case errors.Is(err, context.DeadlineExceeded):
+		return CodeTimeout
+	}
+	return ""
+}
+
+// truncatedError is the error of a streamed result that failed after its
+// first byte: the status line went out with the bytes before it.
+type truncatedError struct{ error }
+
+func (e *truncatedError) Unwrap() error { return e.error }
+
+// limitWriter enforces the result-size cap, and notes whether anything
+// was written.
 type limitWriter struct {
-	w   io.Writer
-	rem int64 // negative = unlimited
+	w     io.Writer
+	rem   int64 // negative = unlimited
+	wrote bool
 }
 
 func (l *limitWriter) Write(p []byte) (int, error) {
 	if l.rem < 0 {
+		l.wrote = true
 		return l.w.Write(p)
 	}
 	if int64(len(p)) > l.rem {
 		return 0, ErrResultTooLarge
 	}
+	l.wrote = true
 	n, err := l.w.Write(p)
 	l.rem -= int64(n)
 	return n, err
@@ -400,8 +434,8 @@ func (s *Service) Query(ctx context.Context, req Request) (Result, error) {
 
 // Execute streams the serialized result to w as it is produced (the
 // engine's time-to-first-answer path). The plan-cache flag and trace id are
-// returned; errors after the first byte reach the caller with the output
-// truncated. Request.Explain is ignored (a streamed body has no profile
+// returned; an error after the first byte reaches the caller with the
+// output truncated, as a truncatedError. Request.Explain is ignored (a streamed body has no profile
 // envelope).
 func (s *Service) Execute(ctx context.Context, req Request, w io.Writer) (bool, string, error) {
 	req.Explain = false
@@ -463,6 +497,7 @@ func (s *Service) run(ctx context.Context, req Request, w io.Writer) (cached boo
 
 	var q *xqgo.Query
 	var prof *xqgo.Profile
+	lw := &limitWriter{}
 	err = s.exec.Do(rctx, func() error {
 		if tr != nil {
 			// Admission wait: everything between arrival and worker pickup.
@@ -514,17 +549,27 @@ func (s *Service) run(ctx context.Context, req Request, w io.Writer) (cached boo
 		if budget != nil && req.chargeOutput {
 			out = &budgetWriter{w: w, b: budget}
 		}
-		return q.ExecuteContext(rctx, qctx, &limitWriter{w: out, rem: limit})
+		lw.w, lw.rem = out, limit
+		return q.ExecuteContext(rctx, qctx, lw)
 	})
 	elapsed = time.Since(start)
 	if budget != nil && budget.Trips() > 0 {
 		s.stats.noteBudgetTrip("query")
 	}
 	oc := classify(err)
+	// A streamed result that fails after its first byte went out as 200:
+	// its error travels in the trailers, and is counted apart.
+	truncated := err != nil && !req.chargeOutput && lw.wrote
+	if truncated {
+		s.stats.noteTruncated()
+	}
 	if tr != nil {
 		reqSpan.SetAttr("outcome", oc.String())
 		if err != nil {
 			reqSpan.SetAttr("error", err.Error())
+		}
+		if truncated {
+			reqSpan.SetAttr("truncated", true)
 		}
 		reqSpan.End()
 		s.traces.Add(tr.Finish())
@@ -545,6 +590,9 @@ func (s *Service) run(ctx context.Context, req Request, w io.Writer) (cached boo
 				Strategy: ep.Strategy, CardinalityError: ep.CardinalityError,
 			})
 		}
+	}
+	if truncated {
+		err = &truncatedError{err}
 	}
 	return cached, elapsed, eprof, traceID, err
 }

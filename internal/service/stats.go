@@ -69,6 +69,16 @@ type statsCore struct {
 	// budgetTrips counts executions whose memory budget tripped, per route
 	// class ("query", "subscribe").
 	budgetTrips map[string]uint64
+	// truncated counts streamed results that failed after their first byte.
+	truncated uint64
+}
+
+// noteTruncated records one streamed result that failed after its first
+// byte.
+func (s *statsCore) noteTruncated() {
+	s.mu.Lock()
+	s.truncated++
+	s.mu.Unlock()
 }
 
 // noteBudgetTrip records one execution that exceeded its memory budget.

@@ -36,7 +36,6 @@ import (
 	"xqgo/internal/ctxio"
 	"xqgo/internal/faultinject"
 	"xqgo/internal/limits"
-	"xqgo/internal/xdm"
 )
 
 // subCore aggregates subscription accounting across the service lifetime and
@@ -357,7 +356,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	for i, h := range handles {
 		s.subs.notePeak(h.Stats().PeakBufferBytes)
 		if err := h.Err(); err != nil {
-			data, _ := json.Marshal(subError{Sub: i, Error: err.Error(), Code: xdm.CodeOf(err)})
+			data, _ := json.Marshal(subError{Sub: i, Error: err.Error(), Code: ErrorCode(err)})
 			_ = sseEvent(w, flusher, "error", data)
 		}
 	}
@@ -371,7 +370,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	case ctx.Err() != nil:
 		// Client went away mid-feed; nobody is listening.
 	case runErr != nil:
-		data, _ := json.Marshal(subError{Sub: -1, Error: runErr.Error(), Code: xdm.CodeOf(runErr)})
+		data, _ := json.Marshal(subError{Sub: -1, Error: runErr.Error(), Code: ErrorCode(runErr)})
 		_ = sseEvent(w, flusher, "error", data)
 	default:
 		ends := make([]subEnd, len(handles))

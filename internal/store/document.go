@@ -178,6 +178,18 @@ func (d *Document) Value(id int32) string {
 	return v
 }
 
+// StringValue returns the string value of node id: for elements and
+// documents the concatenation of all descendant text nodes, for other kinds
+// the stored value. A node's typed value is the same string, untyped.
+func (d *Document) StringValue(id int32) string {
+	switch d.Kind(id) {
+	case xdm.ElementNode, xdm.DocumentNode:
+		return d.textContent(id)
+	default:
+		return d.Value(id)
+	}
+}
+
 // ParentID returns the parent id of node id, or -1.
 func (d *Document) ParentID(id int32) int32 {
 	f := d.rlock()

@@ -23,18 +23,8 @@ func (n *Node) Kind() xdm.NodeKind { return n.D.Kind(n.ID) }
 // NodeName returns the node's expanded name.
 func (n *Node) NodeName() xdm.QName { return n.D.LexicalName(n.ID) }
 
-// StringValue returns the string value: for elements and documents the
-// concatenation of all descendant text nodes, for other kinds the stored
-// value.
-func (n *Node) StringValue() string {
-	d, id := n.D, n.ID
-	switch d.Kind(id) {
-	case xdm.ElementNode, xdm.DocumentNode:
-		return d.textContent(id)
-	default:
-		return d.Value(id)
-	}
-}
+// StringValue returns the string value (Document.StringValue).
+func (n *Node) StringValue() string { return n.D.StringValue(n.ID) }
 
 // TypedValue returns the typed value; without schema validation every node
 // is untyped, so this is xs:untypedAtomic of the string value (attributes

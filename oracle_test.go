@@ -887,3 +887,54 @@ var foundRows = append(rows(row{doc: demandDoc},
 ), rows(row{doc: fixedDoc("prefixes.xml", `<r xmlns:p="urn:p" xmlns:q="urn:p"><p:a/><q:a q:x="1" p:y="2"/></r>`)},
 	`(/r/*/name(), //@*/name())`, // two prefixes for one URI: the store kept the first for both
 )...)
+
+// chainRows are the step chains the runtime walks on one cursor over store
+// ids, and their edges: chains from "/", "." and a variable; attribute,
+// text() and node() last steps, self steps, wildcards and namespaced names;
+// "//" chains, and "//x/y", which is not one; an empty chain; a chain of
+// several items where one is required (XPTY0004); chains over constructed
+// nodes and from a variable bound to an atomic value; and every consumer
+// that reads one: comparisons, conditions, count/exists/empty, atomizing
+// built-ins, attribute content and order by, with nested predicates that
+// read position() and last() under a filter's reused focus.
+var chainRows = rows(row{doc: demandDoc},
+	`count(/bib/book/title)`,
+	`for $b in /bib/book return string($b/title)`,
+	`for $d in / return (count($d/bib/book), string($d/bib/book/price))`,
+	`/bib/book[./price > 50]/title/string()`,
+	`/bib/book/title/text()`,
+	`count(/bib/node())`,
+	`count(/bib/*/*)`,
+	`count(/bib/book/@*)`,
+	`string-join(/bib/book/@year, ",")`,
+	`declare namespace x = "urn:x"; (string(/bib/book/@x:lang), count(/bib/book/x:note/node()), not(/bib/book/@x:lang))`,
+	`declare namespace m = "urn:m"; (string(/bib/m:meta/m:title), count(/bib/*:meta/*:a/*:b), count(/bib/m:meta/b))`,
+	`count(/bib/book/self::book) + count(/bib/book/title/self::node()/@*)`,
+	`(count(//b), count(//book/@year), count(//@*), //book/@year = "2001")`,
+	`//book/@year/string()`,
+	`//book/title`,
+	`(//*/title/string(), (//*/b)[1])`,
+	`sum(//b)`,
+	`(count(/bib/nothing/x), /bib/nothing/x = 1, string(/bib/nothing), exists(/bib/book/nothing), empty(/bib/nothing))`,
+	`<e a="{/bib/nothing}" b="{/bib/book/@year}" c="{/bib/book/title}"/>`,
+	`string(/bib/book/title)`,
+	`/bib/book/price eq "1"`,
+	`for $b in /bib/book order by $b/author/last return 1`,
+	`for $b in /bib/book order by $b/@year descending return string($b/@year)`,
+	`for $b in /bib/book order by $b/price/text() return $b/@year/string()`,
+	`for $e in <e><f g="1">x</f><f>y</f></e> return (count($e/f), string($e/f/@g), $e/f/@g = 1, $e/f = "y")`,
+	`for $c in (<c><d>2</d></c>, <c><d>3</d></c>) return string($c/d)`,
+	`<e><f>1</f></e>/f = 1`,
+	`for $v in (1, 2) return $v/a`,
+	`let $v := "x" return count($v/a)`,
+	`let $t := /bib/book/title return count(/bib/book[title = $t])`,
+	`for $y in distinct-values(/bib/book/@year) order by $y return count(/bib/book[@year = $y])`,
+	`(sum(/bib/book/price), max(/bib/book/@year), avg(//price), data(/bib/book/@year))`,
+	`min(/bib/book/title)`,
+	`(if (/bib/book/editor) then 1 else 2, /bib/book[editor]/@year/string(), boolean(/bib/nothing))`,
+	`/bib/book[author[last()]/last = "Suciu"]/title/string()`,
+	`/bib/book[position() = last()]/title/string()`,
+	`/bib/book[count(author[position() < last()]) = 1]/@year/string()`,
+	`//book[.//book[last()]/title]/@year/string()`,
+	`/bib/book[title[. = ../title][position() = 1]][last()]/@year/string()`,
+)
