@@ -69,9 +69,10 @@ func (x *Index) join(anc, desc string, parentOnly bool, alg JoinAlgorithm) []Nod
 // TwigStats reports the work a holistic twig join performed.
 type TwigStats = structjoin.TwigStats
 
-// CountTwig runs the holistic TwigStack join for a twig pattern in the
-// compact syntax "a[b//c]//d" and returns its statistics. The path-solution
-// count equals the number of root-to-leaf embeddings.
+// CountTwig runs the holistic twig join for a twig pattern in the compact
+// syntax "a[b//c]//d" and returns its statistics. Matches counts the full
+// embeddings, the number CountTwigNavigation finds; PathSolutions counts the
+// root-to-leaf path solutions, which equal Matches for a linear pattern.
 func (x *Index) CountTwig(pattern string) (TwigStats, error) {
 	tw, err := structjoin.ParseTwig(pattern)
 	if err != nil {

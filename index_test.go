@@ -56,6 +56,21 @@ func TestIndexTwigCounts(t *testing.T) {
 	if stats.PathSolutions != nav {
 		t.Errorf("holistic %d != navigation %d", stats.PathSolutions, nav)
 	}
+	// Every pattern, branching ones included: the merged embedding count is
+	// the navigation ground truth.
+	for _, pat := range []string{"a//b", "a//b//c", "a[b]//c", "a[b//c]//d", "a[b]/c", "a[a]//a", "root[a]//b"} {
+		stats, err := idx.CountTwig(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nav, err := idx.CountTwigNavigation(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Matches != nav {
+			t.Errorf("%s: matches %d != navigation %d", pat, stats.Matches, nav)
+		}
+	}
 	if _, err := idx.CountTwig("["); err == nil {
 		t.Error("bad pattern must fail")
 	}

@@ -17,7 +17,7 @@ const (
 	StrategyAuto Strategy = iota
 	// StrategyNavigation forces tree navigation (the index-free baseline).
 	StrategyNavigation
-	// StrategyTwigJoin forces the holistic twig (PathStack) join.
+	// StrategyTwigJoin forces the holistic twig join.
 	StrategyTwigJoin
 )
 

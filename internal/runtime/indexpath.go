@@ -14,7 +14,7 @@ import (
 // plain name tests (//a//b, /doc//a/b …) can be evaluated over a
 // per-document name index instead of navigation — the "navigation- vs
 // index-based processing" trade-off the paper surveys — with the holistic
-// PathStack path join (one pass over all posting lists, no intermediates).
+// twig join (one pass over all posting lists, no intermediates).
 // Whether it or navigation runs is decided per operator and per document by
 // the cost model (strategy.go), unless forced by Options.Strategy. Indexes
 // are built lazily per document and cached on the dynamic context.
@@ -195,27 +195,17 @@ func (jp *joinPlan) run(fr *Frame, sn *store.Node, opID int, fb *feedback) Iter 
 	return &postingsIter{d: sn.D, list: cur, dyn: fr.dyn}
 }
 
-// match evaluates the whole chain with one PathStack join: no intermediate
+// match evaluates the whole chain with one holistic join: no intermediate
 // pair lists, morsel-parallel over the leaf posting list with
-// UpperBoundStart-pruned upper lists per chunk. The first name's edge from
-// the root is checked only when childOnly (level 1 under the document node).
+// UpperBoundStart-pruned upper lists per chunk. A childOnly first step is a
+// child of the document node, an edge the join checks like any other.
 func (jp *joinPlan) match(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
 	k := len(jp.chain)
 	lists := make([]structjoin.List, k)
 	childEdge := make([]bool, k)
-	lists[0] = idx.Elements(jp.chain[0].name)
-	if jp.chain[0].childOnly {
-		var filtered structjoin.List
-		for _, p := range lists[0] {
-			if p.Region.Level == 1 {
-				filtered = append(filtered, p)
-			}
-		}
-		lists[0] = filtered
-	}
-	for i := 1; i < k; i++ {
-		lists[i] = idx.Elements(jp.chain[i].name)
-		childEdge[i] = jp.chain[i].childOnly
+	for i, s := range jp.chain {
+		lists[i] = idx.Elements(s.name)
+		childEdge[i] = s.childOnly
 	}
 	for _, l := range lists {
 		if len(l) == 0 {

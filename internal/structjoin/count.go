@@ -10,15 +10,15 @@ import (
 // algorithms are validated against in tests, and the "navigation engine"
 // data point of experiment E6.
 func NavTwigCount(root *TwigNode, d *store.Document) int64 {
-	memo := map[*TwigNode]map[int32]int64{}
-	nodes := root.nodes()
-	for _, q := range nodes {
-		memo[q] = map[int32]int64{}
+	type key struct {
+		q  *TwigNode
+		id int32
 	}
+	memo := map[key]int64{}
 
 	var embeddings func(q *TwigNode, id int32) int64
 	embeddings = func(q *TwigNode, id int32) int64 {
-		if v, ok := memo[q][id]; ok {
+		if v, ok := memo[key{q, id}]; ok {
 			return v
 		}
 		total := int64(1)
@@ -43,7 +43,7 @@ func NavTwigCount(root *TwigNode, d *store.Document) int64 {
 				break
 			}
 		}
-		memo[q][id] = total
+		memo[key{q, id}] = total
 		return total
 	}
 

@@ -1,9 +1,9 @@
 // Package structjoin implements the structural-join machinery of the
 // XML-database era the paper surveys ("Structural Joins: A Primitive for
 // Efficient XML Query Pattern Matching", "Holistic twig joins"): an
-// element/attribute name index over region labels, the stack-tree binary
-// structural join, the naive tree-merge and navigation baselines, and the
-// PathStack/TwigStack holistic twig joins. All algorithms work on the
+// element name index over region labels, the stack-tree binary structural
+// join, the naive tree-merge and navigation baselines, and one holistic
+// twig join (the TwigStack family). All algorithms work on the
 // store's (start, end, level) region labels (see internal/labeling), so
 // ancestor/descendant tests are integer comparisons.
 package structjoin
@@ -25,41 +25,28 @@ type Posting struct {
 // List is a name's posting list, sorted by document order (Start).
 type List []Posting
 
-// Index maps element/attribute names to posting lists for one document —
+// Index maps element names to posting lists for one document —
 // the access path structural joins assume ("do NOT assume the data is
 // pre-materialized" is the navigation engine's job; the index is the
 // join engine's).
 type Index struct {
 	Doc      *store.Document
 	elements map[string]List
-	attrs    map[string]List
 }
 
 // BuildIndex scans a document once and builds posting lists for every
-// element and attribute name.
+// element name. The scan is in id order and a region's Start is its node's
+// id, so every list comes out Start-sorted.
 func BuildIndex(d *store.Document) *Index {
 	idx := &Index{
 		Doc:      d,
 		elements: make(map[string]List),
-		attrs:    make(map[string]List),
 	}
 	for id := int32(0); id < int32(d.NumNodes()); id++ {
-		switch d.Kind(id) {
-		case xdm.ElementNode:
+		if d.Kind(id) == xdm.ElementNode {
 			key := d.ExpandedName(id).Clark()
 			idx.elements[key] = append(idx.elements[key], Posting{Region: d.Region(id), ID: id})
-		case xdm.AttributeNode:
-			key := d.ExpandedName(id).Clark()
-			idx.attrs[key] = append(idx.attrs[key], Posting{Region: d.Region(id), ID: id})
 		}
-	}
-	// Pre-order scan yields document order already; keep the invariant
-	// explicit for robustness.
-	for _, l := range idx.elements {
-		sortList(l)
-	}
-	for _, l := range idx.attrs {
-		sortList(l)
 	}
 	return idx
 }
@@ -70,12 +57,6 @@ func sortList(l List) {
 
 // Elements returns the posting list for an element name (nil if absent).
 func (x *Index) Elements(name xdm.QName) List { return x.elements[name.Clark()] }
-
-// Attributes returns the posting list for an attribute name.
-func (x *Index) Attributes(name xdm.QName) List { return x.attrs[name.Clark()] }
-
-// ElementNames returns the distinct element names (diagnostics/tests).
-func (x *Index) ElementNames() int { return len(x.elements) }
 
 // Pair is one (ancestor, descendant) result of a binary structural join.
 type Pair struct {

@@ -23,9 +23,18 @@ func mustParse(t *testing.T, xml string) *store.Document {
 
 // binaryChain is the reference semantics for PathMatchLeaf: the chain
 // evaluated edge by edge as binary stack-tree joins, projecting distinct
-// descendants between steps.
+// descendants between steps. A child edge on the first step keeps the
+// children of the document node.
 func binaryChain(lists []List, childEdge []bool) List {
 	cur := lists[0]
+	if childEdge[0] {
+		cur = nil
+		for _, p := range lists[0] {
+			if p.Region.Level == 1 {
+				cur = append(cur, p)
+			}
+		}
+	}
 	for i := 1; i < len(lists); i++ {
 		cur = DistinctDescendants(StackTreeDesc(cur, lists[i], childEdge[i]))
 		if len(cur) == 0 {
@@ -146,7 +155,6 @@ func TestPathMatchLeafStackBound(t *testing.T) {
 // descendant edge and an upper-case one for a child edge; the rest is the
 // tree, where ')' closes the open element and any other byte opens one.
 func decodeFuzzChain(data []byte) (names []string, child []bool, xml string, ok bool) {
-	const alphabet = "abc"
 	if len(data) < 1 {
 		return nil, nil, "", false
 	}
@@ -155,32 +163,101 @@ func decodeFuzzChain(data []byte) (names []string, child []bool, xml string, ok 
 		return nil, nil, "", false
 	}
 	for _, b := range data[1 : 1+k] {
-		names = append(names, string(alphabet[int((b|0x20)-'a')%3]))
+		names = append(names, fuzzName(b))
 		child = append(child, b&0x20 == 0)
 	}
+	return names, child, fuzzTree(data[1+k:]), true
+}
+
+// fuzzName maps a fuzz byte to a name of the alphabet {a, b, c}.
+func fuzzName(b byte) string { return string("abc"[int((b|0x20)-'a')%3]) }
+
+// fuzzTree reads a document under <r> from at most 300 fuzz bytes: ')'
+// closes the open element and any other byte opens one, named by fuzzName.
+func fuzzTree(data []byte) string {
 	var sb strings.Builder
-	var open []byte
+	var open []string
 	sb.WriteString("<r>")
-	for i, b := range data[1+k:] {
+	for i, b := range data {
 		if i == 300 {
 			break
 		}
 		if b == ')' {
 			if len(open) > 0 {
-				sb.WriteString("</" + string(open[len(open)-1]) + ">")
+				sb.WriteString("</" + open[len(open)-1] + ">")
 				open = open[:len(open)-1]
 			}
 			continue
 		}
-		name := alphabet[int((b|0x20)-'a')%3]
+		name := fuzzName(b)
 		open = append(open, name)
-		sb.WriteString("<" + string(name) + ">")
+		sb.WriteString("<" + name + ">")
 	}
 	for i := len(open) - 1; i >= 0; i-- {
-		sb.WriteString("</" + string(open[i]) + ">")
+		sb.WriteString("</" + open[i] + ">")
 	}
 	sb.WriteString("</r>")
-	return names, child, sb.String(), true
+	return sb.String()
+}
+
+// decodeFuzzTwig reads a twig pattern and a document from fuzz bytes. Byte 0
+// gives the pattern size ('1' to '4' nodes), byte 1 the root's name; each
+// further node is a digit naming its parent among the nodes read so far and
+// a name, lower-case for a descendant edge and upper-case for a child edge.
+// The rest is the tree, as fuzzTree reads it.
+func decodeFuzzTwig(data []byte) (root *TwigNode, xml string, ok bool) {
+	if len(data) < 2 {
+		return nil, "", false
+	}
+	k := 1 + int(data[0]-'1')%4
+	if len(data) < 2*k {
+		return nil, "", false
+	}
+	nodes := []*TwigNode{{Name: xdm.LocalName(fuzzName(data[1]))}}
+	for i := 1; i < k; i++ {
+		p, b := data[2*i], data[2*i+1]
+		n := &TwigNode{Name: xdm.LocalName(fuzzName(b)), ChildEdge: b&0x20 == 0}
+		parent := nodes[int(p-'0')%i]
+		parent.Children = append(parent.Children, n)
+		nodes = append(nodes, n)
+	}
+	return nodes[0], fuzzTree(data[2*k:]), true
+}
+
+// FuzzTwig: on any small tree and any twig of at most four nodes, with
+// branches, child and descendant edges and repeated names, the holistic
+// join's merged embedding count is the navigation ground truth; on a linear
+// pattern every path solution is an embedding.
+func FuzzTwig(f *testing.F) {
+	// a[b//c]//d's trailing-branch shape with d spelled a: the a postings
+	// after the last c still match under the stacked a.
+	f.Add([]byte("4a0b1c0a" + "abaca)))))"))
+	// a[b]/c over nested and sibling branches.
+	f.Add([]byte("3a0b0C" + "abc)ab)c))ac)b)))"))
+	// Self-twigs: a[a]//a and a/a//a.
+	f.Add([]byte("3a0a0a" + "aaa)a)))aa))"))
+	f.Add([]byte("3a0A1a" + "aaa)a)))aa))a)"))
+	// A single node, and a pattern whose names the tree lacks.
+	f.Add([]byte("1b" + "ab)b))"))
+	f.Add([]byte("2a0c" + "ab)ba))"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root, xml, ok := decodeFuzzTwig(data)
+		if !ok {
+			return
+		}
+		doc := mustParse(t, xml)
+		st := TwigStack(root, BuildIndex(doc))
+		if want := NavTwigCount(root, doc); st.Matches != want {
+			t.Errorf("twig %s over %s: matches %d, navigation %d", root, xml, st.Matches, want)
+		}
+		linear := true
+		for n := root; linear && len(n.Children) > 0; n = n.Children[0] {
+			linear = len(n.Children) == 1
+		}
+		if linear && st.PathSolutions != st.Matches {
+			t.Errorf("linear twig %s over %s: path solutions %d, matches %d", root, xml, st.PathSolutions, st.Matches)
+		}
+	})
 }
 
 // FuzzPathMatchLeaf: on any small tree and any 2–4-step chain with child

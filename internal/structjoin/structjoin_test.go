@@ -1,6 +1,7 @@
 package structjoin
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,21 @@ func TestBuildIndex(t *testing.T) {
 	for i := 1; i < len(list); i++ {
 		if list[i-1].Region.Start >= list[i].Region.Start {
 			t.Error("posting list not sorted")
+		}
+	}
+	// Every list comes out of the pre-order scan strictly Start-increasing,
+	// with no sort after it.
+	for name, d := range map[string]*store.Document{
+		"buildTree": doc,
+		"deep":      workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 7}),
+	} {
+		for key, l := range BuildIndex(d).elements {
+			for i := 1; i < len(l); i++ {
+				if l[i-1].Region.Start >= l[i].Region.Start {
+					t.Errorf("%s: list %s not strictly Start-increasing at %d", name, key, i)
+					break
+				}
+			}
 		}
 	}
 }
@@ -176,6 +192,10 @@ func TestTwigStackLinearMatchesNavigation(t *testing.T) {
 			t.Errorf("%s: TwigStack path solutions = %d, navigation count = %d",
 				pat, stats.PathSolutions, want)
 		}
+		if stats.Matches != want {
+			t.Errorf("%s: TwigStack matches = %d, navigation count = %d",
+				pat, stats.Matches, want)
+		}
 	}
 }
 
@@ -190,6 +210,10 @@ func TestTwigStackOnGeneratedData(t *testing.T) {
 			t.Errorf("%s on deep data: holistic = %d, navigation = %d",
 				pat, stats.PathSolutions, want)
 		}
+		if stats.Matches != want {
+			t.Errorf("%s on deep data: matches = %d, navigation = %d",
+				pat, stats.Matches, want)
+		}
 	}
 	// Branching patterns: holistic intermediates never exceed the binary
 	// plan's pairs (the E6 claim).
@@ -200,6 +224,76 @@ func TestTwigStackOnGeneratedData(t *testing.T) {
 		if stats.PathSolutions > binary {
 			t.Errorf("%s: holistic intermediates %d > binary pairs %d",
 				pat, stats.PathSolutions, binary)
+		}
+	}
+	// Branching patterns with child edges and repeated names: the merged
+	// embedding count is the navigation ground truth.
+	for _, pat := range []string{"a[b]//c", "a[b//c]//d", "a[b]/c", "a[a]//a", "root[a]//b", "a[b][c]/d", "a/b[c]//d"} {
+		tw := mustTwig(t, pat)
+		if got, want := TwigStack(tw, idx).Matches, NavTwigCount(tw, doc); got != want {
+			t.Errorf("%s on deep data: matches = %d, navigation = %d", pat, got, want)
+		}
+	}
+}
+
+// TestTwigStackE6PathSolutions pins the holistic intermediates of E6's four
+// patterns at E6's scale, the column EXPERIMENTS.md reports.
+func TestTwigStackE6PathSolutions(t *testing.T) {
+	doc := workload.Deep(workload.DeepConfig{Nodes: 100000, Seed: 2})
+	idx := BuildIndex(doc)
+	for _, c := range []struct {
+		pat  string
+		want int64
+	}{
+		{"a//b", 92166},
+		{"a//b//c", 118911},
+		{"a[b]//c", 180673},
+		{"a[b//c]//d", 204204},
+	} {
+		tw := mustTwig(t, c.pat)
+		st := TwigStack(tw, idx)
+		if st.PathSolutions != c.want {
+			t.Errorf("%s: path solutions = %d, want %d", c.pat, st.PathSolutions, c.want)
+		}
+		if nav := NavTwigCount(tw, doc); st.Matches != nav {
+			t.Errorf("%s: matches = %d, navigation = %d", c.pat, st.Matches, nav)
+		}
+	}
+}
+
+// TestTwigStackTrailingBranch pins the run's end: a[b//c]//d reads its d
+// postings after the last c. All of c's subtree is read then, but the
+// stacked a still takes both d.
+//
+//	<root><a><b><d><c><d/></c></d></b></a></root>
+func TestTwigStackTrailingBranch(t *testing.T) {
+	doc := mustParse(t, `<root><a><b><d><c><d/></c></d></b></a></root>`)
+	st := TwigStack(mustTwig(t, "a[b//c]//d"), BuildIndex(doc))
+	if st.Matches != 2 || st.PathSolutions != 3 {
+		t.Errorf("matches %d, path solutions %d; want 2 and 3", st.Matches, st.PathSolutions)
+	}
+}
+
+// TestTwigStackSharedPattern runs one parsed pattern from four goroutines
+// over one index: the pattern holds no run state, so the runs agree (and
+// the race detector stays quiet).
+func TestTwigStackSharedPattern(t *testing.T) {
+	idx := BuildIndex(workload.Deep(workload.DeepConfig{Nodes: 3000, Seed: 7}))
+	tw := mustTwig(t, "a[b//c]//d")
+	want := TwigStack(tw, idx)
+	got := make([]TwigStats, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = TwigStack(tw, idx)
+		}()
+	}
+	wg.Wait()
+	for i, st := range got {
+		if st != want {
+			t.Errorf("goroutine %d: %+v, want %+v", i, st, want)
 		}
 	}
 }

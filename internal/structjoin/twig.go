@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"xqgo/internal/labeling"
 	"xqgo/internal/xdm"
 )
 
-// Twig patterns and the holistic twig-join algorithms (PathStack for linear
-// paths, TwigStack for branching twigs, Bruno/Koudas/Srivastava). The
+// Twig patterns, the input of the holistic twig join (twigjoin.go). The
 // holistic property: intermediate results are root-to-leaf path solutions
 // that are guaranteed to extend to a full match for ancestor/descendant
 // edges, instead of the possibly-huge pairwise outputs of a binary-join
@@ -22,37 +20,6 @@ type TwigNode struct {
 	// ancestor/descendant.
 	ChildEdge bool
 	Children  []*TwigNode
-
-	// runtime state
-	stream List
-	pos    int
-	stack  []twigEntry
-	parent *TwigNode
-}
-
-type twigEntry struct {
-	post Posting
-	// ptr is the index of the top of the parent stack at push time (-1 if
-	// the parent stack was empty / node is root).
-	ptr int
-	// count is the number of root-to-this partial solutions this entry
-	// participates in.
-	count int64
-}
-
-// Path builds a linear twig a//b//c... (ancestor/descendant edges).
-func Path(names ...string) *TwigNode {
-	var root, cur *TwigNode
-	for _, n := range names {
-		node := &TwigNode{Name: xdm.LocalName(n)}
-		if root == nil {
-			root = node
-		} else {
-			cur.Children = append(cur.Children, node)
-		}
-		cur = node
-	}
-	return root
 }
 
 // ParseTwig parses a compact twig syntax: "a//b", "a/b" (child edge),
@@ -87,7 +54,10 @@ func (p *twigParser) node(childEdge bool) (*TwigNode, error) {
 		switch {
 		case p.src[p.pos] == '[':
 			p.pos++
-			child, err := p.branchContent()
+			if strings.HasPrefix(p.src[p.pos:], "//") {
+				p.pos += 2
+			}
+			child, err := p.node(false)
 			if err != nil {
 				return nil, err
 			}
@@ -96,17 +66,13 @@ func (p *twigParser) node(childEdge bool) (*TwigNode, error) {
 			}
 			p.pos++
 			n.Children = append(n.Children, child)
-		case strings.HasPrefix(p.src[p.pos:], "//"):
-			p.pos += 2
-			child, err := p.node(false)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, child)
-			return n, nil
 		case p.src[p.pos] == '/':
 			p.pos++
-			child, err := p.node(true)
+			desc := strings.HasPrefix(p.src[p.pos:], "/")
+			if desc {
+				p.pos++
+			}
+			child, err := p.node(!desc)
 			if err != nil {
 				return nil, err
 			}
@@ -117,14 +83,6 @@ func (p *twigParser) node(childEdge bool) (*TwigNode, error) {
 		}
 	}
 	return n, nil
-}
-
-func (p *twigParser) branchContent() (*TwigNode, error) {
-	if strings.HasPrefix(p.src[p.pos:], "//") {
-		p.pos += 2
-		return p.node(false)
-	}
-	return p.node(false)
 }
 
 func isTwigNameChar(c byte) bool {
@@ -154,138 +112,6 @@ func (n *TwigNode) render(b *strings.Builder) {
 		if !last {
 			b.WriteByte(']')
 		}
-	}
-}
-
-// nodes collects the pattern nodes (pre-order) and sets parent links.
-func (n *TwigNode) nodes() []*TwigNode {
-	var out []*TwigNode
-	var walk func(t *TwigNode, parent *TwigNode)
-	walk = func(t *TwigNode, parent *TwigNode) {
-		t.parent = parent
-		out = append(out, t)
-		for _, c := range t.Children {
-			walk(c, t)
-		}
-	}
-	walk(n, nil)
-	return out
-}
-
-// TwigStats reports the work and intermediate-result volume of a twig join.
-type TwigStats struct {
-	// PathSolutions is the number of root-to-leaf solutions produced (the
-	// holistic algorithms' total intermediate size).
-	PathSolutions int64
-	// Pushes and Advances count stack pushes and stream advances.
-	Pushes   int64
-	Advances int64
-}
-
-const infStart = int64(1)<<62 - 1
-
-func (t *TwigNode) next() Posting {
-	if t.pos < len(t.stream) {
-		return t.stream[t.pos]
-	}
-	return Posting{Region: labeling.Region{Start: infStart, End: infStart}}
-}
-
-func (t *TwigNode) eof() bool { return t.pos >= len(t.stream) }
-
-// TwigStack runs the holistic twig join of pattern root against an index.
-// It returns the total number of root-to-leaf path solutions (merged-match
-// counting is done by MergeCount) and work statistics.
-func TwigStack(root *TwigNode, idx *Index) TwigStats {
-	nodes := root.nodes()
-	for _, q := range nodes {
-		q.stream = idx.Elements(q.Name)
-		q.pos = 0
-		q.stack = q.stack[:0]
-	}
-	var stats TwigStats
-
-	var getNext func(q *TwigNode) *TwigNode
-	getNext = func(q *TwigNode) *TwigNode {
-		if len(q.Children) == 0 {
-			return q
-		}
-		var nmin, nmax *TwigNode
-		for _, qi := range q.Children {
-			ni := getNext(qi)
-			if ni != qi {
-				return ni
-			}
-			if nmin == nil || qi.next().Region.Start < nmin.next().Region.Start {
-				nmin = qi
-			}
-			if nmax == nil || qi.next().Region.Start > nmax.next().Region.Start {
-				nmax = qi
-			}
-		}
-		for q.next().Region.End < nmax.next().Region.Start {
-			q.pos++
-			stats.Advances++
-		}
-		if q.next().Region.Start < nmin.next().Region.Start {
-			return q
-		}
-		return nmin
-	}
-
-	anyLeafLive := func() bool {
-		for _, q := range nodes {
-			if len(q.Children) == 0 && !q.eof() {
-				return true
-			}
-		}
-		return false
-	}
-
-	for anyLeafLive() {
-		qact := getNext(root)
-		if qact.eof() {
-			break
-		}
-		cur := qact.next()
-		// Clean ended entries from the parent stack and own stack.
-		if qact.parent != nil {
-			cleanStack(qact.parent, cur.Region.Start)
-		}
-		cleanStack(qact, cur.Region.Start)
-		if qact.parent == nil || len(qact.parent.stack) > 0 {
-			// push with count propagation
-			var cnt int64 = 1
-			ptr := -1
-			if qact.parent != nil {
-				ptr = len(qact.parent.stack) - 1
-				cnt = 0
-				for i := 0; i <= ptr; i++ {
-					e := &qact.parent.stack[i]
-					if qact.ChildEdge && e.post.Region.Level+1 != cur.Region.Level {
-						continue
-					}
-					cnt += e.count
-				}
-			}
-			if cnt > 0 {
-				qact.stack = append(qact.stack, twigEntry{post: cur, ptr: ptr, count: cnt})
-				stats.Pushes++
-				if len(qact.Children) == 0 {
-					stats.PathSolutions += cnt
-					qact.stack = qact.stack[:len(qact.stack)-1] // leaves pop immediately
-				}
-			}
-		}
-		qact.pos++
-		stats.Advances++
-	}
-	return stats
-}
-
-func cleanStack(q *TwigNode, nextStart int64) {
-	for len(q.stack) > 0 && q.stack[len(q.stack)-1].post.Region.End < nextStart {
-		q.stack = q.stack[:len(q.stack)-1]
 	}
 }
 

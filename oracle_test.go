@@ -886,6 +886,7 @@ var foundRows = append(rows(row{doc: demandDoc},
 	"'\v'", // a query character outside XML's Char reached the output
 ), rows(row{doc: fixedDoc("prefixes.xml", `<r xmlns:p="urn:p" xmlns:q="urn:p"><p:a/><q:a q:x="1" p:y="2"/></r>`)},
 	`(/r/*/name(), //@*/name())`, // two prefixes for one URI: the store kept the first for both
+	`declare namespace p="urn:p"; declare namespace q="urn:p"; <r><p:a/><q:a q:x="1"/></r>`, // and two bound in the prolog, on sibling constructors
 )...)
 
 // chainRows are the step chains the runtime walks on one cursor over store

@@ -59,7 +59,7 @@ const (
 	StrategyAuto = optimizer.StrategyAuto
 	// ForceNavigation pins tree navigation (the index-free baseline).
 	ForceNavigation = optimizer.StrategyNavigation
-	// ForceTwig pins the holistic twig (PathStack) join.
+	// ForceTwig pins the holistic twig join.
 	ForceTwig = optimizer.StrategyTwigJoin
 )
 
