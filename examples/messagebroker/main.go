@@ -64,7 +64,7 @@ func routeMessage(routes []route, msg *xqgo.Document) string {
 			log.Fatal(err)
 		}
 		if len(out) == 1 {
-			if b, ok := out[0].(xqgo.Atomic); ok && b.B {
+			if b, ok := out[0].(xqgo.Atomic); ok && b.Bool() {
 				return r.name
 			}
 		}

@@ -204,7 +204,7 @@ func TestRewrite(t *testing.T) {
 	// Replace every literal 1 with 2, bottom-up.
 	e := &Arith{Op: xdm.OpAdd, L: lit(1), R: &Arith{Op: xdm.OpMul, L: lit(1), R: lit(3)}}
 	out := Rewrite(e, func(x Expr) Expr {
-		if l, ok := x.(*Literal); ok && l.Val.I == 1 {
+		if l, ok := x.(*Literal); ok && l.Val.Int() == 1 {
 			return lit(2)
 		}
 		return nil

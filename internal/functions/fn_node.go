@@ -306,7 +306,7 @@ func init() {
 						return nil, err
 					}
 				}
-				t := time.Unix(0, a.I).UTC()
+				t := time.Unix(0, a.Int()).UTC()
 				return singleton(xdm.NewInteger(comp.get(t))), nil
 			}})
 	}
@@ -331,7 +331,7 @@ func init() {
 			if err != nil || !ok {
 				return emptySeq, err
 			}
-			return singleton(xdm.NewString(a.Q.Local)), nil
+			return singleton(xdm.NewString(a.QName().Local)), nil
 		}})
 	register(&Func{Name: "namespace-uri-from-QName", MinArgs: 1, MaxArgs: 1, Props: det,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
@@ -339,7 +339,7 @@ func init() {
 			if err != nil || !ok {
 				return emptySeq, err
 			}
-			return singleton(xdm.NewAnyURI(a.Q.Space)), nil
+			return singleton(xdm.NewAnyURI(a.QName().Space)), nil
 		}})
 
 	// ---- diagnostics ----

@@ -168,7 +168,7 @@ func init() {
 		}})
 
 	register(&Func{Name: "deep-equal", MinArgs: 2, MaxArgs: 2,
-		Props: Properties{Deterministic: true, Returns: xsBoolean},
+		Props: Properties{Deterministic: true, Args: []ArgUse{Subtree, Subtree}, Returns: xsBoolean},
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			return singleton(xdm.NewBoolean(deepEqualSeq(args[0], args[1]))), nil
 		}})

@@ -138,7 +138,7 @@ func TestNumericFunctions(t *testing.T) {
 	expectStr(t, "4", "round-half-to-even", dbl(3.5))
 	expectStr(t, "42", "number", str("42"))
 	out, err := call(t, "number", str("not-a-number"))
-	if err != nil || len(out) != 1 || !math.IsNaN(out[0].(xdm.Atomic).F) {
+	if err != nil || len(out) != 1 || !math.IsNaN(out[0].(xdm.Atomic).Float()) {
 		t.Errorf("number of garbage should be NaN: %v %v", out, err)
 	}
 	// Numeric functions preserve the input type family.
@@ -165,7 +165,7 @@ func TestDateFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := time.Unix(0, out[0].(xdm.Atomic).I).UTC().Day(); got != 30 {
+	if got := time.Unix(0, out[0].(xdm.Atomic).Int()).UTC().Day(); got != 30 {
 		t.Errorf("add-date day = %d", got)
 	}
 	expectStr(t, "2002", "year-from-date", one(d))
@@ -185,7 +185,7 @@ func TestNodeAndQNameFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := out[0].(xdm.Atomic).Q
+	q := out[0].(xdm.Atomic).QName()
 	if q.Space != "urn:x" || q.Local != "loc" || q.Prefix != "p" {
 		t.Errorf("QName = %+v", q)
 	}
@@ -264,7 +264,7 @@ func TestContextUsingFunctions(t *testing.T) {
 	}
 	f, _ = Lookup("string-length", 0)
 	out, err = f.Call(ctx, nil)
-	if err != nil || out[0].(xdm.Atomic).I != 9 {
+	if err != nil || out[0].(xdm.Atomic).Int() != 9 {
 		t.Errorf("fn:string-length() = %v, %v", out, err)
 	}
 	// Without a context item: XPDY0002.

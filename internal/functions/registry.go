@@ -80,7 +80,8 @@ type Properties struct {
 type ArgUse uint8
 
 const (
-	// Atomized: the nodes are atomized, so their whole subtree is read.
+	// Atomized: the nodes are atomized, so their whole subtree is read. The
+	// runtime hands such an argument over as the nodes' typed values.
 	Atomized ArgUse = iota
 	// Structure: only existence, count, identity, kind or name is read.
 	Structure
@@ -89,6 +90,9 @@ const (
 	// CheckedThrough: as PassedThrough, and the call raises an error on
 	// their number, so it reads them even when its result is dropped.
 	CheckedThrough
+	// Subtree: the whole subtree is read, as nodes (fn:deep-equal), so the
+	// runtime may not atomize them first.
+	Subtree
 )
 
 // Arg returns how argument i is observed.

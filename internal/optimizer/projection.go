@@ -210,7 +210,7 @@ func (x *extractor) analyze(e expr.Expr, env *env) aval {
 			return aval{}
 		}
 		env.focus.read = true
-		return x.applyStep(env.focus.v, t.Axis, t.Test)
+		return x.applyStep(env.focus.v, t.Axis, &t.Test)
 
 	case *expr.Path:
 		lv := x.analyze(t.L, env)
@@ -365,7 +365,7 @@ func deferredDesc(v aval) bool {
 }
 
 // applyStep extends a focus value by one axis step.
-func (x *extractor) applyStep(v aval, axis expr.Axis, test xtypes.NodeTest) aval {
+func (x *extractor) applyStep(v aval, axis expr.Axis, test *xtypes.NodeTest) aval {
 	if !v.known {
 		x.keepAll()
 		return aval{}
@@ -446,7 +446,7 @@ func appendStep(steps []projection.Step, s projection.Step) []projection.Step {
 // ok=false for tests that select non-element kinds, which no automaton over
 // element names can match. The streamability analysis builds its spine with
 // it too.
-func StepFromTest(t xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
+func StepFromTest(t *xtypes.NodeTest, anyDepth bool) (projection.Step, bool) {
 	switch t.Kind {
 	case xtypes.TestName, xtypes.TestElement:
 	default:

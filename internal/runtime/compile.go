@@ -552,13 +552,13 @@ func ebvPrefix(it Iter) (first xdm.Item, more bool, err error) {
 func requireInteger(a xdm.Atomic, what string) (int64, error) {
 	switch a.T {
 	case xdm.TInteger:
-		return a.I, nil
+		return a.Int(), nil
 	case xdm.TUntyped:
 		cast, err := xdm.Cast(a, xdm.TInteger)
 		if err != nil {
 			return 0, err
 		}
-		return cast.I, nil
+		return cast.Int(), nil
 	case xdm.TDecimal, xdm.TDouble, xdm.TFloat:
 		f := a.AsFloat()
 		if f == float64(int64(f)) {

@@ -78,16 +78,23 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		}, nil
 	}
 
-	// A chain argument is walked on the stack, boxing only what it passes.
+	// A chain argument is walked on the stack, boxing only what it passes;
+	// one the built-in atomizes passes its nodes' typed values instead.
 	f, _ := functions.Lookup(local, len(n.Args))
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
 			var seq xdm.Sequence
-			walked, err := chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
-				seq = append(seq, &store.Node{D: d, ID: id})
-				return false, nil
-			})
+			var walked bool
+			var err error
+			if f.Props.Arg(i) == functions.Atomized {
+				seq, walked, err = atomizeChain(fr, chs[i])
+			} else {
+				walked, err = chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
+					seq = append(seq, &store.Node{D: d, ID: id})
+					return false, nil
+				})
+			}
 			if !walked {
 				seq, err = drainBatched(fr.dyn, afn(fr))
 			}
@@ -102,6 +109,38 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		}
 		return newSliceIter(out)
 	}, nil
+}
+
+// atomChunk bounds the chunks atomizeChain collects values in.
+const atomChunk = 1024
+
+// atomizeChain walks a chain that a built-in atomizes, reading each node's
+// typed value by id: an untyped atomic of its string value, as
+// store.Node.TypedValue gives. The values are kept in chunks that never
+// move once full, and the items refer to them in place, so the argument
+// costs a few allocations, not one per node. walked=false when the chain
+// does not serve.
+func atomizeChain(fr *Frame, ch *chain) (seq xdm.Sequence, walked bool, err error) {
+	var full [][]xdm.Atomic
+	var cur []xdm.Atomic
+	n := 0
+	walked, err = ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+		if len(cur) == atomChunk {
+			full, cur = append(full, cur), make([]xdm.Atomic, 0, atomChunk)
+		}
+		cur = append(cur, xdm.NewUntyped(d.StringValue(id)))
+		n++
+		return false, nil
+	})
+	if !walked || err != nil {
+		return nil, walked, err
+	}
+	seq = make(xdm.Sequence, n)
+	for i, c := range full {
+		xdm.ItemsOf(seq[i*atomChunk:], c)
+	}
+	xdm.ItemsOf(seq[len(full)*atomChunk:], cur)
+	return seq, true, nil
 }
 
 // lazyBuiltin wires the sequence predicates that benefit from lazy inputs;

@@ -218,7 +218,7 @@ func constructorName(cc *compiledConstructor, fr *Frame) (xdm.QName, error) {
 	}
 	switch a.T {
 	case xdm.TQName:
-		return a.Q, nil
+		return a.QName(), nil
 	case xdm.TString, xdm.TUntyped:
 		prefix, local := xdm.SplitLexical(a.S)
 		return xdm.QName{Prefix: prefix, Local: local}, nil

@@ -48,7 +48,7 @@ func groupKey(a xdm.Atomic, present bool) string {
 	case a.T == xdm.TString || a.T == xdm.TUntyped || a.T == xdm.TAnyURI:
 		return "s\x00" + a.S
 	case a.T == xdm.TBoolean:
-		if a.B {
+		if a.Bool() {
 			return "b\x001"
 		}
 		return "b\x000"

@@ -79,11 +79,15 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 			return nil, err
 		}
 	}
+	var st *stepTest
+	if step != nil {
+		st = newStepTest(step)
+	}
 	memo := step == nil && expr.Positional(n.R)
 	noReorder := n.NoReorder && !c.opts.Eager
 
 	raw := func(fr *Frame) Iter {
-		p := &pathIter{fr: fr, rf: rf, step: step}
+		p := &pathIter{fr: fr, rf: rf, step: st}
 		if memo {
 			p.li, p.lastFn = memoized(lf(fr))
 		} else {
@@ -136,7 +140,7 @@ const maxChain = 8
 type chain struct {
 	root  bool // starts at the root of the context item's tree
 	varID int  // starts at this variable's one item; -1 for "." and "/"
-	steps []*expr.Step
+	steps []*stepTest
 	op    int  // the path's profiling id; -1 for a bare step
 	par   bool // one descendant step, which morsel workers split
 }
@@ -183,7 +187,7 @@ func (c *compiler) chainOf(e expr.Expr) *chain {
 		case s.Axis == expr.AxisChild && desc, !scansStore(s.Axis):
 			return nil // under a descendant step, nested matches would interleave their children
 		}
-		ch.steps = append(ch.steps, s)
+		ch.steps = append(ch.steps, newStepTest(s))
 	}
 	if len(ch.steps) == 0 || len(ch.steps) > maxChain {
 		return nil
@@ -282,12 +286,12 @@ func (ch *chain) iter(fallback seqFn) seqFn {
 type chainCursor struct {
 	dyn   *Dynamic
 	d     *store.Document
-	steps []*expr.Step
+	steps []*stepTest
 	depth int
 }
 
 func (c *chainCursor) open(scans []storeScan, id int32) {
-	scans[0].reset(c.dyn, c.d, id, c.steps[0].Axis, &c.steps[0].Test)
+	scans[0].reset(c.dyn, c.d, id, c.steps[0])
 	c.depth = 1
 }
 
@@ -303,8 +307,7 @@ func (c *chainCursor) descend(scans []storeScan) bool {
 			c.depth--
 			continue
 		}
-		s := c.steps[c.depth]
-		scans[c.depth].reset(c.dyn, c.d, id, s.Axis, &s.Test)
+		scans[c.depth].reset(c.dyn, c.d, id, c.steps[c.depth])
 		c.depth++
 	}
 	return c.depth > 0
@@ -367,10 +370,10 @@ func (c *chainIter) NextBatch(buf []xdm.Item) (int, error) {
 // time.
 type pathIter struct {
 	fr     *Frame
-	rf     seqFn      // the right side under a focus; nil for a step
-	step   *expr.Step // the right side when it is an axis step
-	scan   storeScan  // the step's one scan, re-pointed at each stored left node
-	li     Iter       // cursor over the left input
+	rf     seqFn     // the right side under a focus; nil for a step
+	step   *stepTest // the right side when it is an axis step
+	scan   storeScan // the step's one scan, re-pointed at each stored left node
+	li     Iter      // cursor over the left input
 	lastFn func() (int64, error)
 	cur    Iter
 	pos    int64
@@ -408,11 +411,11 @@ func (p *pathIter) advance() (bool, error) {
 // applyStep applies the right-side step to one left node. A stored node
 // re-points the path's one scan, so the step allocates nothing per node.
 func (p *pathIter) applyStep(n xdm.Node) Iter {
-	if sn, ok := n.(*store.Node); ok && scansStore(p.step.Axis) {
-		p.scan.reset(p.fr.dyn, sn.D, sn.ID, p.step.Axis, &p.step.Test)
+	if sn, ok := n.(*store.Node); ok && scansStore(p.step.axis) {
+		p.scan.reset(p.fr.dyn, sn.D, sn.ID, p.step)
 		return &p.scan
 	}
-	return axisIter(p.fr.dyn, n, p.step.Axis, &p.step.Test)
+	return axisIter(p.fr.dyn, n, p.step)
 }
 
 func (p *pathIter) Next() (xdm.Item, bool, error) {
@@ -474,6 +477,7 @@ func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
 // compileStep compiles one axis step against the context item.
 func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 	c.chainOf(n) // a bare step's consumers walk it; its iterator is axisIter's scan
+	st := newStepTest(n)
 	return func(fr *Frame) Iter {
 		it, ok := fr.ContextItem()
 		if !ok {
@@ -483,7 +487,7 @@ func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 		if !isNode {
 			return errIter(xdm.ErrType("axis step applied to an atomic value"))
 		}
-		return axisIter(fr.dyn, node, n.Axis, &n.Test)
+		return axisIter(fr.dyn, node, st)
 	}, nil
 }
 
@@ -493,7 +497,7 @@ func (c *compiler) compileStep(n *expr.Step) (seqFn, error) {
 // enables the morsel upgrade of large descendant scans; nil keeps every
 // axis sequential. A streamed constructed node is materialized first, so
 // the downward axes always scan the store.
-func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) Iter {
+func axisIter(dyn *Dynamic, n xdm.Node, st *stepTest) Iter {
 	if s, ok := n.(*StreamedNode); ok {
 		m, err := s.materialize()
 		if err != nil {
@@ -501,9 +505,10 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) I
 		}
 		n = m
 	}
+	axis, test := st.axis, st.test
 	if sn, ok := n.(*store.Node); ok && scansStore(axis) {
 		s := new(storeScan)
-		s.reset(dyn, sn.D, sn.ID, axis, test)
+		s.reset(dyn, sn.D, sn.ID, st)
 		return s
 	}
 	principal := axis.Principal()
@@ -579,14 +584,14 @@ func axisIter(dyn *Dynamic, n xdm.Node, axis expr.Axis, test *xtypes.NodeTest) I
 // being returned at all.
 type storeScan struct {
 	d         *store.Document
-	cur, end  int32 // next candidate (-1 ends a child scan); a range ends after end
-	self      int32 // the or-self context node, kept even as an attribute; else -1
-	siblings  bool  // child axis: follow next-sibling links
-	yielded   bool  // child axis: cur was consumed; advance to its sibling first
-	skipAttrs bool  // descendant axes: attributes are not descendants
-	test      *xtypes.NodeTest
-	principal xdm.NodeKind
-	dyn       *Dynamic // morsel upgrade for batch pulls; nil stays sequential
+	v         *store.View // d's lock-free view once it is complete; nil while it is parsed
+	r         *nameRes    // the step's test, resolved against d's name pool
+	cur, end  int32       // next candidate (-1 ends a child scan); a range ends after end
+	self      int32       // the or-self context node, kept even as an attribute; else -1
+	siblings  bool        // child axis: follow next-sibling links
+	yielded   bool        // child axis: cur was consumed; advance to its sibling first
+	skipAttrs bool        // descendant axes: attributes are not descendants
+	dyn       *Dynamic    // morsel upgrade for batch pulls; nil stays sequential
 
 	out []xdm.Item // pending stitched output of the last parallel round
 	oi  int
@@ -601,12 +606,27 @@ func scansStore(axis expr.Axis) bool {
 	return false
 }
 
-// reset points the scan at one of scansStore's axes of stored node id.
-func (s *storeScan) reset(dyn *Dynamic, d *store.Document, id int32, axis expr.Axis, test *xtypes.NodeTest) {
-	*s = storeScan{d: d, self: -1, test: test, principal: axis.Principal(), dyn: dyn}
-	switch axis {
+// reset points the scan at one of scansStore's axes of stored node id. On
+// a complete document whose pool passes no name of the test, the scan is
+// empty and visits no node.
+func (s *storeScan) reset(dyn *Dynamic, d *store.Document, id int32, t *stepTest) {
+	// Field by field: a chain resets a scan per parent node, and a
+	// composite literal would be built aside and copied in whole.
+	s.d, s.v, s.r, s.dyn = d, d.View(), t.resolve(d), dyn
+	s.self, s.siblings, s.yielded, s.skipAttrs = -1, false, false, false
+	s.out, s.oi = nil, 0
+	if s.v != nil && s.r.none {
+		s.cur, s.end = 0, -1
+		return
+	}
+	switch t.axis {
 	case expr.AxisChild:
-		s.cur, s.siblings = d.FirstChildID(id), true
+		s.siblings = true
+		if s.v != nil {
+			s.cur = s.v.FirstChildID(id)
+		} else {
+			s.cur = d.FirstChildID(id)
+		}
 	case expr.AxisSelf:
 		s.cur, s.end = id, id
 	case expr.AxisAttribute:
@@ -616,8 +636,13 @@ func (s *storeScan) reset(dyn *Dynamic, d *store.Document, id int32, axis expr.A
 			s.cur, s.end = from, to-1
 		}
 	default:
-		s.cur, s.end, s.skipAttrs = id+1, d.EndID(id), true
-		if axis == expr.AxisDescendantOrSelf {
+		s.cur, s.skipAttrs = id+1, true
+		if s.v != nil {
+			s.end = s.v.EndID(id)
+		} else {
+			s.end = d.EndID(id)
+		}
+		if t.axis == expr.AxisDescendantOrSelf {
 			s.cur, s.self = id, id
 		}
 	}
@@ -629,7 +654,11 @@ func (s *storeScan) next() int32 {
 		id := s.cur
 		if s.siblings {
 			if s.yielded && id >= 0 {
-				id = s.d.NextSiblingID(id)
+				if s.v != nil {
+					id = s.v.NextSiblingID(id)
+				} else {
+					id = s.d.NextSiblingID(id)
+				}
 				s.cur = id
 			}
 			s.yielded = true
@@ -648,13 +677,20 @@ func (s *storeScan) next() int32 {
 	}
 }
 
-// keep tests one candidate id without boxing it.
+// keep tests one candidate id without boxing it: its kind, then its name
+// by pool index.
 func (s *storeScan) keep(id int32) bool {
-	k := s.d.Kind(id)
+	var k xdm.NodeKind
+	var n int32
+	if s.v != nil {
+		k, n = s.v.Kind(id), s.v.NameIndex(id)
+	} else {
+		k, n = s.d.KindName(id)
+	}
 	if k == xdm.AttributeNode && s.skipAttrs && id != s.self {
 		return false
 	}
-	return s.test.Matches(k, s.d.ExpandedName(id), s.principal)
+	return s.r.passes(s.d, id, k, n)
 }
 
 func (s *storeScan) serve(buf []xdm.Item) int {
@@ -868,10 +904,13 @@ func (f *filterIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-// at focuses the filter's one frame on the next item.
+// at focuses the filter's one frame on the next item: the frame is built
+// at the first item, and only the item and its position change after.
 func (f *filterIter) at(it xdm.Item) *Frame {
-	f.pos++
-	f.focus = Frame{parent: f.fr, dyn: f.fr.dyn, id: -1, hasFocus: true, ctxItem: it, ctxPos: f.pos, ctxLast: f.lastFn}
+	if f.pos++; f.pos == 1 {
+		f.focus = Frame{parent: f.fr, dyn: f.fr.dyn, id: -1, hasFocus: true, ctxLast: f.lastFn}
+	}
+	f.focus.ctxItem, f.focus.ctxPos = it, f.pos
 	return &f.focus
 }
 

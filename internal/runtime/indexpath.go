@@ -98,7 +98,7 @@ func extractJoinChain(e expr.Expr) (steps []joinStep, ok bool) {
 	switch r := p.R.(type) {
 	case *expr.Step:
 		switch {
-		case r.Axis == expr.AxisChild && isPlainNameTest(r.Test):
+		case r.Axis == expr.AxisChild && isPlainNameTest(&r.Test):
 			// A child step: parent/child edge — but only meaningful when a
 			// previous named step exists; a leading /name (from the
 			// document root) is also fine (document node is the parent).
@@ -109,7 +109,7 @@ func extractJoinChain(e expr.Expr) (steps []joinStep, ok bool) {
 			// next child step will consume.
 			steps = append(steps, joinStep{childOnly: false})
 			return steps, true
-		case r.Axis == expr.AxisDescendant && isPlainNameTest(r.Test):
+		case r.Axis == expr.AxisDescendant && isPlainNameTest(&r.Test):
 			steps = append(steps, joinStep{name: r.Test.Name, childOnly: false})
 			return steps, true
 		}
@@ -117,7 +117,7 @@ func extractJoinChain(e expr.Expr) (steps []joinStep, ok bool) {
 	return nil, false
 }
 
-func isPlainNameTest(t xtypes.NodeTest) bool {
+func isPlainNameTest(t *xtypes.NodeTest) bool {
 	return t.Kind == xtypes.TestName && !t.AnyName && !t.WildLocal && !t.WildSpace
 }
 

@@ -24,7 +24,7 @@ func TestLazySeqMemoization(t *testing.T) {
 
 	it1 := ls.Iterator()
 	first, ok, err := it1.Next()
-	if err != nil || !ok || first.(xdm.Atomic).I != 1 {
+	if err != nil || !ok || first.(xdm.Atomic).Int() != 1 {
 		t.Fatal("first pull")
 	}
 	if pulls != 1 {
@@ -34,7 +34,7 @@ func TestLazySeqMemoization(t *testing.T) {
 	// A second consumer re-reads the cache, not the producer.
 	it2 := ls.Iterator()
 	again, _, _ := it2.Next()
-	if again.(xdm.Atomic).I != 1 || pulls != 1 {
+	if again.(xdm.Atomic).Int() != 1 || pulls != 1 {
 		t.Fatalf("memoization failed: pulls=%d", pulls)
 	}
 
@@ -86,19 +86,19 @@ func TestFrameScoping(t *testing.T) {
 	f2 := f1.bind(2, MaterializedSeq(xdm.Sequence{xdm.NewInteger(20)}))
 	f3 := f2.bind(1, MaterializedSeq(xdm.Sequence{xdm.NewInteger(99)})) // shadows id 1
 
-	if v, _ := f3.lookup(1).All(); v[0].(xdm.Atomic).I != 99 {
+	if v, _ := f3.lookup(1).All(); v[0].(xdm.Atomic).Int() != 99 {
 		t.Error("innermost binding wins")
 	}
-	if v, _ := f3.lookup(2).All(); v[0].(xdm.Atomic).I != 20 {
+	if v, _ := f3.lookup(2).All(); v[0].(xdm.Atomic).Int() != 20 {
 		t.Error("outer binding visible")
 	}
-	if v, _ := f2.lookup(1).All(); v[0].(xdm.Atomic).I != 10 {
+	if v, _ := f2.lookup(1).All(); v[0].(xdm.Atomic).Int() != 10 {
 		t.Error("outer frame unaffected")
 	}
 
 	// Focus: nearest focus frame wins; barriers hide it.
 	ff := f3.focus(xdm.NewInteger(7), 3, func() (int64, error) { return 9, nil })
-	if it, ok := ff.ContextItem(); !ok || it.(xdm.Atomic).I != 7 {
+	if it, ok := ff.ContextItem(); !ok || it.(xdm.Atomic).Int() != 7 {
 		t.Error("focus item")
 	}
 	if ff.Position() != 3 {
@@ -112,7 +112,7 @@ func TestFrameScoping(t *testing.T) {
 		t.Error("barrier must hide the focus")
 	}
 	// Variables remain visible through the barrier.
-	if v, _ := bar.lookup(2).All(); v[0].(xdm.Atomic).I != 20 {
+	if v, _ := bar.lookup(2).All(); v[0].(xdm.Atomic).Int() != 20 {
 		t.Error("barrier must not hide variables")
 	}
 }

@@ -133,40 +133,53 @@ func (d *Document) Kind(id int32) xdm.NodeKind {
 // LexicalName returns the QName of node id (zero for unnamed kinds), with
 // the prefix the node was named with. It is for what shows a name as
 // written: fn:name, fn:node-name, serialization and copies. A per-node scan
-// that compares names reads ExpandedName instead.
+// that compares names compares pool indexes (KindName, View) instead.
 func (d *Document) LexicalName(id int32) xdm.QName {
 	f := d.rlock()
-	n := d.name[id]
-	prefix, own := d.prefix[id]
+	var q xdm.QName
+	if n := d.name[id]; n >= 0 {
+		q = d.Names.Name(n)
+		if prefix, own := d.prefix[id]; own {
+			q.Prefix = prefix
+		}
+	}
 	d.runlock(f)
-	if n < 0 {
-		return xdm.QName{}
-	}
-	q := d.Names.Name(n)
-	if own {
-		q.Prefix = prefix
-	}
 	return q
 }
 
 // ExpandedName is the name accessor: it returns the name of node id for
 // comparison by namespace and local name (QName.Equal, Clark). Its prefix
-// is the name pool's, which need not be the node's. Name tests, join
-// indexes and every other per-node scan read it; unlike LexicalName it
-// inlines.
+// is the name pool's, which need not be the node's. The pool grows under
+// the frontier lock, so it is read under it too.
 func (d *Document) ExpandedName(id int32) xdm.QName {
-	if n := d.NameIndex(id); n >= 0 {
-		return d.Names.Name(n)
+	f := d.rlock()
+	var q xdm.QName
+	if n := d.name[id]; n >= 0 {
+		q = d.Names.Name(n)
 	}
-	return xdm.QName{}
+	d.runlock(f)
+	return q
 }
 
-// NameIndex returns the name-pool index of node id, or -1.
-func (d *Document) NameIndex(id int32) int32 {
+// KindName returns the kind and name-pool index of node id under one
+// frontier check: a scan's test of a candidate on a document under
+// construction.
+func (d *Document) KindName(id int32) (xdm.NodeKind, int32) {
 	f := d.rlock()
-	n := d.name[id]
+	k, n := d.kind[id], d.name[id]
 	d.runlock(f)
-	return n
+	return k, n
+}
+
+// PooledNames returns the names of the document's pool, by pool index, as
+// far as it has grown: a name test resolves against it once instead of
+// comparing strings per node. It is read under the frontier lock; the
+// slice stays valid as the pool grows on.
+func (d *Document) PooledNames() []xdm.QName {
+	f := d.rlock()
+	names := d.Names.names
+	d.runlock(f)
+	return names
 }
 
 // Value returns the stored value of node id (text content for leaves,
@@ -322,3 +335,33 @@ func (d *Document) textContent(id int32) string {
 	}
 	return single
 }
+
+// View reads a finished document's arrays without the frontier check. A
+// scan takes it once, when the document has no feed attached, and reads
+// each candidate's kind, name, links and end from it directly; a
+// document's arrays never change once it is complete.
+type View Document
+
+// View returns the document's lock-free view, or nil while it is under
+// construction.
+func (d *Document) View() *View {
+	if d.feed.Load() != nil {
+		return nil
+	}
+	return (*View)(d)
+}
+
+// Kind returns the kind of node id.
+func (v *View) Kind(id int32) xdm.NodeKind { return v.kind[id] }
+
+// NameIndex returns the name-pool index of node id, or -1.
+func (v *View) NameIndex(id int32) int32 { return v.name[id] }
+
+// FirstChildID returns the first non-attribute child of id, or -1.
+func (v *View) FirstChildID(id int32) int32 { return v.firstChild[id] }
+
+// NextSiblingID returns the next sibling of id, or -1.
+func (v *View) NextSiblingID(id int32) int32 { return v.nextSib[id] }
+
+// EndID returns the id of the last node in the subtree of id.
+func (v *View) EndID(id int32) int32 { return v.endID[id] }

@@ -123,7 +123,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 	case *expr.Step:
 		switch t.Axis {
 		case expr.AxisChild:
-			if s, ok := optimizer.StepFromTest(t.Test, false); ok {
+			if s, ok := optimizer.StepFromTest(&t.Test, false); ok {
 				if d.pendingDesc {
 					s.AnyDepth = true
 					d.pendingDesc = false
@@ -132,7 +132,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 				return
 			}
 		case expr.AxisDescendant:
-			if s, ok := optimizer.StepFromTest(t.Test, true); ok {
+			if s, ok := optimizer.StepFromTest(&t.Test, true); ok {
 				d.pendingDesc = false
 				d.spine = append(d.spine, s)
 				return
@@ -154,7 +154,7 @@ func (d *decomp) apply(r expr.Expr, noReorder bool) {
 		// whole filtered step evaluates inside it (this keeps positional
 		// predicates correct: their sibling group is window-internal).
 		if st, isStep := t.In.(*expr.Step); isStep && !d.pendingDesc && st.Axis == expr.AxisChild {
-			if s, ok := optimizer.StepFromTest(st.Test, false); ok && baseSafePreds(t.Preds) {
+			if s, ok := optimizer.StepFromTest(&st.Test, false); ok && baseSafePreds(t.Preds) {
 				d.spine = append(d.spine, s)
 				d.residual = &expr.Filter{
 					Base:  base(r),

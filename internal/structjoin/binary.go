@@ -164,17 +164,3 @@ func UpperBoundStart(l List, start int64) int {
 	}
 	return lo
 }
-
-// DistinctAncestors projects to distinct ancestors (document order).
-func DistinctAncestors(pairs []Pair) List {
-	seen := map[int32]bool{}
-	var out List
-	for _, p := range pairs {
-		if !seen[p.Ancestor.ID] {
-			seen[p.Ancestor.ID] = true
-			out = append(out, p.Ancestor)
-		}
-	}
-	sortList(out)
-	return out
-}

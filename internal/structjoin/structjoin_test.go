@@ -136,15 +136,6 @@ func TestDistinctProjections(t *testing.T) {
 	if len(descs) != 2 { // b1, b2
 		t.Errorf("distinct descendants = %d, want 2", len(descs))
 	}
-	ancs := DistinctAncestors(pairs)
-	if len(ancs) != 2 { // a1, a2
-		t.Errorf("distinct ancestors = %d, want 2", len(ancs))
-	}
-	for i := 1; i < len(ancs); i++ {
-		if ancs[i-1].Region.Start >= ancs[i].Region.Start {
-			t.Error("ancestors not in document order")
-		}
-	}
 }
 
 func TestParseTwig(t *testing.T) {

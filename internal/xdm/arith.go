@@ -85,7 +85,7 @@ func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
 
 	switch common {
 	case TInteger:
-		ia, ib := a.I, b.I
+		ia, ib := a.Int(), b.Int()
 		switch op {
 		case OpAdd:
 			if r, ok := addI64(ia, ib); ok {
@@ -137,55 +137,58 @@ func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
 // exactDecimalArith performs add/sub/mul on scaled-int64 decimals when both
 // operands and the result stay exact.
 func exactDecimalArith(op ArithOp, a, b Atomic) (Atomic, bool) {
-	da, oka := asScaledDecimal(a)
-	db, okb := asScaledDecimal(b)
+	ia, sa, oka := asScaledDecimal(a)
+	ib, sb, okb := asScaledDecimal(b)
 	if !oka || !okb {
 		return Atomic{}, false
 	}
 	switch op {
 	case OpAdd, OpSub:
 		// Align scales.
-		for da.Scale < db.Scale {
-			v, ok := mulI64(da.I, 10)
+		for ; sa < sb; sa++ {
+			v, ok := mulI64(ia, 10)
 			if !ok {
 				return Atomic{}, false
 			}
-			da.I, da.Scale = v, da.Scale+1
+			ia = v
 		}
-		for db.Scale < da.Scale {
-			v, ok := mulI64(db.I, 10)
+		for ; sb < sa; sb++ {
+			v, ok := mulI64(ib, 10)
 			if !ok {
 				return Atomic{}, false
 			}
-			db.I, db.Scale = v, db.Scale+1
+			ib = v
 		}
-		bi := db.I
 		if op == OpSub {
-			bi = -bi
+			if ib == math.MinInt64 {
+				return Atomic{}, false
+			}
+			ib = -ib
 		}
-		r, ok := addI64(da.I, bi)
+		r, ok := addI64(ia, ib)
 		if !ok {
 			return Atomic{}, false
 		}
-		return NewDecimal(r, da.Scale), true
+		return NewDecimal(r, sa), true
 	case OpMul:
-		r, ok := mulI64(da.I, db.I)
-		if !ok || int(da.Scale)+int(db.Scale) > 18 {
+		r, ok := mulI64(ia, ib)
+		if !ok || int(sa)+int(sb) > 18 {
 			return Atomic{}, false
 		}
-		return NewDecimal(r, da.Scale+db.Scale), true
+		return NewDecimal(r, sa+sb), true
 	}
 	return Atomic{}, false
 }
 
-func asScaledDecimal(a Atomic) (Atomic, bool) {
+// asScaledDecimal returns an integer or exact decimal as digits and scale.
+func asScaledDecimal(a Atomic) (digits int64, scale uint8, ok bool) {
 	switch {
-	case a.T == TDecimal && a.Dec:
-		return a, true
+	case a.T == TDecimal && a.Exact():
+		return a.Int(), a.Scale, true
 	case a.T == TInteger:
-		return NewDecimal(a.I, 0), true
+		return a.Int(), 0, true
 	}
-	return Atomic{}, false
+	return 0, 0, false
 }
 
 func floatArith(op ArithOp, a, b float64, isDecimal bool) (float64, error) {
@@ -237,23 +240,23 @@ func temporalArith(op ArithOp, a, b Atomic) (Atomic, bool, error) {
 	// duration + duration, duration - duration (same subtype)
 	case a.T == TYearMonthDuration && b.T == TYearMonthDuration && (op == OpAdd || op == OpSub):
 		if op == OpAdd {
-			return NewYearMonthDuration(a.I + b.I), true, nil
+			return NewYearMonthDuration(a.Int() + b.Int()), true, nil
 		}
-		return NewYearMonthDuration(a.I - b.I), true, nil
+		return NewYearMonthDuration(a.Int() - b.Int()), true, nil
 	case a.T == TDayTimeDuration && b.T == TDayTimeDuration:
 		switch op {
 		case OpAdd:
-			return NewDayTimeDuration(time.Duration(a.I + b.I)), true, nil
+			return NewDayTimeDuration(time.Duration(a.Int() + b.Int())), true, nil
 		case OpSub:
-			return NewDayTimeDuration(time.Duration(a.I - b.I)), true, nil
+			return NewDayTimeDuration(time.Duration(a.Int() - b.Int())), true, nil
 		case OpDiv:
-			if b.I == 0 {
+			if b.Int() == 0 {
 				return Atomic{}, true, ErrDivZero()
 			}
-			return NewDecimalFloat(float64(a.I) / float64(b.I)), true, nil
+			return NewDecimalFloat(float64(a.Int()) / float64(b.Int())), true, nil
 		}
 	// duration * number / number * duration
-	case a.T.IsDuration() && b.T.IsNumeric() && (op == OpMul || op == OpDiv):
+	case (a.T == TYearMonthDuration || a.T == TDayTimeDuration) && b.T.IsNumeric() && (op == OpMul || op == OpDiv):
 		f := b.AsFloat()
 		if op == OpDiv {
 			if f == 0 {
@@ -262,29 +265,29 @@ func temporalArith(op ArithOp, a, b Atomic) (Atomic, bool, error) {
 			f = 1 / f
 		}
 		if a.T == TYearMonthDuration {
-			return NewYearMonthDuration(int64(math.Round(float64(a.I) * f))), true, nil
+			return NewYearMonthDuration(int64(math.Round(float64(a.Int()) * f))), true, nil
 		}
-		return NewDayTimeDuration(time.Duration(float64(a.I) * f)), true, nil
-	case a.T.IsNumeric() && b.T.IsDuration() && op == OpMul:
+		return NewDayTimeDuration(time.Duration(float64(a.Int()) * f)), true, nil
+	case a.T.IsNumeric() && (b.T == TYearMonthDuration || b.T == TDayTimeDuration) && op == OpMul:
 		return temporalArith(op, b, a)
 	// dateTime/date/time ± dayTimeDuration
 	case (a.T == TDateTime || a.T == TDate || a.T == TTime) && b.T == TDayTimeDuration && (op == OpAdd || op == OpSub):
-		d := b.I
+		d := b.Int()
 		if op == OpSub {
 			d = -d
 		}
-		return Atomic{T: a.T, I: a.I + d}, true, nil
+		return Atomic{T: a.T, w: uint64(a.Int() + d)}, true, nil
 	// dateTime/date ± yearMonthDuration
 	case (a.T == TDateTime || a.T == TDate) && b.T == TYearMonthDuration && (op == OpAdd || op == OpSub):
-		m := b.I
+		m := b.Int()
 		if op == OpSub {
 			m = -m
 		}
-		t := time.Unix(0, a.I).UTC().AddDate(0, int(m), 0)
-		return Atomic{T: a.T, I: t.UnixNano()}, true, nil
+		t := time.Unix(0, a.Int()).UTC().AddDate(0, int(m), 0)
+		return Atomic{T: a.T, w: uint64(t.UnixNano())}, true, nil
 	// dateTime - dateTime (same type) yields dayTimeDuration
 	case a.T == b.T && (a.T == TDateTime || a.T == TDate || a.T == TTime) && op == OpSub:
-		return NewDayTimeDuration(time.Duration(a.I - b.I)), true, nil
+		return NewDayTimeDuration(time.Duration(a.Int() - b.Int())), true, nil
 	}
 	return Atomic{}, false, nil
 }
@@ -299,20 +302,20 @@ func Negate(a Atomic) (Atomic, error) {
 	}
 	switch a.T {
 	case TInteger:
-		return NewInteger(-a.I), nil
+		return NewInteger(-a.Int()), nil
 	case TDecimal:
-		if a.Dec {
-			return NewDecimal(-a.I, a.Scale), nil
+		if a.Exact() {
+			return NewDecimal(-a.Int(), a.Scale), nil
 		}
-		return NewDecimalFloat(-a.F), nil
+		return NewDecimalFloat(-a.Float()), nil
 	case TDouble:
-		return NewDouble(-a.F), nil
+		return NewDouble(-a.Float()), nil
 	case TFloat:
-		return NewFloat(-a.F), nil
+		return NewFloat(-a.Float()), nil
 	case TYearMonthDuration:
-		return NewYearMonthDuration(-a.I), nil
+		return NewYearMonthDuration(-a.Int()), nil
 	case TDayTimeDuration:
-		return NewDayTimeDuration(time.Duration(-a.I)), nil
+		return NewDayTimeDuration(time.Duration(-a.Int())), nil
 	}
 	return Atomic{}, ErrType("unary minus not defined for %s", a.T)
 }

@@ -16,7 +16,7 @@ func TestPaperArithmeticRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("untyped 42 + 1: %v", err)
 	}
-	if r.T != TDouble || r.F != 43 {
+	if r.T != TDouble || r.Float() != 43 {
 		t.Errorf("untyped 42 + 1 = %v (%v), want double 43", r.Lexical(), r.T)
 	}
 	// <a>baz</a> + 1: error.
@@ -25,7 +25,7 @@ func TestPaperArithmeticRules(t *testing.T) {
 	}
 	// Typed integer + 1 stays integer.
 	r, err = Arith(OpAdd, NewInteger(42), NewInteger(1))
-	if err != nil || r.T != TInteger || r.I != 43 {
+	if err != nil || r.T != TInteger || r.Int() != 43 {
 		t.Errorf("42 + 1 = %v (%v), %v", r.Lexical(), r.T, err)
 	}
 	// String + 1: type error.
@@ -90,7 +90,7 @@ func TestIDiv(t *testing.T) {
 			t.Errorf("%v idiv %v: %v", c.a.Lexical(), c.b.Lexical(), err)
 			continue
 		}
-		if r.T != TInteger || r.I != c.want {
+		if r.T != TInteger || r.Int() != c.want {
 			t.Errorf("%v idiv %v = %v (%v), want %d", c.a.Lexical(), c.b.Lexical(), r.Lexical(), r.T, c.want)
 		}
 	}
@@ -104,7 +104,7 @@ func TestDivModByZero(t *testing.T) {
 		t.Error("1 mod 0 should error")
 	}
 	// Double division by zero yields INF, not an error.
-	if r, err := Arith(OpDiv, NewDouble(-1), NewDouble(0)); err != nil || !math.IsInf(r.F, -1) {
+	if r, err := Arith(OpDiv, NewDouble(-1), NewDouble(0)); err != nil || !math.IsInf(r.Float(), -1) {
 		t.Errorf("-1e0 div 0e0 = %v, %v; want -INF", r.Lexical(), err)
 	}
 }
@@ -134,7 +134,7 @@ func TestExactDecimalArithmetic(t *testing.T) {
 	}
 	// The paper's warning: decimals lose transitivity through float
 	// fallback only — exact path must not engage floats.
-	if !r.Dec {
+	if !r.Exact() {
 		t.Error("0.1 + 0.2 should stay in the exact representation")
 	}
 }
@@ -160,10 +160,10 @@ func TestTemporalArith(t *testing.T) {
 	}
 
 	date, _ := Cast(NewString("2004-09-14"), TDate)
-	if r, err := Arith(OpAdd, date, NewDayTimeDuration(48*time.Hour)); err != nil || time.Unix(0, r.I).UTC().Day() != 16 {
+	if r, err := Arith(OpAdd, date, NewDayTimeDuration(48*time.Hour)); err != nil || time.Unix(0, r.Int()).UTC().Day() != 16 {
 		t.Errorf("date + P2D = %v, %v", r.Lexical(), err)
 	}
-	if r, err := Arith(OpAdd, date, NewYearMonthDuration(3)); err != nil || time.Unix(0, r.I).UTC().Month() != time.December {
+	if r, err := Arith(OpAdd, date, NewYearMonthDuration(3)); err != nil || time.Unix(0, r.Int()).UTC().Month() != time.December {
 		t.Errorf("date + P3M = %v, %v", r.Lexical(), err)
 	}
 	d3, _ := Cast(NewString("2004-09-16"), TDate)
@@ -177,16 +177,16 @@ func TestTemporalArith(t *testing.T) {
 }
 
 func TestNegate(t *testing.T) {
-	if r, _ := Negate(NewInteger(5)); r.I != -5 {
+	if r, _ := Negate(NewInteger(5)); r.Int() != -5 {
 		t.Error("-5")
 	}
-	if r, _ := Negate(NewDouble(1.5)); r.F != -1.5 {
+	if r, _ := Negate(NewDouble(1.5)); r.Float() != -1.5 {
 		t.Error("-1.5")
 	}
 	if r, _ := Negate(NewDecimal(25, 1)); r.Lexical() != "-2.5" {
 		t.Error("-2.5")
 	}
-	if r, _ := Negate(NewUntyped("3")); r.T != TDouble || r.F != -3 {
+	if r, _ := Negate(NewUntyped("3")); r.T != TDouble || r.Float() != -3 {
 		t.Error("unary minus casts untyped to double")
 	}
 	if _, err := Negate(NewString("x")); err == nil {
@@ -202,7 +202,7 @@ func TestNegate(t *testing.T) {
 func TestIntegerArithQuick(t *testing.T) {
 	f := func(a, b int32) bool {
 		r, err := Arith(OpAdd, NewInteger(int64(a)), NewInteger(int64(b)))
-		return err == nil && r.I == int64(a)+int64(b)
+		return err == nil && r.Int() == int64(a)+int64(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,32 +7,45 @@ import (
 	"time"
 )
 
-// Atomic is an atomic value: a dynamic type code plus a payload. The payload
-// field used depends on the type:
+// Atomic is an atomic value in 32 bytes: an 8-byte header (type code,
+// flags, decimal scale, and an xs:duration's months), one 8-byte payload
+// word and one string. The payload word holds, by type:
 //
-//	B — xs:boolean
-//	I — xs:integer; the calendar types (epoch in ns, with a timezone flag in F);
-//	    xdt:yearMonthDuration (months); xdt:dayTimeDuration (ns)
-//	F — xs:double, xs:float, xs:decimal (see note); xs:duration seconds part
-//	S — xs:string, xs:untypedAtomic, xs:anyURI, hex/base64 binary (raw bytes),
-//	    and the original lexical form of calendar values
-//	Q — xs:QName / xs:NOTATION
+//	xs:boolean                     0 or 1
+//	xs:integer                     the value
+//	xs:decimal held exactly        the digits, value = digits / 10^Scale
+//	xs:decimal that does not fit   float64 bits
+//	xs:double, xs:float            float64 bits
+//	xs:dateTime, xs:date, xs:time  nanoseconds (since the epoch, resp. midnight)
+//	xdt:yearMonthDuration          months
+//	xdt:dayTimeDuration            nanoseconds
+//	xs:duration                    float64 bits of the seconds part
+//	xs:QName                       the lengths of the namespace and local parts
 //
-// Note on xs:decimal: values are kept as (I int64, scaled) when they fit and
-// fall back to float64 otherwise; this preserves exact arithmetic for the
-// money-style decimals that appear in practice while keeping the value one
-// machine word. Dec reports whether I holds a scaled decimal.
+// S holds the value of the string-like types (xs:string, untypedAtomic,
+// anyURI, NOTATION, the g* types, the raw lexical form of the binary types),
+// the lexical form a calendar value or xs:duration was cast from, and an
+// xs:QName's namespace, local part and prefix, concatenated. Read a value
+// through the accessors (Bool, Int, Float, QName, Months), which know the
+// layout; only the string-like types read S directly.
+//
+// A Go word holds a pointer or an integer, never either, so the layout has
+// no spare pointer for a value that does not fit: a QName packs its three
+// strings into S, and a decimal beyond the scaled int64 range falls back to
+// a float64. A value is small enough to pass and box by value.
 type Atomic struct {
-	T TypeCode
-	B bool
-	// Dec marks a decimal held exactly: value = I / 10^Scale.
-	Dec   bool
-	Scale uint8
-	I     int64
-	F     float64
-	S     string
-	Q     QName
+	T     TypeCode
+	flags uint8
+	// Scale is the decimal scale of an exact xs:decimal.
+	Scale  uint8
+	_      uint8
+	months int32 // xs:duration's months part
+	w      uint64
+	S      string
 }
+
+// flagExact marks an xs:decimal held exactly as scaled digits.
+const flagExact uint8 = 1
 
 // Item is a member of an XDM sequence: either an Atomic value or a Node.
 type Item interface {
@@ -57,7 +70,13 @@ func NewString(s string) Atomic { return Atomic{T: TString, S: s} }
 func NewUntyped(s string) Atomic { return Atomic{T: TUntyped, S: s} }
 
 // NewBoolean returns an xs:boolean value.
-func NewBoolean(b bool) Atomic { return Atomic{T: TBoolean, B: b} }
+func NewBoolean(b bool) Atomic {
+	a := Atomic{T: TBoolean}
+	if b {
+		a.w = 1
+	}
+	return a
+}
 
 // True and False are the two boolean values.
 var (
@@ -66,67 +85,116 @@ var (
 )
 
 // NewInteger returns an xs:integer value.
-func NewInteger(i int64) Atomic { return Atomic{T: TInteger, I: i} }
+func NewInteger(i int64) Atomic { return Atomic{T: TInteger, w: uint64(i)} }
 
 // NewDouble returns an xs:double value.
-func NewDouble(f float64) Atomic { return Atomic{T: TDouble, F: f} }
+func NewDouble(f float64) Atomic { return Atomic{T: TDouble, w: math.Float64bits(f)} }
 
 // NewFloat returns an xs:float value.
-func NewFloat(f float64) Atomic { return Atomic{T: TFloat, F: float64(float32(f))} }
+func NewFloat(f float64) Atomic {
+	return Atomic{T: TFloat, w: math.Float64bits(float64(float32(f)))}
+}
 
 // NewDecimal returns an exact xs:decimal value i / 10^scale.
 func NewDecimal(i int64, scale uint8) Atomic {
-	return Atomic{T: TDecimal, Dec: true, I: i, Scale: scale}
+	return Atomic{T: TDecimal, flags: flagExact, Scale: scale, w: uint64(i)}
 }
 
 // NewDecimalFloat returns an xs:decimal approximated by a float64, used when
 // a computation leaves the exact int64-scaled range.
-func NewDecimalFloat(f float64) Atomic { return Atomic{T: TDecimal, F: f} }
+func NewDecimalFloat(f float64) Atomic { return Atomic{T: TDecimal, w: math.Float64bits(f)} }
 
 // NewAnyURI returns an xs:anyURI value.
 func NewAnyURI(s string) Atomic { return Atomic{T: TAnyURI, S: s} }
 
-// NewQName returns an xs:QName value.
-func NewQName(q QName) Atomic { return Atomic{T: TQName, Q: q} }
+// NewQName returns an xs:QName value. A name with a local part only packs
+// without copying; any other concatenates its parts into one string.
+func NewQName(q QName) Atomic {
+	a := Atomic{T: TQName, w: uint64(len(q.Space)) | uint64(len(q.Local))<<32}
+	if q.Space == "" && q.Prefix == "" {
+		a.S = q.Local
+	} else {
+		a.S = q.Space + q.Local + q.Prefix
+	}
+	return a
+}
 
 // NewDateTime returns an xs:dateTime from a time.Time; lex is the original
 // lexical form (may be empty, in which case one is derived on demand).
 func NewDateTime(t time.Time, lex string) Atomic {
-	return Atomic{T: TDateTime, I: t.UnixNano(), S: lex}
+	return Atomic{T: TDateTime, w: uint64(t.UnixNano()), S: lex}
 }
 
 // NewDate returns an xs:date anchored at midnight UTC of the given day.
 func NewDate(t time.Time, lex string) Atomic {
-	return Atomic{T: TDate, I: t.UnixNano(), S: lex}
+	return Atomic{T: TDate, w: uint64(t.UnixNano()), S: lex}
 }
 
 // NewTime returns an xs:time as nanoseconds since midnight.
-func NewTime(ns int64, lex string) Atomic { return Atomic{T: TTime, I: ns, S: lex} }
+func NewTime(ns int64, lex string) Atomic { return Atomic{T: TTime, w: uint64(ns), S: lex} }
 
 // NewYearMonthDuration returns an xdt:yearMonthDuration of the given months.
 func NewYearMonthDuration(months int64) Atomic {
-	return Atomic{T: TYearMonthDuration, I: months}
+	return Atomic{T: TYearMonthDuration, w: uint64(months)}
 }
 
 // NewDayTimeDuration returns an xdt:dayTimeDuration of the given duration.
 func NewDayTimeDuration(d time.Duration) Atomic {
-	return Atomic{T: TDayTimeDuration, I: int64(d)}
+	return Atomic{T: TDayTimeDuration, w: uint64(d)}
+}
+
+// newDuration returns an xs:duration of months and seconds with the lexical
+// form lex (may be empty).
+func newDuration(months int32, seconds float64, lex string) Atomic {
+	return Atomic{T: TDuration, months: months, w: math.Float64bits(seconds), S: lex}
 }
 
 // --- accessors ---
+
+// Bool returns an xs:boolean's value.
+func (a Atomic) Bool() bool { return a.w != 0 }
+
+// Int returns the integer payload: an xs:integer, an exact decimal's
+// digits, a calendar value's nanoseconds, a yearMonthDuration's months or a
+// dayTimeDuration's nanoseconds. AsInt converts a number instead.
+func (a Atomic) Int() int64 { return int64(a.w) }
+
+// Float returns the float64 payload: an xs:double or xs:float, a decimal
+// that does not fit the scaled range, or an xs:duration's seconds part.
+// AsFloat converts a number instead.
+func (a Atomic) Float() float64 { return math.Float64frombits(a.w) }
+
+// Exact reports whether an xs:decimal is held exactly, as Int() / 10^Scale.
+func (a Atomic) Exact() bool { return a.flags&flagExact != 0 }
+
+// Months returns an xs:duration's months part.
+func (a Atomic) Months() int64 { return int64(a.months) }
+
+// QName returns an xs:QName's name.
+func (a Atomic) QName() QName {
+	ns, nl := int(a.w&0xffffffff), int(a.w>>32)
+	if ns+nl > len(a.S) {
+		return QName{}
+	}
+	return QName{Space: a.S[:ns], Local: a.S[ns : ns+nl], Prefix: a.S[ns+nl:]}
+}
 
 // AsFloat returns the numeric value as float64. Valid for numeric types.
 func (a Atomic) AsFloat() float64 {
 	switch a.T {
 	case TInteger:
-		return float64(a.I)
+		return float64(a.Int())
 	case TDecimal:
-		if a.Dec {
-			return float64(a.I) / pow10f(a.Scale)
+		if !a.Exact() {
+			return a.Float()
 		}
-		return a.F
+		if i := a.Int(); i > -1<<53 && i < 1<<53 && a.Scale <= 22 {
+			return float64(i) / pow10f(a.Scale) // one rounding of two exact operands
+		}
+		f, _ := strconv.ParseFloat(a.decimalLexical(), 64)
+		return f
 	default:
-		return a.F
+		return a.Float()
 	}
 }
 
@@ -134,14 +202,14 @@ func (a Atomic) AsFloat() float64 {
 func (a Atomic) AsInt() int64 {
 	switch a.T {
 	case TInteger:
-		return a.I
+		return a.Int()
 	case TDecimal:
-		if a.Dec {
-			return a.I / pow10i(a.Scale)
+		if a.Exact() {
+			return a.Int() / pow10i(a.Scale)
 		}
-		return int64(a.F)
+		return int64(a.Float())
 	default:
-		return int64(a.F)
+		return int64(a.Float())
 	}
 }
 
@@ -168,60 +236,60 @@ func (a Atomic) Lexical() string {
 	case TString, TUntyped, TAnyURI, THexBinary, TBase64Binary, TNotation:
 		return a.S
 	case TBoolean:
-		if a.B {
+		if a.Bool() {
 			return "true"
 		}
 		return "false"
 	case TInteger:
-		return strconv.FormatInt(a.I, 10)
+		return strconv.FormatInt(a.Int(), 10)
 	case TDecimal:
 		return a.decimalLexical()
 	case TDouble, TFloat:
-		return floatLexical(a.F, a.T == TFloat)
+		return floatLexical(a.Float(), a.T == TFloat)
 	case TQName:
-		return a.Q.String()
+		return a.QName().String()
 	case TDateTime:
 		if a.S != "" {
 			return a.S
 		}
-		return time.Unix(0, a.I).UTC().Format("2006-01-02T15:04:05")
+		return time.Unix(0, a.Int()).UTC().Format("2006-01-02T15:04:05")
 	case TDate:
 		if a.S != "" {
 			return a.S
 		}
-		return time.Unix(0, a.I).UTC().Format("2006-01-02")
+		return time.Unix(0, a.Int()).UTC().Format("2006-01-02")
 	case TTime:
 		if a.S != "" {
 			return a.S
 		}
-		ns := a.I
+		ns := a.Int()
 		return time.Unix(0, ns).UTC().Format("15:04:05")
 	case TGYearMonth, TGYear, TGMonthDay, TGDay, TGMonth:
 		return a.S
 	case TYearMonthDuration:
-		return ymDurationLexical(a.I)
+		return ymDurationLexical(a.Int())
 	case TDayTimeDuration:
-		return dtDurationLexical(a.I)
+		return dtDurationLexical(a.Int())
 	case TDuration:
 		if a.S != "" {
 			return a.S
 		}
-		return ymDurationLexical(a.I) // best effort
+		return durationLexical(a.Months(), a.Float())
 	default:
 		return a.S
 	}
 }
 
 func (a Atomic) decimalLexical() string {
-	if !a.Dec {
-		s := strconv.FormatFloat(a.F, 'f', -1, 64)
+	if !a.Exact() {
+		s := strconv.FormatFloat(a.Float(), 'f', -1, 64)
 		return s
 	}
 	if a.Scale == 0 {
-		return strconv.FormatInt(a.I, 10)
+		return strconv.FormatInt(a.Int(), 10)
 	}
-	neg := a.I < 0
-	u := a.I
+	neg := a.Int() < 0
+	u := a.Int()
 	if neg {
 		u = -u
 	}
@@ -283,6 +351,21 @@ func ymDurationLexical(months int64) string {
 		b.WriteByte('M')
 	}
 	return b.String()
+}
+
+// durationLexical renders an xs:duration from its two parts, which share
+// their sign.
+func durationLexical(months int64, seconds float64) string {
+	ns := int64(math.Round(seconds * float64(time.Second)))
+	switch {
+	case months == 0:
+		return dtDurationLexical(ns)
+	case ns == 0:
+		return ymDurationLexical(months)
+	case months < 0:
+		return "-" + durationLexical(-months, -seconds)
+	}
+	return ymDurationLexical(months) + dtDurationLexical(ns)[1:]
 }
 
 func dtDurationLexical(ns int64) string {

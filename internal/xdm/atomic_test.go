@@ -108,7 +108,7 @@ func TestDecimalRoundTripQuick(t *testing.T) {
 func TestIntegerLexicalQuick(t *testing.T) {
 	f := func(v int64) bool {
 		a, err := ParseNumericLexical(NewInteger(v).Lexical(), TInteger)
-		return err == nil && a.I == v
+		return err == nil && a.Int() == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -127,7 +127,7 @@ func TestDoubleLexicalQuick(t *testing.T) {
 		}
 		// Lexical formatting is shortest-roundtrip via strconv.
 		want, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'G', -1, 64), 64)
-		return a.F == v || a.F == want
+		return a.Float() == v || a.Float() == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Cast converts an atomic value to the target type, following the XQuery
@@ -45,7 +46,11 @@ func Cast(a Atomic, to TypeCode) (Atomic, error) {
 	case TQName:
 		switch a.T {
 		case TString, TUntyped:
-			prefix, local := SplitLexical(strings.TrimSpace(a.S))
+			lex := strings.TrimSpace(a.S)
+			prefix, local := SplitLexical(lex)
+			if !isNCName(local) || strings.Contains(lex, ":") && !isNCName(prefix) {
+				return Atomic{}, ErrCast("invalid xs:QName literal %q", a.S)
+			}
 			return NewQName(QName{Prefix: prefix, Local: local}), nil
 		}
 		return Atomic{}, ErrType("cannot cast %s to xs:QName", a.T)
@@ -57,6 +62,20 @@ func Cast(a Atomic, to TypeCode) (Atomic, error) {
 		return Atomic{}, ErrType("cannot cast %s to %s", a.T, to)
 	}
 	return Atomic{}, ErrType("cannot cast %s to %s", a.T, to)
+}
+
+// isNCName reports whether s is a name without a colon, as the QName
+// lexical space needs for a prefix and a local part.
+func isNCName(s string) bool {
+	for i, r := range s {
+		switch {
+		case unicode.IsLetter(r) || r == '_':
+		case i > 0 && (unicode.IsDigit(r) || r == '.' || r == '-' || unicode.Is(unicode.Mn, r)):
+		default:
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Castable reports whether Cast would succeed.
@@ -76,7 +95,7 @@ func castToBoolean(a Atomic) (Atomic, error) {
 		}
 		return Atomic{}, ErrCast("invalid xs:boolean literal %q", a.S)
 	case TInteger:
-		return NewBoolean(a.I != 0), nil
+		return NewBoolean(a.Int() != 0), nil
 	case TDecimal, TDouble, TFloat:
 		f := a.AsFloat()
 		return NewBoolean(f != 0 && !math.IsNaN(f)), nil
@@ -90,7 +109,7 @@ func castToNumeric(a Atomic, to TypeCode) (Atomic, error) {
 		return ParseNumericLexical(strings.TrimSpace(a.S), to)
 	case TBoolean:
 		var v int64
-		if a.B {
+		if a.Bool() {
 			v = 1
 		}
 		switch to {
@@ -117,8 +136,8 @@ func convertNumeric(a Atomic, to TypeCode) (Atomic, error) {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return Atomic{}, ErrCast("cannot cast %s to xs:integer", a.Lexical())
 		}
-		if a.T == TDecimal && a.Dec {
-			return NewInteger(a.I / pow10i(a.Scale)), nil
+		if a.T == TDecimal && a.Exact() {
+			return NewInteger(a.Int() / pow10i(a.Scale)), nil
 		}
 		if f >= math.MaxInt64 || f <= math.MinInt64 {
 			return Atomic{}, ErrOverflow()
@@ -127,7 +146,7 @@ func convertNumeric(a Atomic, to TypeCode) (Atomic, error) {
 	case TDecimal:
 		switch a.T {
 		case TInteger:
-			return NewDecimal(a.I, 0), nil
+			return NewDecimal(a.Int(), 0), nil
 		case TDecimal:
 			return a, nil
 		default:
@@ -163,11 +182,11 @@ func ParseNumericLexical(s string, to TypeCode) (Atomic, error) {
 	case TFloat, TDouble:
 		switch s {
 		case "INF", "+INF":
-			return Atomic{T: to, F: math.Inf(1)}, nil
+			return Atomic{T: to, w: math.Float64bits(math.Inf(1))}, nil
 		case "-INF":
-			return Atomic{T: to, F: math.Inf(-1)}, nil
+			return Atomic{T: to, w: math.Float64bits(math.Inf(-1))}, nil
 		case "NaN":
-			return Atomic{T: to, F: math.NaN()}, nil
+			return Atomic{T: to, w: math.Float64bits(math.NaN())}, nil
 		}
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
@@ -226,7 +245,7 @@ func castToCalendar(a Atomic, to TypeCode) (Atomic, error) {
 	case TString, TUntyped:
 		return ParseCalendarLexical(strings.TrimSpace(a.S), to)
 	case TDateTime:
-		t := time.Unix(0, a.I).UTC()
+		t := time.Unix(0, a.Int()).UTC()
 		switch to {
 		case TDate:
 			day := time.Date(t.Year(), t.Month(), t.Day(), 0, 0, 0, 0, time.UTC)
@@ -237,7 +256,7 @@ func castToCalendar(a Atomic, to TypeCode) (Atomic, error) {
 		}
 	case TDate:
 		if to == TDateTime {
-			return NewDateTime(time.Unix(0, a.I).UTC(), ""), nil
+			return NewDateTime(time.Unix(0, a.Int()).UTC(), ""), nil
 		}
 	}
 	return Atomic{}, ErrType("cannot cast %s to %s", a.T, to)
@@ -292,34 +311,33 @@ func castToDuration(a Atomic, to TypeCode) (Atomic, error) {
 			}
 			return NewDayTimeDuration(time.Duration(ns)), nil
 		default:
-			return Atomic{T: TDuration, I: months, F: float64(ns) / float64(time.Second), S: a.S}, nil
+			return durationOf(months, float64(ns)/float64(time.Second), a.S)
 		}
 	case TDuration, TYearMonthDuration, TDayTimeDuration:
 		// Inter-duration casts: keep the relevant component.
+		months, seconds := durParts(a)
 		switch to {
 		case TYearMonthDuration:
-			if a.T == TDayTimeDuration {
-				return NewYearMonthDuration(0), nil
-			}
-			return NewYearMonthDuration(a.I), nil
+			return NewYearMonthDuration(months), nil
 		case TDayTimeDuration:
-			if a.T == TYearMonthDuration {
-				return NewDayTimeDuration(0), nil
+			if a.T == TDayTimeDuration {
+				return a, nil
 			}
-			if a.T == TDuration {
-				return NewDayTimeDuration(time.Duration(a.F * float64(time.Second))), nil
-			}
-			return a, nil
+			return NewDayTimeDuration(time.Duration(math.Round(seconds * float64(time.Second)))), nil
 		default:
-			switch a.T {
-			case TYearMonthDuration:
-				return Atomic{T: TDuration, I: a.I}, nil
-			default:
-				return Atomic{T: TDuration, F: float64(a.I) / float64(time.Second)}, nil
-			}
+			return durationOf(months, seconds, "")
 		}
 	}
 	return Atomic{}, ErrType("cannot cast %s to %s", a.T, to)
+}
+
+// durationOf returns an xs:duration, or err:FODT0002 when its months do
+// not fit the value's 32-bit months part.
+func durationOf(months int64, seconds float64, lex string) (Atomic, error) {
+	if months != int64(int32(months)) {
+		return Atomic{}, Errf("FODT0002", "xs:duration of %d months overflows", months)
+	}
+	return newDuration(int32(months), seconds, lex), nil
 }
 
 // parseDurationLexical parses the ISO 8601 duration form
@@ -359,22 +377,31 @@ func parseDurationLexical(s string) (months, ns int64, err error) {
 				return ErrCast("invalid duration %q", orig)
 			}
 			seenAny = true
+			var unit float64 // nanoseconds per unit; 0 for months
 			switch {
 			case !isTime && c == 'Y':
-				months += int64(v) * 12
+				v *= 12
 			case !isTime && c == 'M':
-				months += int64(v)
 			case !isTime && c == 'D':
-				ns += int64(v * 24 * float64(time.Hour))
+				unit = 24 * float64(time.Hour)
 			case isTime && c == 'H':
-				ns += int64(v * float64(time.Hour))
+				unit = float64(time.Hour)
 			case isTime && c == 'M':
-				ns += int64(v * float64(time.Minute))
+				unit = float64(time.Minute)
 			case isTime && c == 'S':
-				ns += int64(v * float64(time.Second))
+				unit = float64(time.Second)
 			default:
 				return ErrCast("invalid duration %q", orig)
 			}
+			total, part := &months, v
+			if unit != 0 {
+				total, part = &ns, math.Round(v*unit)
+			}
+			sum, ok := addI64(*total, int64(part))
+			if part >= 1<<63 || !ok {
+				return Errf("FODT0002", "duration %q overflows", orig)
+			}
+			*total = sum
 			num = ""
 		}
 		if num != "" {

@@ -114,7 +114,7 @@ func TestCastDateTimeToDateAndTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if time.Unix(0, back.I).UTC().Hour() != 0 {
+	if time.Unix(0, back.Int()).UTC().Hour() != 0 {
 		t.Error("date->dateTime should be midnight")
 	}
 }

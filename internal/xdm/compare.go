@@ -94,7 +94,7 @@ func typedCompare(op CompOp, a, b Atomic) (bool, error) {
 	if op != OpEq && op != OpNe && !supportsOrder(a.T) {
 		return false, ErrType("%s supports only eq/ne", a.T)
 	}
-	c, incomparable, err := orderCompare(a, b)
+	c, incomparable, err := compare(a, b, op == OpEq || op == OpNe)
 	if err != nil {
 		return false, err
 	}
@@ -121,14 +121,20 @@ func typedCompare(op CompOp, a, b Atomic) (bool, error) {
 // order-by and fn:min/max/index-of. Incomparable pairs yield a type error;
 // NaN sorts as specified by the caller (this function reports NaN via the
 // bool result).
-func OrderCompare(a, b Atomic) (int, bool, error) { return orderCompare(a, b) }
+func OrderCompare(a, b Atomic) (int, bool, error) { return compare(a, b, false) }
 
-func orderCompare(a, b Atomic) (cmp int, nan bool, err error) {
+// compare orders a and b. eqOnly asks only whether they are equal, which
+// the types without an order also answer: two unequal values of such a type
+// compare as 1 instead of raising an error.
+func compare(a, b Atomic, eqOnly bool) (cmp int, nan bool, err error) {
 	// Numeric comparison with promotion.
 	if a.T.IsNumeric() && b.T.IsNumeric() {
 		// Exact integer/decimal fast paths.
 		if a.T == TInteger && b.T == TInteger {
-			return cmpI64(a.I, b.I), false, nil
+			return cmpI64(a.Int(), b.Int()), false, nil
+		}
+		if c, ok := cmpScaled(a, b); ok {
+			return c, false, nil
 		}
 		fa, fb := a.AsFloat(), b.AsFloat()
 		if math.IsNaN(fa) || math.IsNaN(fb) {
@@ -148,44 +154,57 @@ func orderCompare(a, b Atomic) (cmp int, nan bool, err error) {
 		return strings.Compare(a.S, b.S), false, nil
 	case ta == TBoolean && tb == TBoolean:
 		switch {
-		case a.B == b.B:
+		case a.Bool() == b.Bool():
 			return 0, false, nil
-		case !a.B:
+		case !a.Bool():
 			return -1, false, nil
 		default:
 			return 1, false, nil
 		}
 	case ta == TQName && tb == TQName:
-		if a.Q.Equal(b.Q) {
-			return 0, false, nil
-		}
-		return 0, false, ErrType("xs:QName supports only eq/ne")
-	case ta.IsCalendar() && ta == tb:
-		return cmpI64(a.I, b.I), false, nil
+		return unordered(a.T, a.QName().Equal(b.QName()), eqOnly)
+	case ta == TNotation && tb == TNotation:
+		return unordered(a.T, a.S == b.S, eqOnly)
+	case ta == tb && (ta == TDateTime || ta == TDate || ta == TTime):
+		return cmpI64(a.Int(), b.Int()), false, nil
+	case ta == tb && ta.IsCalendar():
+		// The g* types keep only their lexical form.
+		return unordered(a.T, a.S == b.S, eqOnly)
 	case ta == TYearMonthDuration && tb == TYearMonthDuration:
-		return cmpI64(a.I, b.I), false, nil
+		return cmpI64(a.Int(), b.Int()), false, nil
 	case ta == TDayTimeDuration && tb == TDayTimeDuration:
-		return cmpI64(a.I, b.I), false, nil
+		return cmpI64(a.Int(), b.Int()), false, nil
 	case ta.IsDuration() && tb.IsDuration():
 		// Only equality is defined across general durations.
 		am, as := durParts(a)
 		bm, bs := durParts(b)
-		if am == bm && as == bs {
-			return 0, false, nil
-		}
-		return 0, false, ErrType("xs:duration supports only eq/ne")
+		return unordered(a.T, am == bm && as == bs, eqOnly)
 	case (ta == THexBinary && tb == THexBinary) || (ta == TBase64Binary && tb == TBase64Binary):
 		return strings.Compare(a.S, b.S), false, nil
 	}
 	return 0, false, ErrType("cannot compare %s with %s", a.T, b.T)
 }
 
+// unordered compares two values of a type without an order: 0 when they
+// are equal, else 1 when only equality is asked and a type error when an
+// order is.
+func unordered(t TypeCode, equal, eqOnly bool) (int, bool, error) {
+	switch {
+	case equal:
+		return 0, false, nil
+	case eqOnly:
+		return 1, false, nil
+	}
+	return 0, false, ErrType("%s supports only eq/ne", t)
+}
+
 // supportsOrder reports whether a type admits the ordering operators
-// (lt/le/gt/ge); xs:QName, xs:NOTATION, the binary types and the generic
-// xs:duration admit only eq/ne.
+// (lt/le/gt/ge); xs:QName, xs:NOTATION, the binary types, the generic
+// xs:duration and the g* types admit only eq/ne.
 func supportsOrder(t TypeCode) bool {
 	switch t {
-	case TQName, TNotation, THexBinary, TBase64Binary, TDuration:
+	case TQName, TNotation, THexBinary, TBase64Binary, TDuration,
+		TGYearMonth, TGYear, TGMonthDay, TGDay, TGMonth:
 		return false
 	}
 	return true
@@ -194,12 +213,33 @@ func supportsOrder(t TypeCode) bool {
 func durParts(a Atomic) (months int64, seconds float64) {
 	switch a.T {
 	case TYearMonthDuration:
-		return a.I, 0
+		return a.Int(), 0
 	case TDayTimeDuration:
-		return 0, float64(a.I) / 1e9
+		return 0, float64(a.Int()) / 1e9
 	default:
-		return a.I, a.F
+		return a.Months(), a.Float()
 	}
+}
+
+// cmpScaled compares two integers or exact decimals by their digits, when
+// their scales align without overflow.
+func cmpScaled(a, b Atomic) (int, bool) {
+	ia, sa, oka := asScaledDecimal(a)
+	ib, sb, okb := asScaledDecimal(b)
+	if !oka || !okb {
+		return 0, false
+	}
+	for ; sa < sb; sa++ {
+		if ia, oka = mulI64(ia, 10); !oka {
+			return 0, false
+		}
+	}
+	for ; sb < sa; sb++ {
+		if ib, okb = mulI64(ib, 10); !okb {
+			return 0, false
+		}
+	}
+	return cmpI64(ia, ib), true
 }
 
 func cmpI64(a, b int64) int {

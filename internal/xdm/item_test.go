@@ -38,11 +38,11 @@ func TestAtomize(t *testing.T) {
 	if a.T != TUntyped || a.S != "42" {
 		t.Errorf("Atomize(node) = %v %q", a.T, a.S)
 	}
-	if got := Atomize(NewInteger(3)); got.I != 3 {
+	if got := Atomize(NewInteger(3)); got.Int() != 3 {
 		t.Error("Atomize(atomic) passes through")
 	}
 	seq := AtomizeSequence(Sequence{n, NewInteger(1)})
-	if len(seq) != 2 || seq[0].S != "42" || seq[1].I != 1 {
+	if len(seq) != 2 || seq[0].S != "42" || seq[1].Int() != 1 {
 		t.Errorf("AtomizeSequence = %v", seq)
 	}
 }
@@ -134,7 +134,7 @@ func TestSingleAndStringValue(t *testing.T) {
 	if _, err := Single(Sequence{True, False}); err == nil {
 		t.Error("Single of pair must fail")
 	}
-	if it, err := Single(Sequence{NewInteger(9)}); err != nil || it.(Atomic).I != 9 {
+	if it, err := Single(Sequence{NewInteger(9)}); err != nil || it.(Atomic).Int() != 9 {
 		t.Error("Single of singleton")
 	}
 	if StringValue(elem(1, 0, "txt")) != "txt" {

@@ -231,13 +231,19 @@ const (
 // MatchesNode reports whether node n passes the test; principal is the
 // principal node kind of the axis (element for most axes, attribute for the
 // attribute axis).
-func (t NodeTest) MatchesNode(n xdm.Node, principal xdm.NodeKind) bool {
+func (t *NodeTest) MatchesNode(n xdm.Node, principal xdm.NodeKind) bool {
 	return t.Matches(n.Kind(), n.NodeName(), principal)
 }
 
-// Matches is the node test on a node's kind and name: the store's scans
-// test a node id this way before they box the node.
-func (t NodeTest) Matches(kind xdm.NodeKind, name xdm.QName, principal xdm.NodeKind) bool {
+// Matches is the node test on a node's kind and name. The store's scans
+// test the kind, then the name by pool index (see NameFree, Exact), and
+// compare names as strings only for a name the pool cannot answer yet.
+func (t *NodeTest) Matches(kind xdm.NodeKind, name xdm.QName, principal xdm.NodeKind) bool {
+	return t.MatchesKind(kind, principal) && t.MatchesName(name)
+}
+
+// MatchesKind is the kind part of the test.
+func (t *NodeTest) MatchesKind(kind, principal xdm.NodeKind) bool {
 	switch t.Kind {
 	case TestAnyKind:
 		return true
@@ -248,26 +254,48 @@ func (t NodeTest) Matches(kind xdm.NodeKind, name xdm.QName, principal xdm.NodeK
 	case TestComment:
 		return kind == xdm.CommentNode
 	case TestPI:
-		return kind == xdm.PINode && (t.AnyName || t.Name.Local == "" || name.Local == t.Name.Local)
+		return kind == xdm.PINode
 	case TestElement:
-		return kind == xdm.ElementNode && t.matchName(name)
+		return kind == xdm.ElementNode
 	case TestAttribute:
-		return kind == xdm.AttributeNode && t.matchName(name)
+		return kind == xdm.AttributeNode
 	default: // TestName
-		return kind == principal && t.matchName(name)
+		return kind == principal
 	}
 }
 
-func (t NodeTest) matchName(name xdm.QName) bool {
+// MatchesName is the name part of the test, for a node that passed the
+// kind part.
+func (t *NodeTest) MatchesName(name xdm.QName) bool {
 	switch {
-	case t.AnyName:
+	case t.NameFree():
 		return true
+	case t.Kind == TestPI:
+		return name.Local == t.Name.Local
 	case t.WildSpace:
 		return name.Local == t.Name.Local
 	case t.WildLocal:
 		return name.Space == t.Name.Space
 	}
 	return name.Equal(t.Name)
+}
+
+// NameFree reports whether every name passes the test: a kind test without
+// a name, or the "*" wildcard.
+func (t *NodeTest) NameFree() bool {
+	switch t.Kind {
+	case TestAnyKind, TestDoc, TestText, TestComment:
+		return true
+	case TestPI:
+		return t.AnyName || t.Name.Local == ""
+	}
+	return t.AnyName
+}
+
+// Exact reports whether one expanded name passes the test: no wildcard,
+// so a name pool answers it with one index.
+func (t *NodeTest) Exact() bool {
+	return !t.NameFree() && t.Kind != TestPI && !t.WildSpace && !t.WildLocal
 }
 
 // String renders the node test in XQuery syntax.
