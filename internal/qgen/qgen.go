@@ -9,7 +9,10 @@
 // supported axis with numeric, boolean, positional and last() predicates,
 // predicate-free step chains in every scalar position (DESIGN.md §13),
 // focus built-ins with and without their argument, FLWOR with at, where,
-// order by and group by, quantifiers, direct and computed constructors
+// order by and group by, FLWORs over join paths (plain element names with
+// a descendant edge, what the runtime may run as a holistic path join)
+// with several for clauses, order by and constructors in return,
+// quantifiers, direct and computed constructors
 // with duplicate and copied attributes, try/catch, declared functions and
 // operators that can fail. Binary and type operators come from levels, the
 // XQuery 1.0 precedence table in the order the parser descends it.
@@ -79,11 +82,12 @@ const (
 // one, in scope from the hole after the next on, and %V %I %G name the last
 // bound; %o is a range; %f calls a focus built-in, %z one without its
 // argument; %l names a declared function; %t is a path, %h a step chain,
-// %r forward element steps from the root; %= repeats the hole before it. A
+// %r forward element steps from the root, %j a join path; %= repeats the
+// hole before it. A
 // production that starts with "." needs a focus.
 var grammar = map[byte][]string{
 	'n': {"0", "1", "2", "3", "2.5", "1e0", "count(%p)", "sum(%p)", "max(%p)", "xs:integer(%a)", ".position()", ".last()", "%f", "%l(%a)",
-		"count(%h)", "sum(%h)"},
+		"count(%h)", "sum(%h)", "count(%j)"},
 	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f", "string(%h)"},
 	'b': {"true()", "false()", "not(%a)", "exists(%p)", "empty(%p)", "boolean(%p)", "exists(%h)", "empty(%h)", "(%h = (%a))", "(%h eq (%a))"},
 	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c", "%h"},
@@ -97,7 +101,10 @@ var grammar = map[byte][]string{
 		"for %v in %p order by %a descending return %k", "for %v at %i in %r order by %a empty greatest return %k",
 		"for %v in %r order by %h return %k", "for %v in %r where %h return %h",
 		"for %i in %o where %b return %k", "for %i at %i in %o return %k",
-		"for %v in %r return %V/(%W, %=)"}, // the same step twice: what common subexpression elimination may factor
+		"for %v in %r return %V/(%W, %=)", // the same step twice: what common subexpression elimination may factor
+		"for %v in %j return %c", "for %v at %i in %j where %b return <e n=\"{%I}\">{%a}</e>",
+		"for %v in %j, %v in %j return %c", "for %v in %j for %v in %V//b where %b return %c",
+		"for %v in %j order by %a descending return %c", "for %v in %j let %v := %h order by %a return %c"},
 }
 
 type gen struct {
@@ -359,6 +366,8 @@ func (g *gen) expand(p string, k byte) string {
 			last = g.chain()
 		case 'r':
 			last = g.spine()
+		case 'j':
+			last = g.join()
 		}
 		b.WriteString(last)
 		g.focus = focus
@@ -467,6 +476,18 @@ func (g *gen) spine() string {
 		case 1:
 			s += g.expand(g.pick("[1]", "[2]", "[last()]", "[@x]", `[@x = "1"]`, "[b]", `[. = "1"]`, "[string-length() gt 1]", "[%B]"), 'a')
 		}
+	}
+	return s
+}
+
+// join generates a join path: plain element names from the root, with a
+// descendant edge after the first name, the shape the runtime may run as
+// one holistic path join.
+func (g *gen) join() string {
+	names := []string{"a", "b", "c", "p:a", "d:b"}
+	s := g.pick("/", "//", "/r/", "/r//") + g.pick(names...) + "//" + g.pick(names...)
+	if g.chance(2) {
+		s += g.pick("/", "//") + g.pick(names...)
 	}
 	return s
 }

@@ -717,10 +717,24 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 		return nil, nil, err
 	}
 	op := n.Op
+	// A string literal against the other operand's stored nodes compares
+	// their text in place: lt tests the left operand, rt the right.
+	var lt, rt nodeTest
+	if lo.lit == nil {
+		lt = textTest(op, ro.lit)
+	} else if ro.lit == nil {
+		rt = textTest(op, lo.lit)
+	}
 	if n.Kind == expr.CompValue {
 		// An empty operand makes the result the empty sequence, which the
 		// condition reads as false.
 		cmp := func(fr *Frame) (r, ok bool, err error) {
+			switch {
+			case lt != nil:
+				return lo.singleTest(fr, lt, op, *ro.lit)
+			case rt != nil:
+				return ro.singleTest(fr, rt, op, *lo.lit)
+			}
 			a, ok, err := lo.single(fr)
 			if err != nil || !ok {
 				return false, false, err
@@ -760,12 +774,12 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 	case ro.lit != nil:
 		b := *ro.lit
 		cond = func(fr *Frame) (bool, error) {
-			return lo.any(fr, func(a xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+			return lo.any(fr, func(a xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) }, lt)
 		}
 	case lo.lit != nil:
 		a := *lo.lit
 		cond = func(fr *Frame) (bool, error) {
-			return ro.any(fr, func(b xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) })
+			return ro.any(fr, func(b xdm.Atomic) (bool, error) { return xdm.GeneralCompareItems(op, a, b) }, rt)
 		}
 	default:
 		right := func(fr *Frame) *LazySeq { return NewLazySeq(ro.fn(fr)) }
@@ -785,7 +799,7 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 						return m, err
 					}
 				}
-			})
+			}, nil)
 		}
 	}
 	return cond, boolSeq(cond), nil
@@ -830,10 +844,53 @@ func (o operand) single(fr *Frame) (a xdm.Atomic, ok bool, err error) {
 	return atomizeSingle(o.fn(fr))
 }
 
-// any reports whether test holds for the atomized value of some item of
-// the operand, reading no further than the first that does.
-func (o operand) any(fr *Frame, test func(xdm.Atomic) (bool, error)) (found bool, err error) {
+// singleTest is a value comparison of the operand with the literal lit by
+// op: a chain's one node is read by node, in place; the operand holds at
+// most one item, as single requires.
+func (o operand) singleTest(fr *Frame, node nodeTest, op xdm.CompOp, lit xdm.Atomic) (r, ok bool, err error) {
+	n := 0
 	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+		if n++; n > 1 {
+			return true, errTooMany
+		}
+		r = node(d, id)
+		return false, nil
+	}); walked {
+		return r, n == 1 && err == nil, err
+	}
+	a, ok, err := atomizeSingle(o.fn(fr))
+	if err != nil || !ok {
+		return false, false, err
+	}
+	r, err = xdm.ValueCompare(op, a, lit) // eq and ne are symmetric
+	return r, err == nil, err
+}
+
+// nodeTest is a comparison's test of one stored node, read by id.
+type nodeTest func(d *store.Document, id int32) bool
+
+// textTest is the in-place test of a comparison by op with the literal
+// lit: = and != (eq and ne) with an xs:string or untyped literal, which a
+// stored node's untyped value meets as a string, compare the node's text
+// runs where they are stored instead of building its string value. nil
+// for any other comparison: a numeric literal keeps the cast.
+func textTest(op xdm.CompOp, lit *xdm.Atomic) nodeTest {
+	if lit == nil || op != xdm.OpEq && op != xdm.OpNe || lit.T != xdm.TString && lit.T != xdm.TUntyped {
+		return nil
+	}
+	s, ne := lit.S, op == xdm.OpNe
+	return func(d *store.Document, id int32) bool { return d.StringValueEquals(id, s) != ne }
+}
+
+// any reports whether test holds for the atomized value of some item of
+// the operand, reading no further than the first that does. A stored node
+// is tested by node instead, when it is set.
+func (o operand) any(fr *Frame, test func(xdm.Atomic) (bool, error), node nodeTest) (found bool, err error) {
+	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+		if node != nil {
+			found = node(d, id)
+			return found, nil
+		}
 		found, err = test(xdm.NewUntyped(d.StringValue(id)))
 		return found, err
 	}); walked {
@@ -843,6 +900,12 @@ func (o operand) any(fr *Frame, test func(xdm.Atomic) (bool, error)) (found bool
 		x, ok, err := it.Next()
 		if err != nil || !ok {
 			return false, err
+		}
+		if sn, stored := x.(*store.Node); stored && node != nil {
+			if node(sn.D, sn.ID) {
+				return true, nil
+			}
+			continue
 		}
 		if m, err := test(xdm.Atomize(x)); err != nil || m {
 			return m, err

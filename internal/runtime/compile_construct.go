@@ -53,6 +53,7 @@ func (c *compiler) compileConstructor(e expr.Expr) (seqFn, error) {
 	}
 	return func(fr *Frame) Iter {
 		if cc.noIDs && !c.opts.Eager {
+			fr.pin() // its content is evaluated under fr when it is serialized
 			return singleIter(&StreamedNode{cc: cc, fr: fr})
 		}
 		n, err := evalConstructor(cc, fr)

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sort"
+
 	"xqgo/internal/expr"
 	"xqgo/internal/xdm"
 	"xqgo/internal/xtypes"
@@ -117,10 +119,21 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		return nil, err
 	}
 
-	makeTuples := func(fr *Frame, withWhere bool) tupleSrc {
+	// The last for clause recycles its tuple frames where nothing keeps a
+	// tuple past the next pull: not under order by or group by, which keep
+	// every tuple, nor in morsel rounds, which gather many (see Frame.pin).
+	// Earlier for clauses bind heap frames: one batch of the last clause's
+	// tuples can span several of theirs.
+	lastFor := -1
+	for i, cc := range clauses {
+		if cc.kind == expr.ForClause {
+			lastFor = i
+		}
+	}
+	makeTuples := func(fr *Frame, withWhere, recycle bool) tupleSrc {
 		tuples := baseTuple(fr)
 		for i := range clauses {
-			tuples = applyClause(tuples, &clauses[i])
+			tuples = applyClause(tuples, &clauses[i], recycle && i == lastFor)
 		}
 		if where != nil && withWhere {
 			tuples = filterTuples(tuples, where)
@@ -156,17 +169,17 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 		fn := func(fr *Frame) Iter {
 			if parSafe && fr.dyn.Workers > 1 {
-				return &flworIter{tuples: makeTuples(fr, false), retFn: retFn, where: where,
+				return &flworIter{tuples: tuplePull{src: makeTuples(fr, false, false)}, retFn: retFn, where: where,
 					par: &flworMorsel{fr: fr, outerForce: outerForce, letForce: letForce}}
 			}
-			return &flworIter{tuples: makeTuples(fr, true), retFn: retFn}
+			return &flworIter{tuples: tuplePull{src: makeTuples(fr, true, len(groupSpecs) == 0)}, retFn: retFn}
 		}
 		return c.tag("flwor", n, fn), nil
 	}
 
 	// Order-by path: materialize tuples and their keys.
 	fn := func(fr *Frame) Iter {
-		pull := batchedTuplePull(makeTuples(fr, true))
+		pull := batchedTuplePull(makeTuples(fr, true, false))
 		type sortable struct {
 			frame *Frame
 			keys  []*xdm.Atomic // nil pointer = empty key
@@ -203,12 +216,12 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			idx[i] = i
 		}
 		var sortErr error
-		stableSortInts(idx, func(a, b int) bool {
+		sort.SliceStable(idx, func(i, j int) bool {
 			if sortErr != nil {
 				return false
 			}
 			for k := range orderKeys {
-				ka, kb := rows[a].keys[k], rows[b].keys[k]
+				ka, kb := rows[idx[i]].keys[k], rows[idx[j]].keys[k]
 				cmp, err := compareKeys(ka, kb, orderKeys[k].emptyLeast)
 				if err != nil {
 					sortErr = err
@@ -238,7 +251,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			pos++
 			return t, true, nil
 		}
-		return &flworIter{tuples: tupleSrcFrom(sorted), retFn: retFn}
+		return &flworIter{tuples: tuplePull{src: tupleSrcFrom(sorted)}, retFn: retFn}
 	}
 	return c.tag("flwor", n, fn), nil
 }
@@ -319,7 +332,7 @@ func (c *compiler) flworForceSets(n *expr.Flwor, clauses []compiledClause) (oute
 // return results of the already-prefetched tuples have been delivered, so
 // the error surfaced matches item-at-a-time order.
 type flworIter struct {
-	tuples tupleSrc
+	tuples tuplePull
 	retFn  seqFn
 
 	// where is set only on a morsel-parallel FLWOR: the filter moves out
@@ -329,18 +342,14 @@ type flworIter struct {
 	where condFn
 	par   *flworMorsel
 
-	cur     Iter
-	pending []*Frame
-	pi, pn  int
-	stash   error
-	tdone   bool
+	cur Iter
 }
 
 // nextTuple yields the next tuple that passes the where clause (when the
 // filter lives at this level; see whereFn).
 func (f *flworIter) nextTuple(batched bool) (*Frame, bool, error) {
 	for {
-		t, ok, err := f.rawTuple(batched)
+		t, ok, err := f.tuples.pull(batched)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -357,41 +366,52 @@ func (f *flworIter) nextTuple(batched bool) (*Frame, bool, error) {
 	}
 }
 
-// rawTuple yields the next tuple from the source, unfiltered.
-func (f *flworIter) rawTuple(batched bool) (*Frame, bool, error) {
+// tuplePull yields a tuple stream's tuples one at a time, unfiltered: a
+// batch pull prefetches from the batch side, holding an upstream error back
+// until the prefetched tuples are consumed; an item pull takes the next
+// tuple from the item side once nothing is prefetched.
+type tuplePull struct {
+	src     tupleSrc
+	pending []*Frame
+	pi, pn  int
+	stash   error
+	done    bool
+}
+
+func (p *tuplePull) pull(batched bool) (*Frame, bool, error) {
 	for {
-		if f.pi < f.pn {
-			t := f.pending[f.pi]
-			f.pending[f.pi] = nil
-			f.pi++
+		if p.pi < p.pn {
+			t := p.pending[p.pi]
+			p.pending[p.pi] = nil
+			p.pi++
 			return t, true, nil
 		}
-		if f.stash != nil {
-			err := f.stash
-			f.stash = nil
-			f.tdone = true
+		if p.stash != nil {
+			err := p.stash
+			p.stash = nil
+			p.done = true
 			return nil, false, err
 		}
-		if f.tdone {
+		if p.done {
 			return nil, false, nil
 		}
 		if !batched {
-			t, ok, err := f.tuples.next()
+			t, ok, err := p.src.next()
 			if err != nil || !ok {
-				f.tdone = true
+				p.done = true
 				return nil, false, err
 			}
 			return t, true, nil
 		}
-		if f.pending == nil {
-			f.pending = make([]*Frame, batchSize)
+		if p.pending == nil {
+			p.pending = make([]*Frame, batchSize)
 		}
-		n, err := f.tuples.batch(f.pending)
-		f.pi, f.pn = 0, n
+		n, err := p.src.batch(p.pending)
+		p.pi, p.pn = 0, n
 		if err != nil {
-			f.stash = err
+			p.stash = err
 		} else if n == 0 {
-			f.tdone = true
+			p.done = true
 		}
 	}
 }
@@ -528,7 +548,7 @@ func (m *flworMorsel) runRound(f *flworIter) (bool, error) {
 	var terr error
 gather:
 	for len(round) < roundTuples {
-		t, ok, err := f.rawTuple(true)
+		t, ok, err := f.tuples.pull(true)
 		if err != nil {
 			terr = err
 			break
@@ -542,6 +562,7 @@ gather:
 				break gather
 			}
 		}
+		t.pin() // workers' constructors may keep it (see Frame.pin)
 		round = append(round, t)
 	}
 	if len(round) == 0 {
@@ -633,44 +654,11 @@ func evalFlworTuple(w *Dynamic, f *flworIter, t *Frame) (xdm.Sequence, error) {
 	return drainBatched(w, f.retFn(t2))
 }
 
-// batchedTuplePull adapts a tupleSrc's batch side to one-at-a-time
-// delivery for materializing consumers (the order-by row loop): tuples are
-// prefetched a batch at a time, with upstream errors held back until the
-// prefetched tuples are consumed.
+// batchedTuplePull is tuplePull's batch side, for materializing consumers
+// (the order-by row loop, grouping).
 func batchedTuplePull(src tupleSrc) tupleIter {
-	var pending []*Frame
-	pi, pn := 0, 0
-	var stash error
-	done := false
-	return func() (*Frame, bool, error) {
-		for {
-			if pi < pn {
-				t := pending[pi]
-				pending[pi] = nil
-				pi++
-				return t, true, nil
-			}
-			if stash != nil {
-				err := stash
-				stash = nil
-				done = true
-				return nil, false, err
-			}
-			if done {
-				return nil, false, nil
-			}
-			if pending == nil {
-				pending = make([]*Frame, batchSize)
-			}
-			n, err := src.batch(pending)
-			pi, pn = 0, n
-			if err != nil {
-				stash = err
-			} else if n == 0 {
-				done = true
-			}
-		}
-	}
+	p := &tuplePull{src: src}
+	return func() (*Frame, bool, error) { return p.pull(true) }
 }
 
 // compareKeys orders two order-by keys; empty sequences order per
@@ -701,46 +689,6 @@ func compareKeys(a, b *xdm.Atomic, emptyLeast bool) (int, error) {
 	return cmp, nil
 }
 
-// stableSortInts is an insertion-based stable sort over an index slice
-// (rows are typically modest; order-by over huge results materializes
-// anyway). For large inputs it falls back to a merge sort.
-func stableSortInts(idx []int, less func(a, b int) bool) {
-	if len(idx) < 32 {
-		for i := 1; i < len(idx); i++ {
-			for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-		return
-	}
-	mid := len(idx) / 2
-	left := append([]int(nil), idx[:mid]...)
-	right := append([]int(nil), idx[mid:]...)
-	stableSortInts(left, less)
-	stableSortInts(right, less)
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if less(right[j], left[i]) {
-			idx[k] = right[j]
-			j++
-		} else {
-			idx[k] = left[i]
-			i++
-		}
-		k++
-	}
-	for i < len(left) {
-		idx[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		idx[k] = right[j]
-		j++
-		k++
-	}
-}
-
 // baseTuple yields the initial single tuple (the enclosing frame).
 func baseTuple(fr *Frame) tupleSrc {
 	done := false
@@ -753,8 +701,9 @@ func baseTuple(fr *Frame) tupleSrc {
 	})
 }
 
-// applyClause extends a tuple stream with one for/let clause.
-func applyClause(tuples tupleSrc, cl *compiledClause) tupleSrc {
+// applyClause extends a tuple stream with one for/let clause; a recycling
+// for clause reuses its tuple frames (see forClauseState).
+func applyClause(tuples tupleSrc, cl *compiledClause, recycle bool) tupleSrc {
 	if cl.kind == expr.LetClause {
 		// Lazy binding: the clause input is not evaluated until the
 		// variable is first used, and then memoized — in both granularities.
@@ -780,18 +729,66 @@ func applyClause(tuples tupleSrc, cl *compiledClause) tupleSrc {
 	// batch sides share the cursor state, so the granularities may be mixed
 	// by a consumer without skipping or repeating tuples.
 	f := &forClauseState{tuples: tuples, cl: cl}
+	if recycle {
+		f.link = &f.ring
+	}
 	return tupleSrc{next: f.next, batch: f.batch}
 }
 
 // forClauseState is the shared cursor of one for-clause: the current outer
 // tuple and the current position within its input sequence.
+//
+// A recycling clause takes its tuples from a ring of slots that each pull
+// rewinds: a consumer pulls again only once it is done with the tuples it
+// pulled before, unless something it built keeps one, and that pins it
+// (Frame.pin). A pinned slot is replaced, not reused. The ring is a list
+// from ring, and link is where the next tuple's slot hangs; a clause that
+// does not recycle has no link. The state stays 80 bytes: a FLWOR run per
+// streamed window allocates one per window.
 type forClauseState struct {
 	tuples  tupleSrc
 	cl      *compiledClause
 	outer   *Frame
 	inner   Iter
 	pos     int64
-	scratch []xdm.Item // staging for batch pulls of the clause input
+	scratch *[batchSize]xdm.Item // staging for batch pulls of the clause input
+	ring    *tupleSlot
+	link    **tupleSlot
+}
+
+// tupleSlot is one for tuple: its frame, its one-item sequence and that
+// item's slot, in one allocation, and the ring's next slot.
+type tupleSlot struct {
+	fr   Frame
+	seq  LazySeq
+	item [1]xdm.Item
+	next *tupleSlot
+}
+
+// slot returns the slot for the next tuple: a fresh one, or the ring's
+// next unpinned one.
+func (f *forClauseState) slot() *tupleSlot {
+	if f.link == nil {
+		return new(tupleSlot)
+	}
+	t := *f.link
+	if t == nil || t.fr.pinned {
+		fresh := new(tupleSlot)
+		if t != nil {
+			fresh.next = t.next
+		}
+		*f.link, t = fresh, fresh
+	}
+	f.link = &t.next
+	return t
+}
+
+// rewind starts the ring over at a pull: the consumer is done with the
+// tuples it pulled before.
+func (f *forClauseState) rewind() {
+	if f.link != nil {
+		f.link = &f.ring
+	}
 }
 
 // bindTuple builds the output tuple for one item of the clause input.
@@ -800,15 +797,9 @@ func (f *forClauseState) bindTuple(it xdm.Item) (*Frame, error) {
 	if f.cl.typ != nil && !f.cl.typ.Item.MatchesItem(it) {
 		return nil, xdm.ErrType("for-variable item does not match %s", *f.cl.typ)
 	}
-	// The tuple's frame, its one-item sequence and that item's slot are one
-	// allocation: a for clause binds a tuple per input item.
-	t := &struct {
-		fr   Frame
-		seq  LazySeq
-		item [1]xdm.Item
-	}{}
+	t := f.slot()
 	t.item[0] = it
-	t.seq.items = t.item[:]
+	t.seq = LazySeq{items: t.item[:]}
 	t.fr = Frame{parent: f.outer, dyn: f.outer.dyn, id: f.cl.varID, val: &t.seq}
 	fr := &t.fr
 	if f.cl.posID >= 0 {
@@ -830,6 +821,7 @@ func (f *forClauseState) advanceOuter() (bool, error) {
 }
 
 func (f *forClauseState) next() (*Frame, bool, error) {
+	f.rewind()
 	for {
 		if f.inner == nil {
 			ok, err := f.advanceOuter()
@@ -857,6 +849,7 @@ func (f *forClauseState) next() (*Frame, bool, error) {
 }
 
 func (f *forClauseState) batch(buf []*Frame) (int, error) {
+	f.rewind()
 	n := 0
 	for n < len(buf) {
 		if f.inner == nil {
@@ -869,9 +862,9 @@ func (f *forClauseState) batch(buf []*Frame) (int, error) {
 			}
 		}
 		if f.scratch == nil {
-			f.scratch = f.outer.dyn.getBuf()
+			f.scratch = (*[batchSize]xdm.Item)(f.outer.dyn.getBuf())
 		}
-		in := f.scratch
+		in := f.scratch[:]
 		if r := len(buf) - n; r < len(in) {
 			in = in[:r]
 		}
@@ -965,7 +958,7 @@ func (c *compiler) compileQuantified(n *expr.Quantified) (condFn, error) {
 		tuples := baseTuple(fr)
 		for i := range binds {
 			cl := compiledClause{kind: expr.ForClause, varID: binds[i].id, posID: -1, in: binds[i].in}
-			tuples = applyClauseQ(tuples, cl)
+			tuples = applyClause(tuples, &cl, i == len(binds)-1)
 		}
 		// Quantifiers pull tuples one at a time on purpose: early exit is
 		// the lazy-evaluation payoff, and batch prefetch would evaluate
@@ -982,11 +975,4 @@ func (c *compiler) compileQuantified(n *expr.Quantified) (condFn, error) {
 			}
 		}
 	}, nil
-}
-
-// applyClauseQ is applyClause for a value clause (quantifiers have no
-// positional variables or type checks).
-func applyClauseQ(tuples tupleSrc, cl compiledClause) tupleSrc {
-	clCopy := cl
-	return applyClause(tuples, &clCopy)
 }

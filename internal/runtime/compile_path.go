@@ -21,8 +21,8 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	jp := extractJoinPlan(n)
-	if jp == nil {
+	steps := extractJoinPlan(n)
+	if steps == nil {
 		ch := c.chainOf(n)
 		if ch != nil {
 			navFn = ch.iter(navFn)
@@ -35,30 +35,26 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 		return fn, nil
 	}
 	// Join-eligible: both compilations are kept and one operator dispatches
-	// at run time between navigation and the path join — the compiled policy
-	// first, then the cost model when the policy is Auto. The resolved choice
-	// lands on the operator's profile row, so explain output shows which
-	// strategy ran.
-	policy := c.opts.Strategy
-	fb := c.fb
-	var opID int // set below, once the operator is tagged
+	// at run time between navigation and the path join. Its consumers walk
+	// the join's leaves by id, as they walk a chain.
+	jpath := &joinPath{chain: steps, policy: c.opts.Strategy, fb: c.fb}
 	fn := func(fr *Frame) Iter {
-		it, haveCtx := fr.ContextItem()
-		if !haveCtx {
+		if _, haveCtx := fr.ContextItem(); !haveCtx {
 			return errIter(xdm.Errf("XPDY0002", "no context item for '/'"))
 		}
-		sn, isStore := it.(*store.Node)
-		if !isStore {
+		j, err := jpath.open(fr)
+		switch {
+		case err != nil:
+			return errIter(err)
+		case j == nil:
 			return navFn(fr) // non-store contexts always navigate
 		}
-		if fr.dyn.pathDecision(jp, sn.D, policy, opID, fb) == optimizer.StrategyTwigJoin {
-			return jp.run(fr, sn, opID, fb)
-		}
-		return navFn(fr)
+		return j
 	}
 	tagged, id := c.tagID("path", n, fn)
-	opID = id
-	c.ops[id].Strategy = policy.String()
+	jpath.op = id
+	c.ops[id].Strategy = jpath.policy.String()
+	c.chains[n] = &chain{varID: -1, op: id, join: jpath}
 	return tagged, nil
 }
 
@@ -143,6 +139,9 @@ type chain struct {
 	steps []*stepTest
 	op    int  // the path's profiling id; -1 for a bare step
 	par   bool // one descendant step, which morsel workers split
+	// join, when set, is a join-eligible path's dispatch, walked in place
+	// of steps where the path join serves.
+	join *joinPath
 }
 
 // chainOf recognizes e as a chain and records it for e's consumers; nil
@@ -223,22 +222,36 @@ func (ch *chain) start(fr *Frame) (d *store.Document, id int32, ok bool) {
 
 // walk reads the chain, until visit stops it, on a cursor on the caller's
 // stack: visit gets each node by id, unboxed. ok=false leaves the caller
-// to read the compiled expression: the start is not one stored node, or
-// morsel workers would split the scan. A profiled walk counts on the
-// path's row as its iterator would.
+// to read the compiled expression: the start is not one stored node,
+// morsel workers would split the scan, or a join-eligible path navigates.
+// A profiled walk counts on the path's row as its iterator would.
 func (ch *chain) walk(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (ok bool, err error) {
 	if ch == nil || ch.par && fr.dyn.Workers > 1 {
 		return false, nil
 	}
+	var n int64
+	if ch.join != nil {
+		ok, n, err = ch.join.walk(fr, visit)
+	} else {
+		ok, n, err = ch.walkSteps(fr, visit)
+	}
+	if p := fr.dyn.Prof; p != nil && ok && ch.op >= 0 {
+		p.ops[ch.op].starts.Add(1)
+		p.ops[ch.op].items.Add(n)
+	}
+	return ok, err
+}
+
+// walkSteps is walk over the chain's steps.
+func (ch *chain) walkSteps(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (ok bool, n int64, err error) {
 	d, id, ok := ch.start(fr)
 	if !ok {
-		return false, nil
+		return false, 0, nil
 	}
 	var arr [maxChain]storeScan
 	scans := arr[:len(ch.steps)]
 	cur := chainCursor{dyn: fr.dyn, d: d, steps: ch.steps}
 	cur.open(scans, id)
-	n := int64(0)
 	for id := cur.next(scans); id >= 0; id = cur.next(scans) {
 		n++
 		stop := false
@@ -249,11 +262,7 @@ func (ch *chain) walk(fr *Frame, visit func(d *store.Document, id int32) (stop b
 			break
 		}
 	}
-	if p := fr.dyn.Prof; p != nil && ch.op >= 0 {
-		p.ops[ch.op].starts.Add(1)
-		p.ops[ch.op].items.Add(n)
-	}
-	return true, err
+	return true, n, err
 }
 
 // exists walks the chain to its first node. found is also the effective

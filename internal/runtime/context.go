@@ -311,10 +311,12 @@ func (d *Dynamic) currentDateTime() xdm.Atomic {
 // Frame is one link of the binding-environment chain: it either binds a
 // variable (id >= 0) or establishes a focus (context item / position /
 // size). Frames are immutable once created, so lazily-evaluated thunks can
-// safely capture them — with one exception: a filter re-points its one
+// safely capture them — with two exceptions. A filter re-points its one
 // focus frame at each item it tests (filterIter.at). That rests on an
 // invariant of conditions: a condFn returns only after everything it built
-// under the frame is dead, since its result is a bool.
+// under the frame is dead, since its result is a bool. And the last for
+// clause of a FLWOR reuses its tuple frames once its consumer pulls again
+// (forClauseState), so whatever keeps a frame past that pull pins it.
 type Frame struct {
 	parent *Frame
 	dyn    *Dynamic
@@ -323,6 +325,7 @@ type Frame struct {
 	val *LazySeq
 
 	hasFocus bool
+	pinned   bool // kept past the pull that made it (see pin)
 	ctxItem  xdm.Item
 	ctxPos   int64
 	ctxLast  func() (int64, error) // lazy: materializes only if called
@@ -349,6 +352,19 @@ func lastOfOne() (int64, error) { return 1, nil }
 // bind creates a child frame binding variable id to val.
 func (f *Frame) bind(id int, val *LazySeq) *Frame {
 	return &Frame{parent: f, dyn: f.dyn, id: id, val: val}
+}
+
+// pin marks f and its ancestors as kept past the pull that made them: a
+// lazily constructed node evaluates its content under f when it is
+// serialized, long after its tuple. A recycling for clause replaces a
+// pinned tuple's slot instead of reusing it. Every ancestor of a pinned
+// frame is pinned, so the walk stops at the first one. Work handed to
+// morsel workers is pinned on the pulling goroutine first, so the workers'
+// own pins stop at their copies and never write a shared frame.
+func (f *Frame) pin() {
+	for p := f; p != nil && !p.pinned; p = p.parent {
+		p.pinned = true
+	}
 }
 
 // withDyn re-roots a frame onto a worker context: a shallow head copy whose

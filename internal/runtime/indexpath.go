@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"xqgo/internal/expr"
+	"xqgo/internal/optimizer"
 	"xqgo/internal/store"
 	"xqgo/internal/structjoin"
 	"xqgo/internal/xdm"
@@ -145,16 +146,10 @@ func normalizeChain(raw []joinStep) ([]joinStep, bool) {
 	return out, true
 }
 
-// joinPlan is the index-join compilation of one join-eligible path: the
-// extracted chain, run as one holistic path join. Its pointer identity keys
-// the per-execution strategy-decision cache.
-type joinPlan struct {
-	chain []joinStep
-}
-
-// extractJoinPlan recognizes join-shaped paths. Returns nil when the
-// pattern does not match (non-rooted, predicates, no descendant edge).
-func extractJoinPlan(n *expr.Path) *joinPlan {
+// extractJoinPlan recognizes join-shaped paths and returns the chain the
+// holistic path join runs. Returns nil when the pattern does not match
+// (non-rooted, predicates, no descendant edge).
+func extractJoinPlan(n *expr.Path) []joinStep {
 	raw, ok := extractJoinChain(n)
 	if !ok {
 		return nil
@@ -173,13 +168,31 @@ func extractJoinPlan(n *expr.Path) *joinPlan {
 	if len(chain) == 1 || !hasDesc {
 		return nil
 	}
-	return &joinPlan{chain: chain}
+	return chain
 }
 
-// run executes the chain over the context node's document as one holistic
-// path join, records the output cardinality in the plan's feedback cache,
-// and feeds the result.
-func (jp *joinPlan) run(fr *Frame, sn *store.Node, opID int, fb *feedback) Iter {
+// joinPath is the index-join compilation of one join-eligible path operator
+// and its run-time dispatch: the compiled policy first, then the cost model
+// when the policy is Auto, picks navigation or the path join per document.
+// The resolved choice lands on the operator's profile row, so explain
+// output shows which strategy ran. Its pointer identity keys the
+// per-execution strategy-decision cache.
+type joinPath struct {
+	chain  []joinStep
+	policy optimizer.Strategy
+	fb     *feedback
+	op     int // the path's profiling id
+}
+
+// open returns the path join's leaves under fr's context node, or nil when
+// the path navigates: the context is not a stored node, or the decision
+// for its document is navigation.
+func (p *joinPath) open(fr *Frame) (*joinIter, error) {
+	it, _ := fr.ContextItem()
+	sn, isStore := it.(*store.Node)
+	if !isStore || fr.dyn.pathDecision(p, sn.D, p.policy, p.op, p.fb) != optimizer.StrategyTwigJoin {
+		return nil, nil
+	}
 	idx, built := fr.dyn.base().indexes.indexFor(sn.D)
 	if built {
 		fr.dyn.Prof.addIndexBuild()
@@ -187,60 +200,69 @@ func (jp *joinPlan) run(fr *Frame, sn *store.Node, opID int, fb *feedback) Iter 
 		fr.dyn.Prof.addIndexHit()
 	}
 	fr.dyn.Prof.addTwigJoin()
-	cur, err := jp.match(fr.dyn, idx)
-	if err != nil {
-		return errIter(err)
-	}
-	fb.record(opID, int64(len(cur)))
-	return &postingsIter{d: sn.D, list: cur, dyn: fr.dyn}
-}
-
-// match evaluates the whole chain with one holistic join: no intermediate
-// pair lists, morsel-parallel over the leaf posting list with
-// UpperBoundStart-pruned upper lists per chunk. A childOnly first step is a
-// child of the document node, an edge the join checks like any other.
-func (jp *joinPlan) match(dyn *Dynamic, idx *structjoin.Index) (structjoin.List, error) {
-	k := len(jp.chain)
+	k := len(p.chain)
 	lists := make([]structjoin.List, k)
 	childEdge := make([]bool, k)
-	for i, s := range jp.chain {
+	for i, s := range p.chain {
 		lists[i] = idx.Elements(s.name)
 		childEdge[i] = s.childOnly
 	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return nil, nil
-		}
+	j := &joinIter{d: sn.D, dyn: fr.dyn, fb: p.fb, op: p.op}
+	ids, ran, err := matchMorsel(fr.dyn, lists, childEdge)
+	switch {
+	case err != nil:
+		return nil, err
+	case ran:
+		j.ids, j.n = ids, int64(len(ids))
+	default:
+		j.cur = structjoin.NewPathCursor(lists, childEdge)
+		j.ids = make([]int32, 0, batchSize)
 	}
-	return twigMatchMorsel(dyn, lists, childEdge)
+	return j, nil
 }
 
-// twigMatchMorsel runs the holistic path join, splitting a large leaf
-// posting list into morsels matched by the worker pool. Every non-leaf
+// walk visits the path join's leaves by id, as chain.walk does for a step
+// chain; ok=false when the path navigates.
+func (p *joinPath) walk(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (ok bool, n int64, err error) {
+	j, err := p.open(fr)
+	if j == nil {
+		return err != nil, 0, err
+	}
+	for id := j.nextID(); id >= 0; id = j.nextID() {
+		n++
+		stop := false
+		if err = fr.dyn.CheckInterrupt(); err == nil {
+			stop, err = visit(j.d, id)
+		}
+		if stop || err != nil {
+			break
+		}
+	}
+	return true, n, err
+}
+
+// matchMorsel runs the holistic path join over a large leaf posting list
+// on the worker pool, one cursor drained per leaf chunk. Every non-leaf
 // list is pruned per chunk to the prefix that can still contain the
 // chunk's leaves (ancestors start before their descendants —
 // UpperBoundStart), and because the chunks partition a Start-sorted leaf
-// list, per-chunk outputs are disjoint, internally sorted, and ordered
-// across chunks: concatenation by chunk index reproduces the global result
-// in document order.
-func twigMatchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (structjoin.List, error) {
+// list, per-chunk ids are disjoint, internally sorted, and ordered across
+// chunks: concatenation by chunk index is document order. ran=false leaves
+// the join to one cursor read on demand: no workers are configured or
+// granted, or the leaf list is small.
+func matchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (ids []int32, ran bool, err error) {
 	leaf := lists[len(lists)-1]
 	chunks := (len(leaf) + joinMorselPostings - 1) / joinMorselPostings
-	if d == nil || d.Workers <= 1 || chunks < 2 {
-		return structjoin.PathMatchLeaf(lists, childEdge), nil
+	if d.Workers <= 1 || chunks < 2 {
+		return nil, false, nil
 	}
 	extra, release := d.leaseExtra(chunks - 1)
 	if extra == 0 {
-		return structjoin.PathMatchLeaf(lists, childEdge), nil
+		return nil, false, nil
 	}
 	defer release()
-	parts, err := morselRound(d, extra, chunks, func(w *Dynamic, i int) (structjoin.List, error) {
-		lo := i * joinMorselPostings
-		hi := lo + joinMorselPostings
-		if hi > len(leaf) {
-			hi = len(leaf)
-		}
-		lchunk := leaf[lo:hi]
+	parts, err := morselRound(d, extra, chunks, func(w *Dynamic, i int) ([]int32, error) {
+		lchunk := leaf[i*joinMorselPostings : min((i+1)*joinMorselPostings, len(leaf))]
 		if err := w.CheckInterruptN(len(lchunk)); err != nil {
 			return nil, err
 		}
@@ -250,121 +272,84 @@ func twigMatchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (str
 			pruned[j] = lists[j][:structjoin.UpperBoundStart(lists[j], last)]
 		}
 		pruned[len(lists)-1] = lchunk
-		return structjoin.PathMatchLeaf(pruned, childEdge), nil
+		// A chunk matches at most its leaves, so one slice of their
+		// number takes the whole drain.
+		c := structjoin.NewPathCursor(pruned, childEdge)
+		out := make([]int32, 0, len(lchunk))
+		for k := c.Next(out[:cap(out)]); k > 0; k = c.Next(out[len(out):cap(out)]) {
+			out = out[:len(out)+k]
+		}
+		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	total := 0
 	for _, p := range parts {
-		total += len(p)
+		ids = append(ids, p...)
 	}
-	out := make(structjoin.List, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return ids, true, nil
 }
 
-// postingsIter feeds the nodes of a structural-join result list, a whole
-// batch per pull. With morsel workers configured, batch pulls upgrade to
-// parallel feed rounds: chunk i of a round fills its own sub-slice of one
-// preallocated output — index-tagged stitching that needs no reordering.
-// Deliberately no remaining() (sizedIter): materializing the feed is the
-// work being measured, and an O(1) fn:count over it would misreport the
-// join's cost.
-type postingsIter struct {
-	d    *store.Document
-	list structjoin.List
-	pos  int
-	dyn  *Dynamic // morsel upgrade for batch pulls; nil stays sequential
-
-	out []xdm.Item // pending stitched output of the last parallel round
-	oi  int
+// joinIter streams a path join's leaves: ids from the cursor a batch at a
+// time, or the stitched ids of a morsel round, each boxed only as it is
+// emitted. Once the ids run out, their count lands in the plan's feedback
+// cache.
+type joinIter struct {
+	d   *store.Document
+	dyn *Dynamic
+	cur *structjoin.PathCursor // nil once exhausted, or when ids holds every match
+	ids []int32
+	i   int
+	n   int64 // ids read so far
+	fb  *feedback
+	op  int
 }
 
-func (p *postingsIter) serve(buf []xdm.Item) int {
-	n := copy(buf, p.out[p.oi:])
-	p.oi += n
-	if p.oi >= len(p.out) {
-		p.out, p.oi = nil, 0
+// nextID returns the next leaf id, or -1 at the end.
+func (j *joinIter) nextID() int32 {
+	if j.i == len(j.ids) && !j.fill() {
+		return -1
 	}
-	return n
+	j.i++
+	return j.ids[j.i-1]
 }
 
-func (p *postingsIter) Next() (xdm.Item, bool, error) {
-	if p.oi < len(p.out) {
-		it := p.out[p.oi]
-		p.oi++
-		if p.oi >= len(p.out) {
-			p.out, p.oi = nil, 0
+// fill reads the cursor's next batch of ids; false at the end.
+func (j *joinIter) fill() bool {
+	if j.cur != nil {
+		if k := j.cur.Next(j.ids[:cap(j.ids)]); k > 0 {
+			j.ids, j.i, j.n = j.ids[:k], 0, j.n+int64(k)
+			return true
 		}
-		return it, true, nil
+		j.cur = nil
 	}
-	if p.pos >= len(p.list) {
-		return nil, false, nil
+	if j.fb != nil {
+		j.fb.record(j.op, j.n)
+		j.fb = nil
 	}
-	node := p.d.Node(p.list[p.pos].ID)
-	p.pos++
-	return node, true, nil
+	return false
+}
+
+func (j *joinIter) Next() (xdm.Item, bool, error) {
+	if err := j.dyn.CheckInterrupt(); err != nil {
+		return nil, false, err
+	}
+	if id := j.nextID(); id >= 0 {
+		return &store.Node{D: j.d, ID: id}, true, nil
+	}
+	return nil, false, nil
 }
 
 // NextBatch implements BatchIter.
-func (p *postingsIter) NextBatch(buf []xdm.Item) (int, error) {
-	if p.oi < len(p.out) {
-		return p.serve(buf), nil
-	}
-	if ran, err := p.feedRound(); err != nil {
-		return 0, err
-	} else if ran && p.oi < len(p.out) {
-		return p.serve(buf), nil
-	}
+func (j *joinIter) NextBatch(buf []xdm.Item) (int, error) {
 	n := 0
-	for n < len(buf) && p.pos < len(p.list) {
-		buf[n] = p.d.Node(p.list[p.pos].ID)
-		p.pos++
-		n++
-	}
-	return n, nil
-}
-
-// feedRound materializes the next slice of the posting list with the worker
-// pool, when a pool is configured and enough postings remain to matter.
-func (p *postingsIter) feedRound() (bool, error) {
-	rem := len(p.list) - p.pos
-	chunks := (rem + feedMorselPostings - 1) / feedMorselPostings
-	if p.dyn == nil || p.dyn.Workers <= 1 || chunks < 2 {
-		return false, nil
-	}
-	extra, release := p.dyn.leaseExtra(chunks - 1)
-	if extra == 0 {
-		return false, nil
-	}
-	defer release()
-	if max := (extra + 1) * feedRoundChunks; chunks > max {
-		chunks = max
-	}
-	base := p.pos
-	count := chunks * feedMorselPostings
-	if count > rem {
-		count = rem
-	}
-	out := make([]xdm.Item, count)
-	_, err := morselRound(p.dyn, extra, chunks, func(w *Dynamic, i int) (struct{}, error) {
-		lo := i * feedMorselPostings
-		hi := lo + feedMorselPostings
-		if hi > count {
-			hi = count
+	for n < len(buf) && (j.i < len(j.ids) || j.fill()) {
+		k := min(len(buf)-n, len(j.ids)-j.i)
+		for _, id := range j.ids[j.i : j.i+k] {
+			buf[n] = &store.Node{D: j.d, ID: id}
+			n++
 		}
-		for j := lo; j < hi; j++ {
-			out[j] = p.d.Node(p.list[base+j].ID)
-		}
-		return struct{}{}, w.CheckInterruptN(hi - lo)
-	})
-	p.pos = base + count
-	if err != nil {
-		return true, err
+		j.i += k
 	}
-	p.out, p.oi = out, 0
-	return true, nil
+	return n, j.dyn.CheckInterruptN(n)
 }

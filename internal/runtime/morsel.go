@@ -10,7 +10,7 @@ import (
 
 // Morsel-driven intra-query parallelism — the engine's one goroutine
 // scheduler. Four work sources — pre-order path-step range scans
-// (compile_path.go), path-join chunks and postings feeds (indexpath.go), FLWOR
+// (compile_path.go), path-join leaf chunks (indexpath.go), FLWOR
 // for/where tuple pipelines (compile_flwor.go), and the branches of a comma
 // sequence (parallel.go, one morsel per branch) — split their input into
 // morsels and schedule them over a worker pool. Each worker owns a forked
@@ -155,10 +155,6 @@ const (
 	descRoundChunks = 4
 	// joinMorselPostings is the leaf-postings span of one path-join morsel.
 	joinMorselPostings = 8192
-	// feedMorselPostings is the postings span of one feed morsel.
-	feedMorselPostings = 4096
-	// feedRoundChunks bounds a feed round to this many chunks per worker.
-	feedRoundChunks = 4
 	// flworMorselTuples is the tuple span of one FLWOR morsel.
 	flworMorselTuples = 64
 	// flworRoundChunks bounds a FLWOR round to this many chunks per worker.

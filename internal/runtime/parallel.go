@@ -104,6 +104,7 @@ func (p *parSeqIter) round() error {
 			return err
 		}
 	}
+	p.fr.pin() // workers' constructors may keep it (see Frame.pin)
 	parts, err := morselRound(d, extra, len(p.fns), func(w *Dynamic, i int) (xdm.Sequence, error) {
 		return drainBatched(w, p.fns[i](p.fr.withDyn(w)))
 	})

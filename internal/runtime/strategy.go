@@ -50,9 +50,9 @@ func (f *feedback) record(id int, n int64) {
 }
 
 // planKey identifies one strategy decision: a join-eligible path operator
-// (by its compiled joinPlan identity) over one document.
+// (by its compiled joinPath identity) over one document.
 type planKey struct {
-	jp  *joinPlan
+	jp  *joinPath
 	doc *store.Document
 }
 
@@ -63,7 +63,7 @@ func (p *Prepared) Strategy() optimizer.Strategy { return p.opts.Strategy }
 // path operator over one document, resolving StrategyAuto through the cost
 // model. The decision is cached per execution; the first resolution is
 // recorded on the profile (operator row + per-strategy totals).
-func (d *Dynamic) pathDecision(jp *joinPlan, doc *store.Document, policy optimizer.Strategy, opID int, fb *feedback) optimizer.Strategy {
+func (d *Dynamic) pathDecision(jp *joinPath, doc *store.Document, policy optimizer.Strategy, opID int, fb *feedback) optimizer.Strategy {
 	b := d.base()
 	key := planKey{jp: jp, doc: doc}
 	b.planMu.Lock()
@@ -96,7 +96,7 @@ func (d *Dynamic) pathDecision(jp *joinPlan, doc *store.Document, policy optimiz
 // chooseChainStrategy runs the optimizer cost model over one chain and one
 // document. Lazy (still-parsing) documents navigate: their statistics are
 // unknown and an index build would force the whole parse.
-func chooseChainStrategy(jp *joinPlan, doc *store.Document, indexReady bool, observed int64) optimizer.Strategy {
+func chooseChainStrategy(jp *joinPath, doc *store.Document, indexReady bool, observed int64) optimizer.Strategy {
 	if doc.Lazy() {
 		return optimizer.StrategyNavigation
 	}

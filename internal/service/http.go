@@ -351,8 +351,14 @@ func (s *Service) handleStreamQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Full duplex lets the result stream out while the body is still being
 	// read — otherwise HTTP/1.x drains (and closes) the body at the first
-	// response write, which defeats incremental evaluation entirely.
+	// response write, which defeats incremental evaluation entirely. The
+	// body is read on the engine's reader goroutine (ctxio), which may still
+	// be inside a read when a truncated stream ends the handler. The server
+	// then aborts that read, and an aborted read cancels the connection's
+	// context, which every later request on the connection inherits. The
+	// connection is therefore not reused.
 	_ = http.NewResponseController(w).EnableFullDuplex()
+	w.Header().Set("Connection", "close")
 	traceHeaders(w, tr)
 	s.stream(w, r, req)
 }

@@ -336,6 +336,34 @@ func (d *Document) textContent(id int32) string {
 	return single
 }
 
+// StringValueEquals reports whether the string value of node id is s. An
+// element's or document's descendant text runs are compared where they are
+// stored, one after another, instead of being concatenated first.
+func (d *Document) StringValueEquals(id int32, s string) bool {
+	f := d.rlock()
+	eq := true
+	switch d.kind[id] {
+	case xdm.ElementNode, xdm.DocumentNode:
+		if f != nil {
+			f.require(func() bool { return f.closed(id) })
+		}
+		end := d.endID[id]
+		for i := id + 1; i <= end && eq; i++ {
+			if d.kind[i] == xdm.TextNode {
+				v := d.value[i]
+				if eq = len(v) <= len(s) && s[:len(v)] == v; eq {
+					s = s[len(v):]
+				}
+			}
+		}
+		eq = eq && s == ""
+	default:
+		eq = d.value[id] == s
+	}
+	d.runlock(f)
+	return eq
+}
+
 // View reads a finished document's arrays without the frontier check. A
 // scan takes it once, when the document has no feed attached, and reads
 // each candidate's kind, name, links and end from it directly; a

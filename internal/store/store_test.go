@@ -499,3 +499,21 @@ func TestBuilderReset(t *testing.T) {
 		t.Fatalf("%.0f allocations per reused window, want at most 2", perWindow)
 	}
 }
+
+// TestStringValueEquals: comparing a node's string value in place agrees
+// with comparing the string StringValue builds, for every node of the
+// sample and strings that match it, a prefix or an extension of it, or
+// run across its text runs.
+func TestStringValueEquals(t *testing.T) {
+	doc := buildSample(t)
+	cands := []string{"", "1967", "Ronald", "RonaldLaing", "RonaldLaingx", "Ronal", "RonaldLain",
+		"The politics of experienceRonaldLaing", "The politics of experience"}
+	for id := int32(0); id < int32(doc.NumNodes()); id++ {
+		sv := doc.StringValue(id)
+		for _, s := range append(cands, sv, sv+"x", sv[:len(sv)/2]) {
+			if got, want := doc.StringValueEquals(id, s), sv == s; got != want {
+				t.Errorf("node %d (string value %q) equals %q: %v, want %v", id, sv, s, got, want)
+			}
+		}
+	}
+}

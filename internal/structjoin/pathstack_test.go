@@ -262,18 +262,20 @@ func FuzzTwig(f *testing.F) {
 
 // FuzzPathMatchLeaf: on any small tree and any 2–4-step chain with child
 // and descendant edges, the holistic path join returns exactly what the
-// chain evaluated edge by edge with binary stack-tree joins returns.
+// chain evaluated edge by edge with binary stack-tree joins returns, and a
+// cursor drained in batches of a fuzzed size from 1 to 130 resumes where
+// each batch stopped: it yields the ids of a one-shot drain.
 func FuzzPathMatchLeaf(f *testing.F) {
 	// The closed-sibling shape of TestPathMatchLeafClosedSibling with x
 	// spelled a, under a//b/c and a//b//c.
-	f.Add([]byte("3abC" + "ab)aabac))))))"))
-	f.Add([]byte("3abc" + "ab)aabac))))))"))
+	f.Add([]byte("3abC"+"ab)aabac))))))"), uint8(0))
+	f.Add([]byte("3abc"+"ab)aabac))))))"), uint8(1))
 	// The top-heavy shape of TestPathMatchLeafStackBound, scaled down.
-	f.Add([]byte("2ab" + strings.Repeat("ab))"+strings.Repeat("a)", 9), 10)))
+	f.Add([]byte("2ab"+strings.Repeat("ab))"+strings.Repeat("a)", 9), 10)), uint8(2))
 	// Self-chains over nested and sibling a.
-	f.Add([]byte("3aaA" + "aaa)a)))aa))"))
-	f.Add([]byte("4aBcA" + "abca)b)c)))abc)))"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte("3aaA"+"aaa)a)))aa))"), uint8(0))
+	f.Add([]byte("4aBcA"+"abca)b)c)))abc)))"), uint8(129))
+	f.Fuzz(func(t *testing.T, data []byte, batch uint8) {
 		names, child, xml, ok := decodeFuzzChain(data)
 		if !ok {
 			return
@@ -287,6 +289,29 @@ func FuzzPathMatchLeaf(f *testing.F) {
 		if got := PathMatchLeaf(lists, child); !sameList(got, want) {
 			t.Errorf("chain %v child %v over %s: twig %d postings != binary %d",
 				names, child, xml, len(got), len(want))
+		}
+		once := make([]int32, len(lists[len(lists)-1])+1)
+		c := NewPathCursor(lists, child)
+		once = once[:c.Next(once)]
+		if n := c.Next(make([]int32, 1)); n != 0 {
+			t.Fatalf("chain %v over %s: %d ids after the one-shot drain", names, xml, n)
+		}
+		size := 1 + int(batch)%130
+		var resumed []int32
+		buf := make([]int32, size, size+8) // Next fills the length, not the capacity
+		for c := NewPathCursor(lists, child); ; {
+			n := c.Next(buf)
+			if n == 0 {
+				break
+			}
+			if n > size {
+				t.Fatalf("a batch of %d took %d ids", size, n)
+			}
+			resumed = append(resumed, buf[:n]...)
+		}
+		if fmt.Sprint(resumed) != fmt.Sprint(once) {
+			t.Errorf("chain %v child %v over %s, batches of %d: %v, one-shot %v",
+				names, child, xml, size, resumed, once)
 		}
 	})
 }

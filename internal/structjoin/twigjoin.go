@@ -5,9 +5,10 @@ import "xqgo/internal/labeling"
 // The holistic twig join (TwigStack, Bruno/Koudas/Srivastava): one
 // getNext-driven pass over the Start-sorted posting lists of a pattern, with
 // one stack per pattern node holding its open matches, and no intermediate
-// pair list. Two entry points feed the one operator a sink: PathMatchLeaf
-// collects a linear chain's leaf postings (what the runtime executes),
-// TwigStack counts a branching pattern's embeddings (E6, Index.CountTwig).
+// pair list. Two sinks take its matches: PathCursor hands a linear chain's
+// leaf ids to its caller a batch at a time (what the runtime executes, and
+// PathMatchLeaf drains), TwigStack counts a branching pattern's embeddings
+// (E6, Index.CountTwig).
 //
 // Stack invariant: a read first pops the entries that closed before the read
 // posting starts, so each stack is a chain of nested regions, as deep as the
@@ -30,29 +31,81 @@ type TwigStats struct {
 	Advances int64
 }
 
-// PathMatchLeaf returns the distinct postings of the last list that
-// terminate at least one full root-to-leaf match of the chain, in document
-// order. childEdge[i] constrains the edge between step i-1 and step i to
+// PathCursor is the holistic path join of a linear chain as a resumable
+// leaf cursor: Next reads postings only until the caller's batch of leaf
+// ids is full, and the next call picks up there. Its whole state is the
+// pattern nodes' list positions and stacks. The leaves arrive in Start
+// order, each once, so the ids are distinct and in document order.
+// childEdge[i] constrains the edge between step i-1 and step i to
 // parent/child; childEdge[0] constrains the first step to children of the
 // document node (level 1). Lists must be Start-sorted, as built by
-// BuildIndex. The inputs are read-only, so concurrent calls over shared
-// (differently pruned) lists are safe — the morsel decomposition the
-// runtime uses relies on this.
-func PathMatchLeaf(lists []List, childEdge []bool) List {
+// BuildIndex. They are only read, so cursors over shared (differently
+// pruned) lists may run concurrently: the runtime's morsel decomposition
+// relies on this.
+type PathCursor struct {
+	j    twigJoin
+	out  []int32 // the batch being filled; open pauses the run when it is full
+	done bool
+}
+
+// NewPathCursor returns a cursor over the chain lists[0]//...//lists[k-1].
+func NewPathCursor(lists []List, childEdge []bool) *PathCursor {
 	k := len(lists)
-	if k == 0 {
+	c := &PathCursor{j: twigJoin{q: make([]joinNode, k+1)}}
+	c.j.q[0] = joinNode{stack: docStack, parent: -1, end: k + 1, kids: 1}
+	for i := 1; i <= k; i++ {
+		c.j.q[i] = joinNode{list: lists[i-1], child: childEdge[i-1], parent: i - 1, end: k + 1, kids: min(k-i, 1)}
+	}
+	c.j.sink = c
+	c.done = k == 0 || !c.j.ready()
+	return c
+}
+
+// Next fills ids with the next matched leaf ids and returns how many it
+// wrote; 0 means the chain is exhausted.
+func (c *PathCursor) Next(ids []int32) int {
+	if c.done || len(ids) == 0 {
+		return 0
+	}
+	c.out = ids[:0:len(ids)]
+	c.done = !c.j.run()
+	n := len(c.out)
+	c.out = nil
+	return n
+}
+
+func (c *PathCursor) open(j *twigJoin, q int, p Posting, _, _ int) {
+	if j.q[q].kids == 0 {
+		c.out = append(c.out, p.ID)
+		j.paused = len(c.out) == cap(c.out)
+	}
+}
+
+func (c *PathCursor) close(*twigJoin, int) {}
+
+// PathMatchLeaf returns the distinct postings of the last list that
+// terminate at least one full root-to-leaf match of the chain, in document
+// order: a drain of a PathCursor, each id taken back to its posting in the
+// leaf list, where BuildIndex lists every id once.
+func PathMatchLeaf(lists []List, childEdge []bool) List {
+	if len(lists) == 0 {
 		return nil
 	}
-	run := &struct {
-		twigJoin
-		leafSink
-	}{twigJoin: twigJoin{q: make([]joinNode, k+1)}}
-	run.q[0] = joinNode{stack: docStack, parent: -1, end: k + 1, kids: 1}
-	for i := 1; i <= k; i++ {
-		run.q[i] = joinNode{list: lists[i-1], child: childEdge[i-1], parent: i - 1, end: k + 1, kids: min(k-i, 1)}
+	c := NewPathCursor(lists, childEdge)
+	leaf := lists[len(lists)-1]
+	var out List
+	var ids [256]int32
+	p := 0
+	for n := c.Next(ids[:]); n > 0; n = c.Next(ids[:]) {
+		for _, id := range ids[:n] {
+			for leaf[p].ID != id {
+				p++
+			}
+			out = append(out, leaf[p])
+			p++
+		}
 	}
-	run.run(&run.leafSink)
-	return run.out
+	return out
 }
 
 // TwigStack runs the holistic twig join of pattern root against an index.
@@ -63,7 +116,9 @@ func TwigStack(root *TwigNode, idx *Index) TwigStats {
 	j.q[0].end = len(j.q)
 	s := &countSink{c: make([][]int64, len(j.q))}
 	s.c[0] = []int64{1, 0}
-	j.run(s)
+	if j.sink = s; j.ready() {
+		j.run()
+	}
 	j.stats.Matches = s.c[0][1]
 	return j.stats
 }
@@ -72,9 +127,10 @@ func TwigStack(root *TwigNode, idx *Index) TwigStats {
 // for the document node: its one entry, stacked for the whole run, is the
 // pattern root's parent, so the root's edge is an edge like any other.
 type twigJoin struct {
-	q     []joinNode
-	sink  twigSink
-	stats TwigStats
+	q      []joinNode
+	sink   twigSink
+	paused bool // set by the sink: run returns after the current posting
+	stats  TwigStats
 }
 
 type joinNode struct {
@@ -117,19 +173,16 @@ func (j *twigJoin) add(t *TwigNode, parent, slot int, idx *Index) {
 }
 
 // run reads every pattern node's postings once, in the order getNext picks,
-// and shows the sink each rooted posting and each pop.
-func (j *twigJoin) run(s twigSink) {
-	j.sink = s
-	for _, n := range j.q[1:] {
-		if len(n.list) == 0 {
-			return
-		}
-	}
-	for {
+// and shows the sink each rooted posting and each pop. A sink that pauses
+// the run ends this call after the posting it was shown; the next call
+// resumes there. false once every leaf is read.
+func (j *twigJoin) run() bool {
+	for !j.paused {
 		q := j.getNext(1)
 		n := &j.q[q]
 		if n.pos >= len(n.list) {
-			break // every leaf is read
+			j.clean(1, infStart) // every leaf is read
+			return false
 		}
 		cur := n.list[n.pos]
 		n.pos++
@@ -148,9 +201,21 @@ func (j *twigJoin) run(s twigSink) {
 		if n.kids > 0 {
 			n.stack = append(n.stack, cur)
 		}
-		s.open(j, q, cur, lo, hi)
+		j.sink.open(j, q, cur, lo, hi)
 	}
-	j.clean(1, infStart)
+	j.paused = false
+	return true
+}
+
+// ready reports whether every pattern node has postings: a pattern with an
+// empty list matches nothing.
+func (j *twigJoin) ready() bool {
+	for _, n := range j.q[1:] {
+		if len(n.list) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // getNext returns the node of q's subtree to read next: one whose head
@@ -233,18 +298,6 @@ func (j *twigJoin) related(q int, r labeling.Region) (lo, hi int) {
 	}
 	return 0, 0
 }
-
-// leafSink collects a chain's matched leaf postings. They arrive in Start
-// order, each once, so the list is distinct and in document order.
-type leafSink struct{ out List }
-
-func (s *leafSink) open(j *twigJoin, q int, p Posting, _, _ int) {
-	if j.q[q].kids == 0 {
-		s.out = append(s.out, p)
-	}
-}
-
-func (s *leafSink) close(*twigJoin, int) {}
 
 // countSink counts a twig's embeddings. Parallel to node q's stack, c[q]
 // holds kids+1 counts per entry: the root-to-entry partial solutions summed
