@@ -86,6 +86,7 @@ func BenchmarkE3LazyEarlyExit(b *testing.B) {
 	for _, c := range []struct{ name, q string }{
 		{"some-satisfies", `some $x in /Order/OrderLine/SellersID satisfies $x eq "1"`},
 		{"positional", `(/Order/OrderLine)[3]/Item/ID/text()`},
+		{"positional-bound", `(/Order/OrderLine)[position() le 5]/Item/ID/text()`},
 	} {
 		lazy := xqgo.MustCompile(c.q, nil)
 		eager := eagerOracle(b, c.q)

@@ -96,6 +96,36 @@ func TestConditionAndStepExpectations(t *testing.T) {
 		{"last/path-right-side", `/r/book/(if (position() = last()) then price/string() else ())`, "12", ""},
 		{"last/count", `count(/r/a[last()])`, "1", ""},
 
+		// Positional bounds: position() compared with a number keeps a
+		// window of the input (XPath 2.0 §3.2.2), whichever side position()
+		// is on; a bound that is no number is a type error, raised only
+		// when some item is tested.
+		{"bound/le-fraction", `/r/book[position() le 2.5]/@year/string()`, "1994 2000", ""},
+		{"bound/le-string", `/r/book[position() le "3"]`, "", "XPTY0004"},
+		{"bound/mirrored", `/r/book[3 ge position()]/price/string()`, "95 NaN 12", ""},
+		{"bound/twice", `/r/book[position() le 3][position() gt 1]/price/string()`, "NaN 12", ""},
+		{"bound/empty-input-string", `()[position() le "3"]`, "", ""},
+		{"bound/range", `/r/book[position() = (2 to 3)]/price/string()`, "NaN 12", ""},
+		{"bound/and", `/r/book[position() ge 2 and position() le 2]/price/string()`, "NaN", ""},
+		{"bound/eq-fraction", `count(/r/book[position() = 1.5])`, "0", ""},
+		{"bound/nan", `count(/r/book[position() le number("NaN")])`, "0", ""},
+		{"bound/inf", `count(/r/book[position() lt 1 div 0e0])`, "3", ""},
+		{"bound/per-parent", `/r/a/*[position() lt 2]/string()`, "1 2", ""},
+
+		// fn:subsequence (F&O §15.1.10): the items at round(start) ≤ p <
+		// round(start) + round(length); both arguments are xs:double by
+		// function conversion.
+		{"subsequence/nan-start", `subsequence((1 to 5), number("NaN"))`, "", ""},
+		{"subsequence/inf-start", `subsequence((1 to 5), 1 div 0e0)`, "", ""},
+		{"subsequence/huge-start", `subsequence((1 to 5), 1e300)`, "", ""},
+		{"subsequence/max-integer-start", `subsequence((1 to 5), 9223372036854775807)`, "", ""},
+		{"subsequence/inf-length", `subsequence((1 to 5), 1, 1 div 0e0)`, "1 2 3 4 5", ""},
+		{"subsequence/huge-length", `subsequence((1 to 5), 1, 1e300)`, "1 2 3 4 5", ""},
+		{"subsequence/max-integer-length", `subsequence((1 to 5), 2, 9223372036854775807)`, "2 3 4 5", ""},
+		{"subsequence/rounding", `subsequence((1 to 5), -0.7, 2.5)`, "1", ""},
+		{"subsequence/string-start", `subsequence((1 to 5), "2")`, "", "XPTY0004"},
+		{"subsequence/untyped-start", `subsequence((1 to 5), xs:untypedAtomic("2"))`, "2 3 4 5", ""},
+
 		// Axis steps over stored nodes.
 		{"step/child-node", `count(/r/node())`, "9", ""},
 		{"step/child-comment", `/r/comment()/string()`, "note", ""},

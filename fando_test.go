@@ -34,6 +34,14 @@ func TestFandOConformance(t *testing.T) {
 		{"substring/inf-length", `substring("12345", -42, 1 div 0e0)`, "12345", ""},
 		{"substring/inf-both", `substring("12345", -1 div 0e0, 1 div 0e0)`, "", ""},
 
+		// fn:round (F&O §6.4.4): the nearest integer, the one toward
+		// positive infinity of two; infinities and huge doubles are their
+		// own rounding, and the double just below 0.5 rounds to 0.
+		{"round/huge", `round(1e300) eq 1e300`, "true", ""},
+		{"round/inf", `round(xs:double("INF")) eq xs:double("INF")`, "true", ""},
+		{"round/below-half", `round(0.49999999999999994e0) eq 0`, "true", ""},
+		{"round/half-negative", `round(-2.5)`, "-2", ""},
+
 		// fn:codepoints-to-string: invalid XML characters raise FOCH0001.
 		{"codepoints/basic", `codepoints-to-string((65, 98, 99))`, "Abc", ""},
 		{"codepoints/zero", `codepoints-to-string(0)`, "", "FOCH0001"},

@@ -229,6 +229,10 @@ func CanRaiseError(e Expr) bool { return new(Analysis).Of(e).CanRaiseError }
 // (fn:position, fn:last).
 func Positional(e Expr) bool { return new(Analysis).Of(e).Positional }
 
+// ReadsLast reports whether e reads its own focus's size (fn:last): what
+// makes its input worth keeping.
+func ReadsLast(e Expr) bool { return new(Analysis).Of(e).ReadsLast }
+
 // safeCalls lists built-ins that never raise dynamic errors on any input:
 // every other one raises on some argument, if only on a sequence of two.
 var safeCalls = map[string]bool{
@@ -267,6 +271,30 @@ func focusAccessor(c *Call) bool {
 		(c.Name.Local == "position" || c.Name.Local == "last")
 }
 
+// IsBuiltin reports whether c calls the built-in fn:local with nargs
+// arguments.
+func IsBuiltin(c *Call, local string, nargs int) bool {
+	return (c.Name.Space == functions.Namespace || c.Name.Space == "") &&
+		c.Name.Local == local && len(c.Args) == nargs
+}
+
+// safeCall reports whether the call itself never raises a dynamic error:
+// a safe built-in, or fn:subsequence with numeric literal positions.
+func safeCall(c *Call) bool {
+	if Builtin(c) == nil {
+		return false
+	}
+	if c.Name.Local != "subsequence" {
+		return safeCalls[c.Name.Local]
+	}
+	for _, a := range c.Args[1:] {
+		if l, ok := a.(*Literal); !ok || !l.Val.T.IsNumeric() {
+			return false
+		}
+	}
+	return true
+}
+
 // ReadsFocus reports whether the call itself reads the focus: a focus
 // accessor, or a built-in called without the argument the focus stands for.
 func ReadsFocus(c *Call) bool {
@@ -278,12 +306,13 @@ func ReadsFocus(c *Call) bool {
 }
 
 // Facts are the analyses above for one node, plus its size, whether it
-// touches data (a path, call or set operation anywhere in it), and whether
-// it is Positional: it calls fn:position or fn:last on its own focus.
+// touches data (a path, call or set operation anywhere in it), whether it
+// is Positional (it calls fn:position or fn:last on its own focus) and
+// whether it ReadsLast (it calls fn:last on its own focus).
 type Facts struct {
-	Size                                                              int
-	CreatesNodes, UsesContext, CanRaiseError, TouchesData, Positional bool
-	hash                                                              uint64 // 0 until Hash sets it
+	Size                                                                         int
+	CreatesNodes, UsesContext, CanRaiseError, TouchesData, Positional, ReadsLast bool
+	hash                                                                         uint64 // 0 until Hash sets it
 }
 
 // Analysis computes Facts once per node object, bottom-up: a node's facts
@@ -322,6 +351,7 @@ func (a *Analysis) Of(e Expr) Facts {
 		f.CanRaiseError = f.CanRaiseError || cf.CanRaiseError
 		f.TouchesData = f.TouchesData || cf.TouchesData
 		f.Positional = f.Positional || cf.Positional
+		f.ReadsLast = f.ReadsLast || cf.ReadsLast
 	}
 	switch n := e.(type) {
 	case *ElemConstructor, *AttrConstructor, *TextConstructor,
@@ -340,9 +370,9 @@ func (a *Analysis) Of(e Expr) Facts {
 	case *Arith, *Neg, *Cast, *Treat, *Compare:
 		f.CanRaiseError = true
 	case *Path: // the right side's context comes from the left
-		f.UsesContext, f.Positional, f.TouchesData = first.UsesContext, first.Positional, true
+		f.UsesContext, f.Positional, f.ReadsLast, f.TouchesData = first.UsesContext, first.Positional, first.ReadsLast, true
 	case *Filter:
-		f.UsesContext, f.Positional = first.UsesContext, first.Positional
+		f.UsesContext, f.Positional, f.ReadsLast = first.UsesContext, first.Positional, first.ReadsLast
 		for _, p := range n.Preds {
 			f.CanRaiseError = f.CanRaiseError || !ebvSafe(p, true)
 		}
@@ -361,7 +391,8 @@ func (a *Analysis) Of(e Expr) Facts {
 		f.CreatesNodes = f.CreatesNodes || a.callCreates == nil || a.callCreates(n)
 		f.UsesContext = f.UsesContext || ReadsFocus(n)
 		f.Positional = f.Positional || focusAccessor(n)
-		f.CanRaiseError = f.CanRaiseError || Builtin(n) == nil || !safeCalls[n.Name.Local]
+		f.ReadsLast = f.ReadsLast || IsBuiltin(n, "last", 0)
+		f.CanRaiseError = f.CanRaiseError || !safeCall(n)
 		f.TouchesData = true
 	}
 	if a.memo != nil {
@@ -434,6 +465,22 @@ type OrderProps struct {
 	Disjoint bool
 }
 
+// keptInput returns e itself or, when e keeps a subsequence of one input
+// (a filter, fn:subsequence), that input; nil for any other expression.
+func keptInput(e Expr) Expr {
+	switch n := e.(type) {
+	case *Step:
+		return n
+	case *Filter:
+		return n.In
+	case *Call:
+		if Builtin(n) != nil && n.Name.Local == "subsequence" {
+			return n.Args[0]
+		}
+	}
+	return nil
+}
+
 // StepOrderProps computes order/distinctness guarantees for a Path whose
 // input has the given properties and whose RHS is the given step, per the
 // table in the paper:
@@ -488,18 +535,16 @@ func Props(e Expr, varProps func(xdm.QName) OrderProps) OrderProps {
 		if f := Builtin(n); f != nil && f.Props.Reach == functions.ReachRoot {
 			return OrderProps{Sorted: true, Distinct: true, Disjoint: true} // one node
 		}
+		if kept := keptInput(n); kept != nil {
+			return Props(kept, varProps)
+		}
 		return OrderProps{}
 	case *Path:
 		in := Props(n.L, varProps)
-		if s, ok := n.R.(*Step); ok {
+		// A filter or fn:subsequence keeps a subsequence of a step: order,
+		// distinctness and disjointness all survive it.
+		if s, ok := keptInput(n.R).(*Step); ok {
 			return StepOrderProps(in, s)
-		}
-		if f, ok := n.R.(*Filter); ok {
-			if s, ok := f.In.(*Step); ok {
-				// A filter keeps a subsequence: order, distinctness and
-				// disjointness all survive it.
-				return StepOrderProps(in, s)
-			}
 		}
 		return OrderProps{}
 	case *Filter:

@@ -203,7 +203,7 @@ func init() {
 	register(&Func{Name: "ceiling", MinArgs: 1, MaxArgs: 1, Props: detErr,
 		Call: numericUnary(ceilF)})
 	register(&Func{Name: "round", MinArgs: 1, MaxArgs: 1, Props: detErr,
-		Call: numericUnary(func(f float64) float64 { return floorF(f + 0.5) })})
+		Call: numericUnary(roundHalfUp)})
 	register(&Func{Name: "round-half-to-even", MinArgs: 1, MaxArgs: 2, Props: detErr,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			a, ok, err := numericArg(args[0])

@@ -115,27 +115,22 @@ func init() {
 
 	register(&Func{Name: "subsequence", MinArgs: 2, MaxArgs: 3, Props: passed,
 		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			startA, ok, err := numericArg(args[1])
-			if err != nil || !ok {
-				return nil, typeErr("fn:subsequence: start required")
-			}
-			start := math.Round(startA.AsFloat())
-			length := math.Inf(1)
-			if len(args) == 3 {
-				lenA, ok, err := numericArg(args[2])
-				if err != nil || !ok {
-					return nil, typeErr("fn:subsequence: bad length")
+			var bounds [2]xdm.Atomic
+			for i, arg := range args[1:] {
+				a, ok, err := oneAtomic(arg)
+				if err == nil && !ok {
+					err = typeErr("fn:subsequence: an empty sequence is no position")
 				}
-				length = math.Round(lenA.AsFloat())
-			}
-			var out xdm.Sequence
-			for i, it := range args[0] {
-				p := float64(i + 1)
-				if p >= start && p < start+length {
-					out = append(out, it)
+				if err != nil {
+					return nil, err
 				}
+				bounds[i] = a
 			}
-			return out, nil
+			from, to, err := SubsequenceWindow(bounds[0], bounds[1], len(args) == 3)
+			if err != nil || from > int64(len(args[0])) {
+				return nil, err
+			}
+			return args[0][from-1 : min(to, int64(len(args[0])))], nil
 		}})
 
 	register(&Func{Name: "unordered", MinArgs: 1, MaxArgs: 1, Props: passed,
@@ -406,4 +401,58 @@ func significantChildren(n xdm.Node) []xdm.Node {
 		}
 	}
 	return out
+}
+
+// NoEnd is the last position of a window that runs to the end of its
+// sequence: no sequence is that long.
+const NoEnd = 1 << 62
+
+// Window returns the positions p, counted from 1, with lo ≤ p < hi, as the
+// integers from..to; to is NoEnd when the window has no end, and to < from
+// when it is empty, as it is when a bound is NaN. Bounds need not be
+// integers, and beyond ±NoEnd they saturate.
+func Window(lo, hi float64) (from, to int64) {
+	if !(lo < hi) {
+		return 1, 0
+	}
+	lo, hi = max(math.Ceil(lo), 1), math.Ceil(hi)-1
+	if hi >= NoEnd {
+		hi = NoEnd
+	}
+	if lo > hi {
+		return 1, 0
+	}
+	return int64(lo), int64(hi)
+}
+
+// SubsequenceWindow is the window fn:subsequence($s, start, length) keeps
+// (F&O §15.1.10): the positions p with round(start) ≤ p < round(start) +
+// round(length), without an end when hasLength is false. Both arguments
+// are xs:double by function conversion: untyped atomics are cast, other
+// numbers promoted, and any other type is err:XPTY0004.
+func SubsequenceWindow(start, length xdm.Atomic, hasLength bool) (from, to int64, err error) {
+	s, err := numericAtom(start)
+	if err != nil {
+		return 1, 0, err
+	}
+	lo, hi := roundHalfUp(s.AsFloat()), math.Inf(1)
+	if hasLength {
+		l, err := numericAtom(length)
+		if err != nil {
+			return 1, 0, err
+		}
+		hi = lo + roundHalfUp(l.AsFloat())
+	}
+	from, to = Window(lo, hi)
+	return from, to, nil
+}
+
+// roundHalfUp is fn:round on a double: the nearest integer, the one
+// toward positive infinity of two; NaN and the infinities are their own.
+func roundHalfUp(f float64) float64 {
+	r := math.Floor(f)
+	if f-r >= 0.5 {
+		r++
+	}
+	return r
 }

@@ -105,6 +105,17 @@ func TestSequenceFunctions(t *testing.T) {
 	expectStr(t, "3|2|1", "reverse", one(xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3)))
 	expectStr(t, "2|3", "subsequence", one(xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3)), num(2))
 	expectStr(t, "2", "subsequence", one(xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3)), num(2), num(1))
+	// F&O §15.1.10 edges: the window the runtime's lazy form keeps too.
+	three := one(xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3))
+	expectStr(t, "", "subsequence", three, dbl(math.NaN()))
+	expectStr(t, "", "subsequence", three, dbl(math.Inf(1)))
+	expectStr(t, "1|2|3", "subsequence", three, num(1), dbl(math.Inf(1)))
+	expectStr(t, "2|3", "subsequence", three, num(2), num(math.MaxInt64))
+	expectStr(t, "1", "subsequence", three, dbl(-0.7), dbl(2.5))
+	expectStr(t, "2|3", "subsequence", three, one(xdm.NewUntyped("2")))
+	if _, err := call(t, "subsequence", three, str("2")); !xdm.IsCode(err, "XPTY0004") {
+		t.Errorf("subsequence with a string start: %v, want err:XPTY0004", err)
+	}
 	expectStr(t, "6", "sum", one(xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3)))
 	expectStr(t, "0", "sum", one())
 	expectStr(t, "2", "avg", one(xdm.NewInteger(1), xdm.NewInteger(3)))

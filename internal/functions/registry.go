@@ -279,17 +279,20 @@ func numericArg(seq xdm.Sequence) (xdm.Atomic, bool, error) {
 	if err != nil || !ok {
 		return xdm.Atomic{}, ok, err
 	}
-	if a.T == xdm.TUntyped {
-		d, err := xdm.Cast(a, xdm.TDouble)
-		if err != nil {
-			return xdm.Atomic{}, false, err
-		}
-		return d, true, nil
+	a, err = numericAtom(a)
+	return a, err == nil, err
+}
+
+// numericAtom converts an atomized argument to a number: an untyped atomic
+// is cast to xs:double, any other type but a numeric one is a type error.
+func numericAtom(a xdm.Atomic) (xdm.Atomic, error) {
+	switch {
+	case a.T == xdm.TUntyped:
+		return xdm.Cast(a, xdm.TDouble)
+	case !a.T.IsNumeric():
+		return xdm.Atomic{}, typeErr("expected a numeric value, got %s", a.T)
 	}
-	if !a.T.IsNumeric() {
-		return xdm.Atomic{}, false, typeErr("expected a numeric value, got %s", a.T)
-	}
-	return a, true, nil
+	return a, nil
 }
 
 func singleton(a xdm.Atomic) xdm.Sequence { return xdm.Sequence{a} }

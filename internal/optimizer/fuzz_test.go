@@ -14,8 +14,9 @@ import (
 // events (what the nondeterministic CSE broke), and that disabling every
 // rule leaves the plan as parsed.
 func FuzzOptimize(f *testing.F) {
-	// FuzzQueryParse's seeds (internal/xqparse/fuzz_test.go), then the
-	// plan golden's corpus.
+	// FuzzQueryParse's seeds (internal/xqparse/fuzz_test.go), positional
+	// bounds and fn:subsequence's edge cases, then the plan golden's
+	// corpus (its bound shapes among them).
 	for _, s := range []string{
 		``, `1+1`, `/bib/book/title`, `//a[@k = "v"]`, `count(/Order/OrderLine)`,
 		`for $b in /bib/book where $b/price > 30 return $b/title`,
@@ -25,6 +26,13 @@ func FuzzOptimize(f *testing.F) {
 		`document("file.xml")/r/v`, `<wrap>{/bib/book/title}</wrap>`,
 		`some $x in (1, 2) satisfies $x > 1`,
 		`/a[`, `for $ in x`, `"unterminated`, `1 ++ 2`, `((((((((`,
+		`(/Order/OrderLine)[position() le 10]/Item/ID`, `/Order/OrderLine[10 ge position()][position() gt 2]`,
+		`(1 to 9)[position() = (2 to 4)]`, `(1 to 9)[position() ge 2 and position() lt 4.5]`,
+		`(1 to 9)[position() le xs:double("NaN")]`, `(1 to 9)[position() lt xs:double("INF")]`,
+		`(1 to 9)[position() le "3"]`, `(1 to 9, error())[position() eq 1]`, `(1 to 9)[position() ne last() - 1]`,
+		`subsequence((1 to 5), xs:double("NaN"))`, `subsequence((1 to 5), 1, xs:double("INF"))`,
+		`subsequence((1 to 5), 1e300)`, `subsequence((1 to 5), 2, 9223372036854775807)`,
+		`subsequence((1 to 5), -0.7, 2.5)`, `subsequence((1 to 5), "2")`, `subsequence((1 to 5), xs:untypedAtomic("2"))`,
 	} {
 		f.Add(s)
 	}

@@ -23,16 +23,17 @@ import (
 
 // Rule names, usable with Options.Disable.
 const (
-	RuleConstFold   = "const-fold"   // constant folding incl. literal conditionals
-	RuleLetFold     = "let-fold"     // LET clause folding / unused-let elimination
-	RuleFnInline    = "fn-inline"    // non-recursive user function inlining
-	RuleFlworUnnest = "flwor-unnest" // FOR-clause FLWOR unnesting
-	RuleForMin      = "for-min"      // FOR clause minimization (unused singleton loops)
-	RuleCSE         = "cse"          // common sub-expression factorization
-	RulePathOrder   = "path-order"   // doc-order sort / duplicate-elim elision (E8)
-	RuleParentElim  = "parent-elim"  // backward-navigation elimination ($x/a/..)
-	RuleTypeRewrite = "type-rewrite" // type-based rewritings (treat/instance-of elimination)
-	RuleNoNodeIDs   = "no-node-ids"  // on-demand node identifiers for constructors (E7)
+	RuleConstFold   = "const-fold"       // constant folding incl. literal conditionals
+	RuleLetFold     = "let-fold"         // LET clause folding / unused-let elimination
+	RuleFnInline    = "fn-inline"        // non-recursive user function inlining
+	RuleFlworUnnest = "flwor-unnest"     // FOR-clause FLWOR unnesting
+	RuleForMin      = "for-min"          // FOR clause minimization (unused singleton loops)
+	RuleCSE         = "cse"              // common sub-expression factorization
+	RulePathOrder   = "path-order"       // doc-order sort / duplicate-elim elision (E8)
+	RuleParentElim  = "parent-elim"      // backward-navigation elimination ($x/a/..)
+	RuleTypeRewrite = "type-rewrite"     // type-based rewritings (treat/instance-of elimination)
+	RuleNoNodeIDs   = "no-node-ids"      // on-demand node identifiers for constructors (E7)
+	RulePosBound    = "positional-bound" // E[position() le N] to subsequence(E, 1, N)
 )
 
 // localRules is the rule table of the bottom-up sweep: at each node pass
@@ -49,6 +50,7 @@ var localRules = []localRule{
 	{RuleCSE, []expr.Expr{&expr.Flwor{}}, (*optimizer).factorCSE},
 	{RuleParentElim, []expr.Expr{&expr.Path{}}, stateless(elimParent)},
 	{RuleTypeRewrite, []expr.Expr{&expr.Treat{}, &expr.InstanceOf{}}, stateless(typeRewrite)},
+	{RulePosBound, []expr.Expr{&expr.Filter{}}, (*optimizer).boundPositional},
 }
 
 type localRule struct {

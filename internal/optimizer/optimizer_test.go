@@ -287,6 +287,17 @@ var equivalenceCorpus = []string{
 	`for $a in /r/a group by $k := count($a/b) order by $k return concat($k, "=", count($a))`,
 	`try { sum(for $b in //b return string-length($b)) } catch * { -1 }`,
 	`element wrap { attribute n { count(//b) }, //c }`,
+	`(//b)[position() le 2]/string(.)`,
+	`/r/a/b[position() lt 2]/string(.)`,
+	`(//b)[2 ge position()][position() gt 1]/string(.)`,
+	`(//b)[position() = (2 to 3)]/string(.)`,
+	`(//b)[position() ge 2 and position() le 2]/string(.)`,
+	`count((//b)[position() eq 2.5])`,
+	`(//b)[position() le 1e0]/string(.)`,
+	`count((//b)[position() gt 0])`,
+	`(//b)[position() ne 1]/string(.)`,
+	`(//b)[position() = last()]/string(.)`,
+	`try { (//b, error())[position() le 1] } catch * { "caught" }`,
 }
 
 // TestOptimizerEquivalence is the differential harness: a corpus of queries

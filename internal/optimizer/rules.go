@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 
 	"xqgo/internal/expr"
 	"xqgo/internal/functions"
@@ -513,6 +514,128 @@ func elimParent(x expr.Expr) expr.Expr {
 		In:    inner.L,
 		Preds: []expr.Expr{childStep},
 	}
+}
+
+// ---- positional bounds ----
+
+// fnSubsequence names fn:subsequence as the parser does.
+var fnSubsequence = xdm.QName{Space: functions.Namespace, Local: "subsequence", Prefix: "fn"}
+
+// boundPositional rewrites a filter whose first predicate bounds the
+// position to the window it keeps: subsequence(E, from, len), E[k] for one
+// position, E for all of them, () for none. The bound is position() op N
+// with op one of = eq < lt <= le > gt >= ge and N a numeric literal, on
+// either side; position() = (a to b); or two bounds joined by and. The
+// window's pull stops after its last item, where the filter read E to the
+// end, so E must not raise an error the filter would have raised there.
+func (o *optimizer) boundPositional(x expr.Expr) expr.Expr {
+	f, ok := x.(*expr.Filter)
+	if !ok {
+		return nil
+	}
+	lo, hi, ok := positionBounds(f.Preds[0])
+	if !ok || o.facts.Of(f.In).CanRaiseError {
+		return nil
+	}
+	from, to := functions.Window(lo, hi)
+	lit := func(n int64) expr.Expr { return expr.NewLiteral(f.Span(), xdm.NewInteger(n)) }
+	call := func(args ...expr.Expr) expr.Expr {
+		return &expr.Call{Base: f.Base, Name: fnSubsequence, Args: append([]expr.Expr{f.In}, args...)}
+	}
+	var kept expr.Expr
+	switch {
+	case to < from:
+		return &expr.Seq{Base: f.Base}
+	case from == to:
+		return &expr.Filter{Base: f.Base, In: f.In, Preds: append([]expr.Expr{lit(from)}, f.Preds[1:]...)}
+	case to < functions.NoEnd:
+		kept = call(lit(from), lit(to-from+1))
+	case from > 1:
+		kept = call(lit(from))
+	default:
+		kept = f.In
+	}
+	if len(f.Preds) == 1 {
+		return kept
+	}
+	return &expr.Filter{Base: f.Base, In: kept, Preds: f.Preds[1:]}
+}
+
+// positionBounds reads a predicate that keeps the positions p with
+// lo ≤ p < hi; ok=false for any other predicate.
+func positionBounds(pred expr.Expr) (lo, hi float64, ok bool) {
+	if l, isLogic := pred.(*expr.Logic); isLogic {
+		lo1, hi1, ok1 := positionBound(l.L)
+		lo2, hi2, ok2 := positionBound(l.R)
+		return max(lo1, lo2), min(hi1, hi2), l.And && ok1 && ok2
+	}
+	return positionBound(pred)
+}
+
+// positionBound reads one comparison of fn:position() with a bound.
+func positionBound(e expr.Expr) (lo, hi float64, ok bool) {
+	c, isCmp := e.(*expr.Compare)
+	if !isCmp {
+		return 0, 0, false
+	}
+	op, other := c.Op, c.R
+	switch {
+	case isPosition(c.R):
+		other, op = c.L, mirrored[op]
+	case !isPosition(c.L):
+		return 0, 0, false
+	}
+	if r, isRange := other.(*expr.Range); isRange {
+		a, okA := r.Lo.(*expr.Literal)
+		b, okB := r.Hi.(*expr.Literal)
+		if c.Kind != expr.CompGeneral || op != xdm.OpEq || !okA || !okB || a.Val.T != xdm.TInteger || b.Val.T != xdm.TInteger {
+			return 0, 0, false
+		}
+		return a.Val.AsFloat(), b.Val.AsFloat() + 1, true
+	}
+	n, ok := boundOf(other)
+	inf := math.Inf(1)
+	switch {
+	case !ok:
+		return 0, 0, false
+	case op == xdm.OpEq:
+		return n, math.Floor(n) + 1, true
+	case op == xdm.OpLt:
+		return -inf, n, true
+	case op == xdm.OpLe:
+		return -inf, math.Floor(n) + 1, true
+	case op == xdm.OpGt:
+		return math.Floor(n) + 1, inf, true
+	case op == xdm.OpGe:
+		return n, inf, true
+	}
+	return 0, 0, false // ne
+}
+
+// mirrored is the operator of a comparison with its operands swapped.
+var mirrored = [...]xdm.CompOp{xdm.OpEq: xdm.OpEq, xdm.OpNe: xdm.OpNe,
+	xdm.OpLt: xdm.OpGt, xdm.OpLe: xdm.OpGe, xdm.OpGt: xdm.OpLt, xdm.OpGe: xdm.OpLe}
+
+// isPosition reports whether e is a call of fn:position().
+func isPosition(e expr.Expr) bool {
+	c, ok := e.(*expr.Call)
+	return ok && expr.IsBuiltin(c, "position", 0)
+}
+
+// boundOf reads a numeric literal as a double. A decimal whose double is
+// an integer it does not equal is refused: the bound would move across
+// that integer.
+func boundOf(e expr.Expr) (float64, bool) {
+	l, ok := e.(*expr.Literal)
+	if !ok || !l.Val.T.IsNumeric() {
+		return 0, false
+	}
+	n := l.Val.AsFloat()
+	if l.Val.T == xdm.TDecimal && n == math.Trunc(n) && math.Abs(n) < 1<<53 {
+		eq, err := xdm.ValueCompare(xdm.OpEq, l.Val, xdm.NewInteger(int64(n)))
+		return n, eq && err == nil
+	}
+	return n, true
 }
 
 // ---- type-based rewritings ----

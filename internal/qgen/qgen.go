@@ -82,15 +82,16 @@ const (
 // one, in scope from the hole after the next on, and %V %I %G name the last
 // bound; %o is a range; %f calls a focus built-in, %z one without its
 // argument; %l names a declared function; %t is a path, %h a step chain,
-// %r forward element steps from the root, %j a join path; %= repeats the
-// hole before it. A
-// production that starts with "." needs a focus.
+// %r forward element steps from the root, %j a join path; %q is the bound
+// of a positional predicate, %y a positional predicate; %= repeats the
+// hole before it. A production that starts with "." needs a focus.
 var grammar = map[byte][]string{
 	'n': {"0", "1", "2", "3", "2.5", "1e0", "count(%p)", "sum(%p)", "max(%p)", "xs:integer(%a)", ".position()", ".last()", "%f", "%l(%a)",
 		"count(%h)", "sum(%h)", "count(%j)"},
 	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f", "string(%h)"},
 	'b': {"true()", "false()", "not(%a)", "exists(%p)", "empty(%p)", "boolean(%p)", "exists(%h)", "empty(%h)", "(%h = (%a))", "(%h eq (%a))"},
-	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c", "%h"},
+	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c", "%h",
+		"(%p)%y", "(%p, error())%y", "subsequence(%p, %q)", "subsequence(%p, %q, %q)", "subsequence((%p, error()), %q, %q)"},
 	'c': {"element e { %a }", "element p:e { %a }", `<e x="1">{attribute x { %a }, %a}</e>`, `<e x="1">{attribute y { %a }, %a}</e>`,
 		`<e>{%t/@*, %a}</e>`, `<e x="1">{%t/@x, %a}</e>`, `<p:e xmlns:p="urn:p" y="{%a}">{%a}</p:e>`, "<e>{%a}</e>", `<e y="{%h}">{%a}</e>`},
 	'w': {`concat(%z, "-", %z, "-", %z)`},
@@ -368,6 +369,10 @@ func (g *gen) expand(p string, k byte) string {
 			last = g.spine()
 		case 'j':
 			last = g.join()
+		case 'q':
+			last = g.bound()
+		case 'y':
+			last = g.boundPredicate()
 		}
 		b.WriteString(last)
 		g.focus = focus
@@ -401,7 +406,7 @@ func (g *gen) lastVar(k byte) string {
 var (
 	axes  = []string{"", "", "", "child::", "descendant::", "descendant::", "self::", "descendant-or-self::", "parent::", "ancestor::", "ancestor-or-self::", "following-sibling::", "preceding-sibling::"}
 	tests = []string{"a", "b", "c", "a", "b", "c", "*", "*", "p:a", "p:*", "d:b", "*:c", "node()", "text()", "comment()", "processing-instruction()", "element()", "element(b)"}
-	preds = []string{"[1]", "[2]", "[last()]", "[last() - 1]", "[position() = 2]", "[position() lt 3]", "[%N]", "[%P]", "[%B]", "[%B]", "[%H]", "[%H = (%A)]"}
+	preds = []string{"[1]", "[2]", "[last()]", "[last() - 1]", "[position() = 2]", "[position() lt 3]", "[%N]", "[%P]", "[%B]", "[%B]", "[%H]", "[%H = (%A)]", "%y", "%y"}
 )
 
 // path generates a path from the root, a node variable or the focus: one to
@@ -472,12 +477,46 @@ func (g *gen) spine() string {
 		s += g.pick("/", "/", "//") + g.pick("a", "b", "c", "*", "*", "*", "a", "b", "p:a", "d:b")
 		switch g.rng.Intn(4) {
 		case 0:
-			s += g.pick("[position() = 2]", "[position() lt 3]", "[position() gt 1]")
+			s += g.pick("[position() = 2]", "[position() lt 3]", "[position() gt 1]", g.boundPredicate())
 		case 1:
 			s += g.expand(g.pick("[1]", "[2]", "[last()]", "[@x]", `[@x = "1"]`, "[b]", `[. = "1"]`, "[string-length() gt 1]", "[%B]"), 'a')
 		}
 	}
 	return s
+}
+
+// boundPredicate generates a positional bound, what the optimizer may
+// turn into a window of its input: position() compared with a bound by
+// any operator, on either side, a range of positions, or two bounds
+// joined by and.
+func (g *gen) boundPredicate() string {
+	op := g.pick("le", "lt", "=", "eq", "ge", "gt", "<=", "<", ">=", ">", "ne")
+	switch g.rng.Intn(4) {
+	case 0:
+		return "[position() " + op + " " + g.bound() + "]"
+	case 1:
+		return "[" + g.bound() + " " + op + " position()]"
+	case 2:
+		return "[position() = (" + g.pick("1", "2", g.bound()) + " to " + g.pick("2", "3", g.bound()) + ")]"
+	}
+	return "[position() ge " + g.bound() + " and position() le " + g.bound() + "]"
+}
+
+// bound generates the bound of a positional predicate or fn:subsequence:
+// numbers around the first positions, a fraction, a double, NaN and INF, a
+// string (a type error to compare), a count, a position relative to
+// last() and a number variable in scope.
+func (g *gen) bound() string {
+	bs := []string{"0", "-1", "2.5", "1e0", `xs:double("NaN")`, `xs:double("INF")`, `"3"`, "count(%p)"}
+	if g.focus {
+		bs = append(bs, "(last() - 1)")
+	}
+	for _, v := range g.vars {
+		if v.kind == 'n' {
+			bs = append(bs, v.name)
+		}
+	}
+	return g.expand(g.pick(bs...), 'n')
 }
 
 // join generates a join path: plain element names from the root, with a

@@ -24,8 +24,13 @@ import (
 // for clause recycled its tuple frames and join paths streamed their leaf
 // ids, and parent is their count before that (paper FLWOR: 2 816):
 // chain-da no longer boxes a node per match, and chain-flwor compares each
-// d's text in place. It counts, not times: no wall-clock assertion outside
-// bench/.
+// d's text in place. The positional rows are bound just above their count
+// once positional bounds stopped the pull and fn:position, fn:last and
+// fn:count were read as integers, and parent is their count before that:
+// positional pulls ten lines, the count predicate boxes no integer per
+// book, and the position arithmetic no longer keeps its input for a
+// fn:last it never calls. It counts, not times: no wall-clock assertion
+// outside bench/.
 func TestExecAllocGuard(t *testing.T) {
 	orders := workload.Orders(workload.OrdersConfig{Lines: 1000, Sellers: 10, Seed: 1})
 	bib := workload.Bib(workload.BibConfig{Books: 400, Seed: 1})
@@ -59,6 +64,9 @@ where $b/price > 90
 return <exp year="{$b/@year}">{$b/title/text()}</exp>`, bib, 1192, 1000},
 		{"chain-da", `count(//d//a)`, deep, 864, 100},
 		{"chain-flwor", `for $x in //b//d where $x = "42" return <hit>{string($x)}</hit>`, deep, 2765, 1720},
+		{"positional", `(/Order/OrderLine)[position() le 10]/Item/ID`, orders, 3059, 100},
+		{"count-predicate-positional", `/bib/book[count(author) = 3]/author[1]/last`, bib, 1806, 1100},
+		{"position-arithmetic", `(/Order/OrderLine)[position() mod 2 = 1]`, orders, 7530, 7520},
 	} {
 		q, err := xqparse.Parse(c.src)
 		if err != nil {

@@ -639,7 +639,7 @@ func (c *compiler) compileTest(e expr.Expr) (cond condFn, seq seqFn, ok bool, er
 		seq = boolSeq(cond)
 	case *expr.Quantified:
 		if cond, err = c.compileQuantified(n); err == nil {
-			cond, seq = c.tagCond("quantified", n, cond)
+			cond, seq = tagScalar(c, "quantified", n, cond, boolItem)
 		}
 	case *expr.Call:
 		local := n.Name.Local
@@ -652,10 +652,10 @@ func (c *compiler) compileTest(e expr.Expr) (cond condFn, seq seqFn, ok bool, er
 			return nil, nil, true, err
 		}
 		negate := local == "not"
-		cond, seq = c.tagCond("call "+n.Name.String(), n, func(fr *Frame) (bool, error) {
+		cond, seq = tagScalar(c, "call "+n.Name.String(), n, func(fr *Frame) (bool, error) {
 			b, err := arg(fr)
 			return err == nil && b != negate, err
-		})
+		}, boolItem)
 	default:
 		return nil, nil, false, nil
 	}
@@ -806,11 +806,13 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 }
 
 // operand is a compiled expression that its consumer atomizes to the end
-// inside one call: a literal's value, a step chain the consumer walks on
-// its stack, or else the expression's iterator.
+// inside one call: a literal's value, an integer read as one (fn:position,
+// fn:last, fn:count), a step chain the consumer walks on its stack, or
+// else the expression's iterator.
 type operand struct {
 	fn  seqFn
 	lit *xdm.Atomic
+	num numFn
 	ch  *chain
 }
 
@@ -821,6 +823,9 @@ func (c *compiler) compileOperand(e expr.Expr) (operand, error) {
 		v := lit.Val
 		return operand{lit: &v}, nil
 	}
+	if num, seq, ok, err := c.compileNum(e); ok {
+		return operand{fn: seq, num: num}, err
+	}
 	fn, err := c.compile(e)
 	return operand{fn: fn, ch: c.chains[e]}, err
 }
@@ -830,6 +835,10 @@ func (c *compiler) compileOperand(e expr.Expr) (operand, error) {
 func (o operand) single(fr *Frame) (a xdm.Atomic, ok bool, err error) {
 	if o.lit != nil {
 		return *o.lit, true, nil
+	}
+	if o.num != nil {
+		k, err := o.num(fr)
+		return xdm.NewInteger(k), err == nil, err
 	}
 	n := 0
 	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
@@ -886,6 +895,13 @@ func textTest(op xdm.CompOp, lit *xdm.Atomic) nodeTest {
 // the operand, reading no further than the first that does. A stored node
 // is tested by node instead, when it is set.
 func (o operand) any(fr *Frame, test func(xdm.Atomic) (bool, error), node nodeTest) (found bool, err error) {
+	if o.num != nil {
+		k, err := o.num(fr)
+		if err != nil {
+			return false, err
+		}
+		return test(xdm.NewInteger(k))
+	}
 	if walked, err := o.ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
 		if node != nil {
 			found = node(d, id)

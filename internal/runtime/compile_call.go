@@ -20,6 +20,9 @@ func (c *compiler) compileCall(n *expr.Call) (seqFn, error) {
 	if _, seq, ok, err := c.compileTest(n); ok {
 		return seq, err // fn:not and fn:boolean, tagged there
 	}
+	if _, seq, ok, err := c.compileNum(n); ok {
+		return seq, err // fn:position, fn:last and fn:count, tagged there
+	}
 	fn, err := c.compileCallRaw(n)
 	if err != nil {
 		return nil, err
@@ -57,25 +60,6 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	// Lazy special forms.
 	if fn, handled := c.lazyBuiltin(local, argFns, chs); handled {
 		return fn, nil
-	}
-
-	// fn:position and fn:last read the focus.
-	switch local {
-	case "position":
-		return func(fr *Frame) Iter {
-			if _, ok := fr.ContextItem(); !ok {
-				return errIter(xdm.Errf("XPDY0002", "fn:position(): no context"))
-			}
-			return singleIter(xdm.NewInteger(fr.Position()))
-		}, nil
-	case "last":
-		return func(fr *Frame) Iter {
-			n, err := fr.Size()
-			if err != nil {
-				return errIter(err)
-			}
-			return singleIter(xdm.NewInteger(n))
-		}, nil
 	}
 
 	// A chain argument is walked on the stack, boxing only what it passes;
@@ -159,69 +143,36 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn, chs []*chain) (seqF
 			}
 			return singleIter(boolItem(found == !wantEmpty))
 		}, true
-	case "count":
-		// Batched counting: the input is drained a chunk at a time without
-		// ever materializing it; a source that knows its cardinality
-		// (range, materialized slice) skips production entirely.
-		return func(fr *Frame) Iter {
-			n := int64(0)
-			if walked, err := chs[0].walk(fr, func(*store.Document, int32) (bool, error) { n++; return false, nil }); walked {
-				if err != nil {
-					return errIter(err)
-				}
-				return singleIter(xdm.NewInteger(n))
-			}
-			it := argFns[0](fr)
-			if sz, ok := it.(sizedIter); ok {
-				if n, known := sz.remaining(); known {
-					return singleIter(xdm.NewInteger(n))
-				}
-			}
-			buf := fr.dyn.getBuf()
-			for {
-				k, err := nextBatch(it, buf)
-				if err != nil {
-					fr.dyn.putBuf(buf)
-					return errIter(err)
-				}
-				if k == 0 {
-					fr.dyn.putBuf(buf)
-					return singleIter(xdm.NewInteger(n))
-				}
-				n += int64(k)
-			}
-		}, true
 	case "subsequence":
 		return func(fr *Frame) Iter {
-			start, okS, err := atomizeSingle(argFns[1](fr))
-			if err != nil || !okS {
-				return errIter(xdm.ErrType("fn:subsequence: start required"))
-			}
-			from := int64(start.AsFloat() + 0.5)
-			to := int64(1<<62 - 1)
-			if len(argFns) == 3 {
-				length, okL, err := atomizeSingle(argFns[2](fr))
-				if err != nil || !okL {
-					return errIter(xdm.ErrType("fn:subsequence: bad length"))
+			var bounds [2]xdm.Atomic
+			for i, afn := range argFns[1:] {
+				a, ok, err := atomizeSingle(afn(fr))
+				if err == nil && !ok {
+					err = xdm.ErrType("fn:subsequence: an empty sequence is no position")
 				}
-				to = from + int64(length.AsFloat()+0.5) - 1
+				if err != nil {
+					return errIter(err)
+				}
+				bounds[i] = a
+			}
+			from, to, err := functions.SubsequenceWindow(bounds[0], bounds[1], len(argFns) == 3)
+			if err != nil {
+				return errIter(err)
 			}
 			src := argFns[0](fr)
 			pos := int64(0)
 			return iterFunc(func() (xdm.Item, bool, error) {
-				for {
+				for pos < to {
 					it, ok, err := src.Next()
 					if err != nil || !ok {
 						return nil, false, err
 					}
-					pos++
-					if pos > to {
-						return nil, false, nil // early exit
-					}
-					if pos >= from {
+					if pos++; pos >= from {
 						return it, true, nil
 					}
 				}
+				return nil, false, nil // early exit
 			})
 		}, true
 	case "unordered":
@@ -229,6 +180,65 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn, chs []*chain) (seqF
 		return func(fr *Frame) Iter { return fn(fr) }, true
 	}
 	return nil, false
+}
+
+// numFn is a compiled integer-valued expression, read without an iterator
+// or a boxed item.
+type numFn func(fr *Frame) (int64, error)
+
+// compileNum compiles fn:position(), fn:last() and fn:count(E) into their
+// integer and sequence forms, once; ok=false for any other expression.
+func (c *compiler) compileNum(e expr.Expr) (num numFn, seq seqFn, ok bool, err error) {
+	n, isCall := e.(*expr.Call)
+	if !isCall || !expr.IsBuiltin(n, "position", 0) && !expr.IsBuiltin(n, "last", 0) && !expr.IsBuiltin(n, "count", 1) ||
+		c.funcs[funcKey(n.Name, len(n.Args))] != nil {
+		return nil, nil, false, nil
+	}
+	switch n.Name.Local {
+	case "position":
+		num = func(fr *Frame) (int64, error) {
+			if ff := fr.focusFrame(); ff != nil {
+				return ff.ctxPos, nil
+			}
+			return 0, xdm.Errf("XPDY0002", "fn:position(): no context")
+		}
+	case "last":
+		num = (*Frame).Size
+	default:
+		arg, err := c.compile(n.Args[0])
+		if err != nil {
+			return nil, nil, true, err
+		}
+		num = countOf(arg, c.chains[n.Args[0]])
+	}
+	num, seq = tagScalar(c, "call "+n.Name.String(), n, num, func(k int64) xdm.Item { return xdm.NewInteger(k) })
+	return num, seq, true, nil
+}
+
+// countOf is fn:count: a chain is walked on the stack, a source that
+// knows its cardinality (range, materialized slice) skips production, and
+// any other input is drained a chunk at a time without being kept.
+func countOf(arg seqFn, ch *chain) numFn {
+	return func(fr *Frame) (int64, error) {
+		if n, walked, err := ch.walkN(fr, func(*store.Document, int32) (bool, error) { return false, nil }); walked {
+			return n, err
+		}
+		it := arg(fr)
+		if sz, ok := it.(sizedIter); ok {
+			if n, known := sz.remaining(); known {
+				return n, nil
+			}
+		}
+		buf := fr.dyn.getBuf()
+		defer fr.dyn.putBuf(buf)
+		for n := int64(0); ; {
+			k, err := nextBatch(it, buf)
+			if err != nil || k == 0 {
+				return n, err
+			}
+			n += int64(k)
+		}
+	}
 }
 
 func (c *compiler) compileUserCall(n *expr.Call, uf *userFunc) (seqFn, error) {

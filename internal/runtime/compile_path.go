@@ -62,7 +62,7 @@ func (c *compiler) compilePath(n *expr.Path) (seqFn, error) {
 // right side that is an axis step is applied to each left node directly;
 // any other right side is evaluated under a focus per left node. The left
 // input is memoized, for fn:last, only when the right side reads its focus
-// position or size.
+// size.
 func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	lf, err := c.compile(n.L)
 	if err != nil {
@@ -79,7 +79,7 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	if step != nil {
 		st = newStepTest(step)
 	}
-	memo := step == nil && expr.Positional(n.R)
+	memo := step == nil && expr.ReadsLast(n.R)
 	noReorder := n.NoReorder && !c.opts.Eager
 
 	raw := func(fr *Frame) Iter {
@@ -226,10 +226,15 @@ func (ch *chain) start(fr *Frame) (d *store.Document, id int32, ok bool) {
 // morsel workers would split the scan, or a join-eligible path navigates.
 // A profiled walk counts on the path's row as its iterator would.
 func (ch *chain) walk(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (ok bool, err error) {
+	_, ok, err = ch.walkN(fr, visit)
+	return ok, err
+}
+
+// walkN is walk, also returning how many nodes visit saw.
+func (ch *chain) walkN(fr *Frame, visit func(d *store.Document, id int32) (stop bool, err error)) (n int64, ok bool, err error) {
 	if ch == nil || ch.par && fr.dyn.Workers > 1 {
-		return false, nil
+		return 0, false, nil
 	}
-	var n int64
 	if ch.join != nil {
 		ok, n, err = ch.join.walk(fr, visit)
 	} else {
@@ -239,7 +244,7 @@ func (ch *chain) walk(fr *Frame, visit func(d *store.Document, id int32) (stop b
 		p.ops[ch.op].starts.Add(1)
 		p.ops[ch.op].items.Add(n)
 	}
-	return ok, err
+	return n, ok, err
 }
 
 // walkSteps is walk over the chain's steps.
@@ -837,7 +842,8 @@ func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
 		// A predicate that reads no focus has one value for every item, so
 		// it is evaluated once (constFilter) — alike whether or not the
 		// optimizer folded it to a literal.
-		if f := new(expr.Analysis).Of(pred); !f.UsesContext && !f.Positional {
+		facts := new(expr.Analysis).Of(pred)
+		if !facts.UsesContext && !facts.Positional {
 			pf, err := c.compile(pred)
 			if err != nil {
 				return nil, err
@@ -850,8 +856,7 @@ func (c *compiler) compileFilter(n *expr.Filter) (seqFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		prev := cur
-		memo := expr.Positional(pred)
+		prev, memo := cur, facts.ReadsLast
 		cur = func(fr *Frame) Iter {
 			f := &filterIter{fr: fr, keep: keep}
 			if memo {

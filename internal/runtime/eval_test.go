@@ -419,13 +419,24 @@ func TestStreamedExecute(t *testing.T) {
 	}
 }
 
-// TestIteratorEarlyStop: pulling one item must not drain the input. Each
-// row pulls one item of the optimized plan and checks it, and that no
-// filter has passed more than that one item.
+// TestIteratorEarlyStop: pulling must not drain the input. The first rows
+// pull one item of the optimized plan and check it, and that no filter has
+// passed more than that one item. The bound rows drain the plan and check
+// that the operator named op passed at most max items: a positional bound
+// stops the pull of its input, once for a parenthesized input and once per
+// parent for a step's.
 func TestIteratorEarlyStop(t *testing.T) {
-	for _, c := range []struct{ src, doc, first string }{
-		{`/bib/book/title`, testBib, "TCP/IP Illustrated"},
-		{`(/r/a[b = "1"])[1]`, `<r><a><b>1</b>first</a><a><b>1</b>second</a><a><b>2</b></a></r>`, "1first"},
+	lines := "<Order>" + strings.Repeat("<OrderLine><Item><ID>i</ID></Item></OrderLine>", 40) + "</Order>"
+	parents := "<r>" + strings.Repeat(`<a>`+strings.Repeat(`<b k="1"/>`, 5)+`</a>`, 3) + "</r>"
+	for _, c := range []struct {
+		src, doc, first string
+		op              string // the operator whose items are bounded; "" for the one-pull rows
+		max             int64
+	}{
+		{`/bib/book/title`, testBib, "TCP/IP Illustrated", "", 0},
+		{`(/r/a[b = "1"])[1]`, `<r><a><b>1</b>first</a><a><b>1</b>second</a><a><b>2</b></a></r>`, "1first", "", 0},
+		{`(/Order/OrderLine)[position() le 10]/Item/ID`, lines, "i", "fn:root(.)/child::Order/child::OrderLine", 12},
+		{`/r/a/(b[@k])[position() le 2]`, parents, "", "child::b[attribute::k]", 6},
 	} {
 		parsed, err := xqparse.Parse(c.src)
 		if err != nil {
@@ -451,10 +462,28 @@ func TestIteratorEarlyStop(t *testing.T) {
 		if got := first.(xdm.Node).StringValue(); got != c.first {
 			t.Errorf("%s: first item = %q, want %q", c.src, got, c.first)
 		}
-		for _, op := range prof.Report().Operators {
-			if op.Kind == "filter" && op.Items > 1 {
-				t.Errorf("%s: filter %s passed %d items for one pull", c.src, op.Detail, op.Items)
+		if c.op != "" {
+			for ok && err == nil {
+				_, ok, err = it.Next()
 			}
+			if err != nil {
+				t.Fatalf("%s: %v", c.src, err)
+			}
+		}
+		seen := false
+		for _, op := range prof.Report().Operators {
+			switch {
+			case c.op == "" && op.Kind == "filter" && op.Items > 1:
+				t.Errorf("%s: filter %s passed %d items for one pull", c.src, op.Detail, op.Items)
+			case c.op != "" && op.Detail == c.op:
+				seen = true
+				if op.Items > c.max {
+					t.Errorf("%s: %s passed %d items, want at most %d", c.src, op.Detail, op.Items, c.max)
+				}
+			}
+		}
+		if c.op != "" && !seen {
+			t.Errorf("%s: no operator %s", c.src, c.op)
 		}
 	}
 }

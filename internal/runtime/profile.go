@@ -498,21 +498,28 @@ func (c *compiler) tagID(kind string, e expr.Expr, fn seqFn) (seqFn, int) {
 	}, id
 }
 
-// tagCond is tag for an operator that is a condition natively: one id
-// serves both forms. The sequence form is instrumented as tag does; the
-// condition form counts the same start, and the one item a successful
-// evaluation yields, without building an iterator.
-func (c *compiler) tagCond(kind string, e expr.Expr, cond condFn) (condFn, seqFn) {
-	seq, id := c.tagID(kind, e, boolSeq(cond))
-	return func(fr *Frame) (bool, error) {
-		b, err := cond(fr)
+// tagScalar is tag for an operator with a scalar form, a condition or an
+// integer: one id serves both forms. The sequence form is instrumented as
+// tag does and boxes the value with item; the scalar form counts the same
+// start, and the one item a successful evaluation yields, without building
+// an iterator.
+func tagScalar[T any](c *compiler, kind string, e expr.Expr, f func(*Frame) (T, error), item func(T) xdm.Item) (func(*Frame) (T, error), seqFn) {
+	seq, id := c.tagID(kind, e, func(fr *Frame) Iter {
+		v, err := f(fr)
+		if err != nil {
+			return errIter(err)
+		}
+		return singleIter(item(v))
+	})
+	return func(fr *Frame) (T, error) {
+		v, err := f(fr)
 		if p := fr.dyn.Prof; p != nil {
 			p.ops[id].starts.Add(1)
 			if err == nil {
 				p.ops[id].items.Add(1)
 			}
 		}
-		return b, err
+		return v, err
 	}, seq
 }
 
