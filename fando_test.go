@@ -42,6 +42,50 @@ func TestFandOConformance(t *testing.T) {
 		{"round/below-half", `round(0.49999999999999994e0) eq 0`, "true", ""},
 		{"round/half-negative", `round(-2.5)`, "-2", ""},
 
+		// fn:floor, fn:ceiling and fn:round-half-to-even (F&O §6.4.2,
+		// §6.4.3, §6.4.5) on doubles outside the int64 range: NaN and the
+		// infinities are their own, signed zeros keep their sign (made
+		// observable by division), and every double of magnitude 2^52 or
+		// more is already integral. A decimal has no negative zero, and an
+		// integer is its own floor, ceiling and rounding, however large.
+		{"floor/nan", `floor(0 div 0e0)`, "NaN", ""},
+		{"floor/inf", `floor(xs:double("INF")) eq xs:double("INF")`, "true", ""},
+		{"floor/negative-inf", `floor(xs:double("-INF")) eq xs:double("-INF")`, "true", ""},
+		{"floor/zero", `1 div floor(0e0)`, "INF", ""},
+		{"floor/negative-zero", `1 div floor(-0e0)`, "-INF", ""},
+		{"floor/huge", `floor(1e300) eq 1e300`, "true", ""},
+		{"floor/negative-huge", `floor(-1e300) eq -1e300`, "true", ""},
+		{"floor/two-to-63", `floor(9223372036854775808e0) eq 9223372036854775808e0`, "true", ""},
+		{"floor/negative-fraction", `floor(-0.5e0)`, "-1", ""},
+		{"ceiling/nan", `ceiling(0 div 0e0)`, "NaN", ""},
+		{"ceiling/inf", `ceiling(xs:double("INF")) eq xs:double("INF")`, "true", ""},
+		{"ceiling/inf-lexical", `ceiling(xs:double("INF"))`, "INF", ""},
+		{"ceiling/negative-inf", `ceiling(xs:double("-INF")) eq xs:double("-INF")`, "true", ""},
+		{"ceiling/zero", `1 div ceiling(0e0)`, "INF", ""},
+		{"ceiling/negative-zero", `1 div ceiling(-0e0)`, "-INF", ""},
+		{"ceiling/negative-fraction", `1 div ceiling(-0.5e0)`, "-INF", ""},
+		{"ceiling/huge", `ceiling(1e300) eq 1e300`, "true", ""},
+		{"ceiling/negative-huge", `ceiling(-1e300) eq -1e300`, "true", ""},
+		{"ceiling/two-to-63", `ceiling(9223372036854775808e0) eq 9223372036854775808e0`, "true", ""},
+		{"round-half-to-even/nan", `round-half-to-even(0 div 0e0)`, "NaN", ""},
+		{"round-half-to-even/inf", `round-half-to-even(xs:double("INF")) eq xs:double("INF")`, "true", ""},
+		{"round-half-to-even/negative-inf", `round-half-to-even(xs:double("-INF")) eq xs:double("-INF")`, "true", ""},
+		{"round-half-to-even/zero", `1 div round-half-to-even(0e0)`, "INF", ""},
+		{"round-half-to-even/negative-zero", `1 div round-half-to-even(-0e0)`, "-INF", ""},
+		{"round-half-to-even/huge", `round-half-to-even(1e300) eq 1e300`, "true", ""},
+		{"round-half-to-even/negative-huge", `round-half-to-even(-1e300) eq -1e300`, "true", ""},
+		{"round-half-to-even/two-to-63",
+			`round-half-to-even(9223372036854775808e0) eq 9223372036854775808e0`, "true", ""},
+		{"ceiling/decimal-negative-fraction", `ceiling(-0.3)`, "0", ""},
+		{"floor/max-integer", `floor(9223372036854775807)`, "9223372036854775807", ""},
+		{"ceiling/min-integer", `ceiling(-9223372036854775807)`, "-9223372036854775807", ""},
+		{"round/integer-beyond-2-to-53", `round(9007199254740993)`, "9007199254740993", ""},
+		{"round-half-to-even/integer-beyond-2-to-53", `round-half-to-even(9007199254740993)`, "9007199254740993", ""},
+		{"abs/integer-beyond-2-to-53", `abs(-9007199254740993)`, "9007199254740993", ""},
+		{"round-half-to-even/decimal-negative-half", `round-half-to-even(-0.5)`, "0", ""},
+		{"round-half-to-even/halves", `round-half-to-even(2.5e0), round-half-to-even(3.5e0), round-half-to-even(-2.5e0)`,
+			"2 4 -2", ""},
+
 		// fn:codepoints-to-string: invalid XML characters raise FOCH0001.
 		{"codepoints/basic", `codepoints-to-string((65, 98, 99))`, "Abc", ""},
 		{"codepoints/zero", `codepoints-to-string(0)`, "", "FOCH0001"},

@@ -2,6 +2,7 @@ package functions
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -197,35 +198,20 @@ func init() {
 				return 0 // fn:abs(-0.0e0) is positive zero per F&O
 			}
 			return f
+		}, func(i int64) int64 {
+			if i < 0 {
+				return -i
+			}
+			return i
 		})})
 	register(&Func{Name: "floor", MinArgs: 1, MaxArgs: 1, Props: detErr,
-		Call: numericUnary(floorF)})
+		Call: numericUnary(math.Floor, intSelf)})
 	register(&Func{Name: "ceiling", MinArgs: 1, MaxArgs: 1, Props: detErr,
-		Call: numericUnary(ceilF)})
+		Call: numericUnary(math.Ceil, intSelf)})
 	register(&Func{Name: "round", MinArgs: 1, MaxArgs: 1, Props: detErr,
-		Call: numericUnary(roundHalfUp)})
+		Call: numericUnary(roundHalfUp, intSelf)})
 	register(&Func{Name: "round-half-to-even", MinArgs: 1, MaxArgs: 2, Props: detErr,
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			a, ok, err := numericArg(args[0])
-			if err != nil || !ok {
-				return emptySeq, err
-			}
-			f := a.AsFloat()
-			fl := floorF(f)
-			frac := f - fl
-			var r float64
-			switch {
-			case frac < 0.5:
-				r = fl
-			case frac > 0.5:
-				r = fl + 1
-			case int64(fl)%2 == 0:
-				r = fl
-			default:
-				r = fl + 1
-			}
-			return singleton(retypeNumeric(a, r)), nil
-		}})
+		Call: numericUnary(math.RoundToEven, intSelf)})
 
 	// ---- dates ----
 	register(&Func{Name: "current-dateTime", MinArgs: 0, MaxArgs: 0,
@@ -385,44 +371,39 @@ func nodeArgOrContext(ctx Context, args []xdm.Sequence) (xdm.Node, error) {
 	return oneNode(args[0])
 }
 
-func numericUnary(f func(float64) float64) func(Context, []xdm.Sequence) (xdm.Sequence, error) {
+// numericUnary applies a numeric function in its argument's type family:
+// onInt to an xs:integer, which a double holds exactly only up to 2^53, and
+// f to the other numeric types.
+func numericUnary(f func(float64) float64, onInt func(int64) int64) func(Context, []xdm.Sequence) (xdm.Sequence, error) {
 	return func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		a, ok, err := numericArg(args[0])
 		if err != nil || !ok {
 			return emptySeq, err
 		}
+		if a.T == xdm.TInteger {
+			return singleton(xdm.NewInteger(onInt(a.Int()))), nil
+		}
 		return singleton(retypeNumeric(a, f(a.AsFloat()))), nil
 	}
 }
 
-// retypeNumeric rebuilds a numeric result in the type family of the input.
+// intSelf is the floor, ceiling and rounding of an xs:integer.
+func intSelf(i int64) int64 { return i }
+
+// retypeNumeric rebuilds a non-integer numeric result in the type family of
+// the input.
 func retypeNumeric(in xdm.Atomic, f float64) xdm.Atomic {
 	switch in.T {
-	case xdm.TInteger:
-		return xdm.NewInteger(int64(f))
 	case xdm.TDecimal:
+		if f == 0 {
+			f = 0 // a decimal has no negative zero: ceiling(-0.3) is 0
+		}
 		return xdm.NewDecimalFloat(f)
 	case xdm.TFloat:
 		return xdm.NewFloat(f)
 	default:
 		return xdm.NewDouble(f)
 	}
-}
-
-func floorF(f float64) float64 {
-	i := float64(int64(f))
-	if f < i {
-		return i - 1
-	}
-	return i
-}
-
-func ceilF(f float64) float64 {
-	i := float64(int64(f))
-	if f > i {
-		return i + 1
-	}
-	return i
 }
 
 func nan() float64 {

@@ -1,8 +1,7 @@
-// Package labeling provides node-labeling schemes for XML trees: the
-// (start, end, level) region encoding used by structural joins and an
-// ORDPATH-style Dewey encoding. Labels answer the structural predicates —
-// ancestor/descendant, parent/child, document order — in O(1) (region) or
-// O(depth) (Dewey) without touching the tree, which is what makes
+// Package labeling provides the node labels of XML trees: the (start, end,
+// level) region encoding used by structural joins. A label answers the
+// structural predicates — ancestor/descendant, parent/child, document
+// order — in O(1) without touching the tree, which is what makes
 // merge/stack-based structural joins possible.
 package labeling
 
@@ -40,56 +39,3 @@ func (r Region) Compare(o Region) int {
 		return 0
 	}
 }
-
-// Dewey is a Dewey-decimal label: the path of 1-based sibling ordinals from
-// the root. The root element has label [1]; its second child [1 2]; etc.
-type Dewey []uint32
-
-// IsAncestorOf reports whether d is a proper ancestor of o.
-func (d Dewey) IsAncestorOf(o Dewey) bool {
-	if len(d) >= len(o) {
-		return false
-	}
-	for i, c := range d {
-		if o[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// IsParentOf reports whether d is the parent of o.
-func (d Dewey) IsParentOf(o Dewey) bool {
-	return len(d)+1 == len(o) && d.IsAncestorOf(o)
-}
-
-// Compare orders two Dewey labels in document order.
-func (d Dewey) Compare(o Dewey) int {
-	n := len(d)
-	if len(o) < n {
-		n = len(o)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case d[i] < o[i]:
-			return -1
-		case d[i] > o[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(d) < len(o):
-		return -1 // ancestor precedes descendant
-	case len(d) > len(o):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Level returns the depth encoded by the label (len - 1 for the root's
-// children convention used here: root has level 0 and label length 1).
-func (d Dewey) Level() int32 { return int32(len(d)) - 1 }
-
-// Clone returns an independent copy of the label.
-func (d Dewey) Clone() Dewey { return append(Dewey(nil), d...) }

@@ -37,72 +37,6 @@ func TestRegionPredicates(t *testing.T) {
 	}
 }
 
-func TestDeweyPredicates(t *testing.T) {
-	root := Dewey{1}
-	a := Dewey{1, 2}
-	b := Dewey{1, 2, 3}
-	c := Dewey{1, 3}
-
-	if !root.IsAncestorOf(a) || !root.IsAncestorOf(b) || !a.IsAncestorOf(b) {
-		t.Error("ancestry chain")
-	}
-	if a.IsAncestorOf(a) {
-		t.Error("not reflexive")
-	}
-	if a.IsAncestorOf(c) || c.IsAncestorOf(a) {
-		t.Error("siblings unrelated")
-	}
-	if !a.IsParentOf(b) || root.IsParentOf(b) {
-		t.Error("IsParentOf is one level")
-	}
-	if a.Compare(c) >= 0 || c.Compare(a) <= 0 {
-		t.Error("sibling order")
-	}
-	if root.Compare(a) >= 0 {
-		t.Error("ancestor precedes descendant")
-	}
-	if a.Compare(a) != 0 {
-		t.Error("reflexive compare")
-	}
-	if a.Level() != 1 || b.Level() != 2 {
-		t.Error("levels")
-	}
-	cl := b.Clone()
-	cl[2] = 99
-	if b[2] == 99 {
-		t.Error("Clone must copy")
-	}
-}
-
-// Property: for random Dewey labels, ancestorship implies Compare < 0 and
-// prefix relation.
-func TestDeweyAncestryQuick(t *testing.T) {
-	f := func(base []uint8, ext []uint8) bool {
-		if len(base) == 0 || len(ext) == 0 {
-			return true
-		}
-		if len(base) > 8 {
-			base = base[:8]
-		}
-		if len(ext) > 8 {
-			ext = ext[:8]
-		}
-		d := make(Dewey, len(base))
-		for i, v := range base {
-			d[i] = uint32(v) + 1
-		}
-		child := d.Clone()
-		for _, v := range ext {
-			child = append(child, uint32(v)+1)
-		}
-		return d.IsAncestorOf(child) && d.Compare(child) < 0 && child.Compare(d) > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: region containment is transitive for randomly nested regions.
 func TestRegionTransitivityQuick(t *testing.T) {
 	f := func(a, b, c uint16) bool {
 		// Build three nested regions deterministically.

@@ -75,7 +75,7 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 				seq, walked, err = atomizeChain(fr, chs[i])
 			} else {
 				walked, err = chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
-					seq = append(seq, &store.Node{D: d, ID: id})
+					seq = append(seq, d.Node(id))
 					return false, nil
 				})
 			}

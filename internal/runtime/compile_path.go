@@ -723,7 +723,7 @@ func (s *storeScan) Next() (xdm.Item, bool, error) {
 		return one[0], true, nil
 	}
 	if id := s.next(); id >= 0 {
-		return &store.Node{D: s.d, ID: id}, true, nil
+		return s.d.Node(id), true, nil
 	}
 	return nil, false, nil
 }
@@ -752,17 +752,19 @@ func (s *storeScan) NextBatch(buf []xdm.Item) (int, error) {
 		return s.serve(buf), nil
 	}
 	n := 0
+	h := s.d.Handles()
 	for n < len(buf) {
 		id := s.next()
 		if id < 0 {
 			break
 		}
-		buf[n] = &store.Node{D: s.d, ID: id}
+		buf[n] = h.Node(id)
 		n++
 		if s.siblings && s.d.Lazy() {
 			break
 		}
 	}
+	h.Pay()
 	return n, nil
 }
 
@@ -797,6 +799,8 @@ func (s *storeScan) morselFill() (bool, error) {
 			hi = s.end
 		}
 		var out []xdm.Item
+		h := s.d.Handles()
+		defer h.Pay()
 		for id := lo; id <= hi; id++ {
 			if id&1023 == 0 {
 				if err := w.CheckInterruptN(1024); err != nil {
@@ -804,7 +808,7 @@ func (s *storeScan) morselFill() (bool, error) {
 				}
 			}
 			if s.keep(id) {
-				out = append(out, &store.Node{D: s.d, ID: id})
+				out = append(out, h.Node(id))
 			}
 		}
 		return out, nil

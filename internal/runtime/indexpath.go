@@ -335,7 +335,7 @@ func (j *joinIter) Next() (xdm.Item, bool, error) {
 		return nil, false, err
 	}
 	if id := j.nextID(); id >= 0 {
-		return &store.Node{D: j.d, ID: id}, true, nil
+		return j.d.Node(id), true, nil
 	}
 	return nil, false, nil
 }
@@ -343,13 +343,15 @@ func (j *joinIter) Next() (xdm.Item, bool, error) {
 // NextBatch implements BatchIter.
 func (j *joinIter) NextBatch(buf []xdm.Item) (int, error) {
 	n := 0
+	h := j.d.Handles()
 	for n < len(buf) && (j.i < len(j.ids) || j.fill()) {
 		k := min(len(buf)-n, len(j.ids)-j.i)
 		for _, id := range j.ids[j.i : j.i+k] {
-			buf[n] = &store.Node{D: j.d, ID: id}
+			buf[n] = h.Node(id)
 			n++
 		}
 		j.i += k
 	}
+	h.Pay()
 	return n, j.dyn.CheckInterruptN(n)
 }

@@ -34,6 +34,10 @@ type Document struct {
 	Seq     uint64 // global ordering sequence
 	URI     string // base/document URI, may be empty
 	HasRoot bool   // true when node 0 is a document node (parsed documents)
+	// rent counts the boxes a finished document has handed out before it
+	// buys its slab of shared node handles (handle.go). It sits beside
+	// HasRoot so that a Document stays in the 288-byte size class.
+	rent atomic.Int32
 
 	Names *NamePool
 
@@ -56,6 +60,9 @@ type Document struct {
 	// stats caches the per-document statistics (stats.go). Computed at most
 	// once per completed document; racing computations are idempotent.
 	stats atomic.Pointer[DocStats]
+
+	// slab holds the shared node handles once bought (handle.go).
+	slab atomic.Pointer[slab]
 }
 
 // NumNodes returns the number of nodes (of all kinds) in the document,
@@ -69,9 +76,6 @@ func (d *Document) NumNodes() int {
 	return len(d.kind)
 }
 
-// Node returns the node with the given id.
-func (d *Document) Node(id int32) *Node { return &Node{D: d, ID: id} }
-
 // RootNode returns node 0: the document node for parsed documents, the
 // constructed node itself for fragments.
 func (d *Document) RootNode() *Node { return d.Node(0) }
@@ -81,45 +85,6 @@ func (d *Document) RootNode() *Node { return d.Node(0) }
 // structural-join algorithms.
 func (d *Document) Region(id int32) labeling.Region {
 	return labeling.Region{Start: int64(id), End: int64(d.EndID(id)), Level: d.Level(id)}
-}
-
-// Dewey computes the Dewey label of a node by walking to the root
-// (O(depth) — provided for the labeling experiments, not the hot path).
-func (d *Document) Dewey(id int32) labeling.Dewey {
-	f := d.rlock()
-	var rev []uint32
-	for cur := id; cur >= 0; cur = d.parent[cur] {
-		p := d.parent[cur]
-		if p < 0 {
-			rev = append(rev, 1)
-			break
-		}
-		ord := uint32(1)
-		for sib := d.firstSibling(cur); sib != cur; sib = d.nextSib[sib] {
-			ord++
-		}
-		rev = append(rev, ord)
-	}
-	d.runlock(f)
-	out := make(labeling.Dewey, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// firstSibling walks to the first sibling of id. Callers must hold the
-// frontier lock for in-progress documents; everything it reads (the chain
-// up to an existing node) is final once id exists.
-func (d *Document) firstSibling(id int32) int32 {
-	p := d.parent[id]
-	if p < 0 {
-		return id
-	}
-	if d.kind[id] == xdm.AttributeNode {
-		return p + 1 // first attribute follows the element
-	}
-	return d.firstChild[p]
 }
 
 // Kind returns the kind of node id.

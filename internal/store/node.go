@@ -6,7 +6,9 @@ import (
 
 // Node is a reference to one node of a Document; it implements xdm.Node.
 // Nodes are value-like: two Node values referring to the same (Document, id)
-// are the same node.
+// are the same node. Document.Node is the one constructor; a finished
+// document may hand the same *Node to every consumer (handle.go), so
+// nothing writes a Node once it exists.
 type Node struct {
 	D  *Document
 	ID int32
@@ -37,15 +39,17 @@ func (n *Node) Parent() xdm.Node {
 	if p < 0 {
 		return nil
 	}
-	return &Node{D: n.D, ID: p}
+	return n.D.Node(p)
 }
 
 // ChildrenOf returns the child nodes (attributes excluded) in document order.
 func (n *Node) ChildrenOf() []xdm.Node {
 	var out []xdm.Node
+	h := n.D.Handles()
 	for c := n.D.FirstChildID(n.ID); c >= 0; c = n.D.NextSiblingID(c) {
-		out = append(out, &Node{D: n.D, ID: c})
+		out = append(out, h.Node(c))
 	}
+	h.Pay()
 	return out
 }
 
@@ -56,9 +60,11 @@ func (n *Node) AttributesOf() []xdm.Node {
 		return nil
 	}
 	out := make([]xdm.Node, 0, to-from)
+	h := n.D.Handles()
 	for i := from; i < to; i++ {
-		out = append(out, &Node{D: n.D, ID: i})
+		out = append(out, h.Node(i))
 	}
+	h.Pay()
 	return out
 }
 
@@ -75,4 +81,4 @@ func (n *Node) SameNode(o xdm.Node) bool {
 func (n *Node) OrderKey() (uint64, int64) { return n.D.Seq, int64(n.ID) }
 
 // Root returns node 0 of the containing tree.
-func (n *Node) Root() xdm.Node { return &Node{D: n.D, ID: 0} }
+func (n *Node) Root() xdm.Node { return n.D.Node(0) }

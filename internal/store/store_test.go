@@ -138,35 +138,6 @@ func TestRegions(t *testing.T) {
 	}
 }
 
-func TestDewey(t *testing.T) {
-	doc := buildSample(t)
-	// title (first child of book): root=1, book=1, title=1 -> [1 1 1]
-	var titleID int32 = -1
-	for id := int32(0); id < int32(doc.NumNodes()); id++ {
-		if doc.Kind(id) == xdm.ElementNode && doc.ExpandedName(id).Local == "title" {
-			titleID = id
-		}
-	}
-	d := doc.Dewey(titleID)
-	if len(d) != 3 || d[2] != 1 {
-		t.Errorf("title Dewey = %v", d)
-	}
-	var lastID int32 = -1
-	for id := int32(0); id < int32(doc.NumNodes()); id++ {
-		if doc.Kind(id) == xdm.ElementNode && doc.ExpandedName(id).Local == "last" {
-			lastID = id
-		}
-	}
-	ld := doc.Dewey(lastID)
-	// last is the 2nd child of author, author the 2nd child of book.
-	if len(ld) != 4 || ld[3] != 2 || ld[2] != 2 {
-		t.Errorf("last Dewey = %v", ld)
-	}
-	if !doc.Dewey(doc.ParentID(lastID)).IsParentOf(ld) {
-		t.Error("Dewey parent relation")
-	}
-}
-
 func TestTextMerging(t *testing.T) {
 	b := NewBuilder(BuilderOptions{})
 	b.StartElement(xdm.LocalName("a"))
