@@ -85,6 +85,58 @@ func TestFandOConformance(t *testing.T) {
 		{"round-half-to-even/decimal-negative-half", `round-half-to-even(-0.5)`, "0", ""},
 		{"round-half-to-even/halves", `round-half-to-even(2.5e0), round-half-to-even(3.5e0), round-half-to-even(-2.5e0)`,
 			"2 4 -2", ""},
+		// The second argument of fn:round-half-to-even (F&O §6.4.5, with
+		// its examples): a decimal is rounded on its digits, a double on its
+		// exact binary value, and a negative precision rounds to tens,
+		// hundreds and so on.
+		{"round-half-to-even/precision-double", `round-half-to-even(3.567812e0, 2)`, "3.57", ""},
+		{"round-half-to-even/precision-decimal", `round-half-to-even(2.675, 2)`, "2.68", ""},
+		{"round-half-to-even/precision-double-below-half", `round-half-to-even(2.675e0, 2)`, "2.67", ""},
+		{"round-half-to-even/fo-examples",
+			`round-half-to-even(0.5), round-half-to-even(1.5), round-half-to-even(2.5),
+			 round-half-to-even(3.567812e+3, 2), round-half-to-even(4.7564e-3, 2)`, "0 2 2 3567.81 0", ""},
+		{"round-half-to-even/negative-precision", `round-half-to-even(35612.25, -2)`, "35600", ""},
+		{"round-half-to-even/integer-negative-precision",
+			`round-half-to-even(35650, -2), round-half-to-even(35750, -2), round-half-to-even(-35650, -2)`,
+			"35600 35800 -35600", ""},
+		{"round-half-to-even/precision-type", `round-half-to-even(2.5, 1) instance of xs:decimal`, "true", ""},
+
+		// The canonical form of a double outside the plain-integer range:
+		// a mantissa with a fraction digit, an exponent without sign or
+		// leading zero (F&O §17.1.2).
+		{"double-lexical/exponent", `floor(1e300), 1e-7, 1.5e20, -1.5e20`, "1.0E300 1.0E-7 1.5E20 -1.5E20", ""},
+		{"double-lexical/plain-integer", `1e14, 25e0`, "100000000000000 25", ""},
+
+		// fn:sum, fn:avg, fn:min and fn:max (F&O §15.4): an untyped value is
+		// a double and must be a number (FORG0001); a value the aggregate
+		// does not take, or a mix of numbers and durations or of the two
+		// duration types, is FORG0006; NaN decides min and max.
+		{"sum/empty", `sum(())`, "0", ""},
+		{"sum/empty-with-empty-zero", `count(sum((), ()))`, "0", ""},
+		{"avg/empty", `count(avg(()))`, "0", ""},
+		{"sum/untyped", `sum((<a>1</a>, <a>2.5</a>))`, "3.5", ""},
+		{"sum/string-and-number", `sum(("a", 1))`, "", "FORG0006"},
+		{"sum/string-alone", `sum("a")`, "", "FORG0006"},
+		{"avg/number-and-string", `avg((1, "a"))`, "", "FORG0006"},
+		{"max/string-and-number", `max(("a", 1))`, "", "FORG0006"},
+		{"sum/year-month-durations",
+			`sum((xs:yearMonthDuration("P1Y"), xs:yearMonthDuration("P3M")))`, "P1Y3M", ""},
+		{"avg/day-time-durations",
+			`avg((xs:dayTimeDuration("PT1H"), xs:dayTimeDuration("PT3H")))`, "PT2H", ""},
+		{"sum/duration-and-number", `sum((xs:dayTimeDuration("PT1H"), 1))`, "", "FORG0006"},
+		{"sum/two-duration-types",
+			`sum((xs:yearMonthDuration("P1Y"), xs:dayTimeDuration("PT1H")))`, "", "FORG0006"},
+		{"max/nan", `max((1, 0 div 0e0, 3))`, "NaN", ""},
+		{"min/nan-first", `min((0 div 0e0, 1))`, "NaN", ""},
+		{"min/strings", `min(("b", "a", "c"))`, "a", ""},
+		{"sum/untyped-not-a-number", `sum((1, xs:untypedAtomic("x")))`, "", "FORG0001"},
+		{"max/untyped-not-a-number", `max(<a>x</a>)`, "", "FORG0001"},
+
+		// fn:distinct-values: integers stay apart beyond 2^53; numbers of
+		// every type meet by value, strings and untyped atomics by text.
+		{"distinct-values/beyond-2-to-53",
+			`count(distinct-values((9007199254740993, 9007199254740992)))`, "2", ""},
+		{"distinct-values/cross-type", `distinct-values((1, 1.0, 1e0, "1", xs:untypedAtomic("1")))`, "1 1", ""},
 
 		// fn:codepoints-to-string: invalid XML characters raise FOCH0001.
 		{"codepoints/basic", `codepoints-to-string((65, 98, 99))`, "Abc", ""},

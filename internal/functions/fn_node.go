@@ -3,6 +3,7 @@ package functions
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"os"
 	"time"
 
@@ -211,7 +212,7 @@ func init() {
 	register(&Func{Name: "round", MinArgs: 1, MaxArgs: 1, Props: detErr,
 		Call: numericUnary(roundHalfUp, intSelf)})
 	register(&Func{Name: "round-half-to-even", MinArgs: 1, MaxArgs: 2, Props: detErr,
-		Call: numericUnary(math.RoundToEven, intSelf)})
+		Call: roundHalfToEven})
 
 	// ---- dates ----
 	register(&Func{Name: "current-dateTime", MinArgs: 0, MaxArgs: 0,
@@ -385,6 +386,125 @@ func numericUnary(f func(float64) float64, onInt func(int64) int64) func(Context
 		}
 		return singleton(retypeNumeric(a, f(a.AsFloat()))), nil
 	}
+}
+
+// roundHalfToEven is fn:round-half-to-even (F&O §6.4.5): the multiple of
+// 10^-precision nearest the argument, the even one of two. An integer or an
+// exact decimal is rounded on its scaled digits; a double or float on its
+// exact binary value, so 2.675e0, which is 2.67499999…, rounds to 2.67
+// where the decimal 2.675 rounds to 2.68.
+func roundHalfToEven(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	if len(args) == 1 {
+		return numericUnary(math.RoundToEven, intSelf)(ctx, args)
+	}
+	a, ok, err := numericArg(args[0])
+	if err != nil || !ok {
+		return emptySeq, err
+	}
+	pa, ok, err := oneAtomic(args[1])
+	if err == nil && ok && pa.T == xdm.TUntyped {
+		pa, err = xdm.Cast(pa, xdm.TInteger)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !ok || pa.T != xdm.TInteger {
+		return nil, typeErr("fn:round-half-to-even: the precision must be one xs:integer")
+	}
+	p := pa.Int()
+	if a.T == xdm.TInteger || a.T == xdm.TDecimal && a.Exact() {
+		if r, ok := roundScaled(a, p); ok {
+			return singleton(r), nil
+		}
+	}
+	f := roundFloatAt(a.AsFloat(), p)
+	if a.T != xdm.TInteger {
+		return singleton(retypeNumeric(a, f)), nil
+	}
+	if !(f >= -(1<<63) && f < 1<<63) {
+		return nil, xdm.ErrOverflow()
+	}
+	return singleton(xdm.NewInteger(int64(f))), nil
+}
+
+// roundScaled rounds an integer or exact decimal half to even at precision
+// p on its digits and scale, as xdm holds an exact decimal; ok=false when
+// the digits to drop or the result leave the int64 range.
+func roundScaled(a xdm.Atomic, p int64) (xdm.Atomic, bool) {
+	digits, scale := a.Int(), int64(a.Scale)
+	if p >= scale {
+		return a, true
+	}
+	drop := scale - p
+	if drop > 18 {
+		return xdm.Atomic{}, false
+	}
+	div := pow10(drop)
+	q, r := digits/div, digits%div
+	if r < 0 {
+		r = -r
+	}
+	if 2*r > div || 2*r == div && q%2 != 0 {
+		if digits < 0 {
+			q--
+		} else {
+			q++
+		}
+	}
+	if p < 0 { // q counts multiples of 10^-p
+		m := pow10(-p)
+		if v := q * m; q == 0 || v/m == q {
+			q, p = v, 0
+		} else {
+			return xdm.Atomic{}, false
+		}
+	}
+	if a.T == xdm.TInteger {
+		return xdm.NewInteger(q), true
+	}
+	return xdm.NewDecimal(q, uint8(p)), true
+}
+
+func pow10(n int64) int64 {
+	v := int64(1)
+	for ; n > 0; n-- {
+		v *= 10
+	}
+	return v
+}
+
+// roundFloatAt rounds a double half to even at precision p, on its exact
+// binary value. A double has at most 1 074 fraction digits and no more than
+// 309 integer digits, which bounds the precisions that change anything.
+func roundFloatAt(f float64, p int64) float64 {
+	switch {
+	case math.IsNaN(f) || math.IsInf(f, 0) || f == 0 || p > 1074:
+		return f
+	case p < -309:
+		return math.Copysign(0, f)
+	}
+	x := new(big.Rat).SetFloat64(f)
+	scale := new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(max(p, -p)), nil))
+	if p >= 0 {
+		x.Mul(x, scale)
+	} else {
+		x.Quo(x, scale)
+	}
+	q, r := new(big.Int).QuoRem(x.Num(), x.Denom(), new(big.Int))
+	r.Lsh(r.Abs(r), 1)
+	if c := r.Cmp(x.Denom()); c > 0 || c == 0 && q.Bit(0) == 1 {
+		q.Add(q, big.NewInt(int64(x.Sign())))
+	}
+	x.SetInt(q)
+	if p >= 0 {
+		x.Quo(x, scale)
+	} else {
+		x.Mul(x, scale)
+	}
+	if v, _ := x.Float64(); v != 0 {
+		return v
+	}
+	return math.Copysign(0, f)
 }
 
 // intSelf is the floor, ceiling and rounding of an xs:integer.

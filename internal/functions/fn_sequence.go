@@ -2,7 +2,6 @@ package functions
 
 import (
 	"math"
-	"sort"
 
 	"xqgo/internal/xdm"
 	"xqgo/internal/xtypes"
@@ -35,9 +34,7 @@ func init() {
 
 	register(&Func{Name: "distinct-values", MinArgs: 1, MaxArgs: 1,
 		Props: Properties{Deterministic: true, CanRaiseError: true, Returns: xtypes.AtomicStar(xdm.TAnyAtomic)},
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			return distinctValues(args[0])
-		}})
+		Call:  foldCall("distinct-values")})
 
 	// fn:distinct-nodes from the paper's F&O draft: dedup by node identity,
 	// document order.
@@ -168,153 +165,12 @@ func init() {
 			return singleton(xdm.NewBoolean(deepEqualSeq(args[0], args[1]))), nil
 		}})
 
-	// aggregates
-	register(&Func{Name: "sum", MinArgs: 1, MaxArgs: 2,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			if len(args[0]) == 0 {
-				if len(args) == 2 {
-					return args[1], nil
-				}
-				return singleton(xdm.NewInteger(0)), nil
-			}
-			return aggregate(args[0], false)
-		}})
-
-	register(&Func{Name: "avg", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			if len(args[0]) == 0 {
-				return emptySeq, nil
-			}
-			sum, err := aggregate(args[0], false)
-			if err != nil {
-				return nil, err
-			}
-			a := sum[0].(xdm.Atomic)
-			r, err := xdm.Arith(xdm.OpDiv, a, xdm.NewInteger(int64(len(args[0]))))
-			if err != nil {
-				return nil, err
-			}
-			return singleton(r), nil
-		}})
-
-	register(&Func{Name: "max", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			return extremum(args[0], true)
-		}})
-
-	register(&Func{Name: "min", MinArgs: 1, MaxArgs: 1,
-		Props: Properties{Deterministic: true, CanRaiseError: true},
-		Call: func(_ Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			return extremum(args[0], false)
-		}})
-}
-
-// distinctValues deduplicates atomized values by the eq relation (with type
-// promotion); NaN equals NaN for this purpose.
-func distinctValues(in xdm.Sequence) (xdm.Sequence, error) {
-	var out xdm.Sequence
-	seenStrings := map[string]bool{}
-	var seenNums []float64
-	var seenOther []xdm.Atomic
-	sawNaN := false
-	for _, it := range in {
-		a := xdm.Atomize(it)
-		switch {
-		case a.T.IsNumeric():
-			f := a.AsFloat()
-			if math.IsNaN(f) {
-				if !sawNaN {
-					sawNaN = true
-					out = append(out, a)
-				}
-				continue
-			}
-			idx := sort.SearchFloat64s(seenNums, f)
-			if idx < len(seenNums) && seenNums[idx] == f {
-				continue
-			}
-			seenNums = append(seenNums, 0)
-			copy(seenNums[idx+1:], seenNums[idx:])
-			seenNums[idx] = f
-			out = append(out, a)
-		case a.T == xdm.TString || a.T == xdm.TUntyped || a.T == xdm.TAnyURI:
-			if seenStrings[a.S] {
-				continue
-			}
-			seenStrings[a.S] = true
-			out = append(out, a)
-		default:
-			dup := false
-			for _, s := range seenOther {
-				if eq, err := xdm.ValueCompare(xdm.OpEq, s, a); err == nil && eq {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seenOther = append(seenOther, a)
-				out = append(out, a)
-			}
-		}
-	}
-	return out, nil
-}
-
-// aggregate sums a sequence with promotion; untyped values cast to double.
-func aggregate(in xdm.Sequence, _ bool) (xdm.Sequence, error) {
-	acc := xdm.Atomize(in[0])
-	var err error
-	if acc.T == xdm.TUntyped {
-		if acc, err = xdm.Cast(acc, xdm.TDouble); err != nil {
-			return nil, err
-		}
-	}
-	for _, it := range in[1:] {
-		a := xdm.Atomize(it)
-		if acc, err = xdm.Arith(xdm.OpAdd, acc, a); err != nil {
-			return nil, err
-		}
-	}
-	return singleton(acc), nil
-}
-
-func extremum(in xdm.Sequence, wantMax bool) (xdm.Sequence, error) {
-	if len(in) == 0 {
-		return emptySeq, nil
-	}
-	best := xdm.Atomize(in[0])
-	var err error
-	if best.T == xdm.TUntyped {
-		if best, err = xdm.Cast(best, xdm.TDouble); err != nil {
-			return nil, err
-		}
-	}
-	for _, it := range in[1:] {
-		a := xdm.Atomize(it)
-		if a.T == xdm.TUntyped {
-			if a, err = xdm.Cast(a, xdm.TDouble); err != nil {
-				return nil, err
-			}
-		}
-		// NaN contaminates.
-		if a.T.IsNumeric() && math.IsNaN(a.AsFloat()) {
-			return singleton(a), nil
-		}
-		c, nan, err := xdm.OrderCompare(a, best)
-		if err != nil {
-			return nil, err
-		}
-		if nan {
-			return singleton(a), nil
-		}
-		if (wantMax && c > 0) || (!wantMax && c < 0) {
-			best = a
-		}
-	}
-	return singleton(best), nil
+	// aggregates, each the loop of its Fold
+	aggregate := Properties{Deterministic: true, CanRaiseError: true}
+	register(&Func{Name: "sum", MinArgs: 1, MaxArgs: 2, Props: aggregate, Call: foldCall("sum")})
+	register(&Func{Name: "avg", MinArgs: 1, MaxArgs: 1, Props: aggregate, Call: foldCall("avg")})
+	register(&Func{Name: "max", MinArgs: 1, MaxArgs: 1, Props: aggregate, Call: foldCall("max")})
+	register(&Func{Name: "min", MinArgs: 1, MaxArgs: 1, Props: aggregate, Call: foldCall("min")})
 }
 
 // deepEqualSeq implements fn:deep-equal over materialized sequences.

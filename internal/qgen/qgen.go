@@ -87,8 +87,9 @@ const (
 // hole before it. A production that starts with "." needs a focus.
 var grammar = map[byte][]string{
 	'n': {"0", "1", "2", "3", "2.5", "1e0", "count(%p)", "sum(%p)", "max(%p)", "xs:integer(%a)", ".position()", ".last()", "%f", "%l(%a)",
-		"count(%h)", "sum(%h)", "count(%j)"},
-	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f", "string(%h)"},
+		"count(%h)", "sum(%h)", "count(%j)", "avg(%h)", "min(%h)", "max(%h)", "count(distinct-values(%h))"},
+	's': {`"1"`, `"x"`, `"a b"`, `""`, `concat(%a, "-", %a, "-", %a)`, `string-join(%a, ",")`, "%f", "string(%h)",
+		`string-join(distinct-values(%h), ",")`},
 	'b': {"true()", "false()", "not(%a)", "exists(%p)", "empty(%p)", "boolean(%p)", "exists(%h)", "empty(%h)", "(%h = (%a))", "(%h eq (%a))"},
 	'p': {"//a", "/r/b", "//*", "%t", "%t", "%t", "%c", "%c", "%c", "%h",
 		"(%p)%y", "(%p, error())%y", "subsequence(%p, %q)", "subsequence(%p, %q, %q)", "subsequence((%p, error()), %q, %q)"},

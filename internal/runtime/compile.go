@@ -274,6 +274,9 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 		}, nil
 
 	case *expr.Arith:
+		if _, seq, ok, err := c.compileNum(n); ok {
+			return seq, err // integer arithmetic, read as an int64
+		}
 		lf, err := c.compile(n.L)
 		if err != nil {
 			return nil, err
@@ -282,28 +285,7 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := n.Op
-		return func(fr *Frame) Iter {
-			a, okA, err := atomizeSingle(lf(fr))
-			if err != nil {
-				return errIter(err)
-			}
-			if !okA {
-				return emptyIter
-			}
-			b, okB, err := atomizeSingle(rf(fr))
-			if err != nil {
-				return errIter(err)
-			}
-			if !okB {
-				return emptyIter
-			}
-			r, err := xdm.Arith(op, a, b)
-			if err != nil {
-				return errIter(err)
-			}
-			return singleIter(r)
-		}, nil
+		return arithSeq(n.Op, lf, rf), nil
 
 	case *expr.Neg:
 		xf, err := c.compile(n.X)
@@ -803,6 +785,34 @@ func (c *compiler) compileCompare(n *expr.Compare) (condFn, seqFn, error) {
 		}
 	}
 	return cond, boolSeq(cond), nil
+}
+
+// arithSeq is the generic arithmetic operator: its operands atomized, the
+// empty-sequence rule, then xdm.Arith. Its closure holds the two operands
+// and the operator in 32 bytes (TestArithClosureSize); integer arithmetic
+// compiles to numFns instead (compileNum).
+func arithSeq(op xdm.ArithOp, lf, rf seqFn) seqFn {
+	return func(fr *Frame) Iter {
+		a, okA, err := atomizeSingle(lf(fr))
+		if err != nil {
+			return errIter(err)
+		}
+		if !okA {
+			return emptyIter
+		}
+		b, okB, err := atomizeSingle(rf(fr))
+		if err != nil {
+			return errIter(err)
+		}
+		if !okB {
+			return emptyIter
+		}
+		r, err := xdm.Arith(op, a, b)
+		if err != nil {
+			return errIter(err)
+		}
+		return singleIter(r)
+	}
 }
 
 // operand is a compiled expression that its consumer atomizes to the end

@@ -62,23 +62,20 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 		return fn, nil
 	}
 
-	// A chain argument is walked on the stack, boxing only what it passes;
-	// one the built-in atomizes passes its nodes' typed values instead.
+	if f, ok := functions.NewFold(local); ok {
+		return foldOf(f, argFns, chs[0]), nil
+	}
+
+	// A chain argument is walked on the stack, passing its stored nodes.
 	f, _ := functions.Lookup(local, len(n.Args))
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
 			var seq xdm.Sequence
-			var walked bool
-			var err error
-			if f.Props.Arg(i) == functions.Atomized {
-				seq, walked, err = atomizeChain(fr, chs[i])
-			} else {
-				walked, err = chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
-					seq = append(seq, d.Node(id))
-					return false, nil
-				})
-			}
+			walked, err := chs[i].walk(fr, func(d *store.Document, id int32) (bool, error) {
+				seq = append(seq, d.Node(id))
+				return false, nil
+			})
 			if !walked {
 				seq, err = drainBatched(fr.dyn, afn(fr))
 			}
@@ -95,36 +92,46 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 	}, nil
 }
 
-// atomChunk bounds the chunks atomizeChain collects values in.
-const atomChunk = 1024
-
-// atomizeChain walks a chain that a built-in atomizes, reading each node's
-// typed value by id: an untyped atomic of its string value, as
-// store.Node.TypedValue gives. The values are kept in chunks that never
-// move once full, and the items refer to them in place, so the argument
-// costs a few allocations, not one per node. walked=false when the chain
-// does not serve.
-func atomizeChain(fr *Frame, ch *chain) (seq xdm.Sequence, walked bool, err error) {
-	var full [][]xdm.Atomic
-	var cur []xdm.Atomic
-	n := 0
-	walked, err = ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
-		if len(cur) == atomChunk {
-			full, cur = append(full, cur), make([]xdm.Atomic, 0, atomChunk)
+// foldOf feeds a folded built-in's accumulator (sum, avg, min, max,
+// distinct-values) over its first argument without materializing it: a
+// chain is walked on the stack, each node handed over as the untyped atomic
+// of its string value, read in place; any other argument is pulled item by
+// item. The other arguments (sum's zero) are materialized.
+func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
+	return func(fr *Frame) Iter {
+		f := fold
+		walked, err := ch.walk(fr, func(d *store.Document, id int32) (bool, error) {
+			return f.Add(xdm.NewUntyped(d.StringValue(id)))
+		})
+		if !walked {
+			err = foldIter(&f, argFns[0](fr))
 		}
-		cur = append(cur, xdm.NewUntyped(d.StringValue(id)))
-		n++
-		return false, nil
-	})
-	if !walked || err != nil {
-		return nil, walked, err
+		rest := make([]xdm.Sequence, len(argFns)-1)
+		for i := 0; i < len(rest) && err == nil; i++ {
+			rest[i], err = drainBatched(fr.dyn, argFns[i+1](fr))
+		}
+		if err != nil {
+			return errIter(err)
+		}
+		out, err := f.Result(rest)
+		if err != nil {
+			return errIter(err)
+		}
+		return newSliceIter(out)
 	}
-	seq = make(xdm.Sequence, n)
-	for i, c := range full {
-		xdm.ItemsOf(seq[i*atomChunk:], c)
+}
+
+// foldIter is foldOf's pull loop.
+func foldIter(f *functions.Fold, it Iter) error {
+	for {
+		x, ok, err := it.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if done, err := f.Add(xdm.Atomize(x)); done || err != nil {
+			return err
+		}
 	}
-	xdm.ItemsOf(seq[len(full)*atomChunk:], cur)
-	return seq, true, nil
 }
 
 // lazyBuiltin wires the sequence predicates that benefit from lazy inputs;
@@ -186,14 +193,33 @@ func (c *compiler) lazyBuiltin(local string, argFns []seqFn, chs []*chain) (seqF
 // or a boxed item.
 type numFn func(fr *Frame) (int64, error)
 
-// compileNum compiles fn:position(), fn:last() and fn:count(E) into their
-// integer and sequence forms, once; ok=false for any other expression.
+// compileNum compiles an integer-shaped expression (isNum) into its integer
+// and sequence forms, once; ok=false for any other expression.
 func (c *compiler) compileNum(e expr.Expr) (num numFn, seq seqFn, ok bool, err error) {
-	n, isCall := e.(*expr.Call)
-	if !isCall || !expr.IsBuiltin(n, "position", 0) && !expr.IsBuiltin(n, "last", 0) && !expr.IsBuiltin(n, "count", 1) ||
-		c.funcs[funcKey(n.Name, len(n.Args))] != nil {
+	if !c.isNum(e) {
 		return nil, nil, false, nil
 	}
+	if n, isCall := e.(*expr.Call); isCall {
+		num, seq, err = c.numCall(n)
+		return num, seq, true, err
+	}
+	num, err = c.numOf(e)
+	return num, numSeq(num), true, err
+}
+
+// numSeq is the sequence form of an untagged numFn: its integer, boxed.
+func numSeq(num numFn) seqFn {
+	return func(fr *Frame) Iter {
+		k, err := num(fr)
+		if err != nil {
+			return errIter(err)
+		}
+		return singleIter(xdm.NewInteger(k))
+	}
+}
+
+// numCall compiles fn:position(), fn:last() or fn:count(E), tagged.
+func (c *compiler) numCall(n *expr.Call) (num numFn, seq seqFn, err error) {
 	switch n.Name.Local {
 	case "position":
 		num = func(fr *Frame) (int64, error) {
@@ -207,12 +233,65 @@ func (c *compiler) compileNum(e expr.Expr) (num numFn, seq seqFn, ok bool, err e
 	default:
 		arg, err := c.compile(n.Args[0])
 		if err != nil {
-			return nil, nil, true, err
+			return nil, nil, err
 		}
 		num = countOf(arg, c.chains[n.Args[0]])
 	}
 	num, seq = tagScalar(c, "call "+n.Name.String(), n, num, func(k int64) xdm.Item { return xdm.NewInteger(k) })
-	return num, seq, true, nil
+	return num, seq, nil
+}
+
+// isNum reports whether e has an integer form, read from its shape alone:
+// fn:position(), fn:last() or fn:count(E), or +, -, *, idiv or mod whose
+// operands are such expressions or integer literals.
+func (c *compiler) isNum(e expr.Expr) bool {
+	switch n := e.(type) {
+	case *expr.Call:
+		return (expr.IsBuiltin(n, "position", 0) || expr.IsBuiltin(n, "last", 0) || expr.IsBuiltin(n, "count", 1)) &&
+			c.funcs[funcKey(n.Name, len(n.Args))] == nil
+	case *expr.Arith:
+		return n.Op != xdm.OpDiv && c.isNumOperand(n.L) && c.isNumOperand(n.R)
+	}
+	return false
+}
+
+func (c *compiler) isNumOperand(e expr.Expr) bool {
+	lit, ok := e.(*expr.Literal)
+	return ok && lit.Val.T == xdm.TInteger || c.isNum(e)
+}
+
+// numOf compiles an operand of integer arithmetic that isNum accepted: an
+// integer literal, a call, or arithmetic on the xs:integer kernel that
+// xdm.Arith runs too.
+func (c *compiler) numOf(e expr.Expr) (numFn, error) {
+	switch n := e.(type) {
+	case *expr.Literal:
+		k := n.Val.Int()
+		return func(*Frame) (int64, error) { return k, nil }, nil
+	case *expr.Arith:
+		l, err := c.numOf(n.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := c.numOf(n.R)
+		if err != nil {
+			return nil, err
+		}
+		op := n.Op
+		return func(fr *Frame) (int64, error) {
+			a, err := l(fr)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r(fr)
+			if err != nil {
+				return 0, err
+			}
+			return xdm.IntArith(op, a, b)
+		}, nil
+	}
+	num, _, err := c.numCall(e.(*expr.Call))
+	return num, err
 }
 
 // countOf is fn:count: a chain is walked on the stack, a source that

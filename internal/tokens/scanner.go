@@ -16,18 +16,16 @@ type DocScanner struct {
 	root int32
 
 	// cursor state
-	next    int32 // next node id to open
-	opened  bool
-	pending []frame        // open nodes awaiting End tokens
-	ns      []store.NSDecl // declarations of the element just opened, not yet returned
+	next   int32 // next node id to open
+	opened bool
+	// top is the innermost open node awaiting its End token, -1 for none;
+	// the nodes open around it are its ancestors up to root, so the
+	// scanner keeps no stack and a scan allocates nothing.
+	top int32
+	ns  []store.NSDecl // declarations of the element just opened, not yet returned
 	// subtreeEnd of the token most recently returned by Next, for Skip.
 	lastStart  int32
 	lastIsOpen bool
-}
-
-type frame struct {
-	id  int32
-	end int32
 }
 
 // NewDocScanner creates a scanner over the subtree rooted at id (use 0 for
@@ -40,7 +38,7 @@ func NewDocScanner(d *store.Document, id int32) *DocScanner {
 func (s *DocScanner) Open() error {
 	s.next = s.root
 	s.opened = true
-	s.pending = s.pending[:0]
+	s.top = -1
 	s.ns = nil
 	s.lastIsOpen = false
 	return nil
@@ -60,17 +58,14 @@ func (s *DocScanner) Next() (Token, bool, error) {
 		return Token{Kind: KindNamespace, Name: xdm.LocalName(ns.Prefix), Value: ns.URI}, true, nil
 	}
 	end := d.EndID(s.root)
-	// Emit pending End tokens for nodes whose subtree we have left.
-	if len(s.pending) > 0 {
-		top := s.pending[len(s.pending)-1]
-		if s.next > top.end || s.next > end {
-			s.pending = s.pending[:len(s.pending)-1]
-			s.lastIsOpen = false
-			if d.Kind(top.id) == xdm.DocumentNode {
-				return Token{Kind: KindEndDocument}, true, nil
-			}
-			return Token{Kind: KindEndElement, Name: d.LexicalName(top.id)}, true, nil
+	// Emit the End token of an open node whose subtree we have left.
+	if top := s.top; top >= 0 && s.next > d.EndID(top) {
+		s.close()
+		s.lastIsOpen = false
+		if d.Kind(top) == xdm.DocumentNode {
+			return Token{Kind: KindEndDocument}, true, nil
 		}
+		return Token{Kind: KindEndElement, Name: d.LexicalName(top)}, true, nil
 	}
 	if s.next > end {
 		return Token{}, false, nil
@@ -79,11 +74,11 @@ func (s *DocScanner) Next() (Token, bool, error) {
 	s.next++
 	switch d.Kind(id) {
 	case xdm.DocumentNode:
-		s.pending = append(s.pending, frame{id: id, end: d.EndID(id)})
+		s.top = id
 		s.lastStart, s.lastIsOpen = id, true
 		return Token{Kind: KindStartDocument}, true, nil
 	case xdm.ElementNode:
-		s.pending = append(s.pending, frame{id: id, end: d.EndID(id)})
+		s.top = id
 		s.lastStart, s.lastIsOpen = id, true
 		s.ns = d.NSDecls(id)
 		return Token{Kind: KindStartElement, Name: d.LexicalName(id)}, true, nil
@@ -116,11 +111,21 @@ func (s *DocScanner) Skip() error {
 	s.next = s.doc.EndID(s.lastStart) + 1
 	s.ns = nil
 	// The subtree's End token will not be emitted either.
-	if len(s.pending) > 0 && s.pending[len(s.pending)-1].id == s.lastStart {
-		s.pending = s.pending[:len(s.pending)-1]
+	if s.top == s.lastStart {
+		s.close()
 	}
 	s.lastIsOpen = false
 	return nil
+}
+
+// close ends the innermost open node: its parent is open next, unless it
+// is the root of the scan.
+func (s *DocScanner) close() {
+	if s.top == s.root {
+		s.top = -1
+	} else {
+		s.top = s.doc.ParentID(s.top)
+	}
 }
 
 // Close releases resources (none held).

@@ -29,15 +29,11 @@ func (op ArithOp) String() string { return arithNames[op] }
 // calling Arith.)
 func Arith(op ArithOp, a, b Atomic) (Atomic, error) {
 	var err error
-	if a.T == TUntyped {
-		if a, err = Cast(a, TDouble); err != nil {
-			return Atomic{}, ErrCast("untyped operand %q is not a number", a.S)
-		}
+	if a, err = untypedOperand(a); err != nil {
+		return Atomic{}, err
 	}
-	if b.T == TUntyped {
-		if b, err = Cast(b, TDouble); err != nil {
-			return Atomic{}, ErrCast("untyped operand %q is not a number", b.S)
-		}
+	if b, err = untypedOperand(b); err != nil {
+		return Atomic{}, err
 	}
 	if a.T.IsNumeric() && b.T.IsNumeric() {
 		return numericArith(op, a, b)
@@ -46,6 +42,60 @@ func Arith(op ArithOp, a, b Atomic) (Atomic, error) {
 		return r, err
 	}
 	return Atomic{}, ErrType("operator %s not defined for %s and %s", op, a.T, b.T)
+}
+
+// untypedOperand casts an untyped operand to xs:double; any other passes.
+func untypedOperand(a Atomic) (Atomic, error) {
+	if a.T != TUntyped {
+		return a, nil
+	}
+	d, err := Cast(a, TDouble)
+	if err != nil {
+		return Atomic{}, ErrCast("untyped operand %q is not a number", a.S)
+	}
+	return d, nil
+}
+
+// IntArith is the xs:integer kernel of +, -, *, idiv and mod: overflow is
+// err:FOAR0002 and a zero divisor err:FOAR0001. div, whose integer result
+// is an xs:decimal, is not an integer operation.
+func IntArith(op ArithOp, a, b int64) (int64, error) {
+	switch op {
+	case OpAdd:
+		if r, ok := addI64(a, b); ok {
+			return r, nil
+		}
+	case OpSub:
+		if b != math.MinInt64 {
+			if r, ok := addI64(a, -b); ok {
+				return r, nil
+			}
+		}
+	case OpMul:
+		if r, ok := mulI64(a, b); ok {
+			return r, nil
+		}
+	case OpIDiv, OpMod:
+		if b == 0 {
+			return 0, ErrDivZero()
+		}
+		if b == -1 {
+			if op == OpMod {
+				return 0, nil
+			}
+			if a == math.MinInt64 {
+				return 0, ErrOverflow()
+			}
+			return -a, nil
+		}
+		if op == OpIDiv {
+			return a / b, nil
+		}
+		return a % b, nil
+	default:
+		return 0, ErrType("operator %s is not an integer operation", op)
+	}
+	return 0, ErrOverflow()
 }
 
 func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
@@ -64,7 +114,6 @@ func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
 			}
 			return NewInteger(int64(q)), nil
 		}
-		ia, ib := a.AsInt(), b.AsInt()
 		if common == TDecimal {
 			fa, fb := a.AsFloat(), b.AsFloat()
 			if fb == 0 {
@@ -72,10 +121,11 @@ func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
 			}
 			return NewInteger(int64(math.Trunc(fa / fb))), nil
 		}
-		if ib == 0 {
-			return Atomic{}, ErrDivZero()
+		r, err := IntArith(op, a.Int(), b.Int())
+		if err != nil {
+			return Atomic{}, err
 		}
-		return NewInteger(ia / ib), nil
+		return NewInteger(r), nil
 	case OpDiv:
 		// Integer div integer yields xs:decimal.
 		if common == TInteger {
@@ -85,29 +135,11 @@ func numericArith(op ArithOp, a, b Atomic) (Atomic, error) {
 
 	switch common {
 	case TInteger:
-		ia, ib := a.Int(), b.Int()
-		switch op {
-		case OpAdd:
-			if r, ok := addI64(ia, ib); ok {
-				return NewInteger(r), nil
-			}
-		case OpSub:
-			if ib != math.MinInt64 {
-				if r, ok := addI64(ia, -ib); ok {
-					return NewInteger(r), nil
-				}
-			}
-		case OpMul:
-			if r, ok := mulI64(ia, ib); ok {
-				return NewInteger(r), nil
-			}
-		case OpMod:
-			if ib == 0 {
-				return Atomic{}, ErrDivZero()
-			}
-			return NewInteger(ia % ib), nil
+		r, err := IntArith(op, a.Int(), b.Int())
+		if err != nil {
+			return Atomic{}, err
 		}
-		return Atomic{}, ErrOverflow()
+		return NewInteger(r), nil
 	case TDecimal:
 		// Exact path when both decimals are scaled int64s and the result fits.
 		if r, ok := exactDecimalArith(op, a, b); ok {
@@ -226,7 +258,7 @@ func mulI64(a, b int64) (int64, bool) {
 		return 0, true
 	}
 	r := a * b
-	if r/b != a {
+	if r/b != a || a == -1 && b == math.MinInt64 || b == -1 && a == math.MinInt64 {
 		return 0, false
 	}
 	return r, true

@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,9 +20,13 @@ func TestPaperArithmeticRules(t *testing.T) {
 	if r.T != TDouble || r.Float() != 43 {
 		t.Errorf("untyped 42 + 1 = %v (%v), want double 43", r.Lexical(), r.T)
 	}
-	// <a>baz</a> + 1: error.
-	if _, err := Arith(OpAdd, NewUntyped("baz"), NewInteger(1)); err == nil {
-		t.Error("untyped baz + 1 should error")
+	// <a>baz</a> + 1: FORG0001, whose message names the operand, on either
+	// side.
+	if _, err := Arith(OpAdd, NewUntyped("baz"), NewInteger(1)); !IsCode(err, "FORG0001") || !strings.Contains(err.Error(), `"baz"`) {
+		t.Errorf("untyped baz + 1: %v, want FORG0001 naming \"baz\"", err)
+	}
+	if _, err := Arith(OpSub, NewInteger(1), NewUntyped("x")); !IsCode(err, "FORG0001") || !strings.Contains(err.Error(), `"x"`) {
+		t.Errorf("1 - untyped x: %v, want FORG0001 naming \"x\"", err)
 	}
 	// Typed integer + 1 stays integer.
 	r, err = Arith(OpAdd, NewInteger(42), NewInteger(1))
@@ -223,5 +228,44 @@ func TestDecimalAddQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIntArith pins the xs:integer kernel that xdm.Arith and the runtime's
+// integer form share at the edges of int64: overflow is FOAR0002 (also for
+// MinInt64 idiv -1 and MinInt64 * -1, which wrap in Go), a zero divisor
+// FOAR0001.
+func TestIntArith(t *testing.T) {
+	for _, c := range []struct {
+		op   ArithOp
+		a, b int64
+		want int64
+		code string
+	}{
+		{OpAdd, math.MaxInt64, 1, 0, "FOAR0002"},
+		{OpSub, 0, math.MinInt64, 0, "FOAR0002"},
+		{OpMul, math.MinInt64, -1, 0, "FOAR0002"},
+		{OpMul, -1, math.MinInt64, 0, "FOAR0002"},
+		{OpIDiv, math.MinInt64, -1, 0, "FOAR0002"},
+		{OpIDiv, 7, 0, 0, "FOAR0001"},
+		{OpMod, 7, 0, 0, "FOAR0001"},
+		{OpMod, math.MinInt64, -1, 0, ""},
+		{OpIDiv, -7, 2, -3, ""},
+		{OpMod, -7, 2, -1, ""},
+		{OpMul, -3, 4, -12, ""},
+	} {
+		got, err := IntArith(c.op, c.a, c.b)
+		if c.code != "" {
+			if !IsCode(err, c.code) {
+				t.Errorf("%d %s %d: %v, want err:%s", c.a, c.op, c.b, err, c.code)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("%d %s %d = %d, %v; want %d", c.a, c.op, c.b, got, err, c.want)
+		}
+		if r, err := Arith(c.op, NewInteger(c.a), NewInteger(c.b)); err != nil || r.T != TInteger || r.Int() != got {
+			t.Errorf("Arith(%d %s %d) = %s, %v; want the kernel's %d", c.a, c.op, c.b, r.Lexical(), err, got)
+		}
 	}
 }

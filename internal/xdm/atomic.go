@@ -312,6 +312,10 @@ func (a Atomic) decimalLexical() string {
 
 // floatLexical renders double/float per the XQuery canonical-ish rules: NaN,
 // INF, -INF; integral values without exponent when in a readable range.
+// The exponent form is the canonical one, a mantissa with a fraction digit
+// and an exponent without sign or leading zero: 1.0E300, 1.5E-7. (Values
+// from 1e-6 to 1e-5, and fractions of 1e6 or more, still take the exponent
+// form where XQuery writes a decimal.)
 func floatLexical(f float64, _ bool) string {
 	switch {
 	case math.IsNaN(f):
@@ -325,7 +329,15 @@ func floatLexical(f float64, _ bool) string {
 		return strconv.FormatFloat(f, 'f', -1, 64)
 	}
 	s := strconv.FormatFloat(f, 'G', -1, 64)
-	return strings.ReplaceAll(s, "E+0", "E") // tidy exponents like 1E+06
+	mant, exp, ok := strings.Cut(s, "E")
+	if !ok {
+		return s
+	}
+	if !strings.Contains(mant, ".") {
+		mant += ".0"
+	}
+	e, _ := strconv.Atoi(exp) // 'G' writes a signed decimal exponent
+	return mant + "E" + strconv.Itoa(e)
 }
 
 func ymDurationLexical(months int64) string {

@@ -3,7 +3,6 @@ package xdm
 import (
 	"math"
 	"sort"
-	"unsafe"
 )
 
 // Atomize extracts the typed value of an item ("fn:data"): nodes yield their
@@ -23,27 +22,6 @@ func AtomizeSequence(seq Sequence) []Atomic {
 	}
 	return out
 }
-
-// ItemsOf stores vals in dst as items without boxing each value: dst[i]
-// refers to vals[i] in place, where boxing an Atomic in an Item allocates a
-// copy of it. A boxed value is never written, so neither may vals be once
-// it backs items. dst must be at least as long as vals.
-func ItemsOf(dst Sequence, vals []Atomic) {
-	dst = dst[:len(vals)]
-	for i := range vals {
-		*(*iface)(unsafe.Pointer(&dst[i])) = iface{tab: atomicTab, data: unsafe.Pointer(&vals[i])}
-	}
-}
-
-// iface is the layout of a non-empty interface value: its method table and
-// a pointer to the value.
-type iface struct{ tab, data unsafe.Pointer }
-
-// atomicTab is the method table of an Atomic held as an Item.
-var atomicTab = func() unsafe.Pointer {
-	var it Item = Atomic{}
-	return (*iface)(unsafe.Pointer(&it)).tab
-}()
 
 // EffectiveBoolean computes the Effective Boolean Value of a sequence
 // (XQuery 1.0 §2.4.3, F&O §15.1.1): () is false; a sequence whose first item

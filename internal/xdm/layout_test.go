@@ -176,6 +176,9 @@ func FuzzAtomicCast(f *testing.F) {
 	}
 	f.Add("1", "2.5", uint8(3))
 	f.Add("NaN", "-INF", uint8(6))
+	f.Add("1e300", "1e-7", uint8(6)) // canonical exponent forms 1.0E300, 1.0E-7
+	f.Add("1.5e20", "-1.5E20", uint8(6))
+	f.Add("1e15", "123456789.5", uint8(6))
 	f.Add("true", "0", uint8(2))
 	f.Fuzz(func(t *testing.T, lex1, lex2 string, which uint8) {
 		to := castTargets[int(which)%len(castTargets)]
