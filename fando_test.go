@@ -100,6 +100,14 @@ func TestFandOConformance(t *testing.T) {
 			`round-half-to-even(35650, -2), round-half-to-even(35750, -2), round-half-to-even(-35650, -2)`,
 			"35600 35800 -35600", ""},
 		{"round-half-to-even/precision-type", `round-half-to-even(2.5, 1) instance of xs:decimal`, "true", ""},
+		// A precision whose digits to drop leave the int64 range rounds on
+		// the value, not on wrapped scaled digits.
+		{"round-half-to-even/min-precision",
+			`round-half-to-even(2.5, -9223372036854775807 - 1), round-half-to-even(12345, -9223372036854775807 - 1)`,
+			"0 0", ""},
+		{"round-half-to-even/integer-widest-multiple", `round-half-to-even(9223372036854775807, -18)`,
+			"9000000000000000000", ""},
+		{"round-half-to-even/integer-multiple-overflow", `round-half-to-even(9223372036854775807, -19)`, "", "FOAR0002"},
 
 		// The canonical form of a double outside the plain-integer range:
 		// a mantissa with a fraction digit, an exponent without sign or

@@ -412,10 +412,8 @@ func roundHalfToEven(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return nil, typeErr("fn:round-half-to-even: the precision must be one xs:integer")
 	}
 	p := pa.Int()
-	if a.T == xdm.TInteger || a.T == xdm.TDecimal && a.Exact() {
-		if r, ok := roundScaled(a, p); ok {
-			return singleton(r), nil
-		}
+	if r, ok := xdm.RoundScaled(a, p); ok {
+		return singleton(r), nil
 	}
 	f := roundFloatAt(a.AsFloat(), p)
 	if a.T != xdm.TInteger {
@@ -425,52 +423,6 @@ func roundHalfToEven(ctx Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return nil, xdm.ErrOverflow()
 	}
 	return singleton(xdm.NewInteger(int64(f))), nil
-}
-
-// roundScaled rounds an integer or exact decimal half to even at precision
-// p on its digits and scale, as xdm holds an exact decimal; ok=false when
-// the digits to drop or the result leave the int64 range.
-func roundScaled(a xdm.Atomic, p int64) (xdm.Atomic, bool) {
-	digits, scale := a.Int(), int64(a.Scale)
-	if p >= scale {
-		return a, true
-	}
-	drop := scale - p
-	if drop > 18 {
-		return xdm.Atomic{}, false
-	}
-	div := pow10(drop)
-	q, r := digits/div, digits%div
-	if r < 0 {
-		r = -r
-	}
-	if 2*r > div || 2*r == div && q%2 != 0 {
-		if digits < 0 {
-			q--
-		} else {
-			q++
-		}
-	}
-	if p < 0 { // q counts multiples of 10^-p
-		m := pow10(-p)
-		if v := q * m; q == 0 || v/m == q {
-			q, p = v, 0
-		} else {
-			return xdm.Atomic{}, false
-		}
-	}
-	if a.T == xdm.TInteger {
-		return xdm.NewInteger(q), true
-	}
-	return xdm.NewDecimal(q, uint8(p)), true
-}
-
-func pow10(n int64) int64 {
-	v := int64(1)
-	for ; n > 0; n-- {
-		v *= 10
-	}
-	return v
 }
 
 // roundFloatAt rounds a double half to even at precision p, on its exact

@@ -77,10 +77,6 @@ func (f *Fold) Add(a xdm.Atomic) (done bool, err error) {
 		return order && isNaN(a), nil
 	}
 	if !order {
-		if a.T == xdm.TDouble && f.acc.T == xdm.TDouble { // untyped values: xdm.Arith's double sum
-			f.acc = xdm.NewDouble(f.acc.Float() + a.Float())
-			return false, nil
-		}
 		f.acc, err = xdm.Arith(xdm.OpAdd, f.acc, a)
 		return false, err
 	}
@@ -190,7 +186,7 @@ func (s *distinctSet) add(a xdm.Atomic) bool {
 		s.nan = true
 		return true
 	case a.T.IsNumeric():
-		if i, ok := integral(a); ok {
+		if i, ok := a.Integral(); ok {
 			return addKey(&s.ints, i)
 		}
 		return addKey(&s.nums, a.AsFloat())
@@ -213,24 +209,4 @@ func addKey[K comparable](m *map[K]struct{}, k K) bool {
 	}
 	(*m)[k] = struct{}{}
 	return true
-}
-
-// integral returns the value of a number that is an integer within the
-// int64 range: an xs:integer, an exact decimal without a fraction, or an
-// integral double or float.
-func integral(a xdm.Atomic) (int64, bool) {
-	switch {
-	case a.T == xdm.TInteger:
-		return a.Int(), true
-	case a.T == xdm.TDecimal && a.Exact() && a.Scale <= 18:
-		if p := pow10(int64(a.Scale)); a.Int()%p == 0 {
-			return a.Int() / p, true
-		}
-		return 0, false
-	}
-	f := a.AsFloat()
-	if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
-		return int64(f), true
-	}
-	return 0, false
 }

@@ -95,8 +95,8 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 // foldOf feeds a folded built-in's accumulator (sum, avg, min, max,
 // distinct-values) over its first argument without materializing it: a
 // chain is walked on the stack, each node handed over as the untyped atomic
-// of its string value, read in place; any other argument is pulled item by
-// item. The other arguments (sum's zero) are materialized.
+// of its string value, read in place; any other argument is pulled a batch
+// at a time. The other arguments (sum's zero) are materialized.
 func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 	return func(fr *Frame) Iter {
 		f := fold
@@ -104,7 +104,7 @@ func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 			return f.Add(xdm.NewUntyped(d.StringValue(id)))
 		})
 		if !walked {
-			err = foldIter(&f, argFns[0](fr))
+			err = foldIter(fr.dyn, &f, argFns[0](fr))
 		}
 		rest := make([]xdm.Sequence, len(argFns)-1)
 		for i := 0; i < len(rest) && err == nil; i++ {
@@ -121,14 +121,18 @@ func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 	}
 }
 
-// foldIter is foldOf's pull loop.
-func foldIter(f *functions.Fold, it Iter) error {
+// foldIter is foldOf's pull loop, a batch at a time.
+func foldIter(dyn *Dynamic, f *functions.Fold, it Iter) error {
+	buf := dyn.getBuf()
+	defer dyn.putBuf(buf)
 	for {
-		x, ok, err := it.Next()
-		if err != nil || !ok {
-			return err
+		k, err := nextBatch(it, buf)
+		for _, x := range buf[:k] {
+			if done, ferr := f.Add(xdm.Atomize(x)); done || ferr != nil {
+				return ferr
+			}
 		}
-		if done, err := f.Add(xdm.Atomize(x)); done || err != nil {
+		if err != nil || k == 0 {
 			return err
 		}
 	}

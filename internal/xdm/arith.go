@@ -223,6 +223,44 @@ func asScaledDecimal(a Atomic) (digits int64, scale uint8, ok bool) {
 	return 0, 0, false
 }
 
+// RoundScaled rounds an xs:integer or exact xs:decimal half to even at
+// precision p, to the multiple of 10^-p nearest it, on its digits and
+// scale; ok=false for any other value, or when the digits to drop or the
+// result leave the int64 range.
+func RoundScaled(a Atomic, p int64) (Atomic, bool) {
+	digits, scale, ok := asScaledDecimal(a)
+	switch {
+	case !ok:
+		return Atomic{}, false
+	case p >= int64(scale):
+		return a, true
+	case p < int64(scale)-18: // more digits to drop than an int64 divisor holds
+		return Atomic{}, false
+	}
+	div := pow10i(uint8(int64(scale) - p))
+	q, r := digits/div, digits%div
+	if r < 0 {
+		r = -r
+	}
+	if 2*r > div || 2*r == div && q%2 != 0 {
+		if digits < 0 {
+			q--
+		} else {
+			q++
+		}
+	}
+	if p < 0 { // q counts multiples of 10^-p
+		if q, ok = mulI64(q, pow10i(uint8(-p))); !ok {
+			return Atomic{}, false
+		}
+		p = 0
+	}
+	if a.T == TInteger {
+		return NewInteger(q), true
+	}
+	return NewDecimal(q, uint8(p)), true
+}
+
 func floatArith(op ArithOp, a, b float64, isDecimal bool) (float64, error) {
 	switch op {
 	case OpAdd:

@@ -269,3 +269,32 @@ func TestIntArith(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundScaled rounds integers and exact decimals on their digits, and
+// declines the precisions whose digits to drop or whose multiple leave the
+// int64 range, including those where scale - p would wrap.
+func TestRoundScaled(t *testing.T) {
+	for _, c := range []struct {
+		a    Atomic
+		p    int64
+		want string // "" when RoundScaled declines
+	}{
+		{NewDecimal(2675, 3), 2, "2.68"},
+		{NewDecimal(2665, 3), 2, "2.66"},
+		{NewDecimal(-2675, 3), 2, "-2.68"},
+		{NewDecimal(3561225, 2), -2, "35600"},
+		{NewInteger(35650), -2, "35600"},
+		{NewInteger(-35750), -2, "-35800"},
+		{NewInteger(42), 3, "42"},
+		{NewInteger(math.MaxInt64), -18, "9000000000000000000"},
+		{NewInteger(math.MaxInt64), -19, ""},
+		{NewDecimal(25, 1), math.MinInt64, ""},
+		{NewInteger(12345), math.MinInt64, ""},
+		{NewDouble(2.5), 0, ""},
+	} {
+		r, ok := RoundScaled(c.a, c.p)
+		if got := r.Lexical(); ok != (c.want != "") || ok && got != c.want {
+			t.Errorf("RoundScaled(%s, %d) = %q, %v; want %q", c.a.Lexical(), c.p, got, ok, c.want)
+		}
+	}
+}

@@ -213,6 +213,26 @@ func (a Atomic) AsInt() int64 {
 	}
 }
 
+// Integral returns a number's value when it is an integer within the int64
+// range: an xs:integer, an exact decimal without a fraction, or an integral
+// double or float. Valid for numeric types.
+func (a Atomic) Integral() (int64, bool) {
+	switch {
+	case a.T == TInteger:
+		return a.Int(), true
+	case a.T == TDecimal && a.Exact() && a.Scale <= 18:
+		if p := pow10i(a.Scale); a.Int()%p == 0 {
+			return a.Int() / p, true
+		}
+		return 0, false
+	}
+	f := a.AsFloat()
+	if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		return int64(f), true
+	}
+	return 0, false
+}
+
 func pow10f(n uint8) float64 {
 	f := 1.0
 	for ; n > 0; n-- {
