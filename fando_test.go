@@ -114,6 +114,13 @@ func TestFandOConformance(t *testing.T) {
 		// leading zero (F&O §17.1.2).
 		{"double-lexical/exponent", `floor(1e300), 1e-7, 1.5e20, -1.5e20`, "1.0E300 1.0E-7 1.5E20 -1.5E20", ""},
 		{"double-lexical/plain-integer", `1e14, 25e0`, "100000000000000 25", ""},
+		// An xs:float prints the shortest digits of its float32 value, not
+		// those of the double it widens to, with the double's forms.
+		{"float-lexical/shortest", `xs:float("0.1"), xs:float(1) div 3, xs:float("1e-7")`,
+			"0.1 0.33333334 1.0E-7", ""},
+		{"float-lexical/forms", `xs:float("1e10"), xs:float("-2.5"), xs:float("3.4e38"), xs:float("1.5e20")`,
+			"10000000000 -2.5 3.4E38 1.5E20", ""},
+		{"float-lexical/round-trip", `xs:float(string(xs:float("0.1"))) eq xs:float("0.1")`, "true", ""},
 
 		// fn:sum, fn:avg, fn:min and fn:max (F&O §15.4): an untyped value is
 		// a double and must be a number (FORG0001); a value the aggregate
@@ -139,6 +146,17 @@ func TestFandOConformance(t *testing.T) {
 		{"min/strings", `min(("b", "a", "c"))`, "a", ""},
 		{"sum/untyped-not-a-number", `sum((1, xs:untypedAtomic("x")))`, "", "FORG0001"},
 		{"max/untyped-not-a-number", `max(<a>x</a>)`, "", "FORG0001"},
+		// fn:min and fn:max (F&O §15.4.3, §15.4.4) return the winner in the
+		// common type of all the values: numbers promote, an anyURI meets a
+		// string as a string.
+		{"max/promotes-to-double", `max((3, 2.5e0)) instance of xs:double, max((3, 2.5e0))`, "true 3", ""},
+		{"max/promotes-to-float", `max((xs:float(1), 2)) instance of xs:float`, "true", ""},
+		{"max/float-over-integer", `max((1, xs:float(0.5))) instance of xs:float`, "true", ""},
+		{"min/promotes-to-decimal", `min((1, 2.5)) instance of xs:decimal, min((1, 2.5)) instance of xs:integer`, "true false", ""},
+		{"min/one-type-stays", `min((1, 2)) instance of xs:integer`, "true", ""},
+		{"max/anyuri-and-string", `max((xs:anyURI("b"), "a")) instance of xs:string`, "true", ""},
+		{"max/float-nan-then-double", `max((xs:float("NaN"), 1e0)) instance of xs:double`, "true", ""},
+		{"min/untyped-is-double", `min((<a>1</a>, 2)) instance of xs:double`, "true", ""},
 
 		// fn:distinct-values: integers stay apart beyond 2^53; numbers of
 		// every type meet by value, strings and untyped atomics by text.

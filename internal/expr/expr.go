@@ -212,16 +212,6 @@ var axisNames = [...]string{
 
 func (a Axis) String() string { return axisNames[a] }
 
-// Reverse reports whether the axis is a reverse axis (results delivered in
-// reverse document order before the path-level reordering).
-func (a Axis) Reverse() bool {
-	switch a {
-	case AxisParent, AxisAncestor, AxisAncestorOrSelf, AxisPrecedingSibling:
-		return true
-	}
-	return false
-}
-
 // Principal returns the axis's principal node kind.
 func (a Axis) Principal() xdm.NodeKind {
 	if a == AxisAttribute {

@@ -14,13 +14,15 @@ import (
 // of F&O §15.4 live here once: an untyped value is an xs:double for the
 // four aggregates (err:FORG0001 when it is not a number), a value of a type
 // the aggregate does not take, or of a type that cannot meet the ones
-// before it, is err:FORG0006, and a NaN decides min and max.
+// before it, is err:FORG0006, a NaN decides min and max, and min and max
+// return their value in the common type of all the values taken.
 type Fold struct {
-	kind foldKind
-	n    int64      // values taken
-	acc  xdm.Atomic // sum and avg: the running sum; min and max: the extremum
-	set  distinctSet
-	out  xdm.Sequence // distinct-values: the first of each class of equal values
+	kind   foldKind
+	n      int64        // values taken
+	acc    xdm.Atomic   // sum and avg: the running sum; min and max: the extremum
+	common xdm.TypeCode // min and max: the type the values promote to
+	set    distinctSet
+	out    xdm.Sequence // distinct-values: the first of each class of equal values
 }
 
 type foldKind uint8
@@ -52,7 +54,8 @@ func NewFold(local string) (f Fold, ok bool) {
 }
 
 // Add takes one atomized value. done reports that no later value can
-// change the result: a NaN in min or max.
+// change the result: a NaN in min or max, once the values promote to
+// xs:double.
 func (f *Fold) Add(a xdm.Atomic) (done bool, err error) {
 	if f.kind == foldDistinct {
 		if f.set.add(a) {
@@ -72,26 +75,27 @@ func (f *Fold) Add(a xdm.Atomic) (done bool, err error) {
 			return false, xdm.Errf("FORG0006", "fn:%s: %s cannot be aggregated with the values before it", f.kind, a.T)
 		}
 	}
-	if f.n++; f.n == 1 {
-		f.acc = a
-		return order && isNaN(a), nil
-	}
-	if !order {
+	switch f.n++; {
+	case f.n == 1:
+		f.acc, f.common = a, a.T
+	case !order:
 		f.acc, err = xdm.Arith(xdm.OpAdd, f.acc, a)
 		return false, err
+	case isNaN(f.acc):
+		f.common = xdm.Promote(f.common, a.T)
+	case isNaN(a):
+		f.acc, f.common = a, xdm.Promote(f.common, a.T)
+	default:
+		f.common = xdm.Promote(f.common, a.T)
+		c, _, err := xdm.OrderCompare(a, f.acc)
+		if err != nil {
+			return false, err
+		}
+		if c > 0 && f.kind == foldMax || c < 0 && f.kind == foldMin {
+			f.acc = a
+		}
 	}
-	if isNaN(a) {
-		f.acc = a
-		return true, nil
-	}
-	c, _, err := xdm.OrderCompare(a, f.acc)
-	if err != nil {
-		return false, err
-	}
-	if c > 0 && f.kind == foldMax || c < 0 && f.kind == foldMin {
-		f.acc = a
-	}
-	return false, nil
+	return order && isNaN(f.acc) && f.common == xdm.TDouble, nil
 }
 
 // Result is the aggregate of the values taken. rest are the call's
@@ -109,6 +113,12 @@ func (f *Fold) Result(rest []xdm.Sequence) (xdm.Sequence, error) {
 		return singleton(xdm.NewInteger(0)), nil
 	case f.kind == foldAvg:
 		r, err := xdm.Arith(xdm.OpDiv, f.acc, xdm.NewInteger(f.n))
+		if err != nil {
+			return nil, err
+		}
+		return singleton(r), nil
+	case f.kind != foldSum && f.acc.T != f.common:
+		r, err := xdm.Cast(f.acc, f.common)
 		if err != nil {
 			return nil, err
 		}

@@ -19,11 +19,6 @@ func (r Region) Contains(o Region) bool {
 	return r.Start < o.Start && o.End <= r.End
 }
 
-// ParentOf reports whether r is the parent of o.
-func (r Region) ParentOf(o Region) bool {
-	return r.Contains(o) && r.Level+1 == o.Level
-}
-
 // Before reports whether r precedes o in document order (and is not an
 // ancestor of o).
 func (r Region) Before(o Region) bool { return r.End < o.Start }

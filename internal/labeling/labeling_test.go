@@ -20,12 +20,6 @@ func TestRegionPredicates(t *testing.T) {
 	if child.Contains(sibling) || sibling.Contains(child) {
 		t.Error("siblings do not contain each other")
 	}
-	if !root.ParentOf(child) || root.ParentOf(grand) {
-		t.Error("ParentOf uses levels")
-	}
-	if !child.ParentOf(grand) {
-		t.Error("child is parent of grand")
-	}
 	if !child.Before(sibling) || sibling.Before(child) {
 		t.Error("Before is document order of disjoint regions")
 	}

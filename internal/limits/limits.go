@@ -4,9 +4,8 @@
 // OOM kill.
 //
 // Charging is cooperative and approximate: the engine's hot allocation
-// sites (store node growth during lazy materialization, batch buffer
-// pools, FLWOR gather rounds, streamexec window buffers, materialized
-// result buffers) charge an estimate of the bytes they retain and
+// sites (store node growth during lazy materialization, FLWOR gather
+// rounds, streamexec window buffers, materialized result buffers) charge an estimate of the bytes they retain and
 // discharge what they provably release (window closes, round ends).
 // Sites whose allocations escape into query results charge without
 // discharging — the budget is an upper bound on retained bytes, released

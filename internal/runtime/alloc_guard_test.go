@@ -90,15 +90,15 @@ return <exp year="{$b/@year}">{$b/title/text()}</exp>`, bib, 500, 520},
 
 // TestFrameSize pins the binding frame at 80 bytes: every for tuple, focus
 // and binding is one, and the pinned flag of a recycled tuple (Frame.pin)
-// lives in the padding after hasFocus. A for clause's state stays 80 bytes
-// too (a FLWOR run per streamed window allocates one per window), and a
-// tuple slot stays in the 160-byte size class.
+// lives in the padding after hasFocus. A for clause's state stays 64 bytes
+// (a FLWOR run per streamed window allocates one per window), and a tuple
+// slot stays in the 160-byte size class.
 func TestFrameSize(t *testing.T) {
 	if n := unsafe.Sizeof(Frame{}); n != 80 {
 		t.Errorf("a Frame is %d bytes, want 80", n)
 	}
-	if n := unsafe.Sizeof(forClauseState{}); n != 80 {
-		t.Errorf("a forClauseState is %d bytes, want 80", n)
+	if n := unsafe.Sizeof(forClauseState{}); n != 64 {
+		t.Errorf("a forClauseState is %d bytes, want 64", n)
 	}
 	if n := unsafe.Sizeof(tupleSlot{}); n > 160 {
 		t.Errorf("a tupleSlot is %d bytes, want at most 160", n)

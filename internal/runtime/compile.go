@@ -165,7 +165,7 @@ func (c *compiler) wrap(fn seqFn) seqFn {
 		return fn
 	}
 	return func(fr *Frame) Iter {
-		seq, err := drainBatched(fr.dyn, fn(fr))
+		seq, err := drain(fr.dyn, fn(fr))
 		if err != nil {
 			return errIter(err)
 		}
@@ -345,7 +345,7 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 		}
 		t := n.T
 		return func(fr *Frame) Iter {
-			seq, err := drainBatched(fr.dyn, xf(fr))
+			seq, err := drain(fr.dyn, xf(fr))
 			if err != nil {
 				return errIter(err)
 			}
@@ -397,7 +397,7 @@ func (c *compiler) compileRaw(e expr.Expr) (seqFn, error) {
 
 // ---- helper evaluation pieces ----
 
-// rangeIter counts through lo..hi, a whole chunk per batch pull.
+// rangeIter counts through lo..hi.
 type rangeIter struct {
 	cur, end int64
 	dyn      *Dynamic
@@ -423,26 +423,13 @@ func (r *rangeIter) remaining() (int64, bool) {
 	return r.end - r.cur + 1, true
 }
 
-// NextBatch implements BatchIter.
-func (r *rangeIter) NextBatch(buf []xdm.Item) (int, error) {
-	n := 0
-	for n < len(buf) && r.cur <= r.end {
-		buf[n] = xdm.NewInteger(r.cur)
-		r.cur++
-		n++
-	}
-	if err := r.dyn.CheckInterruptN(n); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
 // concatIter concatenates the results of several compiled expressions.
 type concatIter struct {
-	fr  *Frame
-	fns []seqFn
-	idx int
-	cur Iter
+	fr    *Frame
+	fns   []seqFn
+	idx   int
+	cur   Iter
+	drain bool
 }
 
 func newConcatIter(fr *Frame, fns []seqFn) Iter { return &concatIter{fr: fr, fns: fns} }
@@ -455,6 +442,9 @@ func (ci *concatIter) Next() (xdm.Item, bool, error) {
 			}
 			ci.cur = ci.fns[ci.idx](ci.fr)
 			ci.idx++
+			if ci.drain {
+				markDrain(ci.cur)
+			}
 		}
 		it, ok, err := ci.cur.Next()
 		if err != nil {
@@ -467,22 +457,12 @@ func (ci *concatIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-// NextBatch implements BatchIter: the batch demand is forwarded to the
-// current operand, so a whole chain of concatenations moves chunks.
-func (ci *concatIter) NextBatch(buf []xdm.Item) (int, error) {
-	for {
-		if ci.cur == nil {
-			if ci.idx >= len(ci.fns) {
-				return 0, nil
-			}
-			ci.cur = ci.fns[ci.idx](ci.fr)
-			ci.idx++
-		}
-		n, err := nextBatch(ci.cur, buf)
-		if err != nil || n > 0 {
-			return n, err
-		}
-		ci.cur = nil
+// markDrain implements drainer: the current operand and every later one
+// are read to the end.
+func (ci *concatIter) markDrain() {
+	ci.drain = true
+	if ci.cur != nil {
+		markDrain(ci.cur)
 	}
 }
 
@@ -1066,7 +1046,7 @@ func (c *compiler) compileTypeswitch(n *expr.Typeswitch) (seqFn, error) {
 		return nil, err
 	}
 	return func(fr *Frame) Iter {
-		seq, err := drainBatched(fr.dyn, inFn(fr))
+		seq, err := drain(fr.dyn, inFn(fr))
 		if err != nil {
 			return errIter(err)
 		}
@@ -1098,11 +1078,11 @@ func (c *compiler) compileSetOp(n *expr.SetOp) (seqFn, error) {
 	}
 	op := n.Op
 	fn := func(fr *Frame) Iter {
-		lseq, err := drainBatched(fr.dyn, lf(fr))
+		lseq, err := drain(fr.dyn, lf(fr))
 		if err != nil {
 			return errIter(err)
 		}
-		rseq, err := drainBatched(fr.dyn, rf(fr))
+		rseq, err := drain(fr.dyn, rf(fr))
 		if err != nil {
 			return errIter(err)
 		}

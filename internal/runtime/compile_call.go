@@ -77,7 +77,7 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 				return false, nil
 			})
 			if !walked {
-				seq, err = drainBatched(fr.dyn, afn(fr))
+				seq, err = drain(fr.dyn, afn(fr))
 			}
 			if err != nil {
 				return errIter(err)
@@ -95,7 +95,7 @@ func (c *compiler) compileCallRaw(n *expr.Call) (seqFn, error) {
 // foldOf feeds a folded built-in's accumulator (sum, avg, min, max,
 // distinct-values) over its first argument without materializing it: a
 // chain is walked on the stack, each node handed over as the untyped atomic
-// of its string value, read in place; any other argument is pulled a batch
+// of its string value, read in place; any other argument is pulled an item
 // at a time. The other arguments (sum's zero) are materialized.
 func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 	return func(fr *Frame) Iter {
@@ -104,11 +104,11 @@ func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 			return f.Add(xdm.NewUntyped(d.StringValue(id)))
 		})
 		if !walked {
-			err = foldIter(fr.dyn, &f, argFns[0](fr))
+			err = foldIter(&f, argFns[0](fr))
 		}
 		rest := make([]xdm.Sequence, len(argFns)-1)
 		for i := 0; i < len(rest) && err == nil; i++ {
-			rest[i], err = drainBatched(fr.dyn, argFns[i+1](fr))
+			rest[i], err = drain(fr.dyn, argFns[i+1](fr))
 		}
 		if err != nil {
 			return errIter(err)
@@ -121,19 +121,16 @@ func foldOf(fold functions.Fold, argFns []seqFn, ch *chain) seqFn {
 	}
 }
 
-// foldIter is foldOf's pull loop, a batch at a time.
-func foldIter(dyn *Dynamic, f *functions.Fold, it Iter) error {
-	buf := dyn.getBuf()
-	defer dyn.putBuf(buf)
+// foldIter is foldOf's pull loop over a marked iterator.
+func foldIter(f *functions.Fold, it Iter) error {
+	markDrain(it)
 	for {
-		k, err := nextBatch(it, buf)
-		for _, x := range buf[:k] {
-			if done, ferr := f.Add(xdm.Atomize(x)); done || ferr != nil {
-				return ferr
-			}
-		}
-		if err != nil || k == 0 {
+		x, ok, err := it.Next()
+		if err != nil || !ok {
 			return err
+		}
+		if done, ferr := f.Add(xdm.Atomize(x)); done || ferr != nil {
+			return ferr
 		}
 	}
 }
@@ -300,7 +297,7 @@ func (c *compiler) numOf(e expr.Expr) (numFn, error) {
 
 // countOf is fn:count: a chain is walked on the stack, a source that
 // knows its cardinality (range, materialized slice) skips production, and
-// any other input is drained a chunk at a time without being kept.
+// any other input is marked and pulled to its end without being kept.
 func countOf(arg seqFn, ch *chain) numFn {
 	return func(fr *Frame) (int64, error) {
 		if n, walked, err := ch.walkN(fr, func(*store.Document, int32) (bool, error) { return false, nil }); walked {
@@ -312,14 +309,11 @@ func countOf(arg seqFn, ch *chain) numFn {
 				return n, nil
 			}
 		}
-		buf := fr.dyn.getBuf()
-		defer fr.dyn.putBuf(buf)
-		for n := int64(0); ; {
-			k, err := nextBatch(it, buf)
-			if err != nil || k == 0 {
+		markDrain(it)
+		for n := int64(0); ; n++ {
+			if _, ok, err := it.Next(); err != nil || !ok {
 				return n, err
 			}
-			n += int64(k)
 		}
 	}
 }
@@ -372,7 +366,7 @@ func (c *compiler) compileMemoizedCall(n *expr.Call, uf *userFunc, argFns []seqF
 	return func(fr *Frame) Iter {
 		args := make([]xdm.Sequence, len(argFns))
 		for i, afn := range argFns {
-			seq, err := drainBatched(fr.dyn, afn(fr))
+			seq, err := drain(fr.dyn, afn(fr))
 			if err != nil {
 				return errIter(err)
 			}
@@ -397,7 +391,7 @@ func (c *compiler) compileMemoizedCall(n *expr.Call, uf *userFunc, argFns []seqF
 		if uf.body == nil {
 			return errIter(fmt.Errorf("function %s used before its body was compiled", decl.Name))
 		}
-		out, err := drainBatched(fr.dyn, uf.body(f2))
+		out, err := drain(fr.dyn, uf.body(f2))
 		if err != nil {
 			return errIter(err)
 		}

@@ -193,7 +193,7 @@ func evalAttrValue(ca *compiledAttr, fr *Frame) (string, error) {
 		})
 		if !walked {
 			var seq xdm.Sequence
-			seq, err = drainBatched(fr.dyn, part(fr))
+			seq, err = drain(fr.dyn, part(fr))
 			for _, it := range seq {
 				write(xdm.StringValue(it))
 			}
@@ -364,7 +364,7 @@ func attrError(err error) error {
 // contentString computes the joined string value for text/comment/PI
 // constructors.
 func contentString(fn seqFn, fr *Frame) (string, error) {
-	seq, err := drainBatched(fr.dyn, fn(fr))
+	seq, err := drain(fr.dyn, fn(fr))
 	if err != nil {
 		return "", err
 	}

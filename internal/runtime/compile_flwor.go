@@ -13,40 +13,10 @@ import (
 // materialized, sorted by the key values, and the return clause streams per
 // sorted tuple.
 
-// tupleIter yields binding frames.
+// tupleIter yields binding frames, one per pull. A tuple stream carries no
+// drain mark: quantifiers and item-driven FLWORs pull it lazily, and a
+// drained FLWOR marks its return clause instead.
 type tupleIter func() (*Frame, bool, error)
-
-// tupleSrc is a tuple stream with both pull granularities: next yields one
-// binding frame (the exact lazy semantics), batch fills a frame buffer
-// under the same contract as BatchIter.NextBatch (0 with nil error = end,
-// a short batch does not signal the end, frames before an error are valid).
-// Only drain-everything consumers (a batch-pulled return clause, order-by
-// materialization) use batch; quantifiers and item-driven FLWORs stay on
-// next, preserving early exit.
-type tupleSrc struct {
-	next  tupleIter
-	batch func(buf []*Frame) (int, error)
-}
-
-// tupleSrcFrom wraps an item-granularity tuple stream, deriving the batch
-// side generically.
-func tupleSrcFrom(next tupleIter) tupleSrc {
-	return tupleSrc{next: next, batch: func(buf []*Frame) (int, error) {
-		n := 0
-		for n < len(buf) {
-			t, ok, err := next()
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				break
-			}
-			buf[n] = t
-			n++
-		}
-		return n, nil
-	}}
-}
 
 type compiledClause struct {
 	kind  expr.ClauseKind
@@ -122,15 +92,14 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 	// The last for clause recycles its tuple frames where nothing keeps a
 	// tuple past the next pull: not under order by or group by, which keep
 	// every tuple, nor in morsel rounds, which gather many (see Frame.pin).
-	// Earlier for clauses bind heap frames: one batch of the last clause's
-	// tuples can span several of theirs.
+	// Earlier for clauses bind heap frames.
 	lastFor := -1
 	for i, cc := range clauses {
 		if cc.kind == expr.ForClause {
 			lastFor = i
 		}
 	}
-	makeTuples := func(fr *Frame, withWhere, recycle bool) tupleSrc {
+	makeTuples := func(fr *Frame, withWhere, recycle bool) tupleIter {
 		tuples := baseTuple(fr)
 		for i := range clauses {
 			tuples = applyClause(tuples, &clauses[i], recycle && i == lastFor)
@@ -139,9 +108,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			tuples = filterTuples(tuples, where)
 		}
 		if len(groupSpecs) > 0 {
-			// Grouping materializes every tuple anyway, so it may consume
-			// its input in batches.
-			tuples = tupleSrcFrom(applyGrouping(batchedTuplePull(tuples), fr, groupSpecs, rebindIDs))
+			tuples = applyGrouping(tuples, fr, groupSpecs, rebindIDs)
 		}
 		return tuples
 	}
@@ -169,17 +136,17 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		}
 		fn := func(fr *Frame) Iter {
 			if parSafe && fr.dyn.Workers > 1 {
-				return &flworIter{tuples: tuplePull{src: makeTuples(fr, false, false)}, retFn: retFn, where: where,
+				return &flworIter{tuples: makeTuples(fr, false, false), retFn: retFn, where: where,
 					par: &flworMorsel{fr: fr, outerForce: outerForce, letForce: letForce}}
 			}
-			return &flworIter{tuples: tuplePull{src: makeTuples(fr, true, len(groupSpecs) == 0)}, retFn: retFn}
+			return &flworIter{tuples: makeTuples(fr, true, len(groupSpecs) == 0), retFn: retFn}
 		}
 		return c.tag("flwor", n, fn), nil
 	}
 
 	// Order-by path: materialize tuples and their keys.
 	fn := func(fr *Frame) Iter {
-		pull := batchedTuplePull(makeTuples(fr, true, false))
+		pull := makeTuples(fr, true, false)
 		type sortable struct {
 			frame *Frame
 			keys  []*xdm.Atomic // nil pointer = empty key
@@ -240,8 +207,8 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 		if sortErr != nil {
 			return errIter(sortErr)
 		}
-		// Stream the return clause per sorted tuple, reusing the dual-
-		// granularity FLWOR iterator over the sorted row stream.
+		// Stream the return clause per sorted tuple, reusing the FLWOR
+		// iterator over the sorted row stream.
 		pos := 0
 		sorted := func() (*Frame, bool, error) {
 			if pos >= len(idx) {
@@ -251,7 +218,7 @@ func (c *compiler) compileFlwor(n *expr.Flwor) (seqFn, error) {
 			pos++
 			return t, true, nil
 		}
-		return &flworIter{tuples: tuplePull{src: tupleSrcFrom(sorted)}, retFn: retFn}
+		return &flworIter{tuples: sorted, retFn: retFn}
 	}
 	return c.tag("flwor", n, fn), nil
 }
@@ -325,31 +292,29 @@ func (c *compiler) flworForceSets(n *expr.Flwor, clauses []compiledClause) (oute
 	return outer, lets
 }
 
-// flworIter streams the return clause over a tuple stream. Item pulls stay
-// strictly lazy (one tuple advanced at a time); batch pulls prefetch a
-// batch of tuples and forward the batch demand into the return clause. A
-// tuple-stream error discovered while prefetching is held back until the
-// return results of the already-prefetched tuples have been delivered, so
-// the error surfaced matches item-at-a-time order.
+// flworIter streams the return clause over a tuple stream, one tuple
+// advanced at a time. A drain mark reaches each return-clause iterator, and
+// lets a morsel-eligible FLWOR run parallel rounds.
 type flworIter struct {
-	tuples tuplePull
+	tuples tupleIter
 	retFn  seqFn
 
 	// where is set only on a morsel-parallel FLWOR: the filter moves out
-	// of the tuple source so workers can apply it per tuple; item-granular
+	// of the tuple source so workers can apply it per tuple; sequential
 	// pulls apply it in nextTuple. par holds the parallel round state; nil
 	// means fully sequential (where is then inside tuples already).
 	where condFn
 	par   *flworMorsel
 
-	cur Iter
+	cur   Iter
+	drain bool
 }
 
 // nextTuple yields the next tuple that passes the where clause (when the
-// filter lives at this level; see whereFn).
-func (f *flworIter) nextTuple(batched bool) (*Frame, bool, error) {
+// filter lives at this level; see where).
+func (f *flworIter) nextTuple() (*Frame, bool, error) {
 	for {
-		t, ok, err := f.tuples.pull(batched)
+		t, ok, err := f.tuples()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -366,64 +331,22 @@ func (f *flworIter) nextTuple(batched bool) (*Frame, bool, error) {
 	}
 }
 
-// tuplePull yields a tuple stream's tuples one at a time, unfiltered: a
-// batch pull prefetches from the batch side, holding an upstream error back
-// until the prefetched tuples are consumed; an item pull takes the next
-// tuple from the item side once nothing is prefetched.
-type tuplePull struct {
-	src     tupleSrc
-	pending []*Frame
-	pi, pn  int
-	stash   error
-	done    bool
-}
-
-func (p *tuplePull) pull(batched bool) (*Frame, bool, error) {
-	for {
-		if p.pi < p.pn {
-			t := p.pending[p.pi]
-			p.pending[p.pi] = nil
-			p.pi++
-			return t, true, nil
-		}
-		if p.stash != nil {
-			err := p.stash
-			p.stash = nil
-			p.done = true
-			return nil, false, err
-		}
-		if p.done {
-			return nil, false, nil
-		}
-		if !batched {
-			t, ok, err := p.src.next()
-			if err != nil || !ok {
-				p.done = true
-				return nil, false, err
-			}
-			return t, true, nil
-		}
-		if p.pending == nil {
-			p.pending = make([]*Frame, batchSize)
-		}
-		n, err := p.src.batch(p.pending)
-		p.pi, p.pn = 0, n
-		if err != nil {
-			p.stash = err
-		} else if n == 0 {
-			p.done = true
+func (f *flworIter) Next() (xdm.Item, bool, error) {
+	if f.drain && f.par != nil {
+		if it, ok, err, handled := f.par.next(f); handled {
+			return it, ok, err
 		}
 	}
-}
-
-func (f *flworIter) Next() (xdm.Item, bool, error) {
 	for {
 		if f.cur == nil {
-			t, ok, err := f.nextTuple(false)
+			t, ok, err := f.nextTuple()
 			if err != nil || !ok {
 				return nil, false, err
 			}
 			f.cur = f.retFn(t)
+			if f.drain {
+				markDrain(f.cur)
+			}
 		}
 		it, ok, err := f.cur.Next()
 		if err != nil {
@@ -436,38 +359,12 @@ func (f *flworIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-// NextBatch implements BatchIter. With parallel round state attached, the
-// fill first tries a morsel round; handled=false (no workers available, a
-// return iterator already open, or a still-parsing streamed input) falls
-// through to the sequential fill for this pull.
-func (f *flworIter) NextBatch(buf []xdm.Item) (int, error) {
-	if f.par != nil {
-		if n, err, handled := f.par.nextBatch(f, buf); handled {
-			return n, err
-		}
+// markDrain implements drainer.
+func (f *flworIter) markDrain() {
+	f.drain = true
+	if f.cur != nil {
+		markDrain(f.cur)
 	}
-	n := 0
-	for n < len(buf) {
-		if f.cur == nil {
-			t, ok, err := f.nextTuple(true)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				return n, nil
-			}
-			f.cur = f.retFn(t)
-		}
-		k, err := nextBatch(f.cur, buf[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-		if k == 0 {
-			f.cur = nil
-		}
-	}
-	return n, nil
 }
 
 // flworMorsel is the parallel-round state of a morsel-eligible FLWOR: the
@@ -484,37 +381,38 @@ type flworMorsel struct {
 	out      []xdm.Item // pending stitched output of the last round
 	oi       int
 	roundErr error // held until the round's outputs have been delivered
-	done     bool
+	done     bool  // no more rounds: the tuples ran out, a lease was refused, or an error was served
 }
 
-// nextBatch serves the parallel side of flworIter.NextBatch; handled=false
-// defers this pull to the sequential fill.
-func (m *flworMorsel) nextBatch(f *flworIter, buf []xdm.Item) (int, error, bool) {
+// next serves a drained flworIter's parallel side; handled=false leaves
+// this pull to the sequential loop, which the iterator keeps for good once
+// no round is left to run.
+func (m *flworMorsel) next(f *flworIter) (xdm.Item, bool, error, bool) {
 	for {
 		if m.oi < len(m.out) {
-			n := copy(buf, m.out[m.oi:])
-			m.oi += n
-			if m.oi >= len(m.out) {
+			it := m.out[m.oi]
+			if m.oi++; m.oi == len(m.out) {
 				m.out, m.oi = nil, 0
 			}
-			return n, nil, true
+			return it, true, nil, true
 		}
 		if m.roundErr != nil {
 			err := m.roundErr
 			m.roundErr = nil
 			m.done = true
-			return 0, err, true
+			return nil, false, err, true
 		}
 		if m.done || f.cur != nil || m.fr.dyn.streamingLazy() {
-			return 0, nil, false
+			return nil, false, nil, false
 		}
 		ran, err := m.runRound(f)
 		if err != nil {
 			m.done = true
-			return 0, err, true
+			return nil, false, err, true
 		}
 		if !ran {
-			return 0, nil, false
+			m.done = true
+			return nil, false, nil, false
 		}
 		// Loop: serve the round's output, or run another round if it
 		// produced nothing (all tuples where-filtered).
@@ -522,8 +420,7 @@ func (m *flworMorsel) nextBatch(f *flworIter, buf []xdm.Item) (int, error, bool)
 }
 
 // runRound gathers and evaluates one parallel round. ran=false (without
-// error) means no extra workers were available or the tuple source is
-// exhausted; the caller falls back to the sequential fill.
+// error) means no extra workers were available.
 func (m *flworMorsel) runRound(f *flworIter) (bool, error) {
 	d := m.fr.dyn
 	extra, release := d.leaseExtra(d.Workers - 1)
@@ -548,7 +445,7 @@ func (m *flworMorsel) runRound(f *flworIter) (bool, error) {
 	var terr error
 gather:
 	for len(round) < roundTuples {
-		t, ok, err := f.tuples.pull(true)
+		t, ok, err := f.tuples()
 		if err != nil {
 			terr = err
 			break
@@ -598,7 +495,7 @@ gather:
 				return nil, err
 			}
 			out = append(out, seq...)
-			if err := w.CheckInterruptN(len(seq) + 1); err != nil {
+			if err := w.CheckInterrupt(); err != nil {
 				return nil, err
 			}
 		}
@@ -651,14 +548,7 @@ func evalFlworTuple(w *Dynamic, f *flworIter, t *Frame) (xdm.Sequence, error) {
 			return nil, err
 		}
 	}
-	return drainBatched(w, f.retFn(t2))
-}
-
-// batchedTuplePull is tuplePull's batch side, for materializing consumers
-// (the order-by row loop, grouping).
-func batchedTuplePull(src tupleSrc) tupleIter {
-	p := &tuplePull{src: src}
-	return func() (*Frame, bool, error) { return p.pull(true) }
+	return drain(w, f.retFn(t2))
 }
 
 // compareKeys orders two order-by keys; empty sequences order per
@@ -690,49 +580,37 @@ func compareKeys(a, b *xdm.Atomic, emptyLeast bool) (int, error) {
 }
 
 // baseTuple yields the initial single tuple (the enclosing frame).
-func baseTuple(fr *Frame) tupleSrc {
+func baseTuple(fr *Frame) tupleIter {
 	done := false
-	return tupleSrcFrom(func() (*Frame, bool, error) {
+	return func() (*Frame, bool, error) {
 		if done {
 			return nil, false, nil
 		}
 		done = true
 		return fr, true, nil
-	})
+	}
 }
 
 // applyClause extends a tuple stream with one for/let clause; a recycling
 // for clause reuses its tuple frames (see forClauseState).
-func applyClause(tuples tupleSrc, cl *compiledClause, recycle bool) tupleSrc {
+func applyClause(tuples tupleIter, cl *compiledClause, recycle bool) tupleIter {
 	if cl.kind == expr.LetClause {
 		// Lazy binding: the clause input is not evaluated until the
-		// variable is first used, and then memoized — in both granularities.
-		bind := func(t *Frame) *Frame { return t.bind(cl.varID, NewLazySeq(cl.in(t))) }
-		return tupleSrc{
-			next: func() (*Frame, bool, error) {
-				t, ok, err := tuples.next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				return bind(t), true, nil
-			},
-			batch: func(buf []*Frame) (int, error) {
-				n, err := tuples.batch(buf)
-				for i := 0; i < n; i++ {
-					buf[i] = bind(buf[i])
-				}
-				return n, err
-			},
+		// variable is first used, and then memoized.
+		return func() (*Frame, bool, error) {
+			t, ok, err := tuples()
+			if err != nil || !ok {
+				return nil, false, err
+			}
+			return t.bind(cl.varID, NewLazySeq(cl.in(t))), true, nil
 		}
 	}
-	// for-clause: one tuple per item of the input sequence. The item and
-	// batch sides share the cursor state, so the granularities may be mixed
-	// by a consumer without skipping or repeating tuples.
+	// for-clause: one tuple per item of the input sequence.
 	f := &forClauseState{tuples: tuples, cl: cl}
 	if recycle {
 		f.link = &f.ring
 	}
-	return tupleSrc{next: f.next, batch: f.batch}
+	return f.next
 }
 
 // forClauseState is the shared cursor of one for-clause: the current outer
@@ -743,17 +621,16 @@ func applyClause(tuples tupleSrc, cl *compiledClause, recycle bool) tupleSrc {
 // pulled before, unless something it built keeps one, and that pins it
 // (Frame.pin). A pinned slot is replaced, not reused. The ring is a list
 // from ring, and link is where the next tuple's slot hangs; a clause that
-// does not recycle has no link. The state stays 80 bytes: a FLWOR run per
+// does not recycle has no link. The state stays 64 bytes: a FLWOR run per
 // streamed window allocates one per window.
 type forClauseState struct {
-	tuples  tupleSrc
-	cl      *compiledClause
-	outer   *Frame
-	inner   Iter
-	pos     int64
-	scratch *[batchSize]xdm.Item // staging for batch pulls of the clause input
-	ring    *tupleSlot
-	link    **tupleSlot
+	tuples tupleIter
+	cl     *compiledClause
+	outer  *Frame
+	inner  Iter
+	pos    int64
+	ring   *tupleSlot
+	link   **tupleSlot
 }
 
 // tupleSlot is one for tuple: its frame, its one-item sequence and that
@@ -810,7 +687,7 @@ func (f *forClauseState) bindTuple(it xdm.Item) (*Frame, error) {
 
 // advanceOuter moves to the next outer tuple; ok=false at the end.
 func (f *forClauseState) advanceOuter() (bool, error) {
-	t, ok, err := f.tuples.next()
+	t, ok, err := f.tuples()
 	if err != nil || !ok {
 		return false, err
 	}
@@ -848,87 +725,22 @@ func (f *forClauseState) next() (*Frame, bool, error) {
 	}
 }
 
-func (f *forClauseState) batch(buf []*Frame) (int, error) {
-	f.rewind()
-	n := 0
-	for n < len(buf) {
-		if f.inner == nil {
-			ok, err := f.advanceOuter()
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				return n, nil
-			}
-		}
-		if f.scratch == nil {
-			f.scratch = (*[batchSize]xdm.Item)(f.outer.dyn.getBuf())
-		}
-		in := f.scratch[:]
-		if r := len(buf) - n; r < len(in) {
-			in = in[:r]
-		}
-		k, err := nextBatch(f.inner, in)
-		for i := 0; i < k; i++ {
-			fr, berr := f.bindTuple(in[i])
-			if berr != nil {
-				return n, berr
-			}
-			buf[n] = fr
-			n++
-		}
-		if err != nil {
-			return n, err
-		}
-		if k == 0 {
-			f.inner = nil
-		}
-	}
-	if err := f.outer.dyn.CheckInterruptN(n); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
 // filterTuples applies the where clause.
-func filterTuples(tuples tupleSrc, where condFn) tupleSrc {
-	return tupleSrc{
-		next: func() (*Frame, bool, error) {
-			for {
-				t, ok, err := tuples.next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				keep, err := where(t)
-				if err != nil {
-					return nil, false, err
-				}
-				if keep {
-					return t, true, nil
-				}
+func filterTuples(tuples tupleIter, where condFn) tupleIter {
+	return func() (*Frame, bool, error) {
+		for {
+			t, ok, err := tuples()
+			if err != nil || !ok {
+				return nil, false, err
 			}
-		},
-		batch: func(buf []*Frame) (int, error) {
-			for {
-				k, err := tuples.batch(buf)
-				n := 0
-				for i := 0; i < k; i++ {
-					keep, kerr := where(buf[i])
-					if kerr != nil {
-						return n, kerr
-					}
-					if keep {
-						buf[n] = buf[i]
-						n++
-					}
-				}
-				if err != nil || k == 0 || n > 0 {
-					return n, err
-				}
-				// Whole batch filtered out: pull again (n == 0 would
-				// wrongly signal the end).
+			keep, err := where(t)
+			if err != nil {
+				return nil, false, err
 			}
-		},
+			if keep {
+				return t, true, nil
+			}
+		}
 	}
 }
 
@@ -960,11 +772,10 @@ func (c *compiler) compileQuantified(n *expr.Quantified) (condFn, error) {
 			cl := compiledClause{kind: expr.ForClause, varID: binds[i].id, posID: -1, in: binds[i].in}
 			tuples = applyClause(tuples, &cl, i == len(binds)-1)
 		}
-		// Quantifiers pull tuples one at a time on purpose: early exit is
-		// the lazy-evaluation payoff, and batch prefetch would evaluate
-		// bindings past the deciding one.
+		// Early exit is the lazy-evaluation payoff: no binding past the
+		// deciding one is evaluated.
 		for {
-			t, ok, err := tuples.next()
+			t, ok, err := tuples()
 			if err != nil || !ok {
 				// every: vacuously true; some: false
 				return every && err == nil, err

@@ -25,7 +25,7 @@ func (c *compiler) compileTryCatch(n *expr.TryCatch) (seqFn, error) {
 	return func(fr *Frame) Iter {
 		seq, err := func() (out xdm.Sequence, err error) {
 			defer recoverXQ(&err) // StreamedNode materialization panics too
-			return drainBatched(fr.dyn, tryFn(fr))
+			return drain(fr.dyn, tryFn(fr))
 		}()
 		if err != nil {
 			return catchFn(fr)

@@ -98,7 +98,7 @@ func (c *compiler) compileNavPath(n *expr.Path) (seqFn, error) {
 	// Materializing tail: sort by document order + dedup when the result is
 	// nodes; pass through when it is purely atomic (the $x/f(.) case).
 	return func(fr *Frame) Iter {
-		seq, err := drainBatched(fr.dyn, raw(fr))
+		seq, err := drain(fr.dyn, raw(fr))
 		if err != nil {
 			return errIter(err)
 		}
@@ -359,29 +359,12 @@ func (c *chainIter) Next() (xdm.Item, bool, error) {
 	return nil, false, nil
 }
 
-// NextBatch implements BatchIter. While a streamed input is being parsed it
-// returns after any output, as pathIter does.
-func (c *chainIter) NextBatch(buf []xdm.Item) (int, error) {
-	lazy := c.dyn.streamingLazy()
-	n := 0
-	for n < len(buf) && c.descend(c.scans) {
-		k, err := c.scans[c.depth-1].NextBatch(buf[n:])
-		if n += k; err != nil {
-			return n, err
-		}
-		if k == 0 {
-			c.depth--
-		} else if lazy {
-			break
-		}
-	}
-	return n, c.dyn.CheckInterruptN(n)
-}
+// markDrain implements drainer: the last scan emits the chain's nodes.
+func (c *chainIter) markDrain() { c.scans[len(c.scans)-1].drain = true }
 
 // pathIter is the streaming core of E1/E2: the right side applied per
-// left-hand node, outputs concatenated. Batch pulls forward the demand to
-// the current right-side iterator; the left input is pulled a node at a
-// time.
+// left-hand node, outputs concatenated. A drain mark reaches each right-side
+// iterator; the left input is not marked.
 type pathIter struct {
 	fr     *Frame
 	rf     seqFn     // the right side under a focus; nil for a step
@@ -391,6 +374,7 @@ type pathIter struct {
 	lastFn func() (int64, error)
 	cur    Iter
 	pos    int64
+	drain  bool
 }
 
 // memoized keeps an input so that fn:last() can ask for its length.
@@ -415,10 +399,13 @@ func (p *pathIter) advance() (bool, error) {
 	}
 	if p.step != nil {
 		p.cur = p.applyStep(node)
-		return true, nil
+	} else {
+		p.pos++
+		p.cur = p.rf(p.fr.focus(it, p.pos, p.lastFn))
 	}
-	p.pos++
-	p.cur = p.rf(p.fr.focus(it, p.pos, p.lastFn))
+	if p.drain {
+		markDrain(p.cur)
+	}
 	return true, nil
 }
 
@@ -454,38 +441,12 @@ func (p *pathIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-// NextBatch implements BatchIter. While a streamed input is still being
-// parsed, demand drops to item granularity: the fill returns as soon as it
-// holds anything, so a batch never forces input beyond the items it
-// delivers (short batches mean "pull again", so this is invisible to
-// consumers).
-func (p *pathIter) NextBatch(buf []xdm.Item) (int, error) {
-	lazy := p.fr.dyn.streamingLazy()
-	n := 0
-	for n < len(buf) {
-		if p.cur == nil {
-			ok, err := p.advance()
-			if err != nil || !ok {
-				return n, err
-			}
-		}
-		k, err := nextBatch(p.cur, buf[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-		if k == 0 {
-			p.cur = nil
-			continue
-		}
-		if lazy {
-			break
-		}
+// markDrain implements drainer.
+func (p *pathIter) markDrain() {
+	p.drain = true
+	if p.cur != nil {
+		markDrain(p.cur)
 	}
-	if err := p.fr.dyn.CheckInterruptN(n); err != nil {
-		return n, err
-	}
-	return n, nil
 }
 
 // compileStep compiles one axis step against the context item.
@@ -605,7 +566,8 @@ type storeScan struct {
 	siblings  bool        // child axis: follow next-sibling links
 	yielded   bool        // child axis: cur was consumed; advance to its sibling first
 	skipAttrs bool        // descendant axes: attributes are not descendants
-	dyn       *Dynamic    // morsel upgrade for batch pulls; nil stays sequential
+	drain     bool        // marked: its consumer reads it to the end (kept across reset)
+	dyn       *Dynamic    // morsel rounds of a marked scan; nil stays sequential
 
 	out []xdm.Item // pending stitched output of the last parallel round
 	oi  int
@@ -707,65 +669,31 @@ func (s *storeScan) keep(id int32) bool {
 	return s.r.passes(s.d, id, k, n)
 }
 
-func (s *storeScan) serve(buf []xdm.Item) int {
-	n := copy(buf, s.out[s.oi:])
-	s.oi += n
-	if s.oi >= len(s.out) {
-		s.out, s.oi = nil, 0
-	}
-	return n
-}
-
+// Next runs a marked scan's parallel rounds: on a large remaining id range
+// with morsel workers configured, contiguous sub-ranges are scanned by the
+// worker pool and the matches stitched back in range order (= document
+// order), queued on s.out for the following pulls. A refused lease ends
+// the upgrade: the rest of the range is read here, one id at a time, so a
+// busy pool is asked once rather than at every pull.
 func (s *storeScan) Next() (xdm.Item, bool, error) {
+	for s.drain && s.oi >= len(s.out) && s.morselReady() {
+		ran, err := s.morselFill()
+		if err != nil {
+			return nil, false, err
+		}
+		s.drain = ran
+	}
 	if s.oi < len(s.out) {
-		var one [1]xdm.Item
-		s.serve(one[:])
-		return one[0], true, nil
+		it := s.out[s.oi]
+		if s.oi++; s.oi == len(s.out) {
+			s.out, s.oi = nil, 0
+		}
+		return it, true, nil
 	}
 	if id := s.next(); id >= 0 {
 		return s.d.Node(id), true, nil
 	}
 	return nil, false, nil
-}
-
-// NextBatch implements BatchIter: the inner scan loop runs without any
-// per-item interface dispatch — the whole point of the fast path. On a
-// large remaining id range with morsel workers configured, the fill
-// upgrades to parallel rounds: contiguous sub-ranges are scanned by the
-// worker pool and the matches stitched back in range order (= document
-// order); leftover matches queue on s.out for subsequent pulls. While a
-// document is still being parsed a child scan stops after each item:
-// discovering whether another child exists can force arbitrary input, and a
-// short batch legitimately means "pull again", so demand stays
-// item-granular until ingestion completes.
-func (s *storeScan) NextBatch(buf []xdm.Item) (int, error) {
-	for s.oi >= len(s.out) && s.morselReady() {
-		ran, err := s.morselFill()
-		if err != nil {
-			return 0, err
-		}
-		if !ran {
-			break
-		}
-	}
-	if s.oi < len(s.out) {
-		return s.serve(buf), nil
-	}
-	n := 0
-	h := s.d.Handles()
-	for n < len(buf) {
-		id := s.next()
-		if id < 0 {
-			break
-		}
-		buf[n] = h.Node(id)
-		n++
-		if s.siblings && s.d.Lazy() {
-			break
-		}
-	}
-	h.Pay()
-	return n, nil
 }
 
 // morselReady reports whether a parallel round is worth attempting: a pool
@@ -778,8 +706,7 @@ func (s *storeScan) morselReady() bool {
 }
 
 // morselFill runs one parallel round over the next slice of the id range.
-// ran=false (without error) means no extra workers were available; the
-// caller falls back to the sequential fill for this pull.
+// ran=false (without error) means no extra workers were available.
 func (s *storeScan) morselFill() (bool, error) {
 	remaining := int(s.end) - int(s.cur) + 1
 	chunks := (remaining + descMorselIDs - 1) / descMorselIDs
@@ -802,10 +729,8 @@ func (s *storeScan) morselFill() (bool, error) {
 		h := s.d.Handles()
 		defer h.Pay()
 		for id := lo; id <= hi; id++ {
-			if id&1023 == 0 {
-				if err := w.CheckInterruptN(1024); err != nil {
-					return nil, err
-				}
+			if err := w.CheckInterrupt(); err != nil {
+				return nil, err
 			}
 			if s.keep(id) {
 				out = append(out, h.Node(id))

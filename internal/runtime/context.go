@@ -100,13 +100,6 @@ type Dynamic struct {
 	// writer stores the same plan's projection, so any observed value is
 	// correct for the stream's one-shot parse).
 	proj atomic.Pointer[projection.Paths]
-
-	// Batch buffer pool (see batch.go). Per-context: every morsel worker
-	// forks its own Dynamic and with it a private pool, so workers recycle
-	// buffers without touching each other's cache lines. The mutex remains
-	// for code paths that still share one context across goroutines.
-	bufMu   sync.Mutex
-	bufFree [][]xdm.Item
 }
 
 // base returns the context owning the shared per-execution caches; a worker
@@ -120,8 +113,8 @@ func (d *Dynamic) base() *Dynamic {
 
 // fork creates a per-worker slice of the dynamic context: shared inputs are
 // carried over by value, while every piece of mutable hot-path state — the
-// interrupt step counter, the batch buffer pool, and the profile shard — is
-// private to the returned context. Shared caches (structural-join indexes,
+// interrupt step counter and the profile shard — is private to the
+// returned context. Shared caches (structural-join indexes,
 // the call memo, the stable dateTime, the lazily installed resolver) stay
 // on the base and are reached through base(). Dynamic holds locks and
 // atomics, so this is a deliberate field-by-field copy rather than a struct

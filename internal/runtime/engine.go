@@ -132,7 +132,7 @@ func (p *Prepared) Eval(dyn *Dynamic) (seq xdm.Sequence, err error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := drainBatched(fr.dyn, p.body(fr))
+	out, err := drain(fr.dyn, p.body(fr))
 	if err != nil {
 		return nil, err
 	}
@@ -176,39 +176,25 @@ func (p *Prepared) ExecuteToWriter(dyn *Dynamic, w io.Writer) (err error) {
 		return err
 	}
 	sw := serializer.New(w, serializer.Options{OmitXMLDecl: true})
-	// Token accounting is batched: the writer counts, and the sink flushes
-	// the count into the profile once per result batch.
-	var counted int64
-	flushTokens := func() {
-		if n := sw.Tokens(); n > counted {
-			dyn.Prof.addXMLTokens(n - counted)
-			counted = n
-		}
-	}
-	defer flushTokens()
-
-	// Batched serializer sink: drain whole result batches per tick.
-	buf := dyn.getBuf()
-	defer dyn.putBuf(buf)
+	defer func() { dyn.Prof.addXMLTokens(sw.Tokens()) }()
+	// Each item is written as soon as it is pulled: on a streamed input
+	// that is as soon as it exists.
+	markDrain(it)
 	for {
-		n, err := nextBatch(it, buf)
-		for i := 0; i < n; i++ {
-			if werr := sw.WriteItem(buf[i]); werr != nil {
-				return werr
-			}
-		}
-		flushTokens()
+		x, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
-		if n == 0 {
-			break
+		if !ok {
+			return sw.Close()
 		}
-		if err := dyn.CheckInterruptN(n); err != nil {
+		if err := sw.WriteItem(x); err != nil {
+			return err
+		}
+		if err := dyn.CheckInterrupt(); err != nil {
 			return err
 		}
 	}
-	return sw.Close()
 }
 
 // String renders a short description of the prepared query.

@@ -216,7 +216,7 @@ func (p *joinPath) open(fr *Frame) (*joinIter, error) {
 		j.ids, j.n = ids, int64(len(ids))
 	default:
 		j.cur = structjoin.NewPathCursor(lists, childEdge)
-		j.ids = make([]int32, 0, batchSize)
+		j.ids = make([]int32, 0, joinIDBatch)
 	}
 	return j, nil
 }
@@ -263,7 +263,9 @@ func matchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (ids []i
 	defer release()
 	parts, err := morselRound(d, extra, chunks, func(w *Dynamic, i int) ([]int32, error) {
 		lchunk := leaf[i*joinMorselPostings : min((i+1)*joinMorselPostings, len(leaf))]
-		if err := w.CheckInterruptN(len(lchunk)); err != nil {
+		// A chunk drains its cursor in one call, so the group's hook (which
+		// morselRound installs on every worker) is polled once per chunk.
+		if err := w.Interrupt(); err != nil {
 			return nil, err
 		}
 		pruned := make([]structjoin.List, len(lists))
@@ -290,10 +292,12 @@ func matchMorsel(d *Dynamic, lists []structjoin.List, childEdge []bool) (ids []i
 	return ids, true, nil
 }
 
-// joinIter streams a path join's leaves: ids from the cursor a batch at a
-// time, or the stitched ids of a morsel round, each boxed only as it is
+// joinIter streams a path join's leaves: ids from the cursor joinIDBatch at
+// a time, or the stitched ids of a morsel round, each boxed only as it is
 // emitted. Once the ids run out, their count lands in the plan's feedback
 // cache.
+const joinIDBatch = 128
+
 type joinIter struct {
 	d   *store.Document
 	dyn *Dynamic
@@ -338,20 +342,4 @@ func (j *joinIter) Next() (xdm.Item, bool, error) {
 		return j.d.Node(id), true, nil
 	}
 	return nil, false, nil
-}
-
-// NextBatch implements BatchIter.
-func (j *joinIter) NextBatch(buf []xdm.Item) (int, error) {
-	n := 0
-	h := j.d.Handles()
-	for n < len(buf) && (j.i < len(j.ids) || j.fill()) {
-		k := min(len(buf)-n, len(j.ids)-j.i)
-		for _, id := range j.ids[j.i : j.i+k] {
-			buf[n] = h.Node(id)
-			n++
-		}
-		j.i += k
-	}
-	h.Pay()
-	return n, j.dyn.CheckInterruptN(n)
 }

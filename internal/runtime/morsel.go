@@ -14,15 +14,16 @@ import (
 // for/where tuple pipelines (compile_flwor.go), and the branches of a comma
 // sequence (parallel.go, one morsel per branch) — split their input into
 // morsels and schedule them over a worker pool. Each worker owns a forked
-// slice of the dynamic context (Dynamic.fork: private step counter, buffer
-// pool, and profile shard), and results stitch back in morsel-index order,
-// which is input order, which is document order for the loops that promise
-// it.
+// slice of the dynamic context (Dynamic.fork: private step counter and
+// profile shard), and results stitch back in morsel-index order, which is
+// input order, which is document order for the loops that promise it.
 //
 // Activation is demand-driven and opt-in: Dynamic.Workers must be set above
-// one, and a loop only upgrades on NextBatch (drain demand) — Next keeps
-// its exact lazy, item-at-a-time behavior, and executions over a still-
-// parsing streamed input never upgrade. Extra workers beyond the pulling
+// one, and a scan, FLWOR or comma sequence only runs a round once its
+// consumer has marked it for draining (drain.go) — unmarked, each keeps its
+// exact lazy, item-at-a-time behavior. Path-join leaf chunks run when the
+// join is opened. Executions over a still-parsing streamed input never
+// upgrade. Extra workers beyond the pulling
 // goroutine (the guaranteed minimum of one) are leased per round from a
 // WorkerLimiter, so an abandoned iterator can never hold pool slots.
 

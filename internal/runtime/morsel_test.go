@@ -570,7 +570,7 @@ func TestCommaBranchesMixedGranularity(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Next = %v, %v", ok, err)
 	}
-	rest, err := drainBatched(&Dynamic{}, it)
+	rest, err := drain(&Dynamic{}, it) // marks it, then pulls the rest
 	if err != nil {
 		t.Fatal(err)
 	}

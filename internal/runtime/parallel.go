@@ -11,8 +11,8 @@ import (
 // given subexpressions are executed"). The branches of an eligible comma
 // sequence are one more work source of the morsel scheduler (morsel.go), one
 // chunk per branch. The execution guarantee comes from demand, not from the
-// syntax: only a NextBatch pull — a consumer that drains the whole sequence —
-// runs a round, so under a one-item consumer (fn:exists, a positional
+// syntax: only a sequence marked for draining (drain.go) — a consumer that
+// reads it to the end — runs a round, so under a one-item consumer (fn:exists, a positional
 // predicate, a quantifier) the branches after the deciding one are never
 // evaluated, exactly as without workers. Independence is established by
 // forcing the branches' shared variable bindings before the round, after
@@ -64,25 +64,23 @@ func (c *compiler) parallelSeqBindings(n *expr.Seq) (shared []int, ok bool) {
 }
 
 // parSeqIter is the comma iterator of an eligible sequence under a worker
-// pool. Next is the lazy concat, unchanged; the first NextBatch, when no
+// pool: the lazy concat, which at its first pull after a drain mark, when no
 // branch has started, tries one morsel round over all branches and serves
-// its stitched output, falling back to the batched concat when no extra
-// worker is granted.
+// its stitched output. Without a granted worker it stays the concat.
 type parSeqIter struct {
 	concatIter
 	shared []int // variable ids the branches read
 	tried  bool
 }
 
-// NextBatch implements BatchIter.
-func (p *parSeqIter) NextBatch(buf []xdm.Item) (int, error) {
-	if !p.tried {
+func (p *parSeqIter) Next() (xdm.Item, bool, error) {
+	if p.drain && !p.tried {
 		p.tried = true
 		if err := p.round(); err != nil {
-			return 0, err
+			return nil, false, err
 		}
 	}
-	return p.concatIter.NextBatch(buf)
+	return p.concatIter.Next()
 }
 
 // round evaluates every branch as one chunk of a morsel round and leaves the
@@ -106,7 +104,7 @@ func (p *parSeqIter) round() error {
 	}
 	p.fr.pin() // workers' constructors may keep it (see Frame.pin)
 	parts, err := morselRound(d, extra, len(p.fns), func(w *Dynamic, i int) (xdm.Sequence, error) {
-		return drainBatched(w, p.fns[i](p.fr.withDyn(w)))
+		return drain(w, p.fns[i](p.fr.withDyn(w)))
 	})
 	p.idx = len(p.fns)
 	if err != nil {

@@ -99,8 +99,7 @@ func (p *Prepared) NewProfile(timed bool) *Profile {
 }
 
 // instrument wraps an operator's iterator with counting (and, in timed mode,
-// wall-clock timing). The wrapper forwards batch pulls, so a vectorized
-// operator under profiling bumps its counters once per batch, not per item.
+// wall-clock timing). The wrapper passes a drain mark on to the operator.
 func (p *Profile) instrument(id int, src Iter) Iter {
 	op := &p.ops[id]
 	op.starts.Add(1)
@@ -131,23 +130,8 @@ func (p *profIter) Next() (xdm.Item, bool, error) {
 	return it, ok, err
 }
 
-// NextBatch implements BatchIter: one counter update per batch.
-func (p *profIter) NextBatch(buf []xdm.Item) (int, error) {
-	if !p.timed {
-		n, err := nextBatch(p.src, buf)
-		if n > 0 {
-			p.op.items.Add(int64(n))
-		}
-		return n, err
-	}
-	t0 := time.Now()
-	n, err := nextBatch(p.src, buf)
-	p.op.nanos.Add(int64(time.Since(t0)))
-	if n > 0 {
-		p.op.items.Add(int64(n))
-	}
-	return n, err
-}
+// markDrain implements drainer.
+func (p *profIter) markDrain() { markDrain(p.src) }
 
 // The engine-counter adders below are nil-safe so call sites on the hot path
 // stay a single method call guarding on the receiver.

@@ -21,7 +21,7 @@ type StreamState struct {
 	r    io.Reader
 	opts xmlparse.Options // URI, whitespace handling, pooling
 	doc  *store.Document
-	// docv mirrors doc for lock-free lazy checks on the batch hot path.
+	// docv mirrors doc for lock-free lazy checks by the morsel sources.
 	docv atomic.Pointer[store.Document]
 }
 
@@ -83,9 +83,9 @@ func (s *StreamState) docFor(d *Dynamic) *store.Document {
 }
 
 // lazy reports whether the streamed document is still being parsed (true
-// before the parse has even started). Batched operators use this to drop to
-// item-granularity demand so a batch fill cannot force input past the items
-// it returns.
+// before the parse has even started). The morsel FLWOR and comma sources
+// refuse a parallel round while it is, so a round cannot force input ahead
+// of the items the consumer has pulled.
 func (s *StreamState) lazy() bool {
 	d := s.docv.Load()
 	return d == nil || d.Lazy()
@@ -119,9 +119,8 @@ func IngestStats(d *Dynamic) xmlparse.Stats { return ingestStats{d: d} }
 // RunIter is a closable result iterator over one execution: the engine
 // boundary for callers that pull items instead of materializing. Unlike the
 // raw plan iterator it converts lazy-ingestion panics into errors and can
-// release pooled batch buffers early via Close.
+// be ended early via Close.
 type RunIter struct {
-	dyn  *Dynamic
 	src  Iter
 	done bool
 }
@@ -133,7 +132,7 @@ func (p *Prepared) RunIterator(dyn *Dynamic) (it *RunIter, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RunIter{dyn: fr.dyn, src: p.body(fr)}, nil
+	return &RunIter{src: p.body(fr)}, nil
 }
 
 // Next produces the next result item; ok is false at the end.
@@ -149,14 +148,9 @@ func (r *RunIter) Next() (item xdm.Item, ok bool, err error) {
 	return item, ok, err
 }
 
-// Close releases the execution's pooled batch buffers and ends iteration.
-// Safe to call multiple times; Next returns exhaustion afterwards.
+// Close ends iteration and drops the plan iterator. Safe to call multiple
+// times; Next returns exhaustion afterwards.
 func (r *RunIter) Close() {
 	r.done = true
 	r.src = nil
-	if r.dyn != nil {
-		r.dyn.bufMu.Lock()
-		r.dyn.bufFree = nil
-		r.dyn.bufMu.Unlock()
-	}
 }

@@ -66,13 +66,6 @@ func (s *sliceIter) Next() (xdm.Item, bool, error) {
 	return it, true, nil
 }
 
-// NextBatch copies a chunk of the materialized sequence (BatchIter).
-func (s *sliceIter) NextBatch(buf []xdm.Item) (int, error) {
-	n := copy(buf, s.seq[s.pos:])
-	s.pos += n
-	return n, nil
-}
-
 // remaining implements sizedIter.
 func (s *sliceIter) remaining() (int64, bool) { return int64(len(s.seq) - s.pos), true }
 
@@ -119,9 +112,8 @@ func (s *LazySeq) at(i int) (xdm.Item, bool, error) {
 // Iterator returns a fresh cursor over the sequence.
 func (s *LazySeq) Iterator() Iter { return &lazyCursor{seq: s} }
 
-// lazyCursor is one consumer's position in a LazySeq. Batch pulls copy from
-// the cache when possible and otherwise pull a whole batch from the
-// producer, extending the cache for the other cursors.
+// lazyCursor is one consumer's position in a LazySeq. A drained cursor
+// marks the producer, which extends the cache for the other cursors.
 type lazyCursor struct {
 	seq *LazySeq
 	i   int
@@ -146,56 +138,26 @@ func (c *lazyCursor) remaining() (int64, bool) {
 	return 0, false
 }
 
-// NextBatch implements BatchIter.
-func (c *lazyCursor) NextBatch(buf []xdm.Item) (int, error) {
-	s := c.seq
-	if c.i < len(s.items) {
-		n := copy(buf, s.items[c.i:])
-		c.i += n
-		return n, nil
+// markDrain implements drainer: the producer is read to the end.
+func (c *lazyCursor) markDrain() { c.seq.markDrain() }
+
+// markDrain marks the producer, unless it has run out.
+func (s *LazySeq) markDrain() {
+	if s.src != nil {
+		markDrain(s.src)
 	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	if s.src == nil {
-		return 0, nil
-	}
-	n, err := nextBatch(s.src, buf)
-	s.items = append(s.items, buf[:n]...)
-	c.i += n
-	if err != nil {
-		s.err = err
-		s.src = nil
-		return n, err
-	}
-	if n == 0 {
-		s.src = nil
-	}
-	return n, nil
 }
 
-// All materializes the whole sequence (batched pulls from the producer,
-// directly into the cache's spare capacity — see drainBatched).
+// All materializes the whole sequence, marking the producer first. The
+// cache doubles as it fills (see drain).
 func (s *LazySeq) All() (xdm.Sequence, error) {
+	s.markDrain()
 	for s.src != nil {
 		if len(s.items) == cap(s.items) {
-			grown := make(xdm.Sequence, len(s.items), 2*cap(s.items)+batchSize)
-			copy(grown, s.items)
-			s.items = grown
+			s.items = doubled(s.items)
 		}
-		win := s.items[len(s.items):cap(s.items)]
-		if len(win) > maxBatch {
-			win = win[:maxBatch]
-		}
-		n, err := nextBatch(s.src, win)
-		s.items = s.items[:len(s.items)+n]
-		if err != nil {
-			s.err = err
-			s.src = nil
-			break
-		}
-		if n == 0 {
-			s.src = nil
+		if _, _, err := s.at(len(s.items)); err != nil {
+			return nil, err
 		}
 	}
 	if s.err != nil {

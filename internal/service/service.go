@@ -79,7 +79,7 @@ type Config struct {
 	// (default 256 entries).
 	TraceRingSize int
 	// MaxQueryBytes caps the engine-tracked bytes one request may hold
-	// (store growth, batch pools, window buffers, materialized results);
+	// (store growth, gather rounds, window buffers, materialized results);
 	// overage fails that query with a structured XQGO0001 error. 0 disables
 	// the per-query cap.
 	MaxQueryBytes int64

@@ -1,8 +1,6 @@
 package streamexec
 
 import (
-	"strings"
-
 	"xqgo/internal/expr"
 	"xqgo/internal/projection"
 	"xqgo/internal/runtime"
@@ -32,15 +30,6 @@ func (p *Program) Reason() string { return p.reason }
 
 // Streamable reports whether the program runs on the event automaton.
 func (p *Program) Streamable() bool { return p.class.Streamable() }
-
-// SpineString renders the spine for diagnostics ("/Order/OrderLine").
-func (p *Program) SpineString() string {
-	var b strings.Builder
-	for _, s := range p.spine {
-		b.WriteString(s.String())
-	}
-	return b.String()
-}
 
 // Compile analyzes an optimized query and, when streamable, compiles its
 // residual. ro is the store engine's option set for the same query: the

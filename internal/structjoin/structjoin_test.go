@@ -107,7 +107,7 @@ func TestStackTreeDescCorrectness(t *testing.T) {
 		t.Errorf("parent pairs = %d, want 2", len(ppairs))
 	}
 	for _, p := range ppairs {
-		if !p.Ancestor.Region.ParentOf(p.Descendant.Region) {
+		if a, d := p.Ancestor.Region, p.Descendant.Region; !a.Contains(d) || a.Level+1 != d.Level {
 			t.Errorf("pair %v is not a parent relation", p)
 		}
 	}

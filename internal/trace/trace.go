@@ -248,16 +248,6 @@ func (t *Trace) AddSpan(name string, parent *Span, start, end time.Time, attrs .
 	return s
 }
 
-// SpanCount returns the number of retained spans.
-func (t *Trace) SpanCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // SpanData is the JSON-ready form of one finished span.
 type SpanData struct {
 	ID       string         `json:"id"`

@@ -246,8 +246,5 @@ func must(err error) {
 	}
 }
 
-// XMLSize returns the serialized size in bytes (workload reporting).
-func XMLSize(d *store.Document) int { return len(DocToXML(d)) }
-
 // Names joins generator names for reporting.
 func Names(names ...string) string { return strings.Join(names, ",") }

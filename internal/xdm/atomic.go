@@ -335,8 +335,9 @@ func (a Atomic) decimalLexical() string {
 // The exponent form is the canonical one, a mantissa with a fraction digit
 // and an exponent without sign or leading zero: 1.0E300, 1.5E-7. (Values
 // from 1e-6 to 1e-5, and fractions of 1e6 or more, still take the exponent
-// form where XQuery writes a decimal.)
-func floatLexical(f float64, _ bool) string {
+// form where XQuery writes a decimal.) An xs:float takes the shortest
+// digits that read back as the same float32, under the same rules.
+func floatLexical(f float64, isFloat bool) string {
 	switch {
 	case math.IsNaN(f):
 		return "NaN"
@@ -345,10 +346,14 @@ func floatLexical(f float64, _ bool) string {
 	case math.IsInf(f, -1):
 		return "-INF"
 	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', -1, 64)
+	bits := 64
+	if isFloat {
+		bits = 32
 	}
-	s := strconv.FormatFloat(f, 'G', -1, 64)
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		return strconv.FormatFloat(f, 'f', -1, bits)
+	}
+	s := strconv.FormatFloat(f, 'G', -1, bits)
 	mant, exp, ok := strings.Cut(s, "E")
 	if !ok {
 		return s

@@ -14,15 +14,6 @@ func Atomize(it Item) Atomic {
 	return it.(Atomic)
 }
 
-// AtomizeSequence atomizes every item of a materialized sequence.
-func AtomizeSequence(seq Sequence) []Atomic {
-	out := make([]Atomic, len(seq))
-	for i, it := range seq {
-		out[i] = Atomize(it)
-	}
-	return out
-}
-
 // EffectiveBoolean computes the Effective Boolean Value of a sequence
 // (XQuery 1.0 §2.4.3, F&O §15.1.1): () is false; a sequence whose first item
 // is a node is true; a single boolean is itself; a single string/untyped/

@@ -41,10 +41,6 @@ func TestAtomize(t *testing.T) {
 	if got := Atomize(NewInteger(3)); got.Int() != 3 {
 		t.Error("Atomize(atomic) passes through")
 	}
-	seq := AtomizeSequence(Sequence{n, NewInteger(1)})
-	if len(seq) != 2 || seq[0].S != "42" || seq[1].Int() != 1 {
-		t.Errorf("AtomizeSequence = %v", seq)
-	}
 }
 
 // TestEffectiveBoolean covers the paper's BEV rules: (), "", NaN, 0 and

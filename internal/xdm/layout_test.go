@@ -179,6 +179,9 @@ func FuzzAtomicCast(f *testing.F) {
 	f.Add("1e300", "1e-7", uint8(6)) // canonical exponent forms 1.0E300, 1.0E-7
 	f.Add("1.5e20", "-1.5E20", uint8(6))
 	f.Add("1e15", "123456789.5", uint8(6))
+	f.Add("0.1", "1e-7", uint8(5)) // xs:float: shortest float32 digits 0.1, 1.0E-7
+	f.Add("3.4028235e38", "-1.5e20", uint8(5))
+	f.Add("0.33333334", "16777217", uint8(5))
 	f.Add("true", "0", uint8(2))
 	f.Fuzz(func(t *testing.T, lex1, lex2 string, which uint8) {
 		to := castTargets[int(which)%len(castTargets)]

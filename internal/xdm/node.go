@@ -56,10 +56,6 @@ type Node interface {
 	Root() Node
 }
 
-// IsNodeItem reports whether an item is a node (helper avoiding type asserts
-// at call sites).
-func IsNodeItem(it Item) bool { return it != nil && it.IsNode() }
-
 // CompareOrder orders two nodes in global document order: -1, 0, +1.
 func CompareOrder(a, b Node) int {
 	da, pa := a.OrderKey()

@@ -543,8 +543,8 @@ var (
 )
 
 // paperRows are the paper's queries (paperqueries_test.go), cases aimed at
-// the batched operators (deep paths, filters, FLWOR pipelines, ranges, set
-// ops, grouping, order-by), error propagation through batch boundaries,
+// the draining operators (deep paths, filters, FLWOR pipelines, ranges, set
+// ops, grouping, order-by), error propagation after items were delivered,
 // comma sequences of the shape morsel workers split, and namespaces.
 var paperRows = append(rows(row{doc: paperDoc},
 	// paperqueries_test.go suite.
@@ -598,7 +598,7 @@ var paperRows = append(rows(row{doc: paperDoc},
 	`let $x := <x/> let $y := <y/> let $z := <z/>
 	 return for $n in (($x, $y) union ($y, $z)) return local-name($n)`,
 
-	// Batched-operator edges: ranges, deep pipelines, grouping, order-by.
+	// Draining-operator edges: ranges, deep pipelines, grouping, order-by.
 	`count(1 to 1000)`,
 	`sum(1 to 300)`,
 	`(1 to 400)[. mod 7 = 0]`,
@@ -615,7 +615,7 @@ var paperRows = append(rows(row{doc: paperDoc},
 	`subsequence(1 to 100000, 5, 3)`,
 	`let $s := (1 to 260) return (count($s), sum($s), $s[259])`,
 
-	// Error propagation across batch boundaries: items before the error
+	// Error propagation after delivered items: items before the error
 	// must not change which error code surfaces.
 	`(1, 2, 1 idiv 0)`,
 	`(1, 1 idiv 0, 3)[1]`,

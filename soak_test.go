@@ -106,8 +106,8 @@ func TestSubscribeSoak(t *testing.T) {
 			ledgerWarm, warm, ledgerEnd, windows)
 	}
 	// Every window is the same line, so the peak is any one window's bytes.
-	// What stays charged once they are all discharged is the member's pooled
-	// batch buffer, resident until the owner's ReleaseAll.
+	// What stays charged once they are all discharged is what the member
+	// keeps resident until the owner's ReleaseAll.
 	if used, resident := budget.Used(), ledgerWarm-st.PeakBufferBytes; used != resident {
 		t.Errorf("budget ledger = %d bytes after the feed ended, want the resident %d", used, resident)
 	}

@@ -433,8 +433,8 @@ func NewMemoryGovernor(softLimitBytes int64) *MemoryGovernor {
 }
 
 // WithMemoryBudget caps the tracked bytes executions under this context may
-// hold: store growth during lazy materialization, batch buffer pools, FLWOR
-// gather rounds, and streaming window buffers all charge the budget, and
+// hold: store growth during lazy materialization, materialized results,
+// FLWOR gather rounds, and streaming window buffers all charge the budget, and
 // overage aborts the query with a structured XQGO0001 error instead of
 // letting it OOM the process. maxBytes <= 0 removes the cap. The accounting
 // is an estimate of retained engine allocations, not process RSS.
