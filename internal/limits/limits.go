@@ -211,15 +211,6 @@ func (b *Budget) Charge(n int64) error {
 	return nil
 }
 
-// MustCharge is Charge for call sites without an error return: overage
-// panics with the *BudgetError, which the engine's recover boundaries
-// (recoverXQ) convert back into an ordinary execution error.
-func (b *Budget) MustCharge(n int64) {
-	if err := b.Charge(n); err != nil {
-		panic(err)
-	}
-}
-
 // Discharge returns n tracked bytes — call when a charged allocation is
 // provably released (window close, gather-round end).
 func (b *Budget) Discharge(n int64) {

@@ -69,7 +69,9 @@ func TestBudgetZeroCapTracksWithoutEnforcing(t *testing.T) {
 func TestBudgetDischargeAndReleaseAll(t *testing.T) {
 	g := NewGovernor(1000)
 	b := g.Governed(500)
-	b.MustCharge(300)
+	if err := b.Charge(300); err != nil {
+		t.Fatal(err)
+	}
 	b.Discharge(100)
 	if got, want := b.Used(), int64(200); got != want {
 		t.Errorf("Used = %d, want %d", got, want)
@@ -90,24 +92,11 @@ func TestBudgetDischargeAndReleaseAll(t *testing.T) {
 	}
 }
 
-func TestMustChargePanicsWithBudgetError(t *testing.T) {
-	b := NewBudget(10, nil)
-	defer func() {
-		r := recover()
-		var be *BudgetError
-		if err, ok := r.(error); !ok || !errors.As(err, &be) {
-			t.Fatalf("recovered %v, want *BudgetError", r)
-		}
-	}()
-	b.MustCharge(11)
-}
-
 func TestNilBudgetIsNoOp(t *testing.T) {
 	var b *Budget
 	if err := b.Charge(100); err != nil {
 		t.Errorf("nil Charge: %v", err)
 	}
-	b.MustCharge(100)
 	b.Discharge(100)
 	b.ReleaseAll()
 	b.SetTraceID("x")
@@ -131,11 +120,15 @@ func TestNilGovernorIsNoOp(t *testing.T) {
 func TestGovernorOverloadThreshold(t *testing.T) {
 	g := NewGovernor(1000)
 	b := g.Governed(0)
-	b.MustCharge(799)
+	if err := b.Charge(799); err != nil {
+		t.Fatal(err)
+	}
 	if g.Overloaded() {
 		t.Errorf("overloaded at %d/1000", g.InUse())
 	}
-	b.MustCharge(1) // 800 = 4/5 of the cap
+	if err := b.Charge(1); err != nil { // 800 = 4/5 of the cap
+		t.Fatal(err)
+	}
 	if !g.Overloaded() {
 		t.Errorf("not overloaded at %d/1000", g.InUse())
 	}
@@ -154,7 +147,10 @@ func TestBudgetConcurrentCharges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				b.MustCharge(3)
+				if err := b.Charge(3); err != nil {
+					t.Error(err)
+					return
+				}
 				b.Discharge(1)
 			}
 		}()

@@ -1,12 +1,20 @@
 package optimizer
 
-// Cost-based strategy selection for rooted path chains (//a//b/c …): the
-// planner chooses per branch between navigation and the holistic path join
-// (PathStack, one pass over all posting lists). Inputs are store-level
-// statistics collected at parse time (document size, mean element depth,
-// per-name posting-list lengths — tag selectivity), whether a structural
-// index is already cached for the document, and the output cardinality
-// observed on a prior run of the same operator (the profile feedback loop).
+import (
+	"xqgo/internal/expr"
+	"xqgo/internal/xdm"
+	"xqgo/internal/xtypes"
+)
+
+// The one cardinality estimator. EstimateChain prices a rooted path chain
+// (//a//b/c …) over one document: the planner chooses per branch between
+// navigation and the holistic path join (PathStack, one pass over all
+// posting lists). Inputs are store-level statistics collected at parse time
+// (document size, mean element depth, per-name posting-list lengths — tag
+// selectivity), whether a structural index is already cached for the
+// document, and the output cardinality observed on a prior run of the same
+// operator (the profile feedback loop). EstimateItems is the no-statistics
+// case every other operator is reported with.
 
 // Strategy selects how a join-eligible path chain is executed.
 type Strategy int
@@ -116,8 +124,8 @@ func EstimateChain(cs ChainStats) CostEstimate {
 		}
 	}
 	if cs.Observed >= 0 {
-		// Feedback from a prior run replaces the static output estimate —
-		// profile estItems vs observed items as a free replanning signal.
+		// Feedback from a prior run replaces the modelled output: the
+		// observed items of the last run price this one.
 		out = float64(cs.Observed)
 	}
 
@@ -136,4 +144,37 @@ func EstimateChain(cs ChainStats) CostEstimate {
 		est.Choice = StrategyTwigJoin
 	}
 	return est
+}
+
+// estFanout is the uniform branching assumption of EstimateItems for a
+// sequence type proven only to be T* or T+.
+const estFanout = 8
+
+// EstimateItems is the static per-instantiation cardinality of an operator
+// no statistics price: a literal range or literal sequence counts exactly,
+// otherwise the occurrence indicator the type system infers decides —
+// empty-sequence() 0, T and T? 1, T* and T+ estFanout.
+func EstimateItems(e expr.Expr) int64 {
+	switch n := e.(type) {
+	case *expr.Range:
+		lo, ok1 := literalOf(n.Lo)
+		hi, ok2 := literalOf(n.Hi)
+		if ok1 && ok2 && lo.T == xdm.TInteger && hi.T == xdm.TInteger {
+			return max(hi.AsInt()-lo.AsInt()+1, 0)
+		}
+	case *expr.Seq:
+		var sum int64
+		for _, item := range n.Items {
+			sum += EstimateItems(item)
+		}
+		return sum
+	}
+	switch expr.Infer(e, nil).Occ {
+	case xtypes.OccEmpty:
+		return 0
+	case xtypes.OccOne, xtypes.OccOpt:
+		return 1
+	default:
+		return estFanout
+	}
 }

@@ -1,6 +1,10 @@
 package optimizer
 
-import "testing"
+import (
+	"testing"
+
+	"xqgo/internal/xqparse"
+)
 
 // The decision table the runtime's pathDecision relies on: each entry is a
 // document/chain shape with a known winner. Costs are abstract, so the test
@@ -112,6 +116,34 @@ func TestStrategyString(t *testing.T) {
 	for s, w := range want {
 		if got := s.String(); got != w {
 			t.Errorf("Strategy(%d).String() = %q, want %q", s, got, w)
+		}
+	}
+}
+
+// The static rule every operator no statistics price is reported with:
+// literal ranges and literal sequences count exactly, otherwise the
+// inferred occurrence indicator decides.
+func TestEstimateItems(t *testing.T) {
+	cases := []struct {
+		src  string
+		want int64
+	}{
+		{`1 to 5`, 5},
+		{`10 to 1`, 0},
+		{`(1, 2, 3)`, 3},
+		{`()`, 0},
+		{`(1 to 4, 7)`, 5},
+		{`$x treat as xs:integer?`, 1}, // T?
+		{`if ($c) then 1 else ()`, 1},  // T?
+		{`$x/b`, estFanout},            // T*
+	}
+	for _, c := range cases {
+		q, err := xqparse.Parse(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		if got := EstimateItems(q.Body); got != c.want {
+			t.Errorf("EstimateItems(%s) = %d, want %d", c.src, got, c.want)
 		}
 	}
 }

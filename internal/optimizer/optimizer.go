@@ -100,21 +100,6 @@ func Disable(rules ...string) Options {
 	return Options{Disabled: m}
 }
 
-// Only returns Options with only the given rules on.
-func Only(rules ...string) Options {
-	on := make(map[string]bool, len(rules))
-	for _, r := range rules {
-		on[r] = true
-	}
-	m := map[string]bool{}
-	for _, r := range AllRules {
-		if !on[r] {
-			m[r] = true
-		}
-	}
-	return Options{Disabled: m}
-}
-
 type optimizer struct {
 	opts  Options
 	query *expr.Query

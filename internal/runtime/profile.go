@@ -21,8 +21,8 @@ import (
 // of one plan, and morsel workers fold their shards into the parent.
 
 // OpInfo identifies one tagged operator of a compiled plan. EstItems is the
-// static per-instantiation cardinality estimate (see estimate.go) that trace
-// spans report against the observed item count.
+// static per-instantiation cardinality estimate (optimizer.EstimateItems);
+// a run whose cost model prices the operator reports that price instead.
 type OpInfo struct {
 	ID       int    `json:"id"`
 	Kind     string `json:"kind"`
@@ -44,6 +44,9 @@ type opCounters struct {
 	// strat is the join strategy chosen this execution; 0 (StrategyAuto)
 	// means none was resolved, since a resolved strategy is never Auto.
 	strat atomic.Int32
+	// est is the output the cost model priced the choice with, plus one;
+	// 0 means the operator was not priced this execution.
+	est atomic.Int64
 }
 
 // engineCounters are execution-wide totals maintained by engine internals.
@@ -178,15 +181,19 @@ func (p *Profile) addTwigJoin() {
 	}
 }
 
-// notePlanChoice records the join strategy a path operator resolved to:
+// notePlanChoice records the join strategy a path operator resolved to,
+// and the output est the cost model priced it with (-1 when unpriced):
 // once on the operator's row (for explain output) and once on the
 // execution-wide per-strategy totals (for the /metrics counter).
-func (p *Profile) notePlanChoice(id int, s optimizer.Strategy) {
+func (p *Profile) notePlanChoice(id int, s optimizer.Strategy, est int64) {
 	if p == nil {
 		return
 	}
 	if id >= 0 && id < len(p.ops) {
 		p.ops[id].strat.Store(int32(s))
+		if est >= 0 {
+			p.ops[id].est.Store(est + 1)
+		}
 	}
 	switch s {
 	case optimizer.StrategyNavigation:
@@ -297,6 +304,9 @@ func (p *Profile) foldShard(sh *Profile) {
 		if v := o.strat.Load(); v != 0 {
 			p.ops[i].strat.Store(v)
 		}
+		if v := o.est.Load(); v != 0 {
+			p.ops[i].est.Store(v)
+		}
 	}
 	p.Merge(sh.Report().Counters)
 }
@@ -331,8 +341,9 @@ func (p *Profile) Merge(c CounterReport) {
 }
 
 // OpReport is the per-operator row of a profile report. EstItems is the
-// static cardinality estimate per instantiation; compare against
-// Items/Starts for the observed mean.
+// output the cost model priced this execution's strategy choice with, or
+// for an unpriced operator the static estimate per instantiation; compare
+// against Items/Starts for the observed mean.
 type OpReport struct {
 	ID       int    `json:"id"`
 	Kind     string `json:"kind"`
@@ -428,6 +439,9 @@ func (p *Profile) Report() Report {
 		if s := op.strat.Load(); s != 0 {
 			row.Strategy = optimizer.Strategy(s).String()
 		}
+		if v := op.est.Load(); v != 0 {
+			row.EstItems = v - 1
+		}
 		rep.Operators = append(rep.Operators, row)
 	}
 	rep.Counters = CounterReport{
@@ -470,7 +484,7 @@ func (c *compiler) tagID(kind string, e expr.Expr, fn seqFn) (seqFn, int) {
 	pos := e.Span()
 	c.ops = append(c.ops, OpInfo{
 		ID: id, Kind: kind, Detail: exprSummary(e), Line: pos.Line, Col: pos.Col,
-		EstItems: estimate(e),
+		EstItems: optimizer.EstimateItems(e),
 	})
 	c.opExpr = append(c.opExpr, e)
 	return func(fr *Frame) Iter {

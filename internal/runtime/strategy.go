@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sync/atomic"
 
 	"xqgo/internal/optimizer"
@@ -21,9 +22,8 @@ import (
 // execution, keyed by the operator's stable profile id. A Prepared shares
 // one feedback across all its executions (atomically — concurrent
 // executions may race to publish, any observed value is a real
-// observation), closing the loop between profile estItems and observed
-// items: the next Auto decision prices plans against reality instead of
-// the static estimate.
+// observation): the next Auto decision prices plans against the observed
+// output instead of the modelled one, and reports that price as estItems.
 type feedback struct {
 	obs []atomic.Int64 // observed cardinality + 1; 0 = never observed
 }
@@ -62,7 +62,8 @@ func (p *Prepared) Strategy() optimizer.Strategy { return p.opts.Strategy }
 // pathDecision returns the concrete execution strategy for one join-eligible
 // path operator over one document, resolving StrategyAuto through the cost
 // model. The decision is cached per execution; the first resolution is
-// recorded on the profile (operator row + per-strategy totals).
+// recorded on the profile (operator row + per-strategy totals), with the
+// output the model priced it with when it was priced.
 func (d *Dynamic) pathDecision(jp *joinPath, doc *store.Document, policy optimizer.Strategy, opID int, fb *feedback) optimizer.Strategy {
 	b := d.base()
 	key := planKey{jp: jp, doc: doc}
@@ -74,9 +75,9 @@ func (d *Dynamic) pathDecision(jp *joinPath, doc *store.Document, policy optimiz
 	b.planMu.Unlock()
 
 	// Price outside the lock: Stats() may drive a lazy parse to completion.
-	s := policy
+	s, est := policy, int64(-1)
 	if s == optimizer.StrategyAuto {
-		s = chooseChainStrategy(jp, doc, b.indexes.ready(doc), fb.observed(opID))
+		s, est = chooseChainStrategy(jp, doc, b.indexes.ready(doc), fb.observed(opID))
 	}
 
 	b.planMu.Lock()
@@ -89,16 +90,17 @@ func (d *Dynamic) pathDecision(jp *joinPath, doc *store.Document, policy optimiz
 	}
 	b.plans[key] = s
 	b.planMu.Unlock()
-	d.Prof.notePlanChoice(opID, s)
+	d.Prof.notePlanChoice(opID, s, est)
 	return s
 }
 
 // chooseChainStrategy runs the optimizer cost model over one chain and one
-// document. Lazy (still-parsing) documents navigate: their statistics are
+// document, returning the choice and the output it was priced with. Lazy
+// (still-parsing) documents navigate unpriced (-1): their statistics are
 // unknown and an index build would force the whole parse.
-func chooseChainStrategy(jp *joinPath, doc *store.Document, indexReady bool, observed int64) optimizer.Strategy {
+func chooseChainStrategy(jp *joinPath, doc *store.Document, indexReady bool, observed int64) (optimizer.Strategy, int64) {
 	if doc.Lazy() {
-		return optimizer.StrategyNavigation
+		return optimizer.StrategyNavigation, -1
 	}
 	st := doc.Stats()
 	cs := optimizer.ChainStats{
@@ -111,5 +113,6 @@ func chooseChainStrategy(jp *joinPath, doc *store.Document, indexReady bool, obs
 	for i, s := range jp.chain {
 		cs.Steps[i] = optimizer.ChainStep{Postings: st.ElementCount(s.name)}
 	}
-	return optimizer.EstimateChain(cs).Choice
+	est := optimizer.EstimateChain(cs)
+	return est.Choice, int64(math.Round(est.Output))
 }

@@ -94,7 +94,9 @@ func TestGovernorOverloadShedsWith503(t *testing.T) {
 	// Saturate the governor past the 4/5 shed threshold, as running queries
 	// holding live tracked bytes would.
 	hog := s.gov.Governed(0)
-	hog.MustCharge(900 << 10)
+	if err := hog.Charge(900 << 10); err != nil {
+		t.Fatal(err)
+	}
 	defer hog.ReleaseAll()
 
 	_, err := s.Query(context.Background(), Request{Query: `1+1`})

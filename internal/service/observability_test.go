@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -11,6 +12,10 @@ import (
 	"time"
 
 	"xqgo"
+	"xqgo/internal/optimizer"
+	"xqgo/internal/trace"
+	"xqgo/internal/workload"
+	"xqgo/internal/xdm"
 )
 
 // ---- Prometheus exposition ----
@@ -344,5 +349,90 @@ func TestPlanChoiceObservability(t *testing.T) {
 	}
 	if strings.Contains(body, "binary-join") {
 		t.Error("/metrics still reports a binary-join plan choice")
+	}
+}
+
+// The estimate a priced path row reports is the one the planner priced:
+// the cost model's output for the document's statistics on the first run,
+// the feedback cache's observed count on the second. The explain row, its
+// op: span and the cardinality error in the explain profile and in /slow
+// all read that number.
+func TestPricedRowReportsPlannerEstimate(t *testing.T) {
+	s := newTestService(t, Config{SlowQueryThreshold: time.Nanosecond})
+	var xml strings.Builder
+	if err := workload.WriteXML(&xml, workload.Orders(workload.OrdersConfig{Lines: 10000, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterDocument("orders", strings.NewReader(xml.String())); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := s.Catalog.Get("orders")
+	st := e.Doc.Store().Stats()
+	modelled := optimizer.EstimateChain(optimizer.ChainStats{
+		DocNodes: st.Nodes, AvgDepth: st.AvgDepth, Observed: -1,
+		Steps: []optimizer.ChainStep{
+			{Postings: st.ElementCount(xdm.LocalName("OrderLine"))},
+			{Postings: st.ElementCount(xdm.LocalName("ID"))},
+		},
+	}).Output
+	const observed = 10000
+	h := NewHTTPHandler(s)
+	getJSON := func(method, url, body string, v any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("%s %s = %d: %s", method, url, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run, want := range []int64{int64(math.Round(modelled)), observed} {
+		var res queryResponse
+		getJSON("POST", "/query?explain=1", `{"query":"count(//OrderLine//ID)","doc":"orders"}`, &res)
+		if res.Result != "10000" || res.Profile == nil {
+			t.Fatalf("run %d: result %q, profile %v", run+1, res.Result, res.Profile)
+		}
+		var row *xqgo.OpProfile
+		for i, op := range res.Profile.Operators {
+			if op.Strategy != "" {
+				row = &res.Profile.Operators[i]
+			}
+		}
+		if row == nil {
+			t.Fatalf("run %d: no priced row in %+v", run+1, res.Profile.Operators)
+		}
+		if row.EstItems != want || row.Items != observed {
+			t.Errorf("run %d: estItems %d items %d, want %d and %d", run+1, row.EstItems, row.Items, want, observed)
+		}
+		wantErr := math.Abs(float64(want)-observed) / observed
+		if math.Abs(res.Profile.CardinalityError-wantErr) > 1e-9 {
+			t.Errorf("run %d: explain cardinalityError %g, want %g", run+1, res.Profile.CardinalityError, wantErr)
+		}
+
+		var slow slowLogResponse
+		getJSON("GET", "/slow", "", &slow)
+		if len(slow.Entries) != run+1 {
+			t.Fatalf("run %d: %d slow entries", run+1, len(slow.Entries))
+		}
+		if got := slow.Entries[0].CardinalityError; math.Abs(got-wantErr) > 1e-9 {
+			t.Errorf("run %d: /slow cardinalityError %g, want %g", run+1, got, wantErr)
+		}
+
+		var tr trace.Data
+		getJSON("GET", "/traces/"+res.TraceID, "", &tr)
+		spans := 0
+		for _, sp := range tr.Spans {
+			if sp.Name == "op:"+row.Kind && sp.Attrs["detail"] == row.Detail {
+				spans++
+				if got := sp.Attrs["estItems"]; got != float64(want) {
+					t.Errorf("run %d: op span estItems %v, want %d", run+1, got, want)
+				}
+			}
+		}
+		if spans != 1 {
+			t.Errorf("run %d: %d op spans for the priced row, want 1", run+1, spans)
+		}
 	}
 }

@@ -578,11 +578,17 @@ func (s *Service) run(ctx context.Context, req Request, w io.Writer) (cached boo
 	if prof != nil {
 		rep := prof.Report()
 		s.stats.addEngine(rep.Counters)
-		ep := explainProfile(q, rep)
+		// The explain profile renders the plan text and the operator tree:
+		// build it only for an explain response or a slow-log entry.
+		slow := s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold && oc != outcomeRejected
+		var ep *ExplainProfile
+		if req.Explain || slow {
+			ep = explainProfile(q, rep)
+		}
 		if req.Explain {
 			eprof = ep
 		}
-		if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold && oc != outcomeRejected {
+		if slow {
 			s.slow.add(SlowEntry{
 				Time: time.Now(), Query: req.Query, Doc: req.ContextDoc,
 				Micros: elapsed.Microseconds(), Outcome: oc.String(),

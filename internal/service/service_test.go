@@ -533,7 +533,7 @@ func TestServiceStructuralJoinSharing(t *testing.T) {
 func TestStatsPercentiles(t *testing.T) {
 	st := newStatsCore()
 	for i := 1; i <= 100; i++ {
-		st.observe(outcomeOK, time.Duration(i)*time.Millisecond)
+		st.observeTraced(outcomeOK, time.Duration(i)*time.Millisecond, "")
 	}
 	p50, p90, p99, p999, _ := st.routePercentiles("query")
 	// Nearest-rank over 1..100ms is exact: ceil(p*100) milliseconds.

@@ -145,12 +145,8 @@ func histBucket(d time.Duration) int {
 	return len(latBuckets)
 }
 
-func (s *statsCore) observe(o outcome, d time.Duration) {
-	s.observeTraced(o, d, "")
-}
-
-// observeTraced is observe with a trace-id exemplar: the request's latency
-// bucket remembers the most recent traced request that landed in it, giving
+// observeTraced counts one request's outcome and latency. With a trace id
+// the request's latency bucket remembers it as an exemplar, giving
 // /metrics scrapes (OpenMetrics format) a direct link from a latency spike
 // to a reconstructable trace.
 func (s *statsCore) observeTraced(o outcome, d time.Duration, traceID string) {

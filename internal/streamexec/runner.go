@@ -342,8 +342,7 @@ func (r *Runner) Finish() error {
 // enclosing execution's: engine counters merge into env.Prof, and when a
 // trace is attached the residual's operator rows become op: spans under the
 // execute span — the same per-operator cardinality view (observed
-// items/starts vs. the static estimate) a store execution gets from post-run
-// synthesis.
+// items/starts vs. estItems) a store execution gets from post-run synthesis.
 func (r *Runner) finishProfile(m *Member) {
 	if m.rprof == nil {
 		return

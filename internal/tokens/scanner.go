@@ -234,29 +234,3 @@ func Materialize(it Iterator) ([]Token, error) {
 		out = append(out, t)
 	}
 }
-
-// BufferFactory materializes a producer once and hands out any number of
-// independent consumers — the paper's buffer-iterator factory for common
-// sub-expressions and multiply-used variables. Materialization is lazy: the
-// producer is not drained until the first consumer is requested.
-type BufferFactory struct {
-	src    Iterator
-	toks   []Token
-	filled bool
-	err    error
-}
-
-// NewBufferFactory wraps a producer.
-func NewBufferFactory(src Iterator) *BufferFactory { return &BufferFactory{src: src} }
-
-// Consumer returns a fresh iterator over the buffered stream.
-func (f *BufferFactory) Consumer() (Iterator, error) {
-	if !f.filled {
-		f.toks, f.err = Materialize(f.src)
-		f.filled = true
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return NewSliceIterator(f.toks), nil
-}

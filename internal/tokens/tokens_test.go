@@ -174,43 +174,6 @@ func TestSliceIteratorSkip(t *testing.T) {
 	}
 }
 
-func TestBuildDocumentRoundTrip(t *testing.T) {
-	doc := sampleDoc(t)
-	toks, _ := Materialize(NewDocScanner(doc, 0))
-	doc2, err := BuildDocument(NewSliceIterator(toks), store.BuilderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	toks2, _ := Materialize(NewDocScanner(doc2, 0))
-	if len(toks) != len(toks2) {
-		t.Fatalf("round trip token count %d != %d", len(toks2), len(toks))
-	}
-	for i := range toks {
-		a, b := toks[i], toks2[i]
-		if a.Kind != b.Kind || !a.Name.Equal(b.Name) || a.Value != b.Value {
-			t.Errorf("token %d: %+v != %+v", i, a, b)
-		}
-	}
-}
-
-func TestBufferFactory(t *testing.T) {
-	doc := sampleDoc(t)
-	f := NewBufferFactory(NewDocScanner(doc, 0))
-	c1, err := f.Consumer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := f.Consumer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, _ := Materialize(c1)
-	t2, _ := Materialize(c2)
-	if len(t1) != len(t2) || len(t1) == 0 {
-		t.Errorf("consumers disagree: %d vs %d", len(t1), len(t2))
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	doc := sampleDoc(t)
 	for _, opts := range []EncodeOptions{

@@ -58,7 +58,6 @@ const (
 	tBar        // |
 	tAssign     // :=
 	tQuestion   // ?
-	tStarColon  // *: (wildcard namespace)
 )
 
 // token is one lexical token.

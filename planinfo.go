@@ -8,8 +8,7 @@ import (
 // Structured plan introspection: the compiled operator tree with the same
 // stable operator ids that profile rows (OpProfile.ID) and trace spans
 // carry, the join-strategy policy per path branch, and the static
-// cardinality estimates the cost model starts from. The old string-only
-// Plan() remains as a deprecated wrapper returning PlanInfo().Text.
+// cardinality estimate of each operator.
 
 // PlanOperator is one tagged operator of the compiled plan.
 type PlanOperator struct {
@@ -22,7 +21,9 @@ type PlanOperator struct {
 	// Line/Col locate the operator in the query source.
 	Line int `json:"line"`
 	Col  int `json:"col"`
-	// EstItems is the static per-instantiation cardinality estimate.
+	// EstItems is the static per-instantiation cardinality estimate
+	// (optimizer.EstimateItems). A run whose cost model prices a path
+	// reports the priced output on its profile row instead.
 	EstItems int64 `json:"estItems"`
 	// Strategy is the join-strategy policy of a path operator: "auto" for
 	// cost-based selection, a concrete strategy when forced, "navigation"
